@@ -22,7 +22,7 @@ REL_TOL = 1e-9
 Point = tuple  # tuple of floats (or a single index for explicit-matrix metrics)
 
 
-def leq(a: float, b: float) -> float:
+def leq(a: float, b: float) -> bool:
     """a <= b up to relative tolerance (unit floor for values near zero)."""
     return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
 
@@ -39,7 +39,12 @@ class WeightedPoint:
     def __post_init__(self):
         if not isinstance(self.weight, int) or self.weight < 1:
             raise InputError(f"weight must be a positive integer, got {self.weight!r}")
-        object.__setattr__(self, "point", tuple(float(c) for c in self.point))
+        point = tuple(map(float, self.point))
+        # the sum is a cheap screen; only when it is not finite (a NaN or inf,
+        # or finite coordinates whose sum overflows) are the coordinates checked
+        if not math.isfinite(sum(point)) and not all(map(math.isfinite, point)):
+            raise InputError(f"coordinates must be finite, got {point!r}")
+        object.__setattr__(self, "point", point)
 
 
 def as_weighted(points) -> list[WeightedPoint]:
@@ -78,10 +83,14 @@ class Metric:
     For ``EXPLICIT``, points are 1-tuples holding an index into the matrix.
     The matrix is validated for symmetry, nonnegativity and zero diagonal;
     the triangle inequality is spot-checked on sampled triples.
+
+    ``pairwise`` is the package's distance kernel; the scalar ``distance``
+    computes the same bits one pair at a time and serves as its reference.
     """
 
     kind: str
     matrix: tuple = field(default=None, compare=True)
+    _array: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (L2, LINF, EXPLICIT):
@@ -92,6 +101,9 @@ class Metric:
             m = tuple(tuple(float(v) for v in row) for row in self.matrix)
             object.__setattr__(self, "matrix", m)
             _validate_matrix(m)
+            arr = np.asarray(m, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_array", arr)
         elif self.matrix is not None:
             raise InputError("matrix only allowed for explicit metrics")
 
@@ -111,16 +123,32 @@ class Metric:
         return math.sqrt(sum(d * d for d in diff))
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Distance matrix between rows of a (n x d) and rows of b (m x d)."""
+        """Distance matrix between rows of a (n x d) and rows of b (m x d).
+
+        Accumulates one coordinate at a time, in the order ``distance`` does,
+        so every entry has the same bits as the scalar ``distance``.
+        """
         if self.kind == EXPLICIT:
             ia = a.astype(int).ravel()
             ib = b.astype(int).ravel()
-            mat = np.asarray(self.matrix, dtype=float)
-            return mat[np.ix_(ia, ib)]
-        diff = np.abs(a[:, None, :] - b[None, :, :])
-        if self.kind == LINF:
-            return diff.max(axis=2)
-        return np.sqrt((diff * diff).sum(axis=2))
+            n = len(self._array)
+            for idx in (ia, ib):
+                if idx.size and not (0 <= idx.min() and idx.max() < n):
+                    raise InputError(f"matrix index out of range: {idx.min()}..{idx.max()}")
+            return self._array[np.ix_(ia, ib)]
+        if a.shape[1] != b.shape[1]:
+            raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+        out = np.zeros((a.shape[0], b.shape[0]))
+        diff = np.empty_like(out)
+        for j in range(a.shape[1]):
+            np.subtract(a[:, j, None], b[None, :, j], out=diff)
+            if self.kind == LINF:
+                np.abs(diff, out=diff)
+                np.maximum(out, diff, out=out)
+            else:
+                np.multiply(diff, diff, out=diff)
+                out += diff
+        return out if self.kind == LINF else np.sqrt(out, out=out)
 
 
 def _validate_matrix(m, samples=200, seed=0):

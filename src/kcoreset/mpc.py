@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 from .metric import Metric, WeightedPoint, as_weighted, leq
-from .offline import _mbc, greedy
+from .offline import _mbc, _self_distances, greedy
 
 ROUND_ROBIN = "roundrobin"
 ADVERSARIAL = "adversarial"
@@ -119,7 +119,9 @@ def distribute(points, cfg: MpcConfig) -> list[list[WeightedPoint]]:
 def outlier_vector(part, k: int, z: int, metric: Metric) -> list[float]:
     """V[j] = greedy radius on the part with 2^j - 1 outliers, j = 0..ceil(log2(z+1))."""
     vlen = vector_length(z)
-    return [greedy(part, k, (1 << j) - 1, metric).radius for j in range(vlen)]
+    part = as_weighted(part)
+    dmat = _self_distances(part, metric) if part else None  # one matrix for every j
+    return [greedy(part, k, (1 << j) - 1, metric, dmat=dmat).radius for j in range(vlen)]
 
 
 def vector_length(z: int) -> int:

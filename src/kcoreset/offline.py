@@ -187,6 +187,11 @@ def brute_force_opt(inst: Instance, universe: CenterUniverse = None, cap: int = 
     return Solution(radius=best, centers=centers, outlier_weight=out_w)
 
 
+def _self_distances(wps, metric: Metric) -> np.ndarray:
+    coords = coords_array(wps)
+    return metric.pairwise(coords, coords)
+
+
 def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
     """One round-robin of the greedy disk heuristic at guess radius r.
 
@@ -209,20 +214,21 @@ def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
     return int(uncovered.sum()) <= z, centers
 
 
-def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
+def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None) -> GreedyResult:
     """Greedy 3-approximation for weighted k-center with z outliers.
 
     Candidate radii are 0, all pairwise distances, and all half pairwise
     distances; a binary search finds the smallest feasible candidate r and the
     reported balls have radius 3r. Returns radius 0 and no balls when the
     total weight is at most z (vacuous instance: everything is an outlier).
+    ``dmat`` is the points' own distance matrix, computed here when omitted.
     """
     wps = as_weighted(points)
     w = weights_array(wps) if wps else np.zeros(0, dtype=np.int64)
     if int(w.sum()) <= z:
         return GreedyResult(0.0, (), 0.0, vacuous=True)
-    coords = coords_array(wps)
-    dmat = metric.pairwise(coords, coords)
+    if dmat is None:
+        dmat = _self_distances(wps, metric)
     iu = np.triu_indices(len(wps), k=1)
     pair = dmat[iu]
     cands = np.unique(np.concatenate([np.asarray([0.0]), pair, pair / 2.0]))
@@ -244,20 +250,21 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     return GreedyResult(radius, balls, r_f)
 
 
-def _net(points, delta: float, metric: Metric):
+def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
     """Greedy delta-net in input order.
 
     Repeatedly takes the first remaining point q and merges every remaining
     point within distance delta of q (inclusive) into q, summing weights.
     Returns (representatives, assignment) where assignment[i] is the
-    representative index of input point i.
+    representative index of input point i. ``dmat`` is the points' own
+    distance matrix, computed here when omitted.
     """
     wps = as_weighted(points)
     n = len(wps)
     if n == 0:
         return [], []
-    coords = coords_array(wps)
-    dmat = metric.pairwise(coords, coords)
+    if dmat is None:
+        dmat = _self_distances(wps, metric)
     slack = REL_TOL * max(1.0, abs(delta))
     assignment = [-1] * n
     reps = []
@@ -288,10 +295,13 @@ def _mbc(points, k: int, z: int, epsilon: float, metric: Metric) -> MiniBallCove
 
     Used internally where vacuous sub-instances (total weight <= z) are
     legitimate, e.g. on starved MPC machines; those reduce to a radius-0 net.
+    One distance matrix serves both the greedy search and the net.
     """
-    result = greedy(points, k, z, metric)
+    wps = as_weighted(points)
+    dmat = _self_distances(wps, metric) if wps else None
+    result = greedy(wps, k, z, metric, dmat=dmat)
     delta = epsilon * result.radius / 3.0
-    reps, assignment = _net(points, delta, metric)
+    reps, assignment = _net(wps, delta, metric, dmat=dmat)
     return MiniBallCovering(
         representatives=tuple(reps),
         assignment=tuple(assignment),

@@ -24,7 +24,7 @@ def parse_point_line(line: str, lineno: int) -> WeightedPoint:
     if not fields or any(not f for f in fields):
         raise InputError(f"line {lineno}: expected comma-separated coordinates")
     try:
-        coords = tuple(float(f) for f in fields)
+        coords = tuple(map(float, fields))
     except ValueError:
         raise InputError(f"line {lineno}: bad coordinate in {line!r}")
     try:

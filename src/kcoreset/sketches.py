@@ -43,7 +43,8 @@ class SparseRecoverySketch:
     """Recovers all nonzero frequencies exactly when at most ~s are nonzero.
 
     Strict turnstile only (no negative net counts). ``query`` returns a dict
-    id -> positive count on success, or None for an explicit failure.
+    id -> positive count on success, or None for an explicit failure, and
+    raises InputError when it decodes a negative net count.
     """
 
     def __init__(self, s: int, delta_fail: float, universe: int, seed: int = 0,
@@ -94,7 +95,7 @@ class SparseRecoverySketch:
                 c = count[j]
                 if c == 0:
                     continue
-                if c < 0 or idsum[j] % c != 0:
+                if idsum[j] % c != 0:
                     next_pending.append(j)
                     continue
                 ident = idsum[j] // c
@@ -113,10 +114,10 @@ class SparseRecoverySketch:
             if not progress:
                 break
             pending = sorted(set(next_pending))
-        if any(count) or any(idsum) or any(sqsum):
-            return None
         out = {i: c for i, c in recovered.items() if c != 0}
         if any(c < 0 for c in out.values()):
+            raise InputError("decoded a negative net count: strict-turnstile violation")
+        if any(count) or any(idsum) or any(sqsum):
             return None
         return out
 

@@ -6,6 +6,13 @@ insertion order) within (eps/2)*r, else appended with weight 1. Once the set
 reaches k*(16/eps)^d + z, r doubles and the set is recompressed to a
 (eps/2)*r net until it shrinks below the threshold.
 
+Next to the representative list ``pstar`` the state keeps ``_coords``, a
+growable float buffer whose first ``len(pstar)`` rows hold the
+representatives' coordinates in the same order. It grows by doubling and is
+rewritten after each recompression. An arrival is scanned against it with one
+``Metric.pairwise`` call, and the first row within (eps/2)*r is found with a
+mask and ``argmax``, so the first-in-insertion-order rule is kept exactly.
+
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
 
@@ -13,8 +20,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InputError
-from .metric import Metric, REL_TOL, WeightedPoint, min_pairwise_distance
+from .metric import Metric, REL_TOL, WeightedPoint, coords_array, min_pairwise_distance
 from .offline import _net
 
 
@@ -46,6 +55,7 @@ class InsertionStream:
         self.threshold = size_threshold(k, z, epsilon, d)
         self.r = 0.0
         self.pstar: list[WeightedPoint] = []
+        self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
         self.arrivals = 0
         self.track_chains = track_chains
         if track_chains:
@@ -55,20 +65,22 @@ class InsertionStream:
             self._arrival_rep: list[int] = []  # arrival t -> rep id at assignment time
 
     def arrival(self, point) -> None:
-        point = tuple(float(c) for c in point)
+        new = WeightedPoint(point)
+        point = new.point
         if self.pstar and len(point) != len(self.pstar[0].point):
             raise InputError("arrival dimension mismatch")
         self.arrivals += 1
         limit = (self.epsilon / 2.0) * self.r
         slack = REL_TOL * max(1.0, limit)
-        for i, rep in enumerate(self.pstar):
-            if self.metric.distance(point, rep.point) <= limit + slack:
-                self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
-                if self.track_chains:
-                    self._arrival_rep.append(self._rep_ids[i])
-                break
+        i = self._first_within(point, limit + slack)
+        if i is not None:
+            rep = self.pstar[i]
+            self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
+            if self.track_chains:
+                self._arrival_rep.append(self._rep_ids[i])
         else:
-            self.pstar.append(WeightedPoint(point, 1))
+            self._append_coords(point)
+            self.pstar.append(new)
             if self.track_chains:
                 self._rep_ids.append(self._next_id)
                 self._arrival_rep.append(self._next_id)
@@ -91,6 +103,26 @@ class InsertionStream:
                         self._parent[old_id] = new_ids[new_idx]
                 self._rep_ids = new_ids
             self.pstar = reps
+            self._coords[:len(reps)] = coords_array(reps)
+
+    def _first_within(self, point, bound):
+        """Index of the first representative within ``bound`` of point, or None."""
+        m = len(self.pstar)
+        if not m:
+            return None
+        within = self.metric.pairwise(np.asarray([point]), self._coords[:m])[0] <= bound
+        i = int(within.argmax())
+        return i if within[i] else None
+
+    def _append_coords(self, point) -> None:
+        m = len(self.pstar)
+        if self._coords is None:
+            self._coords = np.empty((16, len(point)))
+        elif m == len(self._coords):
+            grown = np.empty((2 * m, len(point)))
+            grown[:m] = self._coords
+            self._coords = grown
+        self._coords[m] = point
 
     def extend(self, points) -> None:
         for p in points:

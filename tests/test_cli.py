@@ -50,6 +50,26 @@ def test_malformed_line_names_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_finite_coordinate_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("1.0,2.0\nnan,3\n")
+    code, _, err = run_cli(capsys, "offline", str(bad), "--k", "1", "--z", "0",
+                           "--eps", "0.5", "--out", str(tmp_path / "o.txt"))
+    assert code == 3
+    assert "line 2" in err and "Traceback" not in err
+
+
+def test_sketch_mode_refuses_turnstile_violation(tmp_path, capsys):
+    upd = tmp_path / "u.txt"
+    upd.write_text("delta=8 d=1\n+ 3\n+ 4\n- 7\n")
+    for extra in ((), ("--exact-shadow",)):
+        code, _, err = run_cli(capsys, "dynamic", str(upd), "--k", "1", "--z", "0",
+                               "--eps", "1.0", "--seed", "0", *extra,
+                               "--out", str(tmp_path / "c.txt"))
+        assert code == 3
+        assert "Traceback" not in err
+
+
 def test_validate_exit_codes(tmp_path, capsys):
     pts, good, bad = tmp_path / "p.txt", tmp_path / "good.txt", tmp_path / "bad.txt"
     write_pts(pts, [1, 2, 3, 4])

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from kcoreset import (
     DynamicCoresetState, GridConfig, InputError, Instance, L2, Metric,
     WeightedPoint, brute_force_opt, check_coreset, explicit_universe,
-    input_points_universe,
+    gen_dynamic_lb, input_points_universe,
 )
 
 W = WeightedPoint
@@ -99,6 +101,49 @@ def test_strict_turnstile_enforced_in_shadow_mode():
     st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True, with_sketches=False)
     with pytest.raises(InputError):
         st.update((3,), -1)
+
+
+@pytest.mark.parametrize("stream", [
+    [(1, (3,)), (1, (4,)), (-1, (7,))],
+    [(1, (1,)), (1, (2,)), (-1, (5,))],
+    [(1, (5,)), (1, (6,)), (-1, (8,))],
+])
+def test_sketch_mode_refuses_deletion_of_absent_point(stream):
+    st = DynamicCoresetState(8, 1, 1, 0, 1.0, seed=0)
+    st.apply(stream)
+    with pytest.raises(InputError, match="strict-turnstile"):
+        st.report()
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_valid_turnstile_streams_keep_digest_and_report():
+    # values recorded before sketch decoding learned to refuse negative counts
+    lb = gen_dynamic_lb(2, 1, 0.125, 1, 256, scenario=(0, 1, 0))
+    st = DynamicCoresetState(lb.delta, lb.d, 2, 1, 0.125, seed=0)
+    st.apply(lb.ops)
+    assert _sha(st.digest()) == "f735ba539ca5d037bb2bc55a718e19c16660c67257f2fa9284d72509b0d6588d"
+    rep = st.report()
+    assert (rep.level, rep.from_exact) == (0, False)
+    assert [(p.point, p.weight) for p in rep.points] == \
+           [((1.0,), 1), ((47.0,), 2), ((53.0,), 1), ((59.0,), 2)]
+
+    rng = np.random.default_rng(23)
+    st = DynamicCoresetState(64, 2, 2, 2, 1.0, seed=5)
+    live = []
+    for _ in range(120):
+        if live and rng.random() < 0.35:
+            st.update(live.pop(int(rng.integers(len(live)))), -1)
+        else:
+            live.append(tuple(int(v) for v in rng.integers(1, 65, size=2)))
+            st.update(live[-1], 1)
+    assert _sha(st.digest()) == "a8b7833fffbf0de0bab550acee34e5884df87f4eeec547f154a26ce487ed038d"
+    rep = st.report()
+    assert (rep.level, rep.from_exact, len(rep.points)) == (0, False, 36)
+    assert _sha([(p.point, p.weight) for p in rep.points]) == \
+        "6b70dcf8b08e8e2f90c7529b03b28260e921459ff8853e3c64e1a30eb887507a"
 
 
 def test_sketch_agrees_with_shadow():

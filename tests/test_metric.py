@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoreset import (
-    CapacityError, DegenerateSetError, InputError, L2, LINF, Metric,
+    CapacityError, DegenerateSetError, EXPLICIT, InputError, L2, LINF, Metric,
     WeightedPoint, input_points_universe, materialize_universe,
     midpoint_grid_universe, min_pairwise_distance,
 )
@@ -117,3 +117,44 @@ def test_midpoint_grid_contains_linf_meb_center(linf):
             best = min(max(linf.distance(p, c) for p in subset) for c in grid)
             assert best == pytest.approx(exact)
             assert any(np.allclose(c, mid) for c in grid)
+
+
+@given(st.integers(1, 9), st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=80)
+def test_pairwise_equals_scalar_distance_bit_for_bit(dim, n, m, data):
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    a = np.asarray(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n)))
+    b = np.asarray(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=m, max_size=m)))
+    for metric in (Metric(L2), Metric(LINF)):
+        got = metric.pairwise(a, b)
+        assert got.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                assert got[i, j] == metric.distance(tuple(a[i]), tuple(b[j]))
+
+
+def test_pairwise_dimension_mismatch(l2):
+    with pytest.raises(InputError):
+        l2.pairwise(np.zeros((2, 2)), np.zeros((3, 1)))
+
+
+def test_explicit_pairwise_checks_indices():
+    m = Metric(EXPLICIT, matrix=[[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    idx = np.asarray([[0.0], [2.0]])
+    assert m.pairwise(idx, idx).tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    for bad in ([[3.0]], [[-1.0]]):
+        with pytest.raises(InputError):
+            m.pairwise(np.asarray(bad), idx)
+        with pytest.raises(InputError):
+            m.pairwise(idx, np.asarray(bad))
+    # the cached array does not take part in equality or hashing
+    twin = Metric(EXPLICIT, matrix=[[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert m == twin and hash(m) == hash(twin)
+
+
+def test_weighted_point_rejects_non_finite():
+    for bad in ((float("nan"), 3.0), (float("inf"),), (1.0, float("-inf"))):
+        with pytest.raises(InputError):
+            WeightedPoint(bad)
+    # coordinates whose sum overflows are still finite
+    assert WeightedPoint((1e308, 1e308)).point == (1e308, 1e308)

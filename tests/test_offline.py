@@ -165,6 +165,23 @@ def test_mbc_passes_flow_validation(linf):
                     assert linf.distance(reps[i].point, reps[j].point) > cov.ball_radius
 
 
+def test_mbc_builds_one_distance_matrix(monkeypatch, linf):
+    from kcoreset import offline
+    rng = np.random.default_rng(9)
+    pts = random_points(rng, 40, 2, hi=60, weights=True)
+    inst = Instance(tuple(pts), 2, 1, 0.5, linf)
+    expect_greedy = greedy(pts, 2, 1, linf)
+    expect_net = offline._net(pts, 0.5 * expect_greedy.radius / 3.0, linf)
+    calls = []
+    orig = Metric.pairwise
+    monkeypatch.setattr(Metric, "pairwise", lambda self, a, b: calls.append(1) or orig(self, a, b))
+    cov = mbc_construction(inst)
+    assert len(calls) == 1
+    assert cov.greedy_radius == expect_greedy.radius
+    assert (list(cov.representatives), list(cov.assignment)) == \
+        (expect_net[0], expect_net[1])
+
+
 def test_update_coreset_examples(linf):
     out = update_coreset([W((0.0,), 2), W((0.2,), 1), W((1.0,), 3)], 0.5, linf)
     assert [(p.point, p.weight) for p in out] == [((0.0,), 3), ((1.0,), 3)]

@@ -12,6 +12,14 @@ def test_insert_delete_cancels():
     assert sk.digest() == fresh.digest()
 
 
+def test_negative_net_count_is_a_turnstile_violation():
+    sk = SparseRecoverySketch(8, 0.1, 1024, seed=3)
+    sk.update(5, 1)
+    sk.update(9, -1)
+    with pytest.raises(InputError, match="strict-turnstile"):
+        sk.query()
+
+
 def test_empty_sketch_queries_empty():
     assert SparseRecoverySketch(8, 0.1, 1024, seed=1).query() == {}
 

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoreset import (
-    InputError, InsertionStream, Instance, LINF, Metric, brute_force_opt,
-    input_points_universe, size_threshold,
+    EXPLICIT, InputError, InsertionStream, Instance, L2, LINF, Metric, WeightedPoint,
+    brute_force_opt, input_points_universe, min_pairwise_distance, size_threshold,
 )
+from kcoreset.metric import REL_TOL
+from kcoreset.offline import _net
 from conftest import random_points
 
 
@@ -111,3 +113,105 @@ def test_compression_fires_in_two_dims(l2):
     assert st_.r > 0
     assert len(st_.pstar) < st_.threshold
     assert sum(p.weight for p in st_.pstar) == 300
+
+
+def test_non_finite_arrival_leaves_state_unchanged(linf):
+    st_ = InsertionStream(1, 0, 1.0, 2, linf, track_chains=True)
+    st_.arrival((0.0, 0.0))
+    st_.arrival((9.0, 1.0))
+    before = (st_.arrivals, st_.r, list(st_.pstar), list(st_._arrival_rep))
+    for bad in ((float("nan"), 3.0), (1.0, float("inf")), (float("-inf"), 0.0)):
+        with pytest.raises(InputError):
+            st_.arrival(bad)
+    assert (st_.arrivals, st_.r, list(st_.pstar), list(st_._arrival_rep)) == before
+
+
+class ScalarInsertionStream(InsertionStream):
+    """Reference arrival rule: a scalar ``Metric.distance`` loop over ``pstar``.
+
+    This is the scan ``InsertionStream.arrival`` replaced with one
+    ``pairwise`` call over its coordinate buffer; it is kept as the
+    differential oracle for that fast path.
+    """
+
+    def arrival(self, point) -> None:
+        point = tuple(float(c) for c in point)
+        if self.pstar and len(point) != len(self.pstar[0].point):
+            raise InputError("arrival dimension mismatch")
+        self.arrivals += 1
+        limit = (self.epsilon / 2.0) * self.r
+        slack = REL_TOL * max(1.0, limit)
+        for i, rep in enumerate(self.pstar):
+            if self.metric.distance(point, rep.point) <= limit + slack:
+                self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
+                if self.track_chains:
+                    self._arrival_rep.append(self._rep_ids[i])
+                break
+        else:
+            self.pstar.append(WeightedPoint(point, 1))
+            if self.track_chains:
+                self._rep_ids.append(self._next_id)
+                self._arrival_rep.append(self._next_id)
+                self._next_id += 1
+
+        if self.r == 0.0 and len(self.pstar) >= self.k + self.z + 1:
+            self.r = min_pairwise_distance(self.pstar, self.metric) / 2.0
+
+        while len(self.pstar) >= self.threshold:
+            self.r *= 2.0
+            delta = (self.epsilon / 2.0) * self.r
+            reps, assignment = _net(self.pstar, delta, self.metric)
+            if self.track_chains:
+                new_ids = [None] * len(reps)
+                for old_idx, new_idx in enumerate(assignment):
+                    old_id = self._rep_ids[old_idx]
+                    if new_ids[new_idx] is None:
+                        new_ids[new_idx] = old_id  # survivor keeps its id
+                    else:
+                        self._parent[old_id] = new_ids[new_idx]
+                self._rep_ids = new_ids
+            self.pstar = reps
+
+
+@st.composite
+def metric_and_stream(draw):
+    """A metric and a seeded arrival stream over it whose spread grows along
+    the stream, so the radius estimate doubles: L2 or L-inf points of
+    dimension 1-3 on a scaled integer grid, or indices of an explicit matrix
+    of L1 distances between integer points in the plane."""
+    kind = draw(st.sampled_from([L2, LINF, EXPLICIT]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([300, 60, 5]))
+    growth = draw(st.sampled_from([64, 4, 1]))  # final spread / initial spread
+    spread = 10 * np.geomspace(1, growth, n)
+    if kind == EXPLICIT:
+        locs = np.rint(rng.uniform(0, 1, size=(draw(st.sampled_from([80, 20, 2])), 2)) * 40 * growth)
+        mat = np.abs(locs[:, None, :] - locs[None, :, :]).sum(axis=2)
+        order = np.argsort(locs.sum(axis=1), kind="stable")  # nearby indices first
+        stop = np.maximum(1, (len(locs) * spread / spread[-1]).astype(int))
+        stream = [(float(order[rng.integers(s)]),) for s in stop]
+        return Metric(EXPLICIT, matrix=mat.tolist()), stream
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 7.5]))
+    grid = np.rint(rng.uniform(-1, 1, size=(n, dim)) * spread[:, None])
+    return Metric(kind), [tuple(float(v) * scale for v in row) for row in grid]
+
+
+@given(case=metric_and_stream(), k=st.integers(1, 2), z=st.integers(0, 2),
+       eps=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=120, deadline=None)
+def test_vectorised_scan_matches_scalar_oracle(case, k, z, eps):
+    # declared d=1 keeps the threshold small, so recompressions fire at every
+    # point dimension
+    metric, stream = case
+    fast = InsertionStream(k, z, eps, 1, metric, track_chains=True)
+    slow = ScalarInsertionStream(k, z, eps, 1, metric, track_chains=True)
+    for p in stream:
+        fast.arrival(p)
+        slow.arrival(p)
+        assert fast.r == slow.r
+    assert fast.arrivals == slow.arrivals == len(stream)
+    assert [(p.point, p.weight) for p in fast.report()] == \
+           [(p.point, p.weight) for p in slow.report()]
+    for t in range(len(stream)):
+        assert fast.resolved_representative(t) == slow.resolved_representative(t)
