@@ -2,12 +2,13 @@
 [Delta]^d.
 
 A hierarchy of grids G_0..G_L (cell side 2^i, L = ceil(log2 Delta)) is kept;
-each level carries an s-sparse recovery sketch and a distinct-count sketch
-over its cell-frequency vector, with s = k*(4*sqrt(d)/eps)^d + z. A report
-finds the finest level whose estimated nonempty-cell count is small enough,
-recovers its cells exactly, and returns each cell's center weighted by its
-exact count (a relaxed coreset: representatives are cell centers, not input
-points).
+each level carries an s-sparse recovery sketch over its cell-frequency
+vector, with s = k*(4*sqrt(d)/eps)^d + z. A report takes the finest level
+whose sparse-recovery decode succeeds with at most s cells and returns each
+cell's center weighted by its exact count (a relaxed coreset:
+representatives are cell centers, not input points). Decoding is exact under
+strict turnstile: it returns every nonzero cell or fails, so this is the
+level the exact cell counts would pick unless a decode fails there.
 
 An optional exact shadow (per-level cell -> count maps) supports test mode:
 it enforces strict-turnstile discipline and answers reports without
@@ -21,9 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, SketchFailureError
 from .metric import WeightedPoint
-from .sketches import F0Sketch, SparseRecoverySketch, _mix64
-
-F0_EPSILON = 1.0 / 3.0  # level selection only needs a coarse estimate
+from .sketches import SparseRecoverySketch, _mix64
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,8 @@ class DynReport:
 
 
 class DynamicCoresetState:
-    """Per-level sketches (and optionally an exact shadow) over [Delta]^d.
+    """Per-level sparse-recovery sketches (and optionally an exact shadow)
+    over [Delta]^d.
 
     ``with_shadow=True`` keeps exact per-level cell counts, enforces the
     strict turnstile discipline and enables ``report(exact=True)``;
@@ -116,19 +116,13 @@ class DynamicCoresetState:
         self.ops = 0
         self.shadow = [dict() for _ in range(self.grid.levels)] if with_shadow else None
         self.sr = None
-        self.f0 = None
         if with_sketches:
             # per-query failure budget: delta / (levels * assumed stream length Delta^(3d))
             queries = self.grid.levels * self.grid.delta ** (3 * d)
             per_query = delta_fail / max(queries, 1)
-            self.sr = []
-            self.f0 = []
-            for lv in range(self.grid.levels):
-                u = self.grid.cell_count(lv)
-                self.sr.append(SparseRecoverySketch(self.s, per_query, u,
-                                                    seed=_mix64(seed + 7919 * lv + 1)))
-                self.f0.append(F0Sketch(F0_EPSILON, per_query, u,
-                                        seed=_mix64(seed + 7919 * lv + 2)))
+            self.sr = [SparseRecoverySketch(self.s, per_query, self.grid.cell_count(lv),
+                                            seed=_mix64(seed + 7919 * lv + 1))
+                       for lv in range(self.grid.levels)]
 
     def update(self, point, sign: int) -> None:
         if sign not in (1, -1):
@@ -149,9 +143,7 @@ class DynamicCoresetState:
                 else:
                     m.pop(cell, None)
             if self.sr is not None:
-                ident = self.grid.cell_id(cell, lv)
-                self.sr[lv].update(ident, sign)
-                self.f0[lv].update(ident, sign)
+                self.sr[lv].update(self.grid.cell_id(cell, lv), sign)
 
     def apply(self, ops) -> None:
         for sign, point in ops:
@@ -164,9 +156,6 @@ class DynamicCoresetState:
             return None
         return {self.grid.cell_index(i, level): c for i, c in res.items()}
 
-    def f0_estimate_level(self, level: int) -> float:
-        return self.f0[level].query()
-
     def _report_from_cells(self, cells: dict, level: int, from_exact: bool) -> DynReport:
         pts = tuple(
             WeightedPoint(self.grid.cell_center(idx, level), int(c))
@@ -175,30 +164,28 @@ class DynamicCoresetState:
         return DynReport(points=pts, level=level, from_exact=from_exact)
 
     def report(self, exact: bool = False) -> DynReport:
+        """Weighted cell centers of the finest level with at most s cells.
+
+        Cells come from the shadow when ``exact``, else from sparse recovery.
+        A level whose decode fails is skipped. A level with more than s
+        nonzero buckets in one sketch row holds more than s cells, so it is
+        skipped without being decoded.
+        """
         if self.live_count <= 0:
             raise InputError("report requires at least one live point")
-        if exact:
-            if self.shadow is None:
-                raise InputError("exact report requires the shadow")
-            for lv in range(self.grid.levels):
-                if len(self.shadow[lv]) <= self.s:
-                    return self._report_from_cells(self.shadow[lv], lv, True)
-            raise AssertionError("top level always has <= s cells")
-        if self.sr is None:
+        if exact and self.shadow is None:
+            raise InputError("exact report requires the shadow")
+        if not exact and self.sr is None:
             raise InputError("sketch report requires sketches")
-        start = self.grid.levels - 1
         for lv in range(self.grid.levels):
-            try:
-                est = self.f0[lv].query()
-            except SketchFailureError:
+            if exact:
+                cells = self.shadow[lv]
+            elif self.sr[lv].support_lower_bound() > self.s:
                 continue
-            if est <= (1 + F0_EPSILON) * self.s:
-                start = lv
-                break
-        for lv in range(start, self.grid.levels):
-            res = self.sr_query_level(lv)
-            if res is not None:
-                return self._report_from_cells(res, lv, False)
+            else:
+                cells = self.sr_query_level(lv)
+            if cells is not None and len(cells) <= self.s:
+                return self._report_from_cells(cells, lv, exact)
         raise SketchFailureError("sparse recovery failed at every level")
 
     def merge(self, other: "DynamicCoresetState") -> None:
@@ -226,15 +213,13 @@ class DynamicCoresetState:
         if self.sr is not None:
             for mine, theirs in zip(self.sr, other.sr):
                 mine.merge(theirs)
-            for mine, theirs in zip(self.f0, other.f0):
-                mine.merge(theirs)
 
     def sketch_bytes(self) -> int:
         if self.sr is None:
             return 0
-        return sum(sk.nominal_bytes() for sk in self.sr) + sum(sk.nominal_bytes() for sk in self.f0)
+        return sum(sk.nominal_bytes() for sk in self.sr)
 
     def digest(self) -> tuple:
         if self.sr is None:
             raise InputError("digest requires sketches")
-        return (tuple(sk.digest() for sk in self.sr), tuple(sk.digest() for sk in self.f0))
+        return tuple(sk.digest() for sk in self.sr)

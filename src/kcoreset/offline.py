@@ -93,26 +93,15 @@ class MiniBallCovering:
         return list(self.representatives)
 
 
-def _cost_from_nearest(nearest: np.ndarray, weights: np.ndarray, z: int) -> float:
-    """Smallest r with total weight of points at nearest-distance > r at most z.
+def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
+    """Per row of a (rows, n) nearest-distance matrix: the smallest r with
+    total weight of points at distance > r at most z.
 
     Peeling: drop points in descending distance order while the dropped weight
     stays <= z; the answer is the largest remaining distance (0 if none).
+    The order among tied distances does not change the answer, because every
+    weight is at least 1.
     """
-    if nearest.size == 0:
-        return 0.0
-    if z <= 0:
-        return float(nearest.max())
-    order = np.argsort(-nearest, kind="stable")
-    cw = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cw, z, side="right"))
-    if idx >= nearest.size:
-        return 0.0
-    return float(nearest[order[idx]])
-
-
-def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
-    """Row-wise version of ``_cost_from_nearest`` for a (rows, n) matrix."""
     if nearest.shape[1] == 0:
         return np.zeros(nearest.shape[0])
     if z <= 0:
@@ -146,7 +135,7 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
     if not wps:
         return 0.0
     d = metric.pairwise(coords_array(wps), np.asarray(centers, dtype=float).reshape(len(centers), -1))
-    return _cost_from_nearest(d.min(axis=1), weights_array(wps), z)
+    return float(_cost_batch(d.min(axis=1)[None, :], weights_array(wps), z)[0])
 
 
 def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
@@ -266,20 +255,18 @@ def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
     if dmat is None:
         dmat = _self_distances(wps, metric)
     slack = REL_TOL * max(1.0, abs(delta))
-    assignment = [-1] * n
+    w = weights_array(wps)
+    assignment = np.full(n, -1, dtype=np.intp)
     reps = []
     remaining = np.ones(n, dtype=bool)
     for i in range(n):
         if not remaining[i]:
             continue
         members = np.flatnonzero(remaining & (dmat[i] <= delta + slack))
-        weight = int(sum(wps[j].weight for j in members))
-        rep_idx = len(reps)
-        reps.append(WeightedPoint(wps[i].point, weight))
-        for j in members:
-            assignment[int(j)] = rep_idx
+        assignment[members] = len(reps)
+        reps.append(WeightedPoint(wps[i].point, int(w[members].sum())))
         remaining[members] = False
-    return reps, assignment
+    return reps, assignment.tolist()
 
 
 def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:

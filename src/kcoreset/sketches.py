@@ -121,6 +121,13 @@ class SparseRecoverySketch:
             return None
         return out
 
+    def support_lower_bound(self) -> int:
+        """A lower bound on the number of nonzero ids, without decoding: the
+        most nonzero-count buckets in one row (a row's buckets hold disjoint
+        ids, and a bucket whose ids are all zero has count zero)."""
+        b = self.buckets
+        return b - min(self._count[r * b:(r + 1) * b].count(0) for r in range(self.rows))
+
     def digest(self) -> tuple:
         return (tuple(self._count), tuple(self._idsum), tuple(self._sqsum))
 

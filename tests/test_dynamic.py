@@ -120,11 +120,12 @@ def _sha(value) -> str:
 
 
 def test_valid_turnstile_streams_keep_digest_and_report():
-    # values recorded before sketch decoding learned to refuse negative counts
+    # values recorded before sketch decoding learned to refuse negative counts;
+    # the digests are those of the sparse-recovery sketches alone
     lb = gen_dynamic_lb(2, 1, 0.125, 1, 256, scenario=(0, 1, 0))
     st = DynamicCoresetState(lb.delta, lb.d, 2, 1, 0.125, seed=0)
     st.apply(lb.ops)
-    assert _sha(st.digest()) == "f735ba539ca5d037bb2bc55a718e19c16660c67257f2fa9284d72509b0d6588d"
+    assert _sha(st.digest()) == "b364bda2c897f43de3c9cbbfd40df19871c72b26a47e8398786207b29a51460c"
     rep = st.report()
     assert (rep.level, rep.from_exact) == (0, False)
     assert [(p.point, p.weight) for p in rep.points] == \
@@ -139,7 +140,7 @@ def test_valid_turnstile_streams_keep_digest_and_report():
         else:
             live.append(tuple(int(v) for v in rng.integers(1, 65, size=2)))
             st.update(live[-1], 1)
-    assert _sha(st.digest()) == "a8b7833fffbf0de0bab550acee34e5884df87f4eeec547f154a26ce487ed038d"
+    assert _sha(st.digest()) == "ab3bae9c74030f5b32f052715111801d65d1cd6f73542445f767b7a0a04ed1d6"
     rep = st.report()
     assert (rep.level, rep.from_exact, len(rep.points)) == (0, False, 36)
     assert _sha([(p.point, p.weight) for p in rep.points]) == \
@@ -158,6 +159,35 @@ def test_sketch_agrees_with_shadow():
     exact = st.report(exact=True)
     sk = st.report(exact=False)
     assert sk.level == exact.level
+    assert [(p.point, p.weight) for p in sk.points] == \
+           [(p.point, p.weight) for p in exact.points]
+
+
+def test_sketch_report_has_at_most_s_cells():
+    # level 0 has 5 cells, which sparse recovery with 2s buckets decodes
+    st = DynamicCoresetState(64, 1, 1, 0, 1.0, seed=0, with_shadow=True)
+    assert st.s == 4
+    for p in np.random.default_rng(0).choice(np.arange(1, 65), size=5, replace=False):
+        st.update((int(p),), 1)
+    sk = st.report()
+    exact = st.report(exact=True)
+    assert len(sk.points) <= st.s
+    assert sk.level == exact.level
+    assert [(p.point, p.weight) for p in sk.points] == \
+           [(p.point, p.weight) for p in exact.points]
+
+
+def test_sketch_report_decodes_no_level_known_to_exceed_s(monkeypatch):
+    # 32 odd points: levels 0-3 hold 32, 32, 16 and 8 cells, level 4 holds s = 4
+    st = DynamicCoresetState(64, 1, 1, 0, 1.0, seed=3, with_shadow=True)
+    for p in range(1, 65, 2):
+        st.update((p,), 1)
+    decoded = []
+    orig = st.sr_query_level
+    monkeypatch.setattr(st, "sr_query_level", lambda lv: decoded.append(lv) or orig(lv))
+    sk = st.report()
+    exact = st.report(exact=True)
+    assert decoded == [exact.level] == [4]
     assert [(p.point, p.weight) for p in sk.points] == \
            [(p.point, p.weight) for p in exact.points]
 

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoreset import (
-    CapacityError, InputError, Instance, LINF, Metric, WeightedPoint,
+    CapacityError, InputError, Instance, L2, LINF, Metric, WeightedPoint,
     brute_force_opt, check_mini_ball_covering, evaluate_cost, greedy,
     mbc_construction, mbc_size_bound, midpoint_grid_universe, update_coreset,
 )
+from kcoreset.metric import REL_TOL, coords_array
+from kcoreset.offline import _cost_batch, _net
 from conftest import random_points
 
 W = WeightedPoint
@@ -63,6 +65,40 @@ def test_evaluate_cost_matches_threshold_scan(linf, data):
     centers = [(float(c),) for c in cs]
     assert evaluate_cost(pts, centers, z, linf) == pytest.approx(
         exhaustive_threshold_scan(pts, centers, z, linf))
+
+
+def scalar_cost_from_nearest(nearest, weights, z):
+    """The former single-row peel with a stable sort, kept as the oracle."""
+    if nearest.size == 0:
+        return 0.0
+    if z <= 0:
+        return float(nearest.max())
+    order = np.argsort(-nearest, kind="stable")
+    cw = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cw, z, side="right"))
+    if idx >= nearest.size:
+        return 0.0
+    return float(nearest[order[idx]])
+
+
+def test_cost_batch_matches_scalar_peel(linf, l2):
+    # integer coordinates on a small range give many tied distances
+    rng = np.random.default_rng(47)
+    for trial in range(300):
+        metric = (linf, l2)[trial % 2]
+        n = int(rng.integers(1, 30))
+        pts = random_points(rng, n, 1 + trial % 3, hi=int(rng.integers(1, 12)),
+                            weights=trial % 4 != 0)
+        w = np.asarray([p.weight for p in pts], dtype=np.int64)
+        total = int(w.sum())
+        center_sets = [[pts[int(i)].point for i in rng.integers(0, n, size=int(rng.integers(1, 4)))]
+                       for _ in range(3)]
+        nearest = np.stack([metric.pairwise(coords_array(pts), np.asarray(cs)).min(axis=1)
+                            for cs in center_sets])
+        for z in {0, 1, int(rng.integers(0, total + 1)), total - 1, total, total + 3}:
+            expect = [scalar_cost_from_nearest(row, w, z) for row in nearest]
+            assert _cost_batch(nearest, w, z).tolist() == expect
+            assert [evaluate_cost(pts, cs, z, metric) for cs in center_sets] == expect
 
 
 def test_evaluate_cost_monotonicity(linf):
@@ -180,6 +216,42 @@ def test_mbc_builds_one_distance_matrix(monkeypatch, linf):
     assert cov.greedy_radius == expect_greedy.radius
     assert (list(cov.representatives), list(cov.assignment)) == \
         (expect_net[0], expect_net[1])
+
+
+def scalar_net(points, delta, metric):
+    """The former member-by-member net loop, kept as the oracle."""
+    n = len(points)
+    dmat = metric.pairwise(coords_array(points), coords_array(points))
+    slack = REL_TOL * max(1.0, abs(delta))
+    assignment = [-1] * n
+    reps = []
+    remaining = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not remaining[i]:
+            continue
+        members = np.flatnonzero(remaining & (dmat[i] <= delta + slack))
+        weight = int(sum(points[j].weight for j in members))
+        rep_idx = len(reps)
+        reps.append(WeightedPoint(points[i].point, weight))
+        for j in members:
+            assignment[int(j)] = rep_idx
+        remaining[members] = False
+    return reps, assignment
+
+
+def test_net_matches_scalar_oracle():
+    rng = np.random.default_rng(53)
+    for trial in range(120):
+        metric = Metric((LINF, L2)[trial % 2])
+        n = int(rng.integers(1, 60))
+        pts = random_points(rng, n, 1 + trial % 3, hi=int(rng.integers(2, 40)),
+                            cluster_frac=0.5 * (trial % 3), weights=trial % 5 != 0)
+        pts += [pts[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, 6)))]
+        for delta in (0.0, 1.0, float(rng.uniform(0, 20))):
+            reps, assignment = _net(pts, delta, metric)
+            expect = scalar_net(pts, delta, metric)
+            assert (reps, assignment) == expect
+            assert all(type(a) is int for a in assignment)
 
 
 def test_update_coreset_examples(linf):

@@ -78,6 +78,25 @@ def test_overloaded_sketch_fails_or_exact():
         assert got is None or got == truth
 
 
+def test_support_lower_bound_never_exceeds_support():
+    rng = np.random.default_rng(61)
+    for seed in range(40):
+        sk = SparseRecoverySketch(4, 0.1, 1 << 12, seed=seed)
+        ids = [int(i) for i in rng.choice(1 << 12, size=int(rng.integers(0, 40)), replace=False)]
+        for i in ids:
+            sk.update(i, 1)
+        for i in ids[: len(ids) // 3]:  # deleted ids leave their buckets
+            sk.update(i, -1)
+        live = len(ids) - len(ids) // 3
+        assert sk.support_lower_bound() <= live
+        if live <= 1:
+            assert sk.support_lower_bound() == live
+    full = SparseRecoverySketch(4, 0.1, 1 << 12, seed=0)
+    for i in range(400):
+        full.update(i, 1)
+    assert full.support_lower_bound() == full.buckets
+
+
 def test_linearity_under_permutation():
     rng = np.random.default_rng(3)
     updates = [(int(i), s) for i in rng.integers(0, 512, size=80) for s in (1,)]
