@@ -97,33 +97,81 @@ def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
     """Per row of a (rows, n) nearest-distance matrix: the smallest r with
     total weight of points at distance > r at most z.
 
-    Peeling: drop points in descending distance order while the dropped weight
-    stays <= z; the answer is the largest remaining distance (0 if none).
-    The order among tied distances does not change the answer, because every
-    weight is at least 1.
+    Peeling drops points in descending distance order while the dropped
+    weight stays <= z; the answer is the largest remaining distance (0 if the
+    total weight is at most z). Only the z+1 largest distances of a row can
+    decide it: every weight is an integer >= 1, so those z+1 entries already
+    weigh more than z, and the peel stops inside them. So a row is not
+    sorted; a selection keeps its top z+1 entries. With unit weights the
+    answer is the (z+1)-th largest distance. Otherwise the top entries are
+    sorted and the first whose cumulative weight exceeds z is the answer.
+    Which of several tied entries the selection keeps, and how ties are
+    ordered, does not change that value. The answer is always one of the
+    input distances, so its bits do not depend on the selection.
     """
-    if nearest.shape[1] == 0:
-        return np.zeros(nearest.shape[0])
+    rows, n = nearest.shape
+    if n == 0:
+        return np.zeros(rows)
     if z <= 0:
         return nearest.max(axis=1)
-    order = np.argsort(-nearest, axis=1)
-    w = np.broadcast_to(weights, nearest.shape)
-    cw = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
-    idx = (cw <= z).sum(axis=1)  # first index with cumulative weight > z
-    sorted_near = np.take_along_axis(nearest, order, axis=1)
-    safe = np.minimum(idx, nearest.shape[1] - 1)
-    picked = sorted_near[np.arange(nearest.shape[0]), safe]
-    return np.where(idx < nearest.shape[1], picked, 0.0)
+    if int(weights.sum()) <= z:
+        return np.zeros(rows)
+    if (weights == 1).all():
+        return np.partition(nearest, n - z - 1, axis=1)[:, n - z - 1]
+    m = min(z + 1, n)
+    top = np.argpartition(nearest, n - m, axis=1)[:, n - m:]
+    top_near = np.take_along_axis(nearest, top, axis=1)
+    order = np.argsort(-top_near, axis=1)
+    cw = weights[np.take_along_axis(top, order, axis=1)].cumsum(axis=1)
+    idx = (cw <= z).sum(axis=1)  # first sorted entry with cumulative weight > z
+    return np.take_along_axis(top_near, order, axis=1)[np.arange(rows), idx]
 
 
-def _combo_chunks(n_items: int, k: int, chunk: int = 4096):
+def _combo_chunks(n_items: int, k: int, chunk: int = 1024):
     """Lexicographic k-combinations of range(n_items), as (chunk, k) arrays."""
     it = itertools.combinations(range(n_items), k)
     while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)), dtype=np.intp)
+        if not block.size:
             return
-        yield np.asarray(block, dtype=np.intp)
+        yield block.reshape(-1, k)
+
+
+def _nth_combination(n_items: int, k: int, index: int) -> tuple:
+    """The index-th k-combination of range(n_items) in lexicographic order."""
+    return next(itertools.islice(itertools.combinations(range(n_items), k), index, None))
+
+
+def _center_set_costs(point_sets, cands, k: int, z: int, metric: Metric,
+                      cap: int) -> list[np.ndarray]:
+    """Cost of every k-subset of ``cands``, one array per weighted point set.
+
+    Entry i of each array is the cost of the i-th k-combination of
+    range(len(cands)) in lexicographic order, so np.argmin and np.argmax
+    name the lexicographically first minimizer and maximizer. Raises
+    CapacityError when there are more than ``cap`` subsets.
+    """
+    n_sets = math.comb(len(cands), k)
+    if n_sets > cap:
+        raise CapacityError(f"{n_sets} candidate center sets exceed cap {cap}")
+    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
+    # candidates x points, so each candidate's distances are one contiguous
+    # row; the bits equal the points x candidates matrix transposed, since
+    # L2 and L-inf are symmetric in their arguments and an explicit matrix is
+    # validated as symmetric
+    dists = [metric.pairwise(carr, coords_array(wps)) for wps in point_sets]
+    weights = [weights_array(wps) for wps in point_sets]
+    costs = [np.empty(n_sets) for _ in point_sets]
+    start = 0
+    for combos in _combo_chunks(len(cands), k):
+        stop = start + len(combos)
+        for d, w, out in zip(dists, weights, costs):
+            nearest = d[combos[:, 0]]  # (chunk, n), a copy
+            for col in combos.T[1:]:
+                np.minimum(nearest, d[col], out=nearest)
+            out[start:stop] = _cost_batch(nearest, w, z)
+        start = stop
+    return costs
 
 
 def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
@@ -158,20 +206,10 @@ def brute_force_opt(inst: Instance, universe: CenterUniverse = None, cap: int = 
     universe = universe or input_points_universe()
     cands = materialize_universe(inst.points, universe)
     k = min(inst.k, len(cands))
-    n_sets = math.comb(len(cands), k)
-    if n_sets > cap:
-        raise CapacityError(f"{n_sets} candidate center sets exceed cap {cap}")
-    dmat = inst.metric.pairwise(coords_array(inst.points), np.asarray(cands, dtype=float).reshape(len(cands), -1))
-    w = weights_array(inst.points)
-    best = math.inf
-    best_combo = None
-    for combos in _combo_chunks(len(cands), k):
-        nearest = dmat[:, combos].min(axis=2).T  # (chunk, n)
-        costs = _cost_batch(nearest, w, inst.z)
-        i = int(np.argmin(costs))
-        if costs[i] < best:
-            best, best_combo = float(costs[i]), tuple(int(c) for c in combos[i])
-    centers = tuple(cands[i] for i in best_combo)
+    costs, = _center_set_costs([inst.points], cands, k, inst.z, inst.metric, cap)
+    i = int(np.argmin(costs))
+    best = float(costs[i])
+    centers = tuple(cands[c] for c in _nth_combination(len(cands), k, i))
     out_w = uncovered_weight(inst.points, centers, best, inst.metric)
     return Solution(radius=best, centers=centers, outlier_weight=out_w)
 

@@ -10,11 +10,11 @@ threshold is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from .errors import CapacityError, InputError
 from .metric import (
@@ -27,7 +27,7 @@ from .metric import (
     materialize_universe,
     weights_array,
 )
-from .offline import SUBSET_CAP, _combo_chunks, _cost_batch
+from .offline import SUBSET_CAP, _center_set_costs, _nth_combination
 
 WEIGHT_MISMATCH = "WeightMismatch"
 COVERING_DISTANCE = "CoveringDistance"
@@ -54,6 +54,8 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric,
 
     Supply w(p) at each input point, demand w(q) at each representative, edges
     where dist(p, q) <= bound; passes iff a saturating integral flow exists.
+    The maximum flow is scipy's; when it falls short, the witness is the
+    first input point whose supply it leaves unsent.
     """
     P = as_weighted(P)
     Pstar = as_weighted(Pstar)
@@ -76,26 +78,29 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric,
     d = metric.pairwise(coords_array(P), coords_array(Pstar))
     slack = REL_TOL * max(1.0, abs(bound))
     reachable = d <= bound + slack
-    for i in range(len(P)):
-        if not reachable[i].any():
-            return ValidationReport(False, COVERING_DISTANCE,
-                                    f"point {P[i].point} has no representative within {bound}")
+    stranded = np.flatnonzero(~reachable.any(axis=1))
+    if stranded.size:
+        i = int(stranded[0])
+        return ValidationReport(False, COVERING_DISTANCE,
+                                f"point {P[i].point} has no representative within {bound}")
 
-    g = nx.DiGraph()
-    for i, p in enumerate(P):
-        g.add_edge("s", ("p", i), capacity=p.weight)
-    for j, q in enumerate(Pstar):
-        g.add_edge(("q", j), "t", capacity=q.weight)
-    for i, j in zip(*np.nonzero(reachable)):
-        g.add_edge(("p", int(i)), ("q", int(j)), capacity=P[int(i)].weight)
-    flow_value, flow = nx.maximum_flow(g, "s", "t")
-    if flow_value == wp_total:
+    # node 0 is the source, 1..n the points, n+1..n+m the representatives,
+    # n+m+1 the sink
+    n, m = reachable.shape
+    wp, wq = weights_array(P), weights_array(Pstar)
+    pi, qj = np.nonzero(reachable)
+    tails = np.concatenate([np.zeros(n, dtype=np.intp), 1 + pi, 1 + n + np.arange(m)])
+    heads = np.concatenate([1 + np.arange(n), 1 + n + qj, np.full(m, n + m + 1)])
+    caps = np.concatenate([wp, wp[pi], wq]).astype(np.int32)
+    graph = csr_matrix((caps, (tails, heads)), shape=(n + m + 2, n + m + 2))
+    result = maximum_flow(graph, 0, n + m + 1)
+    if result.flow_value == wp_total:
         return ValidationReport(True)
-    short = [i for i, p in enumerate(P) if flow["s"][("p", i)] < p.weight]
-    i = short[0]
+    sent = result.flow[0, 1:n + 1].toarray().ravel()
+    i = int(np.flatnonzero(sent < wp)[0])
     return ValidationReport(False, COVERING_DISTANCE,
                             f"no saturating assignment: point {P[i].point} keeps "
-                            f"{P[i].weight - flow['s'][('p', i)]} unassigned weight")
+                            f"{P[i].weight - int(sent[i])} unassigned weight")
 
 
 def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
@@ -123,28 +128,11 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
     universe = universe or input_points_universe()
     cands = materialize_universe(P, universe)
     kk = min(k, len(cands))
-    n_sets = math.comb(len(cands), kk)
-    if n_sets > cap:
-        raise CapacityError(f"{n_sets} candidate center sets exceed cap {cap}")
-
-    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
-    dP = metric.pairwise(coords_array(P), carr)
-    dS = metric.pairwise(coords_array(Pstar), carr)
-    wPa, wSa = weights_array(P), weights_array(Pstar)
-
-    opt_p = opt_s = math.inf
-    max_gap = -math.inf
-    gap_witness = None
-    for combos in _combo_chunks(len(cands), kk):
-        rp = _cost_batch(dP[:, combos].min(axis=2).T, wPa, z)
-        rs = _cost_batch(dS[:, combos].min(axis=2).T, wSa, z)
-        opt_p = min(opt_p, float(rp.min()))
-        opt_s = min(opt_s, float(rs.min()))
-        gaps = rp - rs
-        i = int(np.argmax(gaps))
-        if gaps[i] > max_gap:
-            max_gap = float(gaps[i])
-            gap_witness = tuple(int(c) for c in combos[i])
+    rp, rs = _center_set_costs([P, Pstar], cands, kk, z, metric, cap)
+    opt_p, opt_s = float(rp.min()), float(rs.min())
+    gaps = rp - rs
+    i = int(np.argmax(gaps))
+    max_gap = float(gaps[i])
 
     slack = REL_TOL * max(1.0, opt_p, opt_s)
     if opt_s < (1 - epsilon) * opt_p - slack:
@@ -154,7 +142,7 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
         return ValidationReport(False, RADIUS_BAND_HIGH,
                                 f"opt(coreset)={opt_s} above (1+eps)*opt(P)={(1 + epsilon) * opt_p}")
     if max_gap > epsilon * opt_p + slack:
-        centers = tuple(cands[i] for i in gap_witness)
+        centers = tuple(cands[c] for c in _nth_combination(len(cands), kk, i))
         return ValidationReport(False, EXPANDED_COVER_FAILS,
                                 f"centers {centers}: expanding by eps*opt(P)={epsilon * opt_p} "
                                 f"leaves more than z={z} weight of P uncovered")

@@ -1,15 +1,23 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoreset import (
-    CapacityError, InputError, Instance, L2, LINF, Metric, WeightedPoint,
-    brute_force_opt, check_mini_ball_covering, evaluate_cost, greedy,
+    CapacityError, EXPLICIT, InputError, Instance, L2, LINF, Metric, Solution,
+    ValidationReport, WeightedPoint, brute_force_opt, check_coreset,
+    check_mini_ball_covering, evaluate_cost, greedy, input_points_universe,
     mbc_construction, mbc_size_bound, midpoint_grid_universe, update_coreset,
 )
-from kcoreset.metric import REL_TOL, coords_array
-from kcoreset.offline import _cost_batch, _net
+from kcoreset.metric import REL_TOL, coords_array, materialize_universe, weights_array
+from kcoreset.offline import _cost_batch, _net, uncovered_weight
+from kcoreset.validate import (
+    EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION,
+)
 from conftest import random_points
 
 W = WeightedPoint
@@ -99,6 +107,177 @@ def test_cost_batch_matches_scalar_peel(linf, l2):
             expect = [scalar_cost_from_nearest(row, w, z) for row in nearest]
             assert _cost_batch(nearest, w, z).tolist() == expect
             assert [evaluate_cost(pts, cs, z, metric) for cs in center_sets] == expect
+
+
+def test_cost_batch_edge_cases():
+    # both selection branches (unit weights: partition; otherwise
+    # argpartition) against the scalar peel, on rows where selection is
+    # easiest to get wrong
+    rows = {
+        "ties": np.full((3, 6), 2.5),
+        "ties_and_one": np.array([[1.0, 1.0, 1.0, 4.0, 1.0], [4.0, 4.0, 4.0, 4.0, 0.0]]),
+        "single_column": np.array([[3.0], [0.0], [7.5]]),
+        "single_row": np.array([[5.0, 1.0, 5.0, 2.0, 0.0, 9.0, 2.0]]),
+        "zeros": np.zeros((2, 4)),
+    }
+    for name, nearest in rows.items():
+        n = nearest.shape[1]
+        for weights in (np.ones(n, dtype=np.int64),
+                        np.arange(1, n + 1, dtype=np.int64)[::-1].copy(),
+                        np.full(n, 3, dtype=np.int64)):
+            total = int(weights.sum())
+            for z in sorted({0, 1, 2, n - 1, n, n + 2, total - 1, total, total + 5}):
+                got = _cost_batch(nearest, weights, z)
+                expect = [scalar_cost_from_nearest(row, weights, z) for row in nearest]
+                assert got.tolist() == expect, (name, weights.tolist(), z)
+    assert _cost_batch(np.zeros((2, 0)), np.zeros(0, dtype=np.int64), 1).tolist() == [0.0, 0.0]
+    assert _cost_batch(np.zeros((0, 3)), np.ones(3, dtype=np.int64), 1).shape == (0,)
+
+
+def argsort_cost_batch(nearest, weights, z):
+    """The former full-sort ``_cost_batch``, kept as the oracle."""
+    if nearest.shape[1] == 0:
+        return np.zeros(nearest.shape[0])
+    if z <= 0:
+        return nearest.max(axis=1)
+    order = np.argsort(-nearest, axis=1)
+    w = np.broadcast_to(weights, nearest.shape)
+    cw = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+    idx = (cw <= z).sum(axis=1)
+    sorted_near = np.take_along_axis(nearest, order, axis=1)
+    safe = np.minimum(idx, nearest.shape[1] - 1)
+    picked = sorted_near[np.arange(nearest.shape[0]), safe]
+    return np.where(idx < nearest.shape[1], picked, 0.0)
+
+
+def oracle_combo_chunks(n_items, k, chunk=13):
+    """Lexicographic k-combinations in small blocks, so that ties across
+    block boundaries are exercised."""
+    it = itertools.combinations(range(n_items), k)
+    while block := list(itertools.islice(it, chunk)):
+        yield np.asarray(block, dtype=np.intp)
+
+
+def oracle_costs(dmat, combos, wps, z):
+    """Points x candidates matrix, the (n, chunk, k) gather, the full sort."""
+    return argsort_cost_batch(dmat[:, combos].min(axis=2).T, weights_array(wps), z)
+
+
+def oracle_brute_force_opt(inst, universe):
+    """The former ``brute_force_opt`` enumeration, kept as the oracle."""
+    cands = materialize_universe(inst.points, universe)
+    k = min(inst.k, len(cands))
+    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
+    dmat = inst.metric.pairwise(coords_array(inst.points), carr)
+    best, best_combo = math.inf, None
+    for combos in oracle_combo_chunks(len(cands), k):
+        costs = oracle_costs(dmat, combos, inst.points, inst.z)
+        i = int(np.argmin(costs))
+        if costs[i] < best:
+            best, best_combo = float(costs[i]), tuple(int(c) for c in combos[i])
+    centers = tuple(cands[i] for i in best_combo)
+    return Solution(best, centers, uncovered_weight(inst.points, centers, best, inst.metric))
+
+
+def oracle_check_coreset(P, Pstar, k, z, epsilon, metric, universe):
+    """The former ``check_coreset`` enumeration and verdict, kept as the oracle."""
+    wP, wS = sum(p.weight for p in P), sum(q.weight for q in Pstar)
+    if wS > wP:
+        return ValidationReport(False, WEIGHT_RESTRICTION,
+                                f"coreset weight {wS} exceeds input weight {wP}")
+    cands = materialize_universe(P, universe)
+    kk = min(k, len(cands))
+    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
+    dP = metric.pairwise(coords_array(P), carr)
+    dS = metric.pairwise(coords_array(Pstar), carr)
+    opt_p = opt_s = math.inf
+    max_gap, gap_witness = -math.inf, None
+    for combos in oracle_combo_chunks(len(cands), kk):
+        rp = oracle_costs(dP, combos, P, z)
+        rs = oracle_costs(dS, combos, Pstar, z)
+        opt_p = min(opt_p, float(rp.min()))
+        opt_s = min(opt_s, float(rs.min()))
+        gaps = rp - rs
+        i = int(np.argmax(gaps))
+        if gaps[i] > max_gap:
+            max_gap, gap_witness = float(gaps[i]), tuple(int(c) for c in combos[i])
+    slack = REL_TOL * max(1.0, opt_p, opt_s)
+    if opt_s < (1 - epsilon) * opt_p - slack:
+        return ValidationReport(False, RADIUS_BAND_LOW,
+                                f"opt(coreset)={opt_s} below (1-eps)*opt(P)={(1 - epsilon) * opt_p}")
+    if opt_s > (1 + epsilon) * opt_p + slack:
+        return ValidationReport(False, RADIUS_BAND_HIGH,
+                                f"opt(coreset)={opt_s} above (1+eps)*opt(P)={(1 + epsilon) * opt_p}")
+    if max_gap > epsilon * opt_p + slack:
+        centers = tuple(cands[i] for i in gap_witness)
+        return ValidationReport(False, EXPANDED_COVER_FAILS,
+                                f"centers {centers}: expanding by eps*opt(P)={epsilon * opt_p} "
+                                f"leaves more than z={z} weight of P uncovered")
+    return ValidationReport(True)
+
+
+def enumeration_case(rng, trial):
+    """A seeded (P, P*, k, z, eps, metric, universe) on a small integer grid,
+    so distances and costs tie often. P* rotates through a construction
+    output, P itself and four corruptions."""
+    kind = (LINF, L2, EXPLICIT)[trial % 3]
+    k = 1 + (trial // 3) % 3
+    z = int(rng.integers(0, 5))
+    eps = (0.1, 0.25, 0.5, 1.0)[int(rng.integers(0, 4))]
+    d = 1 + int(rng.integers(0, 2))
+    grid = kind != EXPLICIT and trial % 2 == 1
+    if grid and (d == 2 and k == 3):
+        d = 1
+    n = z + 1 + int(rng.integers(0, 8 if grid else 16))
+    # a midpoint grid has (m + m(m-1)/2)^d points for m distinct values per
+    # axis, so its coordinates take fewer values
+    hi = int(rng.integers(1, (4 if d == 2 else 8) if grid else 12))
+    if kind == EXPLICIT:
+        # L1 distances between integer sites form a metric; P uses the
+        # first n sites, corruptions may move weight to the spare ones
+        sites = rng.integers(0, hi + 1, size=(n + 4, 2))
+        metric = Metric(EXPLICIT, matrix=np.abs(sites[:, None] - sites[None]).sum(axis=2).tolist())
+        locs = [(float(i),) for i in range(n + 4)]
+        P = [WeightedPoint(locs[i], int(rng.integers(1, 4)) if trial % 4 else 1) for i in range(n)]
+    else:
+        metric = Metric(kind)
+        P = random_points(rng, n, d, hi=hi, weights=trial % 4 != 0)
+        locs = [tuple(float(v) for v in rng.integers(0, 2 * hi + 1, size=d)) for _ in range(6)]
+    variant = trial % 6
+    if variant == 0:
+        Pstar = list(mbc_construction(Instance(tuple(P), k, z, eps, metric)).representatives)
+    elif variant == 1:
+        Pstar = list(P)
+    elif variant == 2:  # inflated weight
+        i = int(rng.integers(0, n))
+        Pstar = P[:i] + [WeightedPoint(P[i].point, P[i].weight + 1)] + P[i + 1:]
+    elif variant == 3 and n > 1:  # one point's weight merged into another
+        i, j = rng.choice(n, size=2, replace=False)
+        Pstar = [WeightedPoint(p.point, p.weight + P[i].weight) for p in P[j:j + 1]]
+        Pstar += [p for t, p in enumerate(P) if t not in (i, j)]
+    elif variant == 4:  # weight moved to other locations
+        Pstar = [WeightedPoint(locs[int(rng.integers(0, len(locs)))], p.weight) for p in P]
+    else:  # points dropped
+        keep = rng.random(n) < 0.6
+        Pstar = [p for p, kept in zip(P, keep) if kept] or P[:1]
+    universe = midpoint_grid_universe() if grid else input_points_universe()
+    return P, Pstar, k, z, eps, metric, universe
+
+
+def test_enumeration_matches_oracle():
+    rng = np.random.default_rng(61)
+    verdicts = Counter()
+    for trial in range(240):
+        P, Pstar, k, z, eps, metric, universe = enumeration_case(rng, trial)
+        got = check_coreset(P, Pstar, k, z, eps, metric, universe)
+        assert got == oracle_check_coreset(P, Pstar, k, z, eps, metric, universe), trial
+        verdicts[got.violated_condition] += 1
+        for pts in (P, Pstar):
+            if sum(p.weight for p in pts) > z:
+                inst = Instance(tuple(pts), k, z, 1.0, metric)
+                assert brute_force_opt(inst, universe) == oracle_brute_force_opt(inst, universe), trial
+    assert set(verdicts) == {None, WEIGHT_RESTRICTION, RADIUS_BAND_LOW, RADIUS_BAND_HIGH,
+                             EXPANDED_COVER_FAILS}, verdicts
 
 
 def test_evaluate_cost_monotonicity(linf):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,6 +57,40 @@ def test_flow_checker_matches_unit_assignment_oracle(linf):
         assert got == want
         checked_both_ways[int(got)] += 1
     assert min(checked_both_ways) > 5  # both outcomes exercised
+
+
+def test_flow_finds_no_saturating_assignment_when_every_point_reaches(linf):
+    # every point has a representative within bound, so only the max-flow
+    # can reject: the representatives' weights do not fit the reachability
+    rng = np.random.default_rng(29)
+    rejected = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        pts = [W((float(rng.integers(0, 10)),), int(rng.integers(1, 4))) for _ in range(n)]
+        locs = sorted({p.point for p in pts})
+        n_reps = int(rng.integers(1, len(locs) + 1))
+        chosen = [locs[i] for i in rng.choice(len(locs), size=n_reps, replace=False)]
+        total = sum(p.weight for p in pts)
+        splits = rng.multinomial(total - n_reps, [1 / n_reps] * n_reps) + 1
+        reps = [W(loc, int(w)) for loc, w in zip(chosen, splits)]
+        bound = float(rng.integers(0, 5))
+        if not all(any(linf.distance(p.point, q.point) <= bound for q in reps) for p in pts):
+            continue
+        got = check_mini_ball_covering(pts, reps, bound, linf)
+        assert got.passed == unit_assignment_exists(pts, reps, bound, linf)
+        if not got.passed:
+            rejected += 1
+            assert got.violated_condition == COVERING_DISTANCE
+            assert got.witness.startswith("no saturating assignment: point ")
+            assert any(f"point {p.point} keeps" in got.witness for p in pts)
+    assert rejected >= 10
+
+
+def test_import_does_not_load_networkx():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", "import kcoreset, sys; assert 'networkx' not in sys.modules"],
+                   check=True, env=env, timeout=60)
 
 
 def test_check_coreset_identity(linf):
