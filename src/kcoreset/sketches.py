@@ -9,6 +9,17 @@ integer far below the field size, so the singleton test can never falsely
 verify. Peeling therefore returns only exact pairs; a query either recovers
 everything or reports an explicit failure.
 
+Updates are write-combined. ``update`` validates its arguments and adds the
+sign into a buffer of id -> net count, dropping ids whose net count returns
+to zero. The buffer is applied to the tables, one row update per id and row
+with the id's net count, when it reaches ``buckets`` (2s) distinct ids and at
+the start of every read (``query``, ``support_lower_bound``, ``digest``,
+``merge``). The tables themselves are allocated by that first application,
+so a sketch that is never read and never overflows its buffer costs only the
+buffer. Because the sketch is linear and reduction modulo the prime commutes
+with addition, the tables after a flush equal those of applying every update
+on its own.
+
 The distinct-count sketch subsamples ids geometrically (level = trailing
 zeros of a pairwise-independent hash) and keeps a small recovery structure
 per level; the estimate is the exact recovered count at the finest decodable
@@ -45,6 +56,12 @@ class SparseRecoverySketch:
     Strict turnstile only (no negative net counts). ``query`` returns a dict
     id -> positive count on success, or None for an explicit failure, and
     raises InputError when it decodes a negative net count.
+
+    ``update`` only records the signed update in ``_pending`` (id -> nonzero
+    net count, fewer than ``buckets`` entries after every update). ``_flush``
+    applies each net count once per row and runs when the buffer fills and
+    before every read. The ``rows x buckets`` tables ``_count``, ``_idsum``
+    and ``_sqsum`` are None until the first flush allocates them.
     """
 
     def __init__(self, s: int, delta_fail: float, universe: int, seed: int = 0,
@@ -59,61 +76,83 @@ class SparseRecoverySketch:
             4, math.ceil(math.log2(max(s, 2) / delta_fail)))
         self.buckets = 2 * s
         rng = random.Random(_mix64(seed) ^ 0x5EED)
-        self._hash_a = [rng.randrange(1, _PRIME) for _ in range(self.rows)]
-        self._hash_b = [rng.randrange(0, _PRIME) for _ in range(self.rows)]
-        size = self.rows * self.buckets
-        self._count = [0] * size
-        self._idsum = [0] * size
-        self._sqsum = [0] * size
-
-    def _bucket(self, row: int, ident: int) -> int:
-        return row * self.buckets + ((self._hash_a[row] * ident + self._hash_b[row]) % _PRIME) % self.buckets
+        hash_a = [rng.randrange(1, _PRIME) for _ in range(self.rows)]
+        hash_b = [rng.randrange(0, _PRIME) for _ in range(self.rows)]
+        # row r sends id x to bucket r*buckets + ((a_r*x + b_r) mod P) mod buckets
+        self._hashes = [(mul, add, r * self.buckets)
+                        for r, (mul, add) in enumerate(zip(hash_a, hash_b))]
+        self._pending: dict[int, int] = {}
+        self._count = self._idsum = self._sqsum = None
 
     def update(self, ident: int, sign: int) -> None:
         if not (0 <= ident < self.universe):
             raise InputError(f"id {ident} outside universe [0, {self.universe})")
         if sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
-        sq = sign * ident * ident
+        pending = self._pending
+        c = pending.get(ident, 0) + sign
+        if c:
+            pending[ident] = c
+            if len(pending) >= self.buckets:
+                self._flush()
+        else:
+            del pending[ident]
+
+    def _flush(self) -> None:
+        """Apply the buffered net counts to the tables, allocating them first
+        if this is the first flush."""
+        if self._count is None:
+            size = self.rows * self.buckets
+            self._count = [0] * size
+            self._idsum = [0] * size
+            self._sqsum = [0] * size
         count, idsum, sqsum = self._count, self._idsum, self._sqsum
-        for row in range(self.rows):
-            j = self._bucket(row, ident)
-            count[j] += sign
-            idsum[j] += sign * ident
-            sqsum[j] = (sqsum[j] + sq) % _PRIME
+        buckets = self.buckets
+        for ident, c in self._pending.items():
+            cid = c * ident
+            sq = cid * ident
+            for mul, add, off in self._hashes:
+                j = off + (mul * ident + add) % _PRIME % buckets
+                count[j] += c
+                idsum[j] += cid
+                sqsum[j] = (sqsum[j] + sq) % _PRIME
+        self._pending.clear()
 
     def query(self):
+        self._flush()
         count = list(self._count)
         idsum = list(self._idsum)
         sqsum = list(self._sqsum)
+        buckets = self.buckets
         recovered: dict[int, int] = {}
-        pending = list(range(len(count)))
-        while pending:
-            next_pending = []
+        queue = [j for j, c in enumerate(count) if c]  # zero-count buckets never peel
+        while queue:
+            next_queue = []
             progress = False
-            for j in pending:
+            for j in queue:
                 c = count[j]
                 if c == 0:
                     continue
                 if idsum[j] % c != 0:
-                    next_pending.append(j)
+                    next_queue.append(j)
                     continue
                 ident = idsum[j] // c
                 if not (0 <= ident < self.universe) or sqsum[j] != (c * ident * ident) % _PRIME:
-                    next_pending.append(j)
+                    next_queue.append(j)
                     continue
                 recovered[ident] = recovered.get(ident, 0) + c
-                sq = c * ident * ident
-                for row in range(self.rows):
-                    b = self._bucket(row, ident)
+                cid = c * ident
+                sq = cid * ident
+                for mul, add, off in self._hashes:
+                    b = off + (mul * ident + add) % _PRIME % buckets
                     count[b] -= c
-                    idsum[b] -= c * ident
+                    idsum[b] -= cid
                     sqsum[b] = (sqsum[b] - sq) % _PRIME
-                    next_pending.append(b)
+                    next_queue.append(b)
                 progress = True
             if not progress:
                 break
-            pending = sorted(set(next_pending))
+            queue = sorted(set(next_queue))
         out = {i: c for i, c in recovered.items() if c != 0}
         if any(c < 0 for c in out.values()):
             raise InputError("decoded a negative net count: strict-turnstile violation")
@@ -125,10 +164,12 @@ class SparseRecoverySketch:
         """A lower bound on the number of nonzero ids, without decoding: the
         most nonzero-count buckets in one row (a row's buckets hold disjoint
         ids, and a bucket whose ids are all zero has count zero)."""
+        self._flush()
         b = self.buckets
         return b - min(self._count[r * b:(r + 1) * b].count(0) for r in range(self.rows))
 
     def digest(self) -> tuple:
+        self._flush()
         return (tuple(self._count), tuple(self._idsum), tuple(self._sqsum))
 
     def merge(self, other: "SparseRecoverySketch") -> None:
@@ -136,6 +177,8 @@ class SparseRecoverySketch:
         if (self.s, self.rows, self.buckets, self.seed, self.universe) != \
                 (other.s, other.rows, other.buckets, other.seed, other.universe):
             raise InputError("can only merge sketches with identical configuration")
+        self._flush()
+        other._flush()
         for j in range(len(self._count)):
             self._count[j] += other._count[j]
             self._idsum[j] += other._idsum[j]

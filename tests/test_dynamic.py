@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,45 @@ def test_shard_then_merge_equals_sequential():
     assert shard_a.live_count == whole.live_count
     with pytest.raises(InputError):
         shard_a.merge(DynamicCoresetState(16, 1, 1, 0, 1.0, seed=7, with_shadow=True))
+
+
+def _cells(rep):
+    return rep.level, [(p.point, p.weight) for p in rep.points]
+
+
+def test_batch_sequential_and_sharded_ingestion_agree():
+    rng = np.random.default_rng(43)
+    live, ops = [], []
+    for _ in range(150):
+        if live and rng.random() < 0.35:
+            ops.append((-1, live.pop(int(rng.integers(len(live))))))
+        else:
+            live.append(tuple(int(v) for v in rng.integers(1, 65, size=2)))
+            ops.append((1, live[-1]))
+    batch, seq, shard_a, shard_b = (DynamicCoresetState(64, 2, 2, 2, 1.0, seed=5)
+                                    for _ in range(4))
+    batch.apply(ops)
+    for sign, p in ops:
+        seq.update(p, sign)
+    # a deletion may land on the other shard, so a shard can hold negative counts
+    shard_a.apply(ops[0::2])
+    shard_b.apply(ops[1::2])
+    assert all(any(sk._pending for sk in shard.sr) for shard in (shard_a, shard_b))
+    shard_a.merge(shard_b)
+    assert batch.digest() == seq.digest() == shard_a.digest()
+    assert _cells(batch.report()) == _cells(seq.report()) == _cells(shard_a.report())
+
+
+def test_construction_allocates_no_sketch_tables():
+    # s = 257 and 11 levels of 75 x 514 buckets: about 10 MB if built eagerly
+    tracemalloc.start()
+    try:
+        st = DynamicCoresetState(1024, 2, 2, 1, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (st.s, st.grid.levels, st.sr[0].rows) == (257, 11, 75)
+    assert peak < 1 << 20
 
 
 def test_report_requires_live_points():
