@@ -148,13 +148,15 @@ def cmd_dynamic(args) -> int:
 def _parse_dist(spec: str):
     if spec == "roundrobin":
         return round_robin()
-    if spec.startswith("random:"):
-        return random_dist(int(spec.split(":", 1)[1]))
-    if spec.startswith("adversarial:"):
-        path = spec.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            assignment = [int(tok) for tok in fh.read().split()]
-        return adversarial(assignment)
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "random" and arg:
+            return random_dist(int(arg))
+        if kind == "adversarial" and arg:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return adversarial(fh.read().split())
+    except ValueError as exc:  # a token that is not an integer, or a file that is not UTF-8
+        raise InputError(f"distribution {spec!r}: {exc}") from None
     raise InputError(f"unknown distribution {spec!r}")
 
 
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read as text
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

@@ -1,25 +1,36 @@
 """Deterministic synchronous-round MPC simulator for the coreset pipelines.
 
-Machines are numbered 1..m; machine 1 is the coordinator. Messages sent in
-round t are readable only in round t+1 and delivery is canonicalized by
-sender id, so runs are schedule-independent. Storage is metered in words:
-a point costs d+1 words (coordinates plus weight), a radius-vector entry one
-word. A machine's per-round storage is its resident input plus messages
-received that round plus anything it constructs in the round; residents a
-machine no longer needs (a part already compressed into a covering) are
-dropped before the next stage, which is what the coordinator does with its
-own part before collecting coverings.
+Machines are numbered 1..m; machine 1 is the coordinator. The two-round,
+one-round and R-round pipelines share one round engine, ``_Rounds``, and
+keep only their own steps: the two-round outlier-vector broadcast and r-hat,
+the one-round allowance z', the R-round fan-in beta and active machines.
+
+The engine checks its input as an offline ``Instance``, so a pipeline
+rejects what ``mbc_construction`` rejects, and splits it into parts.
+Messages sent in round t are readable only in round t+1 and a machine reads
+them in sender order, so runs are schedule-independent; the transcript is
+ordered by (round, sender, recipient), and a machine keeping its own output
+sends nothing. Storage is metered in words: a point costs d+1 words
+(coordinates plus weight), a radius-vector entry one word. ``store`` keeps a
+machine's peak over rounds of what it holds at once: in a covering step its
+points, plus words resident from earlier rounds (the two-round m outlier
+vectors), plus the covering it builds; a part already compressed is dropped.
+Machine 1's collection stage, where it compresses the union of the coverings
+it received once more, is metered apart in ``coordinator_words``. In the
+R-round pipeline the last round's union is the result and also counts in
+machine 1's peak.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError
 from .metric import Metric, WeightedPoint, as_weighted, leq
-from .offline import _mbc, _self_distances, greedy
+from .offline import Instance, _mbc, _self_distances, greedy
 
 ROUND_ROBIN = "roundrobin"
 ADVERSARIAL = "adversarial"
@@ -134,20 +145,67 @@ def compute_r_hat(vectors, z: int):
     A machine with no entry <= r makes r infeasible. Returns (r_hat, j_hats).
     The largest V_i[0] is always feasible, so the minimum exists.
     """
-    entries = sorted({v for vec in vectors for v in vec})
-    for r in entries:
-        total = 0
-        j_hats = []
-        for vec in vectors:
-            j = next((j for j, v in enumerate(vec) if leq(v, r)), None)
-            if j is None:
-                break
-            j_hats.append(j)
-            total += (1 << j) - 1
-        else:
-            if total <= 2 * z:
-                return r, tuple(j_hats)
+    for r in sorted({v for vec in vectors for v in vec}):
+        j_hats = [next((j for j, v in enumerate(vec) if leq(v, r)), None) for vec in vectors]
+        if None not in j_hats and sum((1 << j) - 1 for j in j_hats) <= 2 * z:
+            return r, tuple(j_hats)
     raise AssertionError("no feasible radius found; max V_i[0] should always qualify")
+
+
+class _Rounds:
+    """The round engine: validated input, per-machine parts, metered storage
+    and the transcript of one run."""
+
+    def __init__(self, points, k: int, z: int, epsilon: float, cfg: MpcConfig,
+                 metric: Metric):
+        self.inst = Instance(points, k, z, epsilon, metric)
+        self.cfg = cfg
+        self.dim = len(self.inst.points[0].point)
+        self.parts = distribute(self.inst.points, cfg)
+        self.peaks = [0] * cfg.m
+        self.transcript = []
+        self.sent = Counter()  # words sent, per round
+
+    def words(self, points) -> int:
+        return point_words(len(points), self.dim)
+
+    def store(self, machine: int, words: int) -> None:
+        """Machine ``machine`` holds ``words`` words at once in some round."""
+        self.peaks[machine - 1] = max(self.peaks[machine - 1], words)
+
+    def send(self, rnd: int, sender: int, recipient: int, kind: str, words: int) -> None:
+        if sender != recipient:
+            self.transcript.append(Message(rnd, sender, recipient, kind, words))
+            self.sent[rnd] += words
+
+    def compress(self, points, z: int) -> list[WeightedPoint]:
+        inst = self.inst
+        return list(_mbc(points, inst.k, z, inst.epsilon, inst.metric).representatives)
+
+    def cover(self, rnd: int, held, budgets, resident: int, dest) -> list[list[WeightedPoint]]:
+        """Round ``rnd``: machine i compresses ``held[i-1]`` into a mini-ball
+        covering with ``budgets[i-1]`` outliers, holding its points,
+        ``resident`` more words and the covering at once, and sends the
+        covering to machine ``dest(i)``. Returns what each machine received,
+        in sender order."""
+        inbox = [[] for _ in self.parts]
+        for i, (points, budget) in enumerate(zip(held, budgets), start=1):
+            cov = self.compress(points, budget)
+            cov_words = self.words(cov)
+            self.store(i, self.words(points) + resident + cov_words)
+            self.send(rnd, i, dest(i), "covering", cov_words)
+            inbox[dest(i) - 1].extend(cov)
+        return inbox
+
+    def run(self, algorithm: str, rounds_used: int, final, coordinator_words: int,
+            **fields) -> MpcRun:
+        return MpcRun(
+            algorithm=algorithm, rounds_used=rounds_used, final=tuple(final),
+            parts=tuple(tuple(p) for p in self.parts),
+            transcript=tuple(sorted(self.transcript, key=lambda t: (t.round, t.sender, t.recipient))),
+            per_machine_peak_words=tuple(self.peaks), coordinator_words=coordinator_words,
+            messages_per_round=tuple(self.sent[t] for t in range(1, rounds_used + 1)),
+            seed=self.cfg.distribution.seed, **fields)
 
 
 def run_two_round(points, k: int, z: int, epsilon: float, cfg: MpcConfig,
@@ -157,61 +215,22 @@ def run_two_round(points, k: int, z: int, epsilon: float, cfg: MpcConfig,
     the coordinator."""
     if cfg.m < 2:
         raise InputError("the two-round algorithm needs at least two machines")
-    wps = as_weighted(points)
-    if not wps:
-        raise InputError("need at least one point")
-    dim = len(wps[0].point)
-    parts = distribute(wps, cfg)
-    m = cfg.m
-    vlen = vector_length(z)
-    transcript = []
-    peaks = [0] * m
+    eng = _Rounds(points, k, z, epsilon, cfg, metric)
+    m, vlen = cfg.m, vector_length(z)
 
     # round 1: every machine computes its outlier vector and broadcasts it
-    vectors = [outlier_vector(part, k, z, metric) for part in parts]
-    for i in range(1, m + 1):
-        peaks[i - 1] = max(peaks[i - 1], point_words(len(parts[i - 1]), dim) + vlen)
+    vectors = [outlier_vector(part, k, z, metric) for part in eng.parts]
+    for i, part in enumerate(eng.parts, start=1):
+        eng.store(i, eng.words(part) + vlen)
         for j in range(1, m + 1):
-            if j != i:
-                transcript.append(Message(1, i, j, "outlier-vector", vlen))
-    round1_words = m * (m - 1) * vlen
+            eng.send(1, i, j, "outlier-vector", vlen)
 
-    # round 2: shared r-hat, local covering, send to coordinator
-    r_hats = []
-    coverings = []
-    round2_words = 0
-    for i in range(1, m + 1):
-        r_hat_i, j_hats_i = compute_r_hat(vectors, z)  # same inputs on every machine
-        r_hats.append((r_hat_i, j_hats_i))
-        j_i = j_hats_i[i - 1]
-        cov = _mbc(parts[i - 1], k, (1 << j_i) - 1, epsilon, metric)
-        coverings.append(list(cov.representatives))
-        cov_words = point_words(len(cov.representatives), dim)
-        peaks[i - 1] = max(peaks[i - 1],
-                           point_words(len(parts[i - 1]), dim) + m * vlen + cov_words)
-        if i != 1:
-            transcript.append(Message(2, i, 1, "covering", cov_words))
-            round2_words += cov_words
-    assert all(rh == r_hats[0] for rh in r_hats)
-    r_hat, j_hats = r_hats[0]
-
-    union = [wp for cov in coverings for wp in cov]
-    coordinator_words = point_words(len(union), dim) + m * vlen
-    final = _mbc(union, k, z, epsilon, metric)
-
-    return MpcRun(
-        algorithm="two-round",
-        rounds_used=2,
-        final=tuple(final.representatives),
-        parts=tuple(tuple(p) for p in parts),
-        transcript=tuple(sorted(transcript, key=lambda t: (t.round, t.sender, t.recipient))),
-        per_machine_peak_words=tuple(peaks),
-        coordinator_words=coordinator_words,
-        messages_per_round=(round1_words, round2_words),
-        union_received=tuple(union),
-        r_hat=r_hat,
-        j_hats=j_hats,
-    )
+    # round 2: every machine holds the same m vectors, so all agree on r-hat;
+    # machine i covers its part with 2^j_i - 1 outliers
+    r_hat, j_hats = compute_r_hat(vectors, z)
+    union = eng.cover(2, eng.parts, [(1 << j) - 1 for j in j_hats], m * vlen, lambda i: 1)[0]
+    return eng.run("two-round", 2, eng.compress(union, z), eng.words(union) + m * vlen,
+                   union_received=tuple(union), r_hat=r_hat, j_hats=j_hats)
 
 
 def run_one_round_randomized(points, k: int, z: int, epsilon: float, cfg: MpcConfig,
@@ -219,42 +238,12 @@ def run_one_round_randomized(points, k: int, z: int, epsilon: float, cfg: MpcCon
     """Randomized 1-round pipeline under a random initial distribution."""
     if cfg.distribution.kind != RANDOM:
         raise InputError("the one-round algorithm assumes a random distribution")
-    wps = as_weighted(points)
-    if not wps:
-        raise InputError("need at least one point")
-    dim = len(wps[0].point)
-    parts = distribute(wps, cfg)
+    eng = _Rounds(points, k, z, epsilon, cfg, metric)
     m = cfg.m
-    n = len(wps)
-    z_prime = min(math.ceil(6 * z / m + 3 * math.log2(n)) if n > 1 else math.ceil(6 * z / m), z)
-    transcript = []
-    peaks = [0] * m
-    coverings = []
-    round_words = 0
-    for i in range(1, m + 1):
-        cov = _mbc(parts[i - 1], k, z_prime, epsilon, metric)
-        coverings.append(list(cov.representatives))
-        cov_words = point_words(len(cov.representatives), dim)
-        peaks[i - 1] = max(peaks[i - 1], point_words(len(parts[i - 1]), dim) + cov_words)
-        if i != 1:
-            transcript.append(Message(1, i, 1, "covering", cov_words))
-            round_words += cov_words
-    union = [wp for cov in coverings for wp in cov]
-    coordinator_words = point_words(len(union), dim)
-    final = _mbc(union, k, z, epsilon, metric)
-    return MpcRun(
-        algorithm="one-round",
-        rounds_used=1,
-        final=tuple(final.representatives),
-        parts=tuple(tuple(p) for p in parts),
-        transcript=tuple(sorted(transcript, key=lambda t: (t.round, t.sender, t.recipient))),
-        per_machine_peak_words=tuple(peaks),
-        coordinator_words=coordinator_words,
-        messages_per_round=(round_words,),
-        union_received=tuple(union),
-        z_prime=z_prime,
-        seed=cfg.distribution.seed,
-    )
+    z_prime = min(math.ceil(6 * z / m + 3 * math.log2(len(eng.inst.points))), z)
+    union = eng.cover(1, eng.parts, [z_prime] * m, 0, lambda i: 1)[0]
+    return eng.run("one-round", 1, eng.compress(union, z), eng.words(union),
+                   union_received=tuple(union), z_prime=z_prime)
 
 
 def run_r_round(points, k: int, z: int, epsilon: float, rounds: int, cfg: MpcConfig,
@@ -263,49 +252,18 @@ def run_r_round(points, k: int, z: int, epsilon: float, rounds: int, cfg: MpcCon
     compresses what it received and forwards to machine ceil(i/beta)."""
     if rounds < 1:
         raise InputError("need at least one round")
-    wps = as_weighted(points)
-    if not wps:
-        raise InputError("need at least one point")
-    dim = len(wps[0].point)
-    parts = distribute(wps, cfg)
+    eng = _Rounds(points, k, z, epsilon, cfg, metric)
     m = cfg.m
     beta = 1
     while beta**rounds < m:
         beta += 1
-    transcript = []
-    peaks = [0] * m
-    messages_per_round = []
     machine_counts = []
-    holdings = [list(p) for p in parts]
+    held = eng.parts
     for t in range(1, rounds + 1):
-        active = max(1, math.ceil(m / beta ** (t - 1)))
+        active = max(1, math.ceil(m / beta ** (t - 1)))  # the quotient underflows for large t
         machine_counts.append(active)
-        outbox = [[] for _ in range(m)]
-        round_words = 0
-        for i in range(1, active + 1):
-            received = holdings[i - 1]
-            cov = _mbc(received, k, z, epsilon, metric)
-            cov_words = point_words(len(cov.representatives), dim)
-            peaks[i - 1] = max(peaks[i - 1], point_words(len(received), dim) + cov_words)
-            dest = math.ceil(i / beta)
-            outbox[dest - 1].extend(cov.representatives)
-            if dest != i:
-                transcript.append(Message(t, i, dest, "covering", cov_words))
-                round_words += cov_words
-        holdings = [list(box) for box in outbox]
-        messages_per_round.append(round_words)
-    machine_counts.append(1)
-    final = holdings[0]
-    peaks[0] = max(peaks[0], point_words(len(final), dim))
-    return MpcRun(
-        algorithm="r-round",
-        rounds_used=rounds,
-        final=tuple(final),
-        parts=tuple(tuple(p) for p in parts),
-        transcript=tuple(sorted(transcript, key=lambda t: (t.round, t.sender, t.recipient))),
-        per_machine_peak_words=tuple(peaks),
-        coordinator_words=point_words(len(final), dim),
-        messages_per_round=tuple(messages_per_round),
-        machine_counts=tuple(machine_counts),
-        seed=cfg.distribution.seed,
-    )
+        held = eng.cover(t, held[:active], [z] * active, 0, lambda i: math.ceil(i / beta))
+    final = held[0]
+    eng.store(1, eng.words(final))
+    return eng.run("r-round", rounds, final, eng.words(final),
+                   machine_counts=tuple(machine_counts) + (1,))

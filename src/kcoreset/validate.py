@@ -117,10 +117,12 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
     """
     P = as_weighted(P)
     Pstar = as_weighted(Pstar)
-    if k < 1 or z < 0 or epsilon <= 0:
-        raise InputError("need k >= 1, z >= 0, epsilon > 0")
+    if k < 1 or z < 0 or not (0 < epsilon < float("inf")):
+        raise InputError("need k >= 1, z >= 0, 0 < epsilon < inf")
     if not P or not Pstar:
         raise InputError("both point sets must be nonempty")
+    if len({len(p.point) for p in P + Pstar}) != 1:
+        raise InputError("points have mixed dimensions")
     wP, wS = sum(p.weight for p in P), sum(q.weight for q in Pstar)
     if wS > wP:
         return ValidationReport(False, WEIGHT_RESTRICTION,

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kcoreset import WeightedPoint, pointio
 from kcoreset.cli import main
@@ -155,3 +161,192 @@ def test_update_stream_parse_errors(tmp_path):
     bad.write_text("delta=16 d=1\n* 3\n")
     with pytest.raises(Exception):
         pointio.read_update_stream(str(bad))
+
+
+MPC_ALGOS = {"two-round": (), "one-round": ("--dist", "random:5"), "r-round": ("--rounds", "2")}
+
+
+@pytest.mark.parametrize("algo", sorted(MPC_ALGOS))
+def test_mpc_rejects_invalid_instances(tmp_path, capsys, algo):
+    five, mixed = tmp_path / "five.txt", tmp_path / "mixed.txt"
+    write_pts(five, range(5))
+    mixed.write_text("0,0\n1\n")
+    cases = [
+        (five, "0", "0", "0.5"),     # k = 0
+        (five, "1", "-1", "0.5"),    # z < 0
+        (five, "1", "0", "0"),       # eps = 0
+        (five, "1", "0", "nan"),     # eps = nan
+        (mixed, "1", "0", "0.5"),    # mixed dimensions
+        (five, "1", "5", "0.5"),     # total weight = z
+        (five, "1", "9", "0.5"),     # total weight < z
+    ]
+    for pts, k, z, eps in cases:
+        code, stats, err = run_cli(capsys, "mpc", str(pts), "--algo", algo, "--machines", "2",
+                                   *MPC_ALGOS[algo], "--k", k, "--z", z, "--eps", eps,
+                                   "--out", str(tmp_path / "c.txt"))
+        assert code == 3 and stats is None, (k, z, eps, pts.name)
+        assert err.startswith("input error:")
+
+
+def _mpc_argv(pts, out, *extra):
+    return ("mpc", str(pts), "--algo", "r-round", "--machines", "2", "--k", "1",
+            "--z", "0", "--eps", "0.5", "--out", str(out), *extra)
+
+
+def test_bad_distribution_specs_are_input_errors(tmp_path, capsys):
+    pts, adv = tmp_path / "p.txt", tmp_path / "adv.txt"
+    write_pts(pts, range(4))
+    adv.write_text("1 2 x 1\n")
+    for spec in ("random:abc", "random:", f"adversarial:{adv}", "adversarial:", "mystery"):
+        code, _, err = run_cli(capsys, *_mpc_argv(pts, tmp_path / "c.txt", "--dist", spec))
+        assert code == 3 and "distribution" in err, spec
+
+
+def test_a_directory_in_place_of_a_file_is_an_input_error(tmp_path, capsys):
+    pts, folder = tmp_path / "p.txt", tmp_path / "folder"
+    write_pts(pts, range(4))
+    folder.mkdir()
+    out = tmp_path / "c.txt"
+    for argv in (_mpc_argv(folder, out),                                    # points file
+                 _mpc_argv(pts, folder),                                    # --out
+                 _mpc_argv(pts, out, "--dist", f"adversarial:{folder}")):   # assignment file
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and err.startswith("input error:"), argv
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    pts, adv = tmp_path / "p.txt", tmp_path / "adv.txt"
+    write_pts(pts, range(4))
+    adv.write_bytes(b"\xff\xfe 1 2 1 2\n")
+    for argv in (_mpc_argv(adv, tmp_path / "c.txt"),
+                 _mpc_argv(pts, tmp_path / "c.txt", "--dist", f"adversarial:{adv}")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and err.startswith("input error:"), argv
+
+
+def test_validate_rejects_mixed_dimensions_and_nan_epsilon(tmp_path, capsys):
+    pts, core, flat = tmp_path / "p.txt", tmp_path / "c.txt", tmp_path / "f.txt"
+    pointio.write_points(str(pts), [W((1.0, 1.0)), W((2.0, 5.0))])
+    pointio.write_points(str(core), [W((1.0, 1.0)), W((2.0, 5.0))])
+    write_pts(flat, [1, 2])
+    for argv in ((str(pts), str(flat), "--eps", "0.5"),    # coreset of another dimension
+                 (str(pts), str(core), "--eps", "nan")):
+        code, stats, err = run_cli(capsys, "validate", *argv, "--k", "1", "--z", "0")
+        assert code == 3 and stats is None and err.startswith("input error:"), argv
+
+
+def test_two_round_stats_record_the_distribution_seed(tmp_path, capsys):
+    pts = tmp_path / "p.txt"
+    write_pts(pts, range(12))
+    code, stats, _ = run_cli(capsys, "mpc", str(pts), "--algo", "two-round", "--machines", "3",
+                             "--dist", "random:9", "--k", "2", "--z", "1", "--eps", "0.5",
+                             "--out", str(tmp_path / "c.txt"))
+    assert code == 0 and stats["seed"] == 9
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: small random files and flags, bad values included; every run ends
+# in a documented exit code and nothing escapes main.
+# ---------------------------------------------------------------------------
+
+def _mostly(good, bad):
+    """Draws one of ``good`` about three times in four, else one of ``bad``."""
+    return st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(good) | \
+        st.sampled_from(bad)
+
+
+_K = _mostly(["1", "2", "3"], ["0", "-1"])
+_Z = _mostly(["0", "1", "2"], ["-1", "5", "40"])
+_EPS = _mostly(["0.0625", "0.125", "0.5", "1.0"], ["0", "-0.5", "1.5", "nan", "inf"])
+_BAD_POINT_LINE = st.sampled_from(["1,x", "nan,1", "1e400", ",", "1,w=0", "1,w=y", "3,4,5"])
+
+
+@st.composite
+def _point_file(draw):
+    """Lines of one dimension with small integer coordinates, sometimes one bad line."""
+    d = draw(st.integers(1, 2))
+    coords = st.lists(st.integers(0, 20), min_size=d, max_size=d)
+    lines = [",".join(map(str, c)) + draw(st.sampled_from(["", "", ",w=2", ",w=3"]))
+             for c in draw(st.lists(coords, max_size=8))]
+    bad = draw(st.none() | st.none() | st.none() | _BAD_POINT_LINE)
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+@st.composite
+def _update_file(draw):
+    """A header, inserts on the grid, deletes of some of them; sometimes a bad
+    header, an off-grid point, a deletion of an absent point or a bad line."""
+    delta, d = draw(st.sampled_from([(8, 1), (16, 2), (16, 1)]))
+    header = draw(_mostly([f"delta={delta} d={d}"], ["delta=0 d=1", "delta=8 d=0",
+                                                       "delta=x d=1", "nonsense"]))
+    cell = st.lists(st.integers(1, delta), min_size=d, max_size=d)
+    inserts = draw(st.lists(cell, max_size=8))
+    deletes = [c for c in inserts if draw(st.booleans())]
+    ops = [f"+ {','.join(map(str, c))}" for c in inserts] + \
+          [f"- {','.join(map(str, c))}" for c in deletes]
+    bad = draw(st.none() | st.none() | st.none() | st.sampled_from(
+        ["- " + ",".join(["1"] * d), "+ " + ",".join([str(delta + 1)] * d), "+ 0", "* 1", "+ 1,x"]))
+    if bad is not None:
+        ops.insert(draw(st.integers(0, len(ops))), bad)
+    return "\n".join([header] + ops)
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv with {dir} placeholders, point file, second point file, update file)."""
+    files = (draw(_point_file()), draw(_point_file()), draw(_update_file()))
+    cmd = draw(st.sampled_from(["offline", "stream", "dynamic", "mpc", "gen", "validate"]))
+    kze = ["--k", draw(_K), "--z", draw(_Z), "--eps", draw(_EPS)]
+    out = ["--out", draw(_mostly(["{dir}/out.txt"], ["{dir}/folder"]))]
+    src = draw(_mostly(["{dir}/p.txt"], ["{dir}/missing.txt", "{dir}/folder", "{dir}/bin.txt"]))
+    if cmd == "offline":
+        argv = [cmd, src, *kze, *out]
+    elif cmd == "stream":
+        argv = [cmd, src, *kze, "--d", draw(_mostly(["1", "2"], ["0"])), *out]
+    elif cmd == "dynamic":
+        upd = draw(_mostly(["{dir}/u.txt"], ["{dir}/p.txt", "{dir}/missing.txt"]))
+        argv = [cmd, upd, *kze, "--seed", draw(st.sampled_from(["0", "7"])), *out]
+        if draw(st.booleans()):
+            argv.append("--exact-shadow")
+    elif cmd == "mpc":
+        argv = [cmd, src, *kze, *out,
+                "--algo", draw(st.sampled_from(["two-round", "one-round", "r-round"])),
+                "--machines", draw(_mostly(["1", "2", "3"], ["0", "-1"])),
+                "--rounds", draw(_mostly(["1", "2", "3"], ["0"])),
+                "--dist", draw(_mostly(
+                    ["roundrobin", "random:3", "adversarial:{dir}/a.txt"],
+                    ["random:abc", "random:", "adversarial:{dir}/p.txt",
+                     "adversarial:{dir}/folder", "adversarial:{dir}/missing.txt", "mystery"])),
+                "--metric", draw(st.sampled_from(["l2", "linf"]))]
+    elif cmd == "gen":
+        argv = [cmd, "--family", draw(st.sampled_from(["one-dim-lb", "insertion-lb", "dynamic-lb"])),
+                *kze, "--d", draw(_mostly(["1", "2"], ["0"])), *out]
+        if draw(st.booleans()):
+            argv += ["--delta", draw(st.sampled_from(["0", "64", "256"]))]
+    else:
+        argv = [cmd, src, draw(st.sampled_from(["{dir}/q.txt", "{dir}/p.txt"])), *kze,
+                "--universe", draw(st.sampled_from(["input-points", "midpoint-grid"]))]
+    return argv, files
+
+
+@seed(20261018)
+@given(case=_cli_case())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_ends_in_a_documented_exit_code(case):
+    argv, (points, coreset, updates) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in (("p.txt", points), ("q.txt", coreset)):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        with open(os.path.join(tmp, "u.txt"), "w", encoding="utf-8") as fh:
+            fh.write(updates + "\n")
+        with open(os.path.join(tmp, "a.txt"), "w", encoding="utf-8") as fh:
+            fh.write(" ".join(str(1 + i % 2) for i in range(len(points))) + "\n")
+        with open(os.path.join(tmp, "bin.txt"), "wb") as fh:
+            fh.write(b"\xff\xfe1,2\n")
+        os.mkdir(os.path.join(tmp, "folder"))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([arg.replace("{dir}", tmp) for arg in argv])
+    assert code in {0, 2, 3, 4, 5}

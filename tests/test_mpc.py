@@ -1,17 +1,203 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from kcoreset import (
-    InputError, Instance, MpcConfig, WeightedPoint, adversarial,
+    L2, LINF, InputError, Instance, Metric, MpcConfig, WeightedPoint, adversarial,
     brute_force_opt, check_coreset, check_mini_ball_covering, compute_r_hat,
     distribute, input_points_universe, outlier_vector, random_dist,
     round_robin, run_one_round_randomized, run_r_round, run_two_round,
 )
+from kcoreset.metric import as_weighted
 from kcoreset.offline import _mbc
-from kcoreset.mpc import point_words, vector_length
+from kcoreset.mpc import RANDOM, Message, MpcRun, point_words, vector_length
 from conftest import random_points
 
 W = WeightedPoint
+
+
+# ---------------------------------------------------------------------------
+# Reference pipelines: the three MPC pipelines as they were written before
+# they shared one round engine, each with its own bookkeeping. They pin every
+# MpcRun field of the engine-based pipelines (test_engine_matches_reference).
+# ---------------------------------------------------------------------------
+
+def _canonical(transcript):
+    return tuple(sorted(transcript, key=lambda t: (t.round, t.sender, t.recipient)))
+
+
+def ref_two_round(points, k, z, epsilon, cfg, metric):
+    if cfg.m < 2:
+        raise InputError("the two-round algorithm needs at least two machines")
+    wps = as_weighted(points)
+    if not wps:
+        raise InputError("need at least one point")
+    dim = len(wps[0].point)
+    parts = distribute(wps, cfg)
+    m = cfg.m
+    vlen = vector_length(z)
+    transcript = []
+    peaks = [0] * m
+    vectors = [outlier_vector(part, k, z, metric) for part in parts]
+    for i in range(1, m + 1):
+        peaks[i - 1] = max(peaks[i - 1], point_words(len(parts[i - 1]), dim) + vlen)
+        for j in range(1, m + 1):
+            if j != i:
+                transcript.append(Message(1, i, j, "outlier-vector", vlen))
+    round1_words = m * (m - 1) * vlen
+    r_hats = []
+    coverings = []
+    round2_words = 0
+    for i in range(1, m + 1):
+        r_hat_i, j_hats_i = compute_r_hat(vectors, z)
+        r_hats.append((r_hat_i, j_hats_i))
+        j_i = j_hats_i[i - 1]
+        cov = _mbc(parts[i - 1], k, (1 << j_i) - 1, epsilon, metric)
+        coverings.append(list(cov.representatives))
+        cov_words = point_words(len(cov.representatives), dim)
+        peaks[i - 1] = max(peaks[i - 1],
+                           point_words(len(parts[i - 1]), dim) + m * vlen + cov_words)
+        if i != 1:
+            transcript.append(Message(2, i, 1, "covering", cov_words))
+            round2_words += cov_words
+    assert all(rh == r_hats[0] for rh in r_hats)
+    r_hat, j_hats = r_hats[0]
+    union = [wp for cov in coverings for wp in cov]
+    coordinator_words = point_words(len(union), dim) + m * vlen
+    final = _mbc(union, k, z, epsilon, metric)
+    return MpcRun(
+        algorithm="two-round", rounds_used=2, final=tuple(final.representatives),
+        parts=tuple(tuple(p) for p in parts), transcript=_canonical(transcript),
+        per_machine_peak_words=tuple(peaks), coordinator_words=coordinator_words,
+        messages_per_round=(round1_words, round2_words), union_received=tuple(union),
+        r_hat=r_hat, j_hats=j_hats,
+    )
+
+
+def ref_one_round(points, k, z, epsilon, cfg, metric):
+    if cfg.distribution.kind != RANDOM:
+        raise InputError("the one-round algorithm assumes a random distribution")
+    wps = as_weighted(points)
+    if not wps:
+        raise InputError("need at least one point")
+    dim = len(wps[0].point)
+    parts = distribute(wps, cfg)
+    m = cfg.m
+    n = len(wps)
+    z_prime = min(math.ceil(6 * z / m + 3 * math.log2(n)) if n > 1 else math.ceil(6 * z / m), z)
+    transcript = []
+    peaks = [0] * m
+    coverings = []
+    round_words = 0
+    for i in range(1, m + 1):
+        cov = _mbc(parts[i - 1], k, z_prime, epsilon, metric)
+        coverings.append(list(cov.representatives))
+        cov_words = point_words(len(cov.representatives), dim)
+        peaks[i - 1] = max(peaks[i - 1], point_words(len(parts[i - 1]), dim) + cov_words)
+        if i != 1:
+            transcript.append(Message(1, i, 1, "covering", cov_words))
+            round_words += cov_words
+    union = [wp for cov in coverings for wp in cov]
+    final = _mbc(union, k, z, epsilon, metric)
+    return MpcRun(
+        algorithm="one-round", rounds_used=1, final=tuple(final.representatives),
+        parts=tuple(tuple(p) for p in parts), transcript=_canonical(transcript),
+        per_machine_peak_words=tuple(peaks), coordinator_words=point_words(len(union), dim),
+        messages_per_round=(round_words,), union_received=tuple(union),
+        z_prime=z_prime, seed=cfg.distribution.seed,
+    )
+
+
+def ref_r_round(points, k, z, epsilon, rounds, cfg, metric):
+    if rounds < 1:
+        raise InputError("need at least one round")
+    wps = as_weighted(points)
+    if not wps:
+        raise InputError("need at least one point")
+    dim = len(wps[0].point)
+    parts = distribute(wps, cfg)
+    m = cfg.m
+    beta = 1
+    while beta**rounds < m:
+        beta += 1
+    transcript = []
+    peaks = [0] * m
+    messages_per_round = []
+    machine_counts = []
+    holdings = [list(p) for p in parts]
+    for t in range(1, rounds + 1):
+        active = max(1, math.ceil(m / beta ** (t - 1)))
+        machine_counts.append(active)
+        outbox = [[] for _ in range(m)]
+        round_words = 0
+        for i in range(1, active + 1):
+            received = holdings[i - 1]
+            cov = _mbc(received, k, z, epsilon, metric)
+            cov_words = point_words(len(cov.representatives), dim)
+            peaks[i - 1] = max(peaks[i - 1], point_words(len(received), dim) + cov_words)
+            dest = math.ceil(i / beta)
+            outbox[dest - 1].extend(cov.representatives)
+            if dest != i:
+                transcript.append(Message(t, i, dest, "covering", cov_words))
+                round_words += cov_words
+        holdings = [list(box) for box in outbox]
+        messages_per_round.append(round_words)
+    machine_counts.append(1)
+    final = holdings[0]
+    peaks[0] = max(peaks[0], point_words(len(final), dim))
+    return MpcRun(
+        algorithm="r-round", rounds_used=rounds, final=tuple(final),
+        parts=tuple(tuple(p) for p in parts), transcript=_canonical(transcript),
+        per_machine_peak_words=tuple(peaks), coordinator_words=point_words(len(final), dim),
+        messages_per_round=tuple(messages_per_round), machine_counts=tuple(machine_counts),
+        seed=cfg.distribution.seed,
+    )
+
+
+def _differential_cases(n_instances=300, seed=20261018):
+    """Seeded (pipeline, reference, args) triples over L2 and L-inf,
+    m = 1..9, the three distributions, R = 1..3, unit and integer weights."""
+    rng = np.random.default_rng(seed)
+    metrics = (Metric(LINF), Metric(L2))
+    for i in range(n_instances):
+        m = 1 + i % 9
+        n = 1 + int(rng.integers(0, 16))
+        d = 1 + int(rng.integers(0, 2))
+        pts = random_points(rng, n, d, hi=40, cluster_frac=float(rng.random()),
+                            weights=bool(i % 2))
+        k = 1 + int(rng.integers(0, 3))
+        z = int(rng.integers(0, min(5, sum(p.weight for p in pts))))
+        eps = (0.25, 0.5, 1.0)[int(rng.integers(0, 3))]
+        kind = i // 9 % 3
+        if kind == 0:
+            dist = round_robin()
+        elif kind == 1:
+            dist = random_dist(int(rng.integers(0, 2**31)))
+        else:
+            skew = 1 + int(rng.integers(0, m))
+            dist = adversarial([skew if rng.random() < 0.5 else 1 + int(rng.integers(0, m))
+                                for _ in range(n)])
+        cfg = MpcConfig(m, dist)
+        metric = metrics[i // 27 % 2]
+        if m >= 2:
+            yield run_two_round, ref_two_round, (pts, k, z, eps, cfg, metric)
+        if kind == 1:
+            yield run_one_round_randomized, ref_one_round, (pts, k, z, eps, cfg, metric)
+        rounds = 1 + int(rng.integers(0, 3))
+        yield run_r_round, ref_r_round, (pts, k, z, eps, rounds, cfg, metric)
+
+
+def test_engine_matches_reference():
+    runs = 0
+    for fn, ref, args in _differential_cases():
+        expected = ref(*args)
+        if fn is run_two_round:  # the engine records the distribution's seed
+            expected = dataclasses.replace(expected, seed=args[-2].distribution.seed)
+        assert fn(*args) == expected, (fn.__name__, args[1:])
+        runs += 1
+    assert runs >= 600
 
 
 def test_distribute_modes(linf):
@@ -165,3 +351,40 @@ def test_weight_conservation_through_pipelines(linf):
     assert sum(p.weight for p in one.final) == total
     rr = run_r_round(pts, 2, 2, 0.5, 3, MpcConfig(8, round_robin()), linf)
     assert sum(p.weight for p in rr.final) == total
+
+
+PIPELINES = {
+    "two-round": lambda pts, k, z, eps, metric:
+        run_two_round(pts, k, z, eps, MpcConfig(2), metric),
+    "one-round": lambda pts, k, z, eps, metric:
+        run_one_round_randomized(pts, k, z, eps, MpcConfig(2, random_dist(3)), metric),
+    "r-round": lambda pts, k, z, eps, metric:
+        run_r_round(pts, k, z, eps, 2, MpcConfig(3), metric),
+}
+FIVE = [W((float(x),)) for x in range(5)]
+BAD_INSTANCES = {
+    "k=0": (FIVE, 0, 0, 0.5),
+    "z<0": (FIVE, 1, -1, 0.5),
+    "eps=0": (FIVE, 1, 0, 0.0),
+    "eps=nan": (FIVE, 1, 0, float("nan")),
+    "mixed-dimensions": ([W((0.0, 0.0)), W((1.0,))], 1, 0, 0.5),
+    "weight=z": (FIVE, 1, 5, 0.5),
+    "weight<z": (FIVE, 1, 9, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_invalid_instance_is_an_input_error(pipeline, case, linf):
+    pts, k, z, eps = BAD_INSTANCES[case]
+    with pytest.raises(InputError):
+        PIPELINES[pipeline](pts, k, z, eps, linf)
+
+
+def test_every_pipeline_records_the_distribution_seed(linf):
+    pts = [W((float(x),)) for x in range(12)]
+    for dist, seed in ((random_dist(41), 41), (round_robin(), None)):
+        cfg = MpcConfig(3, dist)
+        assert run_two_round(pts, 2, 1, 0.5, cfg, linf).seed == seed
+        assert run_r_round(pts, 2, 1, 0.5, 2, cfg, linf).seed == seed
+    assert run_one_round_randomized(pts, 2, 1, 0.5, MpcConfig(3, random_dist(41)), linf).seed == 41
