@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 from .metric import Metric, WeightedPoint, as_weighted, leq
-from .offline import Instance, _mbc, _self_distances, greedy
+from .offline import Instance, _candidate_radii, _mbc, _self_distances, greedy
 
 ROUND_ROBIN = "roundrobin"
 ADVERSARIAL = "adversarial"
@@ -131,8 +131,11 @@ def outlier_vector(part, k: int, z: int, metric: Metric) -> list[float]:
     """V[j] = greedy radius on the part with 2^j - 1 outliers, j = 0..ceil(log2(z+1))."""
     vlen = vector_length(z)
     part = as_weighted(part)
-    dmat = _self_distances(part, metric) if part else None  # one matrix for every j
-    return [greedy(part, k, (1 << j) - 1, metric, dmat=dmat).radius for j in range(vlen)]
+    # one matrix and one candidate array serve every j
+    dmat = _self_distances(part, metric) if part else None
+    cands = _candidate_radii(dmat) if part else None
+    return [greedy(part, k, (1 << j) - 1, metric, dmat=dmat, cands=cands).radius
+            for j in range(vlen)]
 
 
 def vector_length(z: int) -> int:

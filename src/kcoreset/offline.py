@@ -225,30 +225,61 @@ def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
     Picks, k times, the input point whose radius-r ball covers maximum
     uncovered weight (ties: lowest index), then marks everything within 3r of
     it covered. Returns (feasible, chosen center indices).
+
+    One n x n mask, ``within_r``, is built per probe. Coverage (uncovered
+    weight in each point's r-ball; a count when every weight is 1) is
+    computed once, then kept up to date: after center c, the newly covered
+    points are the uncovered ones in c's 3r-row, and each drops out of every
+    r-ball that holds it. After the last center, or once nothing is left
+    uncovered, coverage is not updated. The update reads row i of
+    ``within_r`` as its column i, so ``dmat`` must be symmetric bit for bit:
+    ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit matrix
+    is validated as symmetric.
     """
     slack = REL_TOL * max(1.0, abs(r))
     within_r = dmat <= r + slack
-    within_3r = dmat <= 3 * r + 3 * slack
-    uncovered = weights.astype(np.int64).copy()
+    uncovered = weights.astype(np.int64)
+    remaining = int(uncovered.sum())
+    unit = remaining == len(uncovered)  # weights are integers >= 1, so all are 1
+    coverage = within_r.sum(axis=1) if unit else within_r @ uncovered
     centers = []
-    for _ in range(k):
-        if uncovered.sum() == 0:
+    for i in range(k):
+        if remaining == 0:
             break
-        coverage = within_r @ uncovered
-        c = int(np.argmax(coverage))
+        c = int(coverage.argmax())
         centers.append(c)
-        uncovered[within_3r[c]] = 0
-    return int(uncovered.sum()) <= z, centers
+        newly = (dmat[c] <= 3 * r + 3 * slack) & (uncovered > 0)
+        gone = uncovered[newly]
+        remaining -= int(gone.sum())
+        if i == k - 1 or remaining == 0:  # coverage is not read again
+            break
+        rows = within_r[newly]
+        coverage -= rows.sum(axis=0) if unit else gone @ rows
+        uncovered[newly] = 0
+    return remaining <= z, centers
 
 
-def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None) -> GreedyResult:
+def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of 0, every pair radius and every half pair
+    radius. The pair radii are sorted and made distinct first, so the second
+    sort gets two sorted runs and no repeated radius."""
+    u = np.unique(dmat[np.triu_indices(len(dmat), k=1)])
+    return np.unique(np.concatenate([np.asarray([0.0]), u, u / 2.0]))
+
+
+def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None,
+           cands: np.ndarray = None) -> GreedyResult:
     """Greedy 3-approximation for weighted k-center with z outliers.
 
     Candidate radii are 0, all pairwise distances, and all half pairwise
     distances; a binary search finds the smallest feasible candidate r and the
-    reported balls have radius 3r. Returns radius 0 and no balls when the
-    total weight is at most z (vacuous instance: everything is an outlier).
-    ``dmat`` is the points' own distance matrix, computed here when omitted.
+    reported balls have radius 3r. The centers are those of the probe at r;
+    only when the search never probed r (the top candidate, feasible since
+    one ball reaches every point) is it probed at the end. Returns radius 0
+    and no balls when the total weight is at most z (vacuous instance:
+    everything is an outlier). ``dmat`` is the points' own distance matrix
+    and ``cands`` its ``_candidate_radii``; each is computed here when
+    omitted, so callers that search one matrix at several z pass both.
     """
     wps = as_weighted(points)
     w = weights_array(wps) if wps else np.zeros(0, dtype=np.int64)
@@ -256,22 +287,22 @@ def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None) -
         return GreedyResult(0.0, (), 0.0, vacuous=True)
     if dmat is None:
         dmat = _self_distances(wps, metric)
-    iu = np.triu_indices(len(wps), k=1)
-    pair = dmat[iu]
-    cands = np.unique(np.concatenate([np.asarray([0.0]), pair, pair / 2.0]))
+    if cands is None:
+        cands = _candidate_radii(dmat)
     lo, hi = 0, len(cands) - 1
-    # the largest candidate is always feasible: one ball reaches every point
+    centers = None  # the centers of the probe at cands[hi], once hi has moved
     while lo < hi:
         mid = (lo + hi) // 2
-        ok, _ = _feasible(dmat, w, k, z, float(cands[mid]))
+        ok, probed = _feasible(dmat, w, k, z, float(cands[mid]))
         if ok:
-            hi = mid
+            hi, centers = mid, probed
         else:
             lo = mid + 1
     r_f = float(cands[lo])
-    ok, centers = _feasible(dmat, w, k, z, r_f)
-    if not ok:  # cannot happen: the top candidate is feasible
-        raise AssertionError("greedy binary search ended on an infeasible radius")
+    if centers is None:
+        ok, centers = _feasible(dmat, w, k, z, r_f)
+        if not ok:  # cannot happen: the top candidate is feasible
+            raise AssertionError("greedy binary search ended on an infeasible radius")
     radius = 3.0 * r_f
     balls = tuple(Ball(wps[c].point, radius) for c in centers)
     return GreedyResult(radius, balls, r_f)

@@ -61,6 +61,8 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric,
     Pstar = as_weighted(Pstar)
     if bound < 0:
         raise InputError("bound must be nonnegative")
+    if len({len(p.point) for p in P + Pstar}) > 1:
+        raise InputError("points have mixed dimensions")
     locations = {wp.point for wp in P}
     for q in Pstar:
         if q.point not in locations:

@@ -133,6 +133,18 @@ def test_pairwise_equals_scalar_distance_bit_for_bit(dim, n, m, data):
                 assert got[i, j] == metric.distance(tuple(a[i]), tuple(b[j]))
 
 
+def test_self_pairwise_is_symmetric_bit_for_bit():
+    # the greedy probe reads row i of a self-distance matrix as column i
+    rng = np.random.default_rng(29)
+    for dim in range(1, 6):
+        for scale in (1.0, 1e-7, 3e5):
+            x = rng.normal(0.0, scale, size=(60, dim))
+            x = np.concatenate([x, x[:5], np.round(x[:20])])  # duplicates and ties
+            for metric in (Metric(L2), Metric(LINF)):
+                d = metric.pairwise(x, x)
+                assert np.array_equal(d.view(np.uint64), d.T.view(np.uint64)), (dim, scale)
+
+
 def test_pairwise_dimension_mismatch(l2):
     with pytest.raises(InputError):
         l2.pairwise(np.zeros((2, 2)), np.zeros((3, 1)))

@@ -13,8 +13,12 @@ from kcoreset import (
     check_mini_ball_covering, evaluate_cost, greedy, input_points_universe,
     mbc_construction, mbc_size_bound, midpoint_grid_universe, update_coreset,
 )
-from kcoreset.metric import REL_TOL, coords_array, materialize_universe, weights_array
-from kcoreset.offline import _cost_batch, _net, uncovered_weight
+from kcoreset import mpc, offline, outlier_vector
+from kcoreset.metric import (
+    REL_TOL, Ball, as_weighted, coords_array, materialize_universe, weights_array,
+)
+from kcoreset.mpc import vector_length
+from kcoreset.offline import GreedyResult, _cost_batch, _net, uncovered_weight
 from kcoreset.validate import (
     EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION,
 )
@@ -343,6 +347,136 @@ def test_greedy_three_approx_small(linf, l2):
             if all(metric.distance(p.point, b.center) > b.radius + 1e-9 for b in res.balls):
                 uncov += p.weight
         assert uncov <= z
+
+
+# ---------------------------------------------------------------------------
+# Reference greedy: the feasibility probe that builds both n x n masks and
+# recomputes coverage with a full matrix-vector product per center, and the
+# binary search that sorts every pair radius and probes the answer again.
+# They pin _feasible, greedy and outlier_vector bit for bit
+# (test_greedy_matches_reference).
+# ---------------------------------------------------------------------------
+
+def ref_feasible(dmat, weights, k, z, r):
+    slack = REL_TOL * max(1.0, abs(r))
+    within_r = dmat <= r + slack
+    within_3r = dmat <= 3 * r + 3 * slack
+    uncovered = weights.astype(np.int64).copy()
+    centers = []
+    for _ in range(k):
+        if uncovered.sum() == 0:
+            break
+        coverage = within_r @ uncovered
+        c = int(np.argmax(coverage))
+        centers.append(c)
+        uncovered[within_3r[c]] = 0
+    return int(uncovered.sum()) <= z, centers
+
+
+def ref_candidates(dmat):
+    pair = dmat[np.triu_indices(len(dmat), k=1)]
+    return np.unique(np.concatenate([np.asarray([0.0]), pair, pair / 2.0]))
+
+
+def ref_greedy(points, k, z, metric, dmat=None):
+    wps = as_weighted(points)
+    w = weights_array(wps) if wps else np.zeros(0, dtype=np.int64)
+    if int(w.sum()) <= z:
+        return GreedyResult(0.0, (), 0.0, vacuous=True)
+    if dmat is None:
+        dmat = metric.pairwise(coords_array(wps), coords_array(wps))
+    cands = ref_candidates(dmat)
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ok, _ = ref_feasible(dmat, w, k, z, float(cands[mid]))
+        if ok:
+            hi = mid
+        else:
+            lo = mid + 1
+    r_f = float(cands[lo])
+    ok, centers = ref_feasible(dmat, w, k, z, r_f)
+    assert ok
+    radius = 3.0 * r_f
+    return GreedyResult(radius, tuple(Ball(wps[c].point, radius) for c in centers), r_f)
+
+
+def ref_outlier_vector(part, k, z, metric):
+    part = as_weighted(part)
+    dmat = metric.pairwise(coords_array(part), coords_array(part)) if part else None
+    return [ref_greedy(part, k, (1 << j) - 1, metric, dmat=dmat).radius
+            for j in range(vector_length(z))]
+
+
+def greedy_case(rng, trial):
+    """A seeded (points, k, z, metric) on a small integer grid, with
+    duplicated points, so that distances, coverages and argmaxes tie often."""
+    kind = (LINF, L2, EXPLICIT)[trial % 3]
+    k = 1 + (trial // 3) % 4
+    z = int(rng.integers(0, 6))
+    n = 1 + int(rng.integers(0, 40 if trial % 10 == 9 else 14))
+    hi = int(rng.integers(1, 13))
+    weighted = trial % 2 == 1
+    if kind == EXPLICIT:
+        # L1 distances between integer sites form a metric. Half the time
+        # some distances D are raised to D + REL_TOL * max(1, D), the exact
+        # edge of a probe's tolerance at radius D: still a metric, and only
+        # a mask that compares with <= holds them.
+        sites = rng.integers(0, hi + 1, size=(n, 2))
+        mat = np.abs(sites[:, None] - sites[None]).sum(axis=2).astype(float)
+        if rng.random() < 0.5:
+            iu = np.triu_indices(n, k=1)
+            lifted = rng.random(len(iu[0])) < 0.3
+            edge = mat[iu] + REL_TOL * np.maximum(1.0, mat[iu])
+            mat[iu] = np.where(lifted, edge, mat[iu])
+            mat[iu[::-1]] = mat[iu]
+        metric = Metric(EXPLICIT, matrix=mat.tolist())
+        pts = [W((float(i),), int(rng.integers(1, 4)) if weighted else 1) for i in range(n)]
+    else:
+        metric = Metric(kind)
+        pts = random_points(rng, n, 1 + trial % 3, hi=hi, weights=weighted)
+    pts += [pts[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, 4)))]
+    return pts, k, z, metric
+
+
+def test_greedy_matches_reference():
+    rng = np.random.default_rng(71)
+    probes = feasible = 0
+    for trial in range(330):
+        pts, k, z, metric = greedy_case(rng, trial)
+        dmat = metric.pairwise(coords_array(pts), coords_array(pts))
+        w = weights_array(pts)
+        cands = ref_candidates(dmat)
+        assert np.array_equal(offline._candidate_radii(dmat).view(np.uint64), cands.view(np.uint64))
+        step = 1 if len(cands) < 200 else 5
+        for r in cands[::step]:
+            got = offline._feasible(dmat, w, k, z, float(r))
+            assert got == ref_feasible(dmat, w, k, z, float(r)), (trial, r)
+            probes += 1
+            feasible += got[0]
+        got = greedy(pts, k, z, metric)
+        expect = ref_greedy(pts, k, z, metric)
+        assert got == expect and repr(got) == repr(expect), trial
+        assert repr(outlier_vector(pts, k, z, metric)) == \
+            repr(ref_outlier_vector(pts, k, z, metric)), trial
+    assert probes > 4000 and probes - feasible > 400, (probes, feasible)
+
+
+def test_outlier_vector_builds_one_matrix_and_one_candidate_array(monkeypatch, linf):
+    rng = np.random.default_rng(17)
+    pts = random_points(rng, 30, 2, hi=40, weights=True)
+    z = 10
+    expect = ref_outlier_vector(pts, 2, z, linf)
+    pairwise, sorts = [], []
+    orig_pairwise, orig_cands = Metric.pairwise, offline._candidate_radii
+    monkeypatch.setattr(Metric, "pairwise",
+                        lambda self, a, b: pairwise.append(1) or orig_pairwise(self, a, b))
+    counting = lambda dmat: sorts.append(1) or orig_cands(dmat)  # noqa: E731
+    monkeypatch.setattr(offline, "_candidate_radii", counting)
+    monkeypatch.setattr(mpc, "_candidate_radii", counting)
+    got = outlier_vector(pts, 2, z, linf)
+    assert repr(got) == repr(expect) and len(got) == vector_length(z) == 5
+    assert (len(pairwise), len(sorts)) == (1, 1)
 
 
 def test_mbc_examples(linf):

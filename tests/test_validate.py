@@ -39,6 +39,15 @@ def test_mini_ball_rep_must_be_input_location(linf):
         check_mini_ball_covering([W((0.0,))], [W((0.5,))], 1.0, linf)
 
 
+def test_mini_ball_rejects_mixed_dimensions(linf, l2):
+    for metric in (linf, l2):
+        with pytest.raises(InputError, match="mixed dimensions"):
+            check_mini_ball_covering([W((0, 0)), W((1,))], [W((0, 0), 2)], 1.0, metric)
+        with pytest.raises(InputError, match="mixed dimensions"):
+            check_mini_ball_covering([W((0, 0)), W((1, 1, 1))], [W((0, 0)), W((1, 1, 1))],
+                                     0.0, metric)
+
+
 def test_flow_checker_matches_unit_assignment_oracle(linf):
     rng = np.random.default_rng(17)
     checked_both_ways = [0, 0]
