@@ -8,7 +8,14 @@ whose sparse-recovery decode succeeds with at most s cells and returns each
 cell's center weighted by its exact count (a relaxed coreset:
 representatives are cell centers, not input points). Decoding is exact under
 strict turnstile: it returns every nonzero cell or fails, so this is the
-level the exact cell counts would pick unless a decode fails there.
+level the exact cell counts would pick unless a decode fails there. A
+level's sketch has no tables until its buffer first reaches 2s cells, and
+again after a decode that recovers fewer (sparse mode, see ``sketches``).
+Meanwhile a report decodes that level exactly from the buffer: the read
+cannot fail and builds no tables.
+
+An update validates the point once, as its level-0 cell; the cell at level
+i is that cell's index shifted right by i.
 
 An optional exact shadow (per-level cell -> count maps) supports test mode:
 it enforces strict-turnstile discipline and answers reports without
@@ -127,14 +134,14 @@ class DynamicCoresetState:
     def update(self, point, sign: int) -> None:
         if sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
-        cells = [self.grid.cell_of(point, lv) for lv in range(self.grid.levels)]
-        if self.shadow is not None and sign < 0:
-            c0 = cells[0]
-            if self.shadow[0].get(c0, 0) <= 0:
-                raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
+        grid = self.grid
+        base = grid.cell_of(point, 0)  # validates the point; level lv's cell is base >> lv
+        if self.shadow is not None and sign < 0 and self.shadow[0].get(base, 0) <= 0:
+            raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
         self.ops += 1
         self.live_count += sign
-        for lv, cell in enumerate(cells):
+        for lv in range(grid.levels):
+            cell = tuple(v >> lv for v in base)
             if self.shadow is not None:
                 m = self.shadow[lv]
                 c = m.get(cell, 0) + sign
@@ -143,7 +150,7 @@ class DynamicCoresetState:
                 else:
                     m.pop(cell, None)
             if self.sr is not None:
-                self.sr[lv].update(self.grid.cell_id(cell, lv), sign)
+                self.sr[lv].update(grid.cell_id(cell, lv), sign)
 
     def apply(self, ops) -> None:
         for sign, point in ops:

@@ -11,14 +11,18 @@ everything or reports an explicit failure.
 
 Updates are write-combined. ``update`` validates its arguments and adds the
 sign into a buffer of id -> net count, dropping ids whose net count returns
-to zero. The buffer is applied to the tables, one row update per id and row
-with the id's net count, when it reaches ``buckets`` (2s) distinct ids and at
-the start of every read (``query``, ``support_lower_bound``, ``digest``,
-``merge``). The tables themselves are allocated by that first application,
-so a sketch that is never read and never overflows its buffer costs only the
-buffer. Because the sketch is linear and reduction modulo the prime commutes
-with addition, the tables after a flush equal those of applying every update
-on its own.
+to zero. A sketch starts in sparse mode: it has no tables, the buffer is the
+exact net vector, ``query`` returns a copy of it and ``support_lower_bound``
+its size. The tables are allocated and the buffer is applied to them, one
+row update per id and row with the id's net count, when the buffer reaches
+``buckets`` (2s) distinct ids, and when ``digest`` or a ``merge`` with a
+sketch that has tables needs them. From then on the buffer is applied at the
+start of every read. A decode that succeeds with fewer than ``buckets`` ids
+returns the sketch to sparse mode: the decoded vector becomes the buffer and
+the tables are dropped. Because the sketch is linear and reduction modulo the
+prime commutes with addition, the tables built from a buffer equal those of
+applying every update on its own, so the mode never shows in ``digest``.
+A query in sparse mode never fails; only a decode of the tables can.
 
 The distinct-count sketch subsamples ids geometrically (level = trailing
 zeros of a pairwise-independent hash) and keeps a small recovery structure
@@ -55,13 +59,15 @@ class SparseRecoverySketch:
 
     Strict turnstile only (no negative net counts). ``query`` returns a dict
     id -> positive count on success, or None for an explicit failure, and
-    raises InputError when it decodes a negative net count.
+    raises InputError when it finds a negative net count.
 
     ``update`` only records the signed update in ``_pending`` (id -> nonzero
-    net count, fewer than ``buckets`` entries after every update). ``_flush``
-    applies each net count once per row and runs when the buffer fills and
-    before every read. The ``rows x buckets`` tables ``_count``, ``_idsum``
-    and ``_sqsum`` are None until the first flush allocates them.
+    net count, fewer than ``buckets`` entries after every update). While the
+    ``rows x buckets`` tables ``_count``, ``_idsum`` and ``_sqsum`` are None
+    (sparse mode), ``_pending`` is the whole sketch and reads use it directly.
+    ``_flush`` allocates the tables if needed and applies each net count once
+    per row; it runs when the buffer fills, in ``digest`` and ``merge``, and
+    before every read once the tables exist.
     """
 
     def __init__(self, s: int, delta_fail: float, universe: int, seed: int = 0,
@@ -119,6 +125,10 @@ class SparseRecoverySketch:
         self._pending.clear()
 
     def query(self):
+        if self._count is None:
+            if any(c < 0 for c in self._pending.values()):
+                raise InputError("decoded a negative net count: strict-turnstile violation")
+            return dict(self._pending)
         self._flush()
         count = list(self._count)
         idsum = list(self._idsum)
@@ -158,12 +168,20 @@ class SparseRecoverySketch:
             raise InputError("decoded a negative net count: strict-turnstile violation")
         if any(count) or any(idsum) or any(sqsum):
             return None
+        if len(out) < buckets:
+            # the tables are exactly the sketch of ``out``: keep it as the buffer
+            self._pending = dict(out)
+            self._count = self._idsum = self._sqsum = None
         return out
 
     def support_lower_bound(self) -> int:
-        """A lower bound on the number of nonzero ids, without decoding: the
-        most nonzero-count buckets in one row (a row's buckets hold disjoint
-        ids, and a bucket whose ids are all zero has count zero)."""
+        """A lower bound on the number of nonzero ids, without decoding.
+
+        Without tables it is the buffer's size, the exact support. Otherwise
+        it is the most nonzero-count buckets in one row (a row's buckets hold
+        disjoint ids, and a bucket whose ids are all zero has count zero)."""
+        if self._count is None:
+            return len(self._pending)
         self._flush()
         b = self.buckets
         return b - min(self._count[r * b:(r + 1) * b].count(0) for r in range(self.rows))
@@ -173,10 +191,25 @@ class SparseRecoverySketch:
         return (tuple(self._count), tuple(self._idsum), tuple(self._sqsum))
 
     def merge(self, other: "SparseRecoverySketch") -> None:
-        """Bucket-wise addition; requires identical shape and seeds."""
+        """Bucket-wise addition; requires identical shape and seeds.
+
+        When ``other`` has no tables its buffer is added to this one, which
+        is flushed only if it reaches ``buckets`` ids, so merging two sparse
+        sketches builds no tables unless the sum overflows."""
         if (self.s, self.rows, self.buckets, self.seed, self.universe) != \
                 (other.s, other.rows, other.buckets, other.seed, other.universe):
             raise InputError("can only merge sketches with identical configuration")
+        if other._count is None:
+            pending = self._pending
+            for ident, c in other._pending.items():
+                total = pending.get(ident, 0) + c
+                if total:
+                    pending[ident] = total
+                else:
+                    del pending[ident]
+            if len(pending) >= self.buckets:
+                self._flush()
+            return
         self._flush()
         other._flush()
         for j in range(len(self._count)):

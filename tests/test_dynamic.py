@@ -193,6 +193,32 @@ def test_sketch_report_decodes_no_level_known_to_exceed_s(monkeypatch):
            [(p.point, p.weight) for p in exact.points]
 
 
+def test_dense_levels_overflow_skip_and_peel(monkeypatch):
+    # s = 4, so 2s = 8 buckets. All 256 points overflow levels 0-5 into their
+    # tables; deleting all but 1..16 leaves 16, 8 and 4 cells on levels 0-2.
+    # Level 0 holds more than 2s cells and is skipped undecoded, and level 2,
+    # which still has tables, is peeled and reported.
+    st = DynamicCoresetState(256, 1, 1, 0, 1.0, seed=9, with_shadow=True)
+    assert st.s == 4
+    order = [int(p) for p in np.random.default_rng(47).permutation(np.arange(1, 257))]
+    for p in order:
+        st.update((p,), 1)
+    for p in order:
+        if p > 16:
+            st.update((p,), -1)
+    assert [sk._count is not None for sk in st.sr[:7]] == [True] * 6 + [False]
+    decoded = []
+    orig = st.sr_query_level
+    monkeypatch.setattr(st, "sr_query_level", lambda lv: decoded.append(lv) or orig(lv))
+    sk = st.report()
+    exact = st.report(exact=True)
+    assert (sk.level, exact.level) == (2, 2)
+    assert 0 not in decoded and decoded[-1] == 2
+    assert st.sr[2]._count is None  # the decode put level 2 back on its buffer
+    assert [(p.point, p.weight) for p in sk.points] == \
+           [(p.point, p.weight) for p in exact.points]
+
+
 def test_permutation_of_updates_is_invisible():
     rng = np.random.default_rng(29)
     pts = [tuple(int(v) for v in rng.integers(1, 17, size=1)) for _ in range(40)]

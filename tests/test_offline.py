@@ -462,6 +462,24 @@ def test_greedy_matches_reference():
     assert probes > 4000 and probes - feasible > 400, (probes, feasible)
 
 
+def test_candidate_radii_match_unique_formula():
+    # the row-slice gather and the merge of two sorted runs against np.unique
+    # of the triangle's gather, bit for bit
+    rng = np.random.default_rng(83)
+    cases = [np.zeros((n, n)) for n in (1, 2, 5)]  # every distance zero
+    for trial in range(60):
+        n = int(rng.integers(1, 90))
+        if trial % 3 == 0:
+            x = rng.normal(scale=10.0 ** int(rng.integers(-3, 4)), size=(n, 2))
+        else:  # a small integer grid: duplicate points and repeated radii
+            x = rng.integers(0, 1 + trial % 7, size=(n, 1 + trial % 3)).astype(float)
+        metric = Metric(L2 if trial % 2 else LINF)
+        cases.append(metric.pairwise(x, x))
+    for dmat in cases:
+        got = offline._candidate_radii(dmat)
+        assert np.array_equal(got.view(np.uint64), ref_candidates(dmat).view(np.uint64))
+
+
 def test_outlier_vector_builds_one_matrix_and_one_candidate_array(monkeypatch, linf):
     rng = np.random.default_rng(17)
     pts = random_points(rng, 30, 2, hi=40, weights=True)

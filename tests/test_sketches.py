@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -111,31 +112,122 @@ _steps = st.lists(st.tuples(
     st.integers(0, 63), st.sampled_from([1, 1, -1])), max_size=80)
 
 
+def _exact(net):
+    """What a sketch without tables answers: the net vector, or the
+    strict-turnstile error when a net count is negative."""
+    if any(c < 0 for c in net.values()):
+        raise InputError("decoded a negative net count: strict-turnstile violation")
+    return {i: c for i, c in net.items() if c}
+
+
+def _add(net, ident, c):
+    net[ident] = net.get(ident, 0) + c
+
+
 @seed(20070)
 @given(s=st.integers(1, 4), universe=st.sampled_from([8, 64]), sk_seed=st.integers(0, 50),
-       steps=_steps)
+       rows=st.sampled_from([None, None, 1, 2]), steps=_steps)
 @settings(max_examples=300, deadline=None)
-def test_write_combining_matches_eager_oracle(s, universe, sk_seed, steps):
+def test_write_combining_matches_eager_oracle(s, universe, sk_seed, rows, steps):
     # 2s buckets of 2 to 8 overflow the buffer mid-stream; a sign of -1 on an
-    # absent id makes the stream negative, so decoding must raise alike
-    main, side = (SparseRecoverySketch(s, 0.1, universe, seed=sk_seed) for _ in range(2))
-    ref_main, ref_side = (EagerSparseRecoverySketch(s, 0.1, universe, seed=sk_seed)
+    # absent id makes the stream negative, so reading it must raise alike.
+    # A sketch without tables (sparse mode) answers from its exact buffer, so
+    # where the eager sketch's decode fails (often with 1 or 2 rows) it
+    # returns the net vector, and its support bound is the exact support.
+    main, side = (SparseRecoverySketch(s, 0.1, universe, seed=sk_seed, rows=rows)
+                  for _ in range(2))
+    ref_main, ref_side = (EagerSparseRecoverySketch(s, 0.1, universe, seed=sk_seed, rows=rows)
                           for _ in range(2))
+    net_main, net_side = {}, {}
     for op, ident, sign in steps:
         ident %= universe
         if op in ("update", "side_update"):
-            sk, ref = (main, ref_main) if op == "update" else (side, ref_side)
+            sk, ref, net = (main, ref_main, net_main) if op == "update" \
+                else (side, ref_side, net_side)
             sk.update(ident, sign)
             ref.update(ident, sign)
+            _add(net, ident, sign)
             assert len(sk._pending) < sk.buckets
         elif op == "merge":
             main.merge(side)
             ref_main.merge(ref_side)
-            assert side.digest() == ref_side.digest()
+            for i, c in net_side.items():
+                _add(net_main, i, c)
+            assert len(main._pending) < main.buckets
+            assert copy.deepcopy(side).digest() == ref_side.digest()
+        elif op == "digest":
+            assert main.digest() == ref_main.digest()
         else:
-            assert _outcome(getattr(main, op)) == _outcome(getattr(ref_main, op))
+            sparse = main._count is None
+            got, expect = _outcome(getattr(main, op)), _outcome(getattr(ref_main, op))
+            if sparse and op == "query" and expect == ("ok", None):
+                expect = _outcome(lambda: _exact(net_main))
+            elif sparse and op == "support_lower_bound":
+                expect = ("ok", sum(1 for c in net_main.values() if c))
+            assert got == expect
+        # a copy, so that checking the digest does not build main's tables
+        assert copy.deepcopy(main).digest() == ref_main.digest()
+    sparse = main._count is None
+    got, expect = _outcome(main.query), _outcome(ref_main.query)
+    if sparse and expect == ("ok", None):
+        expect = _outcome(lambda: _exact(net_main))
+    assert got == expect
     assert main.digest() == ref_main.digest()
-    assert _outcome(main.query) == _outcome(ref_main.query)
+
+
+def test_sparse_mode_reads_the_buffer_and_builds_no_tables():
+    sk = SparseRecoverySketch(4, 0.1, 1 << 12, seed=2)
+    for i in (5, 9, 9, 700):
+        sk.update(i, 1)
+    sk.update(5, -1)
+    assert sk.support_lower_bound() == 2  # exact: 9 and 700
+    assert sk.query() == {9: 2, 700: 1}
+    assert sk._count is None
+    sk.query()[9] = 0  # a copy, not the buffer
+    assert sk.query() == {9: 2, 700: 1}
+    sk.update(3, -1)
+    with pytest.raises(InputError, match="strict-turnstile"):
+        sk.query()
+    assert sk._count is None
+
+
+def test_decode_below_bucket_count_returns_to_sparse_mode():
+    sk = SparseRecoverySketch(4, 0.1, 1 << 12, seed=7)
+    ref = EagerSparseRecoverySketch(4, 0.1, 1 << 12, seed=7)
+    ids = [100 + 3 * j for j in range(3 * sk.buckets)]
+    for i in ids[:sk.buckets]:  # the buffer fills: the tables are built
+        sk.update(i, 1)
+        ref.update(i, 1)
+    assert sk._count is not None
+    assert sk.query() == ref.query() == dict.fromkeys(ids[:sk.buckets], 1)
+    assert sk._count is not None  # a decode of 2s ids keeps the tables
+    for i in ids[sk.buckets:]:
+        sk.update(i, 1)
+        ref.update(i, 1)
+    for i in ids[3:]:  # back to 3 ids, below the bucket count
+        sk.update(i, -1)
+        ref.update(i, -1)
+    assert sk._count is not None
+    before = copy.deepcopy(sk).digest()
+    assert sk.query() == ref.query() == {100: 1, 103: 1, 106: 1}
+    assert sk._count is None and sk._pending == {100: 1, 103: 1, 106: 1}
+    assert before == sk.digest() == ref.digest()
+
+
+def test_merging_sparse_sketches_builds_tables_only_on_overflow():
+    a, b = (SparseRecoverySketch(4, 0.1, 256, seed=21) for _ in range(2))
+    for i in (1, 2, 3):
+        a.update(i, 1)
+    for i in (3, 4):
+        b.update(i, 1)
+    b.update(1, -1)  # cancels a's id 1 in the sum
+    a.merge(b)
+    assert a._count is None and b._count is None
+    assert a.query() == {2: 1, 3: 2, 4: 1}
+    for i in range(10, 10 + a.buckets - 3):
+        b.update(i, 1)
+    a.merge(b)  # the sum reaches the bucket count
+    assert a._count is not None and a._pending == {}
 
 
 def test_buffer_flushes_at_bucket_count_and_tables_are_lazy():
