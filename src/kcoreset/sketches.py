@@ -15,13 +15,13 @@ to zero. A sketch starts in sparse mode: it has no tables, the buffer is the
 exact net vector, ``query`` returns a copy of it and ``support_lower_bound``
 its size. The tables are allocated and the buffer is applied to them, one
 row update per id and row with the id's net count, when the buffer reaches
-``buckets`` (2s) distinct ids, and when ``digest`` or a ``merge`` with a
-sketch that has tables needs them. From then on the buffer is applied at the
-start of every read. A decode that succeeds with fewer than ``buckets`` ids
-returns the sketch to sparse mode: the decoded vector becomes the buffer and
-the tables are dropped. Because the sketch is linear and reduction modulo the
-prime commutes with addition, the tables built from a buffer equal those of
-applying every update on its own, so the mode never shows in ``digest``.
+``buckets`` (2s) distinct ids, and in ``digest`` and ``merge``. From then on
+the buffer is applied at the start of every read. A decode that succeeds
+with fewer than ``buckets`` ids returns the sketch to sparse mode: the
+decoded vector becomes the buffer and the tables are dropped. Because the
+sketch is linear and reduction modulo the prime commutes with addition, the
+tables built from a buffer equal those of applying every update on its own,
+so the mode never shows in ``digest``.
 A query in sparse mode never fails; only a decode of the tables can.
 
 The distinct-count sketch subsamples ids geometrically (level = trailing
@@ -191,25 +191,10 @@ class SparseRecoverySketch:
         return (tuple(self._count), tuple(self._idsum), tuple(self._sqsum))
 
     def merge(self, other: "SparseRecoverySketch") -> None:
-        """Bucket-wise addition; requires identical shape and seeds.
-
-        When ``other`` has no tables its buffer is added to this one, which
-        is flushed only if it reaches ``buckets`` ids, so merging two sparse
-        sketches builds no tables unless the sum overflows."""
+        """Bucket-wise addition; requires identical shape and seeds."""
         if (self.s, self.rows, self.buckets, self.seed, self.universe) != \
                 (other.s, other.rows, other.buckets, other.seed, other.universe):
             raise InputError("can only merge sketches with identical configuration")
-        if other._count is None:
-            pending = self._pending
-            for ident, c in other._pending.items():
-                total = pending.get(ident, 0) + c
-                if total:
-                    pending[ident] = total
-                else:
-                    del pending[ident]
-            if len(pending) >= self.buckets:
-                self._flush()
-            return
         self._flush()
         other._flush()
         for j in range(len(self._count)):

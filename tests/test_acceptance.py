@@ -248,6 +248,7 @@ def test_criterion_7_sketch_calibration():
                 sk.update(e, 1)
             for e in extra:
                 sk.update(e, -1)
+        sk.digest()  # builds the tables, so the query below decodes them
         got = sk.query()
         if got is not None:
             assert got == truth  # never an incorrect pair

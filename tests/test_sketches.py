@@ -124,11 +124,7 @@ def _add(net, ident, c):
     net[ident] = net.get(ident, 0) + c
 
 
-@seed(20070)
-@given(s=st.integers(1, 4), universe=st.sampled_from([8, 64]), sk_seed=st.integers(0, 50),
-       rows=st.sampled_from([None, None, 1, 2]), steps=_steps)
-@settings(max_examples=300, deadline=None)
-def test_write_combining_matches_eager_oracle(s, universe, sk_seed, rows, steps):
+def _check_against_eager(s, universe, sk_seed, rows, steps):
     # 2s buckets of 2 to 8 overflow the buffer mid-stream; a sign of -1 on an
     # absent id makes the stream negative, so reading it must raise alike.
     # A sketch without tables (sparse mode) answers from its exact buffer, so
@@ -175,6 +171,24 @@ def test_write_combining_matches_eager_oracle(s, universe, sk_seed, rows, steps)
     assert main.digest() == ref_main.digest()
 
 
+@seed(20070)
+@given(s=st.integers(1, 4), universe=st.sampled_from([8, 64]), sk_seed=st.integers(0, 50),
+       steps=_steps)
+@settings(max_examples=300, deadline=None)
+def test_write_combining_matches_eager_oracle(s, universe, sk_seed, steps):
+    _check_against_eager(s, universe, sk_seed, None, steps)
+
+
+@seed(20071)
+@given(s=st.integers(1, 4), universe=st.sampled_from([8, 64]), sk_seed=st.integers(0, 50),
+       rows=st.sampled_from([1, 2]), steps=_steps)
+@settings(max_examples=150, deadline=None)
+def test_sparse_mode_answers_where_few_row_eager_decode_fails(s, universe, sk_seed, rows,
+                                                              steps):
+    # with 1 or 2 rows the eager decode often fails while the sketch is sparse
+    _check_against_eager(s, universe, sk_seed, rows, steps)
+
+
 def test_sparse_mode_reads_the_buffer_and_builds_no_tables():
     sk = SparseRecoverySketch(4, 0.1, 1 << 12, seed=2)
     for i in (5, 9, 9, 700):
@@ -212,22 +226,6 @@ def test_decode_below_bucket_count_returns_to_sparse_mode():
     assert sk.query() == ref.query() == {100: 1, 103: 1, 106: 1}
     assert sk._count is None and sk._pending == {100: 1, 103: 1, 106: 1}
     assert before == sk.digest() == ref.digest()
-
-
-def test_merging_sparse_sketches_builds_tables_only_on_overflow():
-    a, b = (SparseRecoverySketch(4, 0.1, 256, seed=21) for _ in range(2))
-    for i in (1, 2, 3):
-        a.update(i, 1)
-    for i in (3, 4):
-        b.update(i, 1)
-    b.update(1, -1)  # cancels a's id 1 in the sum
-    a.merge(b)
-    assert a._count is None and b._count is None
-    assert a.query() == {2: 1, 3: 2, 4: 1}
-    for i in range(10, 10 + a.buckets - 3):
-        b.update(i, 1)
-    a.merge(b)  # the sum reaches the bucket count
-    assert a._count is not None and a._pending == {}
 
 
 def test_buffer_flushes_at_bucket_count_and_tables_are_lazy():
@@ -296,6 +294,7 @@ def test_exact_recovery_and_never_wrong():
             truth[int(ident)] = c
             for _ in range(c):
                 sk.update(int(ident), 1)
+        sk.digest()  # builds the tables, so the query below decodes them
         got = sk.query()
         if got is None:
             failures += 1
