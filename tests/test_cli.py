@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,7 +11,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kcoreset import WeightedPoint, pointio
-from kcoreset.cli import main
+from kcoreset.cli import build_parser, main
+from kcoreset.sketches import SparseRecoverySketch
 
 W = WeightedPoint
 
@@ -350,3 +353,226 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([arg.replace("{dir}", tmp) for arg in argv])
     assert code in {0, 2, 3, 4, 5}
+
+
+# ---------------------------------------------------------------------------
+# Pins: every README CLI example, the oracle and adversarial-distribution
+# paths and one case per error exit code, run in order in one directory; and
+# the parser surface of every subcommand.
+# ---------------------------------------------------------------------------
+
+def _pin_inputs():
+    """Writes the hand-made inputs of the pinned runs into the working directory."""
+    write_pts("small.txt", [1, 2, 3, 4])
+    pointio.write_points("bad.txt", [W((1.0,), 1), W((2.0,), 1), W((4.0,), 2)])
+    pointio.write_points("squares.txt", [W((float(i * i), float(i * i))) for i in range(60)])
+    with open("assign.txt", "w", encoding="utf-8") as fh:
+        fh.write("1 1 2 3\n")
+
+
+# (argv, exit code, stats without wall_time_s or the stderr label, --out SHA-256)
+PINNED_RUNS = [
+    ("gen --family one-dim-lb --k 2 --z 1 --out pts.txt",
+     0, {"algorithm": "gen", "count": 3, "family": "one-dim-lb", "out": "pts.txt"},
+     "c623f31eecfae5df65a106259ea01a7ff2c00c4ad78e6d6eabe750ab03a981b2"),
+    ("gen --family insertion-lb --k 2 --z 1 --out ins.txt",
+     0, {"algorithm": "gen", "count": 4, "family": "insertion-lb", "out": "ins.txt"},
+     "3aff4758d321670cd0c463af81d23053ccca84866a2213e4a38b0f49458083cc"),
+    ("gen --family dynamic-lb --k 2 --z 1 --eps 0.125 --d 1 --delta 256 --out upd.txt",
+     0, {"algorithm": "gen", "count": 3, "family": "dynamic-lb", "out": "upd.txt"},
+     "8d59afcb422849efbdc8d8bf091e351e2c7388b0b8729ea83dac151af95c972e"),
+    ("offline pts.txt --k 2 --z 1 --eps 1.0 --out core.txt",
+     0, {"algorithm": "offline-mbc", "coreset_size": 3, "epsilon": 1.0, "greedy_radius": 0.0,
+         "k": 2, "metric": "linf", "mini_ball_radius": 0.0, "out": "core.txt", "points": 3,
+         "size_bound": 25.0, "total_weight": 3, "z": 1},
+     "c623f31eecfae5df65a106259ea01a7ff2c00c4ad78e6d6eabe750ab03a981b2"),
+    ("stream pts.txt --k 2 --z 1 --eps 1.0 --d 1 --out core.txt",
+     0, {"algorithm": "insertion-streaming", "arrivals": 3, "coreset_size": 3, "d": 1,
+         "epsilon": 1.0, "final_r": 0.0, "k": 2, "out": "core.txt", "threshold": 33, "z": 1},
+     "c623f31eecfae5df65a106259ea01a7ff2c00c4ad78e6d6eabe750ab03a981b2"),
+    ("validate pts.txt core.txt --k 2 --z 1 --eps 1.0",
+     0, {"algorithm": "validate", "passed": True, "violated_condition": None, "witness": None},
+     None),
+    ("mpc pts.txt --algo two-round --machines 3 --k 2 --z 1 --eps 0.5 --out core.txt",
+     0, {"algorithm": "mpc-two-round", "coordinator_peak_words": 12, "coreset_size": 3,
+         "epsilon": 0.5, "k": 2, "machines": 3, "messages_per_round": [12, 4],
+         "out": "core.txt", "per_machine_peak_words": [10, 10, 10], "r_hat": 0.0, "rounds": 2,
+         "z": 1},
+     "c623f31eecfae5df65a106259ea01a7ff2c00c4ad78e6d6eabe750ab03a981b2"),
+    ("mpc pts.txt --algo one-round --machines 4 --dist random:7 "
+     "--k 2 --z 1 --eps 0.5 --out core.txt",
+     0, {"algorithm": "mpc-one-round", "coordinator_peak_words": 6, "coreset_size": 3,
+         "epsilon": 0.5, "k": 2, "machines": 4, "messages_per_round": [6], "out": "core.txt",
+         "per_machine_peak_words": [0, 4, 4, 4], "rounds": 1, "seed": 7, "z": 1, "z_prime": 1},
+     "3c777b49b5b7ed902f9bc281665535453877e91d36da8c6ee19168ab66005b75"),
+    ("mpc pts.txt --algo r-round --machines 8 --rounds 3 --k 2 --z 1 --eps 0.5 --out core.txt",
+     0, {"algorithm": "mpc-r-round", "coordinator_peak_words": 6, "coreset_size": 3,
+         "epsilon": 0.5, "k": 2, "machines": 8, "messages_per_round": [4, 2, 0],
+         "out": "core.txt", "per_machine_peak_words": [12, 4, 4, 0, 0, 0, 0, 0], "rounds": 3,
+         "z": 1},
+     "c623f31eecfae5df65a106259ea01a7ff2c00c4ad78e6d6eabe750ab03a981b2"),
+    ("dynamic upd.txt --k 2 --z 1 --eps 0.125 --seed 3 --out core.txt",
+     0, {"algorithm": "dynamic-streaming", "coreset_size": 3, "d": 1, "delta": 256,
+         "epsilon": 0.125, "exact_shadow": False, "k": 2, "level": 0, "live_count": 3, "ops": 3,
+         "out": "core.txt", "seed": 3, "sketch_bytes": 1385280, "z": 1},
+     "18a5415273f118f716545cdaf6887a2bd432ca57a6c7e92e60bddf0289ff6a00"),
+    ("dynamic upd.txt --k 2 --z 1 --eps 0.125 --seed 3 --out core.txt --exact-shadow",
+     0, {"algorithm": "dynamic-streaming", "coreset_size": 3, "d": 1, "delta": 256,
+         "epsilon": 0.125, "exact_shadow": True, "k": 2, "level": 0, "live_count": 3, "ops": 3,
+         "out": "core.txt", "seed": 3, "sketch_bytes": 0, "z": 1},
+     "18a5415273f118f716545cdaf6887a2bd432ca57a6c7e92e60bddf0289ff6a00"),
+    ("offline ins.txt --k 2 --z 1 --eps 0.5 --oracle input-points --out core.txt",
+     0, {"algorithm": "offline-mbc", "coreset_opt": 1.0, "coreset_size": 4, "epsilon": 0.5,
+         "greedy_radius": 1.5, "k": 2, "metric": "linf", "mini_ball_radius": 0.25,
+         "oracle_opt": 1.0, "out": "core.txt", "points": 4, "size_bound": 49.0,
+         "total_weight": 4, "z": 1},
+     "3aff4758d321670cd0c463af81d23053ccca84866a2213e4a38b0f49458083cc"),
+    ("stream ins.txt --k 2 --z 1 --eps 0.5 "
+     "--d 1 --metric l2 --oracle midpoint-grid --out core.txt",
+     0, {"algorithm": "insertion-streaming", "arrivals": 4, "coreset_opt": 0.5,
+         "coreset_size": 4, "d": 1, "epsilon": 0.5, "final_r": 0.5, "k": 2, "oracle_opt": 0.5,
+         "out": "core.txt", "threshold": 65, "z": 1},
+     "3aff4758d321670cd0c463af81d23053ccca84866a2213e4a38b0f49458083cc"),
+    ("mpc small.txt --algo two-round --machines 3 --dist adversarial:assign.txt "
+     "--k 2 --z 1 --eps 0.5 --out core.txt",
+     0, {"algorithm": "mpc-two-round", "coordinator_peak_words": 14, "coreset_size": 4,
+         "epsilon": 0.5, "k": 2, "machines": 3, "messages_per_round": [12, 4],
+         "out": "core.txt", "per_machine_peak_words": [14, 10, 10], "r_hat": 0.0, "rounds": 2,
+         "z": 1},
+     "4222cfc158683dd8a941aedabeb69f61acb5a0834dc0584ed97c790f4de40fee"),
+    ("validate small.txt bad.txt --k 2 --z 1 --eps 0.5",
+     2, {"algorithm": "validate", "passed": False, "violated_condition": "RadiusBandLow",
+         "witness": "opt(coreset)=0.0 below (1-eps)*opt(P)=0.25"},
+     None),
+    ("offline pts.txt --k 2 --z 1 --eps 1.0 --metric l1 --out err.txt",
+     3, "input error",
+     None),
+    ("offline missing.txt --k 2 --z 1 --eps 1.0 --out err.txt",
+     3, "input error",
+     None),
+    ("gen --family dynamic-lb --k 2 --z 1 --out err.txt",
+     3, "input error",
+     None),
+    ("validate squares.txt squares.txt --k 1 --z 0 --eps 0.5",
+     4, "capacity error",
+     None),
+]
+
+
+def _observe(argv):
+    """(exit code, stats without wall_time_s or the stderr label, --out file SHA-256)."""
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    if out.getvalue():
+        stats = json.loads(out.getvalue())
+        del stats["wall_time_s"]
+    else:
+        stats = err.getvalue().partition(":")[0]
+    path = argv.split()[argv.split().index("--out") + 1] if "--out" in argv.split() else None
+    sha = None
+    if path is not None and os.path.isfile(path):
+        with open(path, "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+    return code, stats, sha
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _pin_inputs()
+    for argv, *pinned in PINNED_RUNS:
+        assert _observe(argv) == tuple(pinned), argv
+    # exit 5 needs every decode to fail, which no small valid stream does
+    monkeypatch.setattr(SparseRecoverySketch, "query", lambda self: None)
+    assert _observe("dynamic upd.txt --k 2 --z 1 --eps 0.125 --seed 3 --out failed.txt") == \
+        (5, "sketch failure", None)
+
+
+# dest -> (option strings, default, choices, required, nargs, type name), per subcommand
+PARSER_SURFACE = {
+    "offline": {
+        "help": (("-h", "--help"), "==SUPPRESS==", None, False, 0, None),
+        "points": ((), None, None, True, None, None),
+        "k": (("--k",), None, None, True, None, "int"),
+        "z": (("--z",), None, None, True, None, "int"),
+        "eps": (("--eps",), None, None, True, None, "float"),
+        "metric": (("--metric",), "linf", ["l2", "linf"], False, None, None),
+        "oracle": (("--oracle",), "none", ["none", "input-points", "midpoint-grid"],
+                   False, None, None),
+        "out": (("--out",), None, None, True, None, None),
+    },
+    "stream": {
+        "help": (("-h", "--help"), "==SUPPRESS==", None, False, 0, None),
+        "points": ((), None, None, True, None, None),
+        "k": (("--k",), None, None, True, None, "int"),
+        "z": (("--z",), None, None, True, None, "int"),
+        "eps": (("--eps",), None, None, True, None, "float"),
+        "d": (("--d",), None, None, True, None, "int"),
+        "metric": (("--metric",), "linf", ["l2", "linf"], False, None, None),
+        "oracle": (("--oracle",), "none", ["none", "input-points", "midpoint-grid"],
+                   False, None, None),
+        "out": (("--out",), None, None, True, None, None),
+    },
+    "dynamic": {
+        "help": (("-h", "--help"), "==SUPPRESS==", None, False, 0, None),
+        "updates": ((), None, None, True, None, None),
+        "k": (("--k",), None, None, True, None, "int"),
+        "z": (("--z",), None, None, True, None, "int"),
+        "eps": (("--eps",), None, None, True, None, "float"),
+        "delta_fail": (("--delta-fail",), 0.1, None, False, None, "float"),
+        "seed": (("--seed",), 0, None, False, None, "int"),
+        "exact_shadow": (("--exact-shadow",), False, None, False, 0, None),
+        "out": (("--out",), None, None, True, None, None),
+    },
+    "mpc": {
+        "help": (("-h", "--help"), "==SUPPRESS==", None, False, 0, None),
+        "points": ((), None, None, True, None, None),
+        "k": (("--k",), None, None, True, None, "int"),
+        "z": (("--z",), None, None, True, None, "int"),
+        "eps": (("--eps",), None, None, True, None, "float"),
+        "algo": (("--algo",), None, ["two-round", "one-round", "r-round"], True, None, None),
+        "machines": (("--machines",), None, None, True, None, "int"),
+        "rounds": (("--rounds",), 1, None, False, None, "int"),
+        "dist": (("--dist",), "roundrobin", None, False, None, None),
+        "metric": (("--metric",), "linf", ["l2", "linf"], False, None, None),
+        "out": (("--out",), None, None, True, None, None),
+    },
+    "gen": {
+        "help": (("-h", "--help"), "==SUPPRESS==", None, False, 0, None),
+        "family": (("--family",), None, ["insertion-lb", "one-dim-lb", "dynamic-lb"],
+                   True, None, None),
+        "k": (("--k",), None, None, True, None, "int"),
+        "z": (("--z",), None, None, True, None, "int"),
+        "eps": (("--eps",), 0.125, None, False, None, "float"),
+        "d": (("--d",), 1, None, False, None, "int"),
+        "delta": (("--delta",), None, None, False, None, "int"),
+        "probe": (("--probe",), None, None, False, 2, "int"),
+        "scenario": (("--scenario",), None, None, False, 3, "int"),
+        "extra": (("--extra",), False, None, False, 0, None),
+        "out": (("--out",), None, None, True, None, None),
+    },
+    "validate": {
+        "help": (("-h", "--help"), "==SUPPRESS==", None, False, 0, None),
+        "points": ((), None, None, True, None, None),
+        "coreset": ((), None, None, True, None, None),
+        "k": (("--k",), None, None, True, None, "int"),
+        "z": (("--z",), None, None, True, None, "int"),
+        "eps": (("--eps",), None, None, True, None, "float"),
+        "metric": (("--metric",), "linf", ["l2", "linf"], False, None, None),
+        "universe": (("--universe",), "midpoint-grid", ["input-points", "midpoint-grid"],
+                     False, None, None),
+    },
+}
+
+
+def test_parser_surface_is_pinned():
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {a.dest: (tuple(a.option_strings), a.default,
+                        None if a.choices is None else list(a.choices), a.required, a.nargs,
+                        getattr(a.type, "__name__", None))
+               for a in parser._actions}
+        for name, parser in sub.choices.items()
+    }
+    assert surface == PARSER_SURFACE
