@@ -12,25 +12,35 @@ import json
 import sys
 import time
 
-from .errors import CapacityError, InputError, SketchFailureError
-from .metric import L2, LINF, Metric, total_weight
-from .offline import Instance, mbc_construction, mbc_size_bound
-from .streaming import InsertionStream
+from . import pointio
 from .dynamic import DynamicCoresetState
+from .errors import CapacityError, InputError, SketchFailureError
+from .lowerbounds import DynamicLbStream, gen_dynamic_lb, gen_insertion_lb, gen_one_dim_lb
+from .metric import L2, LINF, Metric, input_points_universe, midpoint_grid_universe, total_weight
 from .mpc import (
     MpcConfig, adversarial, random_dist, round_robin,
     run_one_round_randomized, run_r_round, run_two_round,
 )
-from .lowerbounds import gen_dynamic_lb, gen_insertion_lb, gen_one_dim_lb
+from .offline import Instance, brute_force_opt, mbc_construction, mbc_size_bound
+from .streaming import InsertionStream
 from .validate import check_coreset
-from .metric import input_points_universe, midpoint_grid_universe
-from . import pointio
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_INPUT = 3
-EXIT_CAPACITY = 4
-EXIT_SKETCH = 5
+
+# exit code per exception class, the first match deciding; OSError and
+# UnicodeDecodeError are files that cannot be read as text
+EXIT_CODES = {
+    InputError: 3,
+    OSError: 3,
+    UnicodeDecodeError: 3,
+    CapacityError: 4,
+    SketchFailureError: 5,
+}
+_ERROR_LABELS = {3: "input error", 4: "capacity error", 5: "sketch failure"}
+
+METRICS = {"l2": Metric(L2), "linf": Metric(LINF)}
+UNIVERSES = {"input-points": input_points_universe(), "midpoint-grid": midpoint_grid_universe()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,87 +48,57 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _metric(name: str) -> Metric:
-    if name == "l2":
-        return Metric(L2)
-    if name == "linf":
-        return Metric(LINF)
-    raise InputError(f"unknown metric {name!r}")
-
-
-def _universe(name: str):
-    if name == "input-points":
-        return input_points_universe()
-    if name == "midpoint-grid":
-        return midpoint_grid_universe()
-    raise InputError(f"unknown universe {name!r}")
-
-
-def _emit(stats: dict) -> None:
-    print(json.dumps(stats, sort_keys=True))
-
-
-def _oracle_fields(points, coreset, args, metric) -> dict:
+def _oracle_fields(points, coreset, args) -> dict:
     """Optional oracle-vs-coreset radii for the stats record."""
     if args.oracle == "none":
         return {}
-    universe = _universe(args.oracle)
-    from .offline import brute_force_opt
+    metric, universe = METRICS[args.metric], UNIVERSES[args.oracle]
     opt_in = brute_force_opt(Instance(tuple(points), args.k, args.z, 1.0, metric), universe)
     opt_core = brute_force_opt(Instance(tuple(coreset), args.k, args.z, 1.0, metric), universe)
     return {"oracle_opt": opt_in.radius, "coreset_opt": opt_core.radius}
 
 
-def cmd_offline(args) -> int:
-    t0 = time.perf_counter()
+def cmd_offline(args):
     points = pointio.read_points(args.points)
-    metric = _metric(args.metric)
-    inst = Instance(tuple(points), args.k, args.z, args.eps, metric)
+    inst = Instance(tuple(points), args.k, args.z, args.eps, METRICS[args.metric])
     cov = mbc_construction(inst)
     pointio.write_points(args.out, cov.representatives)
-    d = len(points[0].point)
     stats = {
         "algorithm": "offline-mbc",
         "k": args.k, "z": args.z, "epsilon": args.eps, "metric": args.metric,
         "points": len(points), "total_weight": total_weight(points),
         "coreset_size": len(cov.representatives),
-        "size_bound": mbc_size_bound(args.k, args.z, args.eps, d),
+        "size_bound": mbc_size_bound(args.k, args.z, args.eps, len(points[0].point)),
         "greedy_radius": cov.greedy_radius,
         "mini_ball_radius": cov.ball_radius,
         "out": args.out,
     }
-    stats.update(_oracle_fields(points, cov.representatives, args, metric))
-    stats["wall_time_s"] = time.perf_counter() - t0
-    _emit(stats)
-    return EXIT_OK
+    stats.update(_oracle_fields(points, cov.representatives, args))
+    return stats, EXIT_OK
 
 
-def cmd_stream(args) -> int:
-    t0 = time.perf_counter()
+def cmd_stream(args):
     points = pointio.read_points(args.points)
-    metric = _metric(args.metric)
-    state = InsertionStream(args.k, args.z, args.eps, args.d, metric)
+    state = InsertionStream(args.k, args.z, args.eps, args.d, METRICS[args.metric])
     for wp in points:
         for _ in range(wp.weight):  # a weighted line stands for repeated arrivals
             state.arrival(wp.point)
-    pointio.write_points(args.out, state.report())
+    coreset = state.report()
+    pointio.write_points(args.out, coreset)
     stats = {
         "algorithm": "insertion-streaming",
         "k": args.k, "z": args.z, "epsilon": args.eps, "d": args.d,
         "arrivals": state.arrivals,
         "final_r": state.r,
-        "coreset_size": len(state.pstar),
+        "coreset_size": len(coreset),
         "threshold": state.threshold,
         "out": args.out,
     }
-    stats.update(_oracle_fields(points, state.report(), args, metric))
-    stats["wall_time_s"] = time.perf_counter() - t0
-    _emit(stats)
-    return EXIT_OK
+    stats.update(_oracle_fields(points, coreset, args))
+    return stats, EXIT_OK
 
 
-def cmd_dynamic(args) -> int:
-    t0 = time.perf_counter()
+def cmd_dynamic(args):
     delta, d, ops = pointio.read_update_stream(args.updates)
     state = DynamicCoresetState(
         delta, d, args.k, args.z, args.eps,
@@ -128,7 +108,7 @@ def cmd_dynamic(args) -> int:
     state.apply(ops)
     report = state.report(exact=args.exact_shadow)
     pointio.write_points(args.out, report.points)
-    _emit({
+    return {
         "algorithm": "dynamic-streaming",
         "k": args.k, "z": args.z, "epsilon": args.eps,
         "delta": state.grid.delta, "d": d,
@@ -140,9 +120,7 @@ def cmd_dynamic(args) -> int:
         "exact_shadow": bool(args.exact_shadow),
         "seed": args.seed,
         "out": args.out,
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _parse_dist(spec: str):
@@ -160,19 +138,17 @@ def _parse_dist(spec: str):
     raise InputError(f"unknown distribution {spec!r}")
 
 
-def cmd_mpc(args) -> int:
-    t0 = time.perf_counter()
+MPC_PIPELINES = {
+    "two-round": lambda pts, a, cfg, m: run_two_round(pts, a.k, a.z, a.eps, cfg, m),
+    "one-round": lambda pts, a, cfg, m: run_one_round_randomized(pts, a.k, a.z, a.eps, cfg, m),
+    "r-round": lambda pts, a, cfg, m: run_r_round(pts, a.k, a.z, a.eps, a.rounds, cfg, m),
+}
+
+
+def cmd_mpc(args):
     points = pointio.read_points(args.points)
-    metric = _metric(args.metric)
     cfg = MpcConfig(args.machines, _parse_dist(args.dist))
-    if args.algo == "two-round":
-        run = run_two_round(points, args.k, args.z, args.eps, cfg, metric)
-    elif args.algo == "one-round":
-        run = run_one_round_randomized(points, args.k, args.z, args.eps, cfg, metric)
-    elif args.algo == "r-round":
-        run = run_r_round(points, args.k, args.z, args.eps, args.rounds, cfg, metric)
-    else:
-        raise InputError(f"unknown algorithm {args.algo!r}")
+    run = MPC_PIPELINES[args.algo](points, args, cfg, METRICS[args.metric])
     pointio.write_points(args.out, run.final)
     stats = {
         "algorithm": f"mpc-{run.algorithm}",
@@ -184,161 +160,129 @@ def cmd_mpc(args) -> int:
         "messages_per_round": list(run.messages_per_round),
         "coreset_size": len(run.final),
         "out": args.out,
-        "wall_time_s": time.perf_counter() - t0,
     }
-    if run.r_hat is not None:
-        stats["r_hat"] = run.r_hat
-    if run.z_prime is not None:
-        stats["z_prime"] = run.z_prime
-    if run.seed is not None:
-        stats["seed"] = run.seed
-    _emit(stats)
-    return EXIT_OK
+    for key in ("r_hat", "z_prime", "seed"):  # set only by the pipelines that use them
+        if getattr(run, key) is not None:
+            stats[key] = getattr(run, key)
+    return stats, EXIT_OK
 
 
-def cmd_gen(args) -> int:
-    t0 = time.perf_counter()
-    if args.family == "one-dim-lb":
-        stream = gen_one_dim_lb(args.k, args.z, include_extra=args.extra)
-        pointio.write_points(args.out, stream)
-        count = len(stream)
-    elif args.family == "insertion-lb":
-        probe = tuple(args.probe) if args.probe else None
-        stream = gen_insertion_lb(args.k, args.z, args.eps, args.d, probe=probe)
-        pointio.write_points(args.out, stream)
-        count = len(stream)
-    elif args.family == "dynamic-lb":
-        if args.delta is None:
-            raise InputError("--delta is required for dynamic-lb")
-        scenario = tuple(args.scenario) if args.scenario else None
-        stream = gen_dynamic_lb(args.k, args.z, args.eps, args.d, args.delta,
-                                scenario=scenario)
+def _gen_dynamic_lb(a):
+    if a.delta is None:
+        raise InputError("--delta is required for dynamic-lb")
+    return gen_dynamic_lb(a.k, a.z, a.eps, a.d, a.delta,
+                          scenario=tuple(a.scenario) if a.scenario else None)
+
+
+# each family returns a point list, except dynamic-lb: an update stream
+GENERATORS = {
+    "insertion-lb": lambda a: gen_insertion_lb(a.k, a.z, a.eps, a.d,
+                                               probe=tuple(a.probe) if a.probe else None),
+    "one-dim-lb": lambda a: gen_one_dim_lb(a.k, a.z, include_extra=a.extra),
+    "dynamic-lb": _gen_dynamic_lb,
+}
+
+
+def cmd_gen(args):
+    stream = GENERATORS[args.family](args)
+    if isinstance(stream, DynamicLbStream):
         pointio.write_update_stream(args.out, stream.delta, stream.d, stream.ops)
         count = len(stream.ops)
     else:
-        raise InputError(f"unknown family {args.family!r}")
-    _emit({
-        "algorithm": "gen",
-        "family": args.family,
-        "count": count,
-        "out": args.out,
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return EXIT_OK
+        pointio.write_points(args.out, stream)
+        count = len(stream)
+    return {"algorithm": "gen", "family": args.family, "count": count, "out": args.out}, EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_validate(args):
     points = pointio.read_points(args.points)
     coreset = pointio.read_points(args.coreset)
-    metric = _metric(args.metric)
     report = check_coreset(points, coreset, k=args.k, z=args.z, epsilon=args.eps,
-                           metric=metric, universe=_universe(args.universe))
-    _emit({
+                           metric=METRICS[args.metric], universe=UNIVERSES[args.universe])
+    return {
         "algorithm": "validate",
         "passed": report.passed,
         "violated_condition": report.violated_condition,
         "witness": report.witness,
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    }, EXIT_OK if report.passed else EXIT_VALIDATION
+
+
+# Flags that several subcommands share, declared once.
+_SHARED = {
+    "--k": dict(type=int, required=True),
+    "--z": dict(type=int, required=True),
+    "--eps": dict(type=float, required=True),
+    "--metric": dict(default="linf", choices=METRICS),
+    "--oracle": dict(default="none", choices=["none", *UNIVERSES],
+                     help="also report brute-force optima of input and coreset"),
+    "--out": dict(required=True),
+}
+
+# name -> (function, help, arguments in order); an argument is a positional
+# name, a flag of _SHARED, or a (flag, keyword arguments) pair of its own
+COMMANDS = {
+    "offline": (cmd_offline, "mini-ball covering of a point file", [
+        "points", "--k", "--z", "--eps", "--metric", "--oracle", "--out"]),
+    "stream": (cmd_stream, "insertion-only streaming coreset", [
+        "points", "--k", "--z", "--eps", ("--d", dict(type=int, required=True)),
+        "--metric", "--oracle", "--out"]),
+    "dynamic": (cmd_dynamic, "dynamic streaming coreset over [Delta]^d", [
+        "updates", "--k", "--z", "--eps",
+        ("--delta-fail", dict(type=float, default=0.1)),
+        ("--seed", dict(type=int, default=0)),
+        ("--exact-shadow", dict(action="store_true")),
+        "--out"]),
+    "mpc": (cmd_mpc, "simulate an MPC coreset pipeline", [
+        "points", "--k", "--z", "--eps",
+        ("--algo", dict(required=True, choices=MPC_PIPELINES)),
+        ("--machines", dict(type=int, required=True)),
+        ("--rounds", dict(type=int, default=1)),
+        ("--dist", dict(default="roundrobin",
+                        help="roundrobin | random:<seed> | adversarial:<file>")),
+        "--metric", "--out"]),
+    "gen": (cmd_gen, "write an adversarial instance/stream file", [
+        ("--family", dict(required=True, choices=GENERATORS)),
+        "--k", "--z",
+        ("--eps", dict(type=float, default=0.125)),
+        ("--d", dict(type=int, default=1)),
+        ("--delta", dict(type=int)),
+        ("--probe", dict(type=int, nargs=2, metavar=("CLUSTER", "POINT"))),
+        ("--scenario", dict(type=int, nargs=3, metavar=("CLUSTER", "M", "POINT"))),
+        ("--extra", dict(action="store_true",
+                         help="one-dim-lb: append the (k+z+1)-th arrival")),
+        "--out"]),
+    "validate": (cmd_validate, "check a coreset file against a point file", [
+        "points", "coreset", "--k", "--z", "--eps", "--metric",
+        ("--universe", dict(default="midpoint-grid", choices=UNIVERSES))]),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="kcoreset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, d_flag=True):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--z", type=int, required=True)
-        p.add_argument("--eps", type=float, required=True)
-        if d_flag:
-            p.add_argument("--d", type=int, required=True)
-
-    oracle_choices = ["none", "input-points", "midpoint-grid"]
-
-    p = sub.add_parser("offline", help="mini-ball covering of a point file")
-    p.add_argument("points")
-    common(p, d_flag=False)
-    p.add_argument("--metric", default="linf", choices=["l2", "linf"])
-    p.add_argument("--oracle", default="none", choices=oracle_choices,
-                   help="also report brute-force optima of input and coreset")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_offline)
-
-    p = sub.add_parser("stream", help="insertion-only streaming coreset")
-    p.add_argument("points")
-    common(p)
-    p.add_argument("--metric", default="linf", choices=["l2", "linf"])
-    p.add_argument("--oracle", default="none", choices=oracle_choices,
-                   help="also report brute-force optima of input and coreset")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_stream)
-
-    p = sub.add_parser("dynamic", help="dynamic streaming coreset over [Delta]^d")
-    p.add_argument("updates")
-    common(p, d_flag=False)
-    p.add_argument("--delta-fail", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-shadow", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_dynamic)
-
-    p = sub.add_parser("mpc", help="simulate an MPC coreset pipeline")
-    p.add_argument("points")
-    common(p, d_flag=False)
-    p.add_argument("--algo", required=True, choices=["two-round", "one-round", "r-round"])
-    p.add_argument("--machines", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--dist", default="roundrobin",
-                   help="roundrobin | random:<seed> | adversarial:<file>")
-    p.add_argument("--metric", default="linf", choices=["l2", "linf"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_mpc)
-
-    p = sub.add_parser("gen", help="write an adversarial instance/stream file")
-    p.add_argument("--family", required=True,
-                   choices=["insertion-lb", "one-dim-lb", "dynamic-lb"])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.125)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--probe", type=int, nargs=2, metavar=("CLUSTER", "POINT"))
-    p.add_argument("--scenario", type=int, nargs=3, metavar=("CLUSTER", "M", "POINT"))
-    p.add_argument("--extra", action="store_true",
-                   help="one-dim-lb: append the (k+z+1)-th arrival")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("validate", help="check a coreset file against a point file")
-    p.add_argument("points")
-    p.add_argument("coreset")
-    common(p, d_flag=False)
-    p.add_argument("--metric", default="linf", choices=["l2", "linf"])
-    p.add_argument("--universe", default="midpoint-grid",
-                   choices=["input-points", "midpoint-grid"])
-    p.set_defaults(fn=cmd_validate)
-
+    for name, (fn, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            flag, kwargs = arg if isinstance(arg, tuple) else (arg, _SHARED.get(arg, {}))
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
+    """Runs one subcommand: times it, prints its stats with ``wall_time_s``,
+    and maps an exception to its ``EXIT_CODES`` code and a line on stderr."""
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read as text
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except SketchFailureError as exc:
-        print(f"sketch failure: {exc}", file=sys.stderr)
-        return EXIT_SKETCH
+        t0 = time.perf_counter()
+        stats, code = args.fn(args)
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"{_ERROR_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
+    stats["wall_time_s"] = time.perf_counter() - t0
+    print(json.dumps(stats, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":
