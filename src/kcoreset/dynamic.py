@@ -222,6 +222,7 @@ class DynamicCoresetState:
                 mine.merge(theirs)
 
     def sketch_bytes(self) -> int:
+        """Nominal bytes of the built tables and buffered ids of every level."""
         if self.sr is None:
             return 0
         return sum(sk.nominal_bytes() for sk in self.sr)

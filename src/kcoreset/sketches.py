@@ -203,8 +203,11 @@ class SparseRecoverySketch:
             self._sqsum[j] = (self._sqsum[j] + other._sqsum[j]) % _PRIME
 
     def nominal_bytes(self) -> int:
-        # counts and id sums in machine words, field elements in two words
-        return self.rows * self.buckets * 4 * 8
+        """Bytes the sketch holds, in 8-byte words: four per table bucket once
+        the tables are built (count and id sum one word each, the field
+        element two), plus two per buffered id (the id and its net count)."""
+        tables = 0 if self._count is None else self.rows * self.buckets * 4
+        return (tables + 2 * len(self._pending)) * 8
 
 
 class F0Sketch:

@@ -414,7 +414,7 @@ PINNED_RUNS = [
     ("dynamic upd.txt --k 2 --z 1 --eps 0.125 --seed 3 --out core.txt",
      0, {"algorithm": "dynamic-streaming", "coreset_size": 3, "d": 1, "delta": 256,
          "epsilon": 0.125, "exact_shadow": False, "k": 2, "level": 0, "live_count": 3, "ops": 3,
-         "out": "core.txt", "seed": 3, "sketch_bytes": 1385280, "z": 1},
+         "out": "core.txt", "seed": 3, "sketch_bytes": 304, "z": 1},
      "18a5415273f118f716545cdaf6887a2bd432ca57a6c7e92e60bddf0289ff6a00"),
     ("dynamic upd.txt --k 2 --z 1 --eps 0.125 --seed 3 --out core.txt --exact-shadow",
      0, {"algorithm": "dynamic-streaming", "coreset_size": 3, "d": 1, "delta": 256,

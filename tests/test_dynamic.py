@@ -287,6 +287,21 @@ def test_construction_allocates_no_sketch_tables():
     assert peak < 1 << 20
 
 
+def test_sketch_bytes_count_only_built_tables_and_buffered_ids():
+    # one level's tables: 75 rows x 514 buckets x 4 words of 8 bytes, 1.2 MB
+    sparse = DynamicCoresetState(1024, 2, 2, 1, 0.5, seed=5)
+    table = sparse.sr[0].rows * sparse.sr[0].buckets * 4 * 8
+    for x in range(1, 11):
+        sparse.update((x, x), 1)
+    assert all(sk._count is None for sk in sparse.sr)
+    assert 0 < sparse.sketch_bytes() < table
+    built = DynamicCoresetState(1024, 2, 2, 1, 0.5, seed=5)
+    for x in range(1, 2 * built.s + 1):  # 2s distinct level-0 cells fill its buffer
+        built.update((x, 1), 1)
+    assert [sk._count is not None for sk in built.sr[:2]] == [True, False]
+    assert built.sketch_bytes() >= table
+
+
 def test_report_requires_live_points():
     st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True)
     with pytest.raises(InputError):
