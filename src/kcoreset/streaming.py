@@ -35,15 +35,9 @@ def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
 
 
 class InsertionStream:
-    """Streaming (eps,k,z)-coreset over a metric of declared doubling dimension d.
+    """Streaming (eps,k,z)-coreset over a metric of declared doubling dimension d."""
 
-    With ``track_chains=True`` (test builds) the full representative-merge
-    history is retained so each arrival can be traced to its current
-    representative.
-    """
-
-    def __init__(self, k: int, z: int, epsilon: float, d: int, metric: Metric,
-                 track_chains: bool = False):
+    def __init__(self, k: int, z: int, epsilon: float, d: int, metric: Metric):
         if k < 1 or z < 0:
             raise InputError("need k >= 1 and z >= 0")
         if not (0 < epsilon <= 1):
@@ -57,12 +51,6 @@ class InsertionStream:
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
         self.arrivals = 0
-        self.track_chains = track_chains
-        if track_chains:
-            self._rep_ids: list[int] = []     # id of each current representative
-            self._next_id = 0
-            self._parent: dict[int, int] = {}  # merged rep id -> surviving rep id
-            self._arrival_rep: list[int] = []  # arrival t -> rep id at assignment time
 
     def arrival(self, point) -> None:
         new = WeightedPoint(point)
@@ -76,15 +64,9 @@ class InsertionStream:
         if i is not None:
             rep = self.pstar[i]
             self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
-            if self.track_chains:
-                self._arrival_rep.append(self._rep_ids[i])
         else:
             self._append_coords(point)
             self.pstar.append(new)
-            if self.track_chains:
-                self._rep_ids.append(self._next_id)
-                self._arrival_rep.append(self._next_id)
-                self._next_id += 1
 
         if self.r == 0.0 and len(self.pstar) >= self.k + self.z + 1:
             self.r = min_pairwise_distance(self.pstar, self.metric) / 2.0
@@ -92,16 +74,7 @@ class InsertionStream:
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
-            reps, assignment = _net(self.pstar, delta, self.metric)
-            if self.track_chains:
-                new_ids = [None] * len(reps)
-                for old_idx, new_idx in enumerate(assignment):
-                    old_id = self._rep_ids[old_idx]
-                    if new_ids[new_idx] is None:
-                        new_ids[new_idx] = old_id  # survivor keeps its id
-                    else:
-                        self._parent[old_id] = new_ids[new_idx]
-                self._rep_ids = new_ids
+            reps, _ = _net(self.pstar, delta, self.metric)
             self.pstar = reps
             self._coords[:len(reps)] = coords_array(reps)
 
@@ -130,12 +103,3 @@ class InsertionStream:
 
     def report(self) -> list[WeightedPoint]:
         return list(self.pstar)
-
-    def resolved_representative(self, t: int):
-        """Location of the (transitively merged) representative of arrival t."""
-        if not self.track_chains:
-            raise InputError("stream was not built with track_chains=True")
-        rid = self._arrival_rep[t]
-        while rid in self._parent:
-            rid = self._parent[rid]
-        return self.pstar[self._rep_ids.index(rid)].point
