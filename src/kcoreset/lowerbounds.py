@@ -14,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 from .metric import Metric, L2
 
@@ -115,9 +117,8 @@ def probe_cover_ok(geom: LbGeometry, k: int, probe, metric: Metric = None) -> bo
             centers.append(tuple(c))
     targets = [q for q in cluster if q != p_star] + stream[-4 * d:]
     tol = 1e-9 * max(1.0, geom.r)
-    return all(
-        min(metric.distance(q, c) for c in centers) <= geom.r + tol for q in targets
-    )
+    dist = metric.pairwise(np.asarray(targets, dtype=float), np.asarray(centers))
+    return bool((dist.min(axis=1) <= geom.r + tol).all())
 
 
 def gen_one_dim_lb(k: int, z: int, include_extra: bool = False) -> list[tuple]:
