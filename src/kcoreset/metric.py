@@ -1,9 +1,18 @@
 """Points, weights, metrics, balls, and candidate-center universes.
 
 All types here are immutable value objects; they can be shared freely across
-threads. Coordinates are 64-bit floats and every radius comparison in the
-package goes through ``leq`` (relative tolerance 1e-9 with a unit floor) to
-absorb rounding.
+threads. Coordinates are 64-bit floats. Radius comparisons absorb rounding
+with a slack of ``REL_TOL`` (1e-9) times a scale of at least 1, in one of
+three forms:
+
+- ``leq(a, b)`` scales by the larger of |a| and |b|. ``compute_r_hat`` calls
+  it, and ``uncovered_weight`` applies the same rule to each distance.
+- A comparison of many distances with one bound scales by the bound alone,
+  ``dist <= bound + REL_TOL * max(1, |bound|)``, so one slack serves a whole
+  matrix or row: ``_feasible``, ``_net``, the streaming scan,
+  ``check_mini_ball_covering`` and ``probe_cover_ok``.
+- ``check_coreset`` scales its radius-band slack by the larger of opt(P)
+  and opt(coreset).
 """
 
 from __future__ import annotations
