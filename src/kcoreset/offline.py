@@ -323,7 +323,15 @@ def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
     point within distance delta of q (inclusive) into q, summing weights.
     Returns (representatives, assignment) where assignment[i] is the
     representative index of input point i. ``dmat`` is the points' own
-    distance matrix, computed here when omitted.
+    distance matrix (any view, contiguous or not), computed here when
+    omitted; no distance is computed when it is given.
+
+    The matrix is compared with delta once. Only the rows of points that
+    become representatives are read, and a point already assigned is skipped,
+    so it stays with the first representative that covers it. Representatives
+    are pairwise more than delta apart, so by packing a point lies in the rows
+    of at most 2^O(d) of them, and the rows read list O(2^O(d) n) members in
+    all.
     """
     wps = as_weighted(points)
     n = len(wps)
@@ -332,18 +340,21 @@ def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
     if dmat is None:
         dmat = _self_distances(wps, metric)
     slack = REL_TOL * max(1.0, abs(delta))
-    w = weights_array(wps)
-    assignment = np.full(n, -1, dtype=np.intp)
-    reps = []
-    remaining = np.ones(n, dtype=bool)
+    within = dmat <= delta + slack
+    assignment = [-1] * n
+    firsts = []  # input index of each representative
     for i in range(n):
-        if not remaining[i]:
+        if assignment[i] >= 0:
             continue
-        members = np.flatnonzero(remaining & (dmat[i] <= delta + slack))
-        assignment[members] = len(reps)
-        reps.append(WeightedPoint(wps[i].point, int(w[members].sum())))
-        remaining[members] = False
-    return reps, assignment.tolist()
+        rep = len(firsts)
+        firsts.append(i)
+        for j in np.flatnonzero(within[i]).tolist():
+            if assignment[j] < 0:
+                assignment[j] = rep
+    weights = np.zeros(len(firsts), dtype=np.int64)
+    np.add.at(weights, assignment, weights_array(wps))
+    reps = [WeightedPoint(wps[i].point, wt) for i, wt in zip(firsts, weights.tolist())]
+    return reps, assignment
 
 
 def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:

@@ -6,12 +6,19 @@ insertion order) within (eps/2)*r, else appended with weight 1. Once the set
 reaches k*(16/eps)^d + z, r doubles and the set is recompressed to a
 (eps/2)*r net until it shrinks below the threshold.
 
-Next to the representative list ``pstar`` the state keeps ``_coords``, a
-growable float buffer whose first ``len(pstar)`` rows hold the
-representatives' coordinates in the same order. It grows by doubling and is
-rewritten after each recompression. An arrival is scanned against it with one
+Next to the representative list ``pstar`` the state keeps two growable
+buffers whose first m = ``len(pstar)`` rows follow ``pstar``'s order:
+``_coords`` holds the representatives' coordinates and ``_dist[:m, :m]``
+their distance matrix. An arrival is scanned against ``_coords`` with one
 ``Metric.pairwise`` call, and the first row within (eps/2)*r is found with a
 mask and ``argmax``, so the first-in-insertion-order rule is kept exactly.
+When the arrival becomes a representative, that scan row is stored as its row
+and column of ``_dist``. ``pairwise(X, X)`` is symmetric bit for bit and
+computes each entry as a one-row call does, so the buffer always equals the
+matrix ``pairwise`` would build. A recompression hands ``_dist[:m, :m]`` to
+``_net`` and gathers both buffers down to the kept rows, so it computes no
+distance. Both buffers grow by doubling, up to the threshold; ``_dist`` holds
+at most threshold^2 floats.
 
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
@@ -23,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .metric import Metric, REL_TOL, WeightedPoint, coords_array, min_pairwise_distance
+from .metric import Metric, REL_TOL, WeightedPoint, min_pairwise_distance
 from .offline import _net
 
 
@@ -50,6 +57,7 @@ class InsertionStream:
         self.r = 0.0
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
+        self._dist = None  # [:len(pstar), :len(pstar)] holds their distance matrix
         self.arrivals = 0
 
     def arrival(self, point) -> None:
@@ -60,12 +68,12 @@ class InsertionStream:
         self.arrivals += 1
         limit = (self.epsilon / 2.0) * self.r
         slack = REL_TOL * max(1.0, limit)
-        i = self._first_within(point, limit + slack)
+        i, row = self._first_within(point, limit + slack)
         if i is not None:
             rep = self.pstar[i]
             self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
         else:
-            self._append_coords(point)
+            self._append(point, row)
             self.pstar.append(new)
 
         if self.r == 0.0 and len(self.pstar) >= self.k + self.z + 1:
@@ -74,28 +82,43 @@ class InsertionStream:
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
-            reps, _ = _net(self.pstar, delta, self.metric)
+            m = len(self.pstar)
+            reps, assignment = _net(self.pstar, delta, self.metric, dmat=self._dist[:m, :m])
+            _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
+            self._coords[:len(keep)] = self._coords[keep]
+            self._dist[:len(keep), :len(keep)] = self._dist[np.ix_(keep, keep)]
             self.pstar = reps
-            self._coords[:len(reps)] = coords_array(reps)
 
     def _first_within(self, point, bound):
-        """Index of the first representative within ``bound`` of point, or None."""
+        """The index of the first representative within ``bound`` of point
+        (None if there is none) and point's distance row to the
+        representatives (None if there are no representatives)."""
         m = len(self.pstar)
         if not m:
-            return None
-        within = self.metric.pairwise(np.asarray([point]), self._coords[:m])[0] <= bound
-        i = int(within.argmax())
-        return i if within[i] else None
+            return None, None
+        row = self.metric.pairwise(np.asarray([point]), self._coords[:m])[0]
+        i = int((row <= bound).argmax())
+        return (i if row[i] <= bound else None), row
 
-    def _append_coords(self, point) -> None:
+    def _append(self, point, row) -> None:
+        """Store a new representative's coordinates, and its scan row as its
+        row and column of the distance matrix."""
         m = len(self.pstar)
         if self._coords is None:
-            self._coords = np.empty((16, len(point)))
+            self._coords = np.empty((16, len(point)))  # 16 <= threshold
+            self._dist = np.empty((16, 16))
         elif m == len(self._coords):
-            grown = np.empty((2 * m, len(point)))
-            grown[:m] = self._coords
-            self._coords = grown
+            cap = min(2 * m, self.threshold)
+            coords, dist = self._coords, self._dist
+            self._coords = np.empty((cap, len(point)))
+            self._coords[:m] = coords
+            self._dist = np.empty((cap, cap))
+            self._dist[:m, :m] = dist
         self._coords[m] = point
+        if m:
+            self._dist[m, :m] = row
+            self._dist[:m, m] = row
+        self._dist[m, m] = 0.0
 
     def extend(self, points) -> None:
         for p in points:

@@ -572,17 +572,34 @@ def scalar_net(points, delta, metric):
 
 def test_net_matches_scalar_oracle():
     rng = np.random.default_rng(53)
+    cases = []
     for trial in range(120):
         metric = Metric((LINF, L2)[trial % 2])
         n = int(rng.integers(1, 60))
         pts = random_points(rng, n, 1 + trial % 3, hi=int(rng.integers(2, 40)),
                             cluster_frac=0.5 * (trial % 3), weights=trial % 5 != 0)
         pts += [pts[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, 6)))]
-        for delta in (0.0, 1.0, float(rng.uniform(0, 20))):
-            reps, assignment = _net(pts, delta, metric)
-            expect = scalar_net(pts, delta, metric)
-            assert (reps, assignment) == expect
-            assert all(type(a) is int for a in assignment)
+        coords = coords_array(pts)
+        spread = float(metric.pairwise(coords, coords).max())
+        # at or above the spread, the first row holds every point
+        for delta in (0.0, 1.0, float(rng.uniform(0, 20)), spread, 2 * spread + 1):
+            cases.append((pts, delta, metric))
+    for trial in range(20):  # all-duplicate sets
+        metric = Metric((LINF, L2)[trial % 2])
+        loc = tuple(float(v) for v in rng.integers(-9, 9, size=1 + trial % 3))
+        pts = [W(loc, int(w)) for w in rng.integers(1, 4, size=int(rng.integers(1, 30)))]
+        for delta in (0.0, 1.0):
+            cases.append((pts, delta, metric))
+    for pts, delta, metric in cases:
+        expect = scalar_net(pts, delta, metric)
+        reps, assignment = _net(pts, delta, metric)
+        assert (reps, assignment) == expect
+        assert all(type(a) is int for a in assignment)
+        # the insertion stream passes a [:m, :m] view of a larger buffer
+        m, coords = len(pts), coords_array(pts)
+        buf = np.zeros((m + 5, m + 3))
+        buf[:m, :m] = metric.pairwise(coords, coords)
+        assert _net(pts, delta, metric, dmat=buf[:m, :m]) == expect
 
 
 def test_update_coreset_examples(linf):

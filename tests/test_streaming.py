@@ -7,9 +7,9 @@ from kcoreset import (
     EXPLICIT, InputError, InsertionStream, Instance, L2, LINF, Metric, WeightedPoint,
     brute_force_opt, input_points_universe, min_pairwise_distance, size_threshold,
 )
-from kcoreset.metric import REL_TOL
-from kcoreset.offline import _net
+from kcoreset.metric import REL_TOL, coords_array
 from conftest import random_points
+from test_offline import scalar_net
 
 
 def test_threshold_examples(linf):
@@ -125,7 +125,9 @@ def test_non_finite_arrival_leaves_state_unchanged(linf):
     st_.arrival((9.0, 1.0))
 
     def state():
-        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:len(st_.pstar)].tolist()
+        m = len(st_.pstar)
+        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:m].tolist(), \
+            st_._dist[:m, :m].tolist()
 
     before = state()
     for bad in ((float("nan"), 3.0), (1.0, float("inf")), (float("-inf"), 0.0)):
@@ -138,8 +140,10 @@ class ScalarInsertionStream(InsertionStream):
     """Reference arrival rule: a scalar ``Metric.distance`` loop over ``pstar``.
 
     This is the scan ``InsertionStream.arrival`` replaced with one
-    ``pairwise`` call over its coordinate buffer; it is kept as the
-    differential oracle for that fast path. It also keeps the
+    ``pairwise`` call over its coordinate buffer, and it recompresses with
+    ``scalar_net``, the net loop that builds its own matrix, where the stream
+    hands ``_net`` its cached distance matrix. It is kept as the differential
+    oracle for both fast paths. It also keeps the
     representative-merge history, so that ``resolved_representative`` traces
     each arrival to its current representative.
     """
@@ -175,7 +179,7 @@ class ScalarInsertionStream(InsertionStream):
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
-            reps, assignment = _net(self.pstar, delta, self.metric)
+            reps, assignment = scalar_net(self.pstar, delta, self.metric)
             new_ids = [None] * len(reps)
             for old_idx, new_idx in enumerate(assignment):
                 old_id = self._rep_ids[old_idx]
@@ -194,28 +198,36 @@ class ScalarInsertionStream(InsertionStream):
         return self.pstar[self._rep_ids.index(rid)].point
 
 
+def growing_stream(kind, rng, n, growth, dim=2, scale=1.0, locs=80):
+    """A metric and an arrival stream over it whose spread grows ``growth``-fold
+    along its n arrivals, so the radius estimate doubles: L2 or L-inf points
+    of dimension ``dim`` on a scaled integer grid, or indices of an explicit
+    matrix of L1 distances between ``locs`` integer points in the plane."""
+    spread = 10 * np.geomspace(1, growth, n)
+    if kind == EXPLICIT:
+        pos = np.rint(rng.uniform(0, 1, size=(locs, 2)) * 40 * growth)
+        mat = np.abs(pos[:, None, :] - pos[None, :, :]).sum(axis=2)
+        order = np.argsort(pos.sum(axis=1), kind="stable")  # nearby indices first
+        stop = np.maximum(1, (locs * spread / spread[-1]).astype(int))
+        stream = [(float(order[rng.integers(s)]),) for s in stop]
+        return Metric(EXPLICIT, matrix=mat.tolist()), stream
+    grid = np.rint(rng.uniform(-1, 1, size=(n, dim)) * spread[:, None])
+    return Metric(kind), [tuple(float(v) * scale for v in row) for row in grid]
+
+
 @st.composite
 def metric_and_stream(draw):
-    """A metric and a seeded arrival stream over it whose spread grows along
-    the stream, so the radius estimate doubles: L2 or L-inf points of
-    dimension 1-3 on a scaled integer grid, or indices of an explicit matrix
-    of L1 distances between integer points in the plane."""
+    """A ``growing_stream`` of a drawn metric kind, seed, length and growth:
+    dimension 1-3 and a drawn scale for L2 and L-inf, a drawn location count
+    for an explicit matrix."""
     kind = draw(st.sampled_from([L2, LINF, EXPLICIT]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([300, 60, 5]))
     growth = draw(st.sampled_from([64, 4, 1]))  # final spread / initial spread
-    spread = 10 * np.geomspace(1, growth, n)
     if kind == EXPLICIT:
-        locs = np.rint(rng.uniform(0, 1, size=(draw(st.sampled_from([80, 20, 2])), 2)) * 40 * growth)
-        mat = np.abs(locs[:, None, :] - locs[None, :, :]).sum(axis=2)
-        order = np.argsort(locs.sum(axis=1), kind="stable")  # nearby indices first
-        stop = np.maximum(1, (len(locs) * spread / spread[-1]).astype(int))
-        stream = [(float(order[rng.integers(s)]),) for s in stop]
-        return Metric(EXPLICIT, matrix=mat.tolist()), stream
-    dim = draw(st.integers(1, 3))
-    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 7.5]))
-    grid = np.rint(rng.uniform(-1, 1, size=(n, dim)) * spread[:, None])
-    return Metric(kind), [tuple(float(v) * scale for v in row) for row in grid]
+        return growing_stream(kind, rng, n, growth, locs=draw(st.sampled_from([80, 20, 2])))
+    return growing_stream(kind, rng, n, growth, dim=draw(st.integers(1, 3)),
+                          scale=draw(st.sampled_from([1.0, 0.1, 1 / 3, 7.5])))
 
 
 @given(case=metric_and_stream(), k=st.integers(1, 2), z=st.integers(0, 2),
@@ -235,3 +247,28 @@ def test_vectorised_scan_matches_scalar_oracle(case, k, z, eps):
         assert [(q.point, q.weight) for q in fast.pstar] == \
                [(q.point, q.weight) for q in slow.pstar]
     assert fast.arrivals == slow.arrivals == len(stream)
+
+
+@pytest.mark.parametrize("kind", [L2, LINF, EXPLICIT])
+def test_cached_distances_match_pairwise(kind, monkeypatch):
+    # threshold 33: the buffers grow 16 -> 32 -> 33, and r doubles repeatedly
+    metric, stream = growing_stream(kind, np.random.default_rng(61), 400, 64)
+    st_ = InsertionStream(2, 1, 1.0, 1, metric)
+    rows = []
+    orig = Metric.pairwise
+    monkeypatch.setattr(Metric, "pairwise", lambda self, a, b: rows.append(len(a)) or orig(self, a, b))
+    doublings = 0
+    for p in stream:
+        r0 = st_.r
+        rows.clear()
+        st_.arrival(p)
+        if r0 > 0 and st_.r != r0:
+            doublings += 1
+            assert rows == [1]  # the arrival's scan; the recompression computes no distance
+        m = len(st_.pstar)
+        coords = coords_array(st_.pstar)
+        assert np.array_equal(st_._coords[:m], coords)
+        assert np.array_equal(st_._dist[:m, :m].view(np.uint64),
+                              orig(metric, coords, coords).view(np.uint64))
+    assert doublings >= 2
+    assert len(st_._dist) == st_.threshold == 33
