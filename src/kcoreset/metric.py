@@ -9,7 +9,7 @@ three forms:
   it, and ``uncovered_weight`` applies the same rule to each distance.
 - A comparison of many distances with one bound scales by the bound alone,
   ``dist <= bound + REL_TOL * max(1, |bound|)``, so one slack serves a whole
-  matrix or row: ``_feasible``, ``_net``, the streaming scan,
+  matrix or row: ``_probe``, ``_net``, the streaming scan,
   ``check_mini_ball_covering`` and ``probe_cover_ok``.
 - ``check_coreset`` scales its radius-band slack by the larger of opt(P)
   and opt(coreset).
@@ -34,10 +34,6 @@ Point = tuple  # tuple of floats (or a single index for explicit-matrix metrics)
 def leq(a: float, b: float) -> bool:
     """a <= b up to relative tolerance (unit floor for values near zero)."""
     return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
-
-
-def close(a: float, b: float) -> bool:
-    return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .metric import (
 )
 
 SUBSET_CAP = 2_000_000  # default cap on enumerated candidate center sets
+_EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -219,12 +220,14 @@ def _self_distances(wps, metric: Metric) -> np.ndarray:
     return metric.pairwise(coords, coords)
 
 
-def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
+def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     """One round-robin of the greedy disk heuristic at guess radius r.
 
     Picks, k times, the input point whose radius-r ball covers maximum
     uncovered weight (ties: lowest index), then marks everything within 3r of
-    it covered. Returns (feasible, chosen center indices).
+    it covered. Returns (uncovered weight left, chosen center indices).
+    Neither depends on an outlier budget: only the verdict ``remaining <= z``
+    does, so one probe serves every z (``greedy``'s ``memo``).
 
     One n x n mask, ``within_r``, is built per probe. Coverage (uncovered
     weight in each point's r-ball; a count when every weight is 1) is
@@ -235,13 +238,19 @@ def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
     ``within_r`` as its column i, so ``dmat`` must be symmetric bit for bit:
     ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit matrix
     is validated as symmetric.
+
+    Coverage is exact in the narrowest type that holds it. A count is at
+    most n, so it sums in int32. Integer weights whose total is below 2^53
+    are summed in float64, which takes the BLAS matrix-vector product:
+    every partial sum is an integer below 2^53, so it is exact in any
+    summation order. At or above 2^53 the product stays in int64.
     """
     slack = REL_TOL * max(1.0, abs(r))
     within_r = dmat <= r + slack
-    uncovered = weights.astype(np.int64)
-    remaining = int(uncovered.sum())
-    unit = remaining == len(uncovered)  # weights are integers >= 1, so all are 1
-    coverage = within_r.sum(axis=1) if unit else within_r @ uncovered
+    remaining = int(weights.sum())
+    unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
+    uncovered = weights.astype(np.float64 if remaining < _EXACT_FLOAT else np.int64)
+    coverage = within_r.sum(axis=1, dtype=np.int32) if unit else within_r @ uncovered
     centers = []
     for i in range(k):
         if remaining == 0:
@@ -254,8 +263,15 @@ def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
         if i == k - 1 or remaining == 0:  # coverage is not read again
             break
         rows = within_r[newly]
-        coverage -= rows.sum(axis=0) if unit else gone @ rows
+        coverage -= rows.sum(axis=0, dtype=np.int32) if unit else gone @ rows
         uncovered[newly] = 0
+    return remaining, centers
+
+
+def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
+    """The verdict of one probe at radius r with z outliers: (feasible,
+    chosen center indices)."""
+    remaining, centers = _probe(dmat, weights, k, r)
     return remaining <= z, centers
 
 
@@ -276,7 +292,7 @@ def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
 
 
 def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None,
-           cands: np.ndarray = None) -> GreedyResult:
+           cands: np.ndarray = None, memo: dict = None) -> GreedyResult:
     """Greedy 3-approximation for weighted k-center with z outliers.
 
     Candidate radii are 0, all pairwise distances, and all half pairwise
@@ -288,6 +304,13 @@ def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None,
     everything is an outlier). ``dmat`` is the points' own distance matrix
     and ``cands`` its ``_candidate_radii``; each is computed here when
     omitted, so callers that search one matrix at several z pass both.
+
+    ``memo`` maps a candidate index to its probe's (remaining weight,
+    centers), which do not depend on z. Callers that search one matrix at
+    several z pass one dict with the same ``dmat`` and ``cands``, and each
+    radius is probed once for all of them. A search still visits the same
+    candidate indices and reads the same verdicts, so the result is the one
+    it has without the memo.
     """
     wps = as_weighted(points)
     w = weights_array(wps) if wps else np.zeros(0, dtype=np.int64)
@@ -297,19 +320,27 @@ def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None,
         dmat = _self_distances(wps, metric)
     if cands is None:
         cands = _candidate_radii(dmat)
+    if memo is None:
+        memo = {}
+
+    def probe(i):
+        if i not in memo:
+            memo[i] = _probe(dmat, w, k, float(cands[i]))
+        return memo[i]
+
     lo, hi = 0, len(cands) - 1
     centers = None  # the centers of the probe at cands[hi], once hi has moved
     while lo < hi:
         mid = (lo + hi) // 2
-        ok, probed = _feasible(dmat, w, k, z, float(cands[mid]))
-        if ok:
+        remaining, probed = probe(mid)
+        if remaining <= z:
             hi, centers = mid, probed
         else:
             lo = mid + 1
     r_f = float(cands[lo])
     if centers is None:
-        ok, centers = _feasible(dmat, w, k, z, r_f)
-        if not ok:  # cannot happen: the top candidate is feasible
+        remaining, centers = probe(lo)
+        if remaining > z:  # cannot happen: the top candidate is feasible
             raise AssertionError("greedy binary search ended on an infeasible radius")
     radius = 3.0 * r_f
     balls = tuple(Ball(wps[c].point, radius) for c in centers)
@@ -365,16 +396,21 @@ def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:
     return reps
 
 
-def _mbc(points, k: int, z: int, epsilon: float, metric: Metric) -> MiniBallCovering:
+def _mbc(points, k: int, z: int, epsilon: float, metric: Metric, *,
+         dmat: np.ndarray = None, result: GreedyResult = None) -> MiniBallCovering:
     """Mini-ball covering construction without Instance validation.
 
     Used internally where vacuous sub-instances (total weight <= z) are
     legitimate, e.g. on starved MPC machines; those reduce to a radius-0 net.
-    One distance matrix serves both the greedy search and the net.
+    One distance matrix serves both the greedy search and the net. A caller
+    that already holds the points' matrix and their ``greedy`` result at z
+    passes them, and only the net runs.
     """
     wps = as_weighted(points)
-    dmat = _self_distances(wps, metric) if wps else None
-    result = greedy(wps, k, z, metric, dmat=dmat)
+    if dmat is None and wps:
+        dmat = _self_distances(wps, metric)
+    if result is None:
+        result = greedy(wps, k, z, metric, dmat=dmat)
     delta = epsilon * result.radius / 3.0
     reps, assignment = _net(wps, delta, metric, dmat=dmat)
     return MiniBallCovering(

@@ -219,6 +219,34 @@ def test_dense_levels_overflow_skip_and_peel(monkeypatch):
            [(p.point, p.weight) for p in exact.points]
 
 
+def test_top_level_stays_sparse_and_ends_every_report(monkeypatch):
+    # The top level has one cell, so its buffer holds at most one id and
+    # never reaches 2s: it builds no tables, and a read of it cannot fail.
+    # With a live point it holds 1 <= s cells, so a report returns there at
+    # the latest, even when every finer level fails. So no valid stream
+    # makes the CLI exit 5 (SketchFailureError).
+    st = DynamicCoresetState(64, 2, 1, 0, 1.0, seed=5)
+    top = st.grid.top_level
+    assert st.grid.cell_count(top) == 1 and st.s == 32
+    rng = np.random.default_rng(53)
+    live = []
+    orig = st.sr_query_level
+    for step in range(300):
+        if live and rng.random() < 0.3:
+            st.update(live.pop(int(rng.integers(len(live)))), -1)
+        else:
+            live.append(tuple(int(v) for v in rng.integers(1, 65, size=2)))
+            st.update(live[-1], 1)
+        assert st.sr[top]._count is None and len(st.sr[top]._pending) <= 1
+        if step % 50 == 49:
+            with monkeypatch.context() as mp:
+                mp.setattr(st, "sr_query_level", lambda lv: None if lv < top else orig(lv))
+                rep = st.report()
+            assert rep.level == top and [p.weight for p in rep.points] == [len(live)]
+            assert st.sr[top]._count is None
+    assert st.sr[0]._count is not None  # the finer levels did build tables
+
+
 def test_permutation_of_updates_is_invisible():
     rng = np.random.default_rng(29)
     pts = [tuple(int(v) for v in rng.integers(1, 17, size=1)) for _ in range(40)]

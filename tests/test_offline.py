@@ -462,6 +462,59 @@ def test_greedy_matches_reference():
     assert probes > 4000 and probes - feasible > 400, (probes, feasible)
 
 
+def test_feasible_arithmetic_matches_reference():
+    # _feasible counts unit weights in int32, sums integer weights in float64
+    # while their total is below 2^53 and in int64 from 2^53 on; each path
+    # against the int64 reference probe, bit for bit
+    big = 2 ** 53
+    # Only the int64 path gets this one right: ball(0) weighs 2^53 + 4 and
+    # ball(1) 2^53 + 5, which float64 rounds to 2^53 + 4, so a float product
+    # would tie them and pick center 0.
+    x = np.asarray([[0.0], [1.0], [2.0]])
+    dmat = Metric(LINF).pairwise(x, x)
+    w = np.asarray([big, 4, 1], dtype=np.int64)
+    assert offline._feasible(dmat, w, 1, 0, 1.0) == ref_feasible(dmat, w, 1, 0, 1.0) == (True, [1])
+    rng = np.random.default_rng(37)
+    paths = Counter()
+    for trial in range(60):
+        n = 2 + int(rng.integers(0, 30))
+        x = rng.integers(0, 2 + trial % 9, size=(n, 1 + trial % 3)).astype(float)
+        dmat = Metric(L2 if trial % 2 else LINF).pairwise(x, x)
+        heavy = rng.integers(1, 2 ** 40, size=n)
+        heavy[0] = big + int(rng.integers(0, 5))
+        edge = np.ones(n, dtype=np.int64)
+        edge[0] = big - n  # total 2^53 - 1, the last float64 total
+        for w in (np.ones(n, dtype=np.int64), rng.integers(1, 2 ** 40, size=n), edge, heavy):
+            total = int(w.sum())
+            paths["int32" if total == n else "float64" if total < big else "int64"] += 1
+            for r in ref_candidates(dmat)[::3]:
+                for k in (1, 3):
+                    z = int(rng.integers(0, total))
+                    assert offline._feasible(dmat, w, k, z, float(r)) == \
+                        ref_feasible(dmat, w, k, z, float(r)), (trial, total, r, k, z)
+    assert paths == {"int32": 60, "float64": 120, "int64": 60}
+
+
+def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):
+    # the searches of every budget share one probe memo: each candidate index
+    # is probed once, and exactly the indices the unshared searches probe
+    rng = np.random.default_rng(23)
+    pts = random_points(rng, 60, 2, hi=30, cluster_frac=0.5, weights=True)
+    z = 10
+    expect = ref_outlier_vector(pts, 2, z, linf)
+    radii = []
+    orig = offline._probe
+    monkeypatch.setattr(offline, "_probe",
+                        lambda dmat, w, k, r: radii.append(r) or orig(dmat, w, k, r))
+    for j in range(vector_length(z)):
+        greedy(pts, 2, (1 << j) - 1, linf)
+    unshared, radii[:] = list(radii), []
+    got = outlier_vector(pts, 2, z, linf)
+    assert repr(got) == repr(expect)
+    assert len(radii) == len(set(radii)) and set(radii) == set(unshared)
+    assert len(radii) < len(unshared)
+
+
 def test_candidate_radii_match_unique_formula():
     # the row-slice gather and the merge of two sorted runs against np.unique
     # of the triangle's gather, bit for bit
