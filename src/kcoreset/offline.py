@@ -31,6 +31,7 @@ from .metric import (
 
 SUBSET_CAP = 2_000_000  # default cap on enumerated candidate center sets
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
+_BLOCK_BYTES = 1 << 20  # bound on the cast copy of a mask block in _weighted_rows
 
 
 @dataclass(frozen=True)
@@ -96,36 +97,41 @@ class MiniBallCovering:
 
 def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
     """Per row of a (rows, n) nearest-distance matrix: the smallest r with
-    total weight of points at distance > r at most z.
+    total weight of points at distance > r at most z (z >= 0). The answer is
+    0 when the total weight is at most z.
 
-    Peeling drops points in descending distance order while the dropped
-    weight stays <= z; the answer is the largest remaining distance (0 if the
-    total weight is at most z). Only the z+1 largest distances of a row can
-    decide it: every weight is an integer >= 1, so those z+1 entries already
-    weigh more than z, and the peel stops inside them. So a row is not
-    sorted; a selection keeps its top z+1 entries. With unit weights the
-    answer is the (z+1)-th largest distance. Otherwise the top entries are
-    sorted and the first whose cumulative weight exceeds z is the answer.
-    Which of several tied entries the selection keeps, and how ties are
-    ordered, does not change that value. The answer is always one of the
-    input distances, so its bits do not depend on the selection.
+    The rows are peeled all at once, one entry per round: each round takes
+    every row's largest remaining entry (``argmax``), adds its weight to the
+    row's dropped weight, and then overwrites it with -inf. A row's answer is
+    the entry whose weight first takes its dropped weight past z. Every
+    weight is an integer >= 1, so each row has crossed after at most
+    min(z+1, n) rounds, and the loop stops once every row has.
+
+    Ties cannot change the answer. Among equal entries ``argmax`` takes the
+    first, but all of them weigh in before any smaller entry, so the value at
+    which the dropped weight crosses z is the same in any tie order. The
+    answer is always one of the input distances, so its bits do not depend on
+    the order either.
+
+    ``nearest`` is overwritten: pass a copy if it is read again. A round is
+    one argmax over the rows, so the cost is O((z+1) n) per row.
     """
     rows, n = nearest.shape
-    if n == 0:
-        return np.zeros(rows)
-    if z <= 0:
-        return nearest.max(axis=1)
+    cost = np.zeros(rows)
     if int(weights.sum()) <= z:
-        return np.zeros(rows)
-    if (weights == 1).all():
-        return np.partition(nearest, n - z - 1, axis=1)[:, n - z - 1]
-    m = min(z + 1, n)
-    top = np.argpartition(nearest, n - m, axis=1)[:, n - m:]
-    top_near = np.take_along_axis(nearest, top, axis=1)
-    order = np.argsort(-top_near, axis=1)
-    cw = weights[np.take_along_axis(top, order, axis=1)].cumsum(axis=1)
-    idx = (cw <= z).sum(axis=1)  # first sorted entry with cumulative weight > z
-    return np.take_along_axis(top_near, order, axis=1)[np.arange(rows), idx]
+        return cost
+    at = np.arange(rows)
+    dropped = np.zeros(rows, dtype=np.int64)
+    for _ in range(min(z + 1, n)):
+        open_ = dropped <= z  # rows that have not crossed yet
+        if not open_.any():
+            break
+        col = nearest.argmax(axis=1)
+        top = nearest[at, col]
+        cost[open_] = top[open_]
+        dropped += weights[col]
+        nearest[at, col] = -np.inf
+    return cost
 
 
 def _combo_chunks(n_items: int, k: int, chunk: int = 1024):
@@ -180,6 +186,8 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
     centers = [tuple(c) for c in centers]
     if not centers:
         raise InputError("evaluate_cost needs at least one center")
+    if z < 0:
+        raise InputError("z must be >= 0")
     wps = as_weighted(points)
     if not wps:
         return 0.0
@@ -243,14 +251,19 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     most n, so it sums in int32. Integer weights whose total is below 2^53
     are summed in float64, which takes the BLAS matrix-vector product:
     every partial sum is an integer below 2^53, so it is exact in any
-    summation order. At or above 2^53 the product stays in int64.
+    summation order. At or above 2^53 the product stays in int64. Weighted
+    coverage is summed over blocks of rows (``_weighted_rows``), so the
+    product's cast copy of the mask stays small at any n.
     """
     slack = REL_TOL * max(1.0, abs(r))
     within_r = dmat <= r + slack
     remaining = int(weights.sum())
     unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
     uncovered = weights.astype(np.float64 if remaining < _EXACT_FLOAT else np.int64)
-    coverage = within_r.sum(axis=1, dtype=np.int32) if unit else within_r @ uncovered
+    if unit:
+        coverage = within_r.sum(axis=1, dtype=np.int32)
+    else:  # row i of within_r is its column i
+        coverage = _weighted_rows(within_r, np.arange(len(weights)), uncovered)
     centers = []
     for i in range(k):
         if remaining == 0:
@@ -262,10 +275,25 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
         remaining -= int(gone.sum())
         if i == k - 1 or remaining == 0:  # coverage is not read again
             break
-        rows = within_r[newly]
-        coverage -= rows.sum(axis=0, dtype=np.int32) if unit else gone @ rows
+        if unit:
+            coverage -= within_r[newly].sum(axis=0, dtype=np.int32)
+        else:
+            coverage -= _weighted_rows(within_r, np.flatnonzero(newly), uncovered)
         uncovered[newly] = 0
     return remaining, centers
+
+
+def _weighted_rows(mask: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The sum of ``weights[i] * mask[i]`` over i in ``rows``: the product
+    ``weights[rows] @ mask[rows]``, taken over blocks of rows so that the
+    copy of the bool mask cast to the weights' type stays under about
+    ``_BLOCK_BYTES``. The callers' sums are exact in any order."""
+    out = np.zeros(mask.shape[1], dtype=weights.dtype)
+    step = max(1, _BLOCK_BYTES // (8 * mask.shape[1]))
+    for s in range(0, len(rows), step):
+        block = rows[s:s + step]
+        out += weights[block] @ mask[block]
+    return out
 
 
 def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):

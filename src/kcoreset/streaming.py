@@ -6,19 +6,25 @@ insertion order) within (eps/2)*r, else appended with weight 1. Once the set
 reaches k*(16/eps)^d + z, r doubles and the set is recompressed to a
 (eps/2)*r net until it shrinks below the threshold.
 
-Next to the representative list ``pstar`` the state keeps two growable
-buffers whose first m = ``len(pstar)`` rows follow ``pstar``'s order:
-``_coords`` holds the representatives' coordinates and ``_dist[:m, :m]``
-their distance matrix. An arrival is scanned against ``_coords`` with one
-``Metric.pairwise`` call, and the first row within (eps/2)*r is found with a
-mask and ``argmax``, so the first-in-insertion-order rule is kept exactly.
-When the arrival becomes a representative, that scan row is stored as its row
-and column of ``_dist``. ``pairwise(X, X)`` is symmetric bit for bit and
-computes each entry as a one-row call does, so the buffer always equals the
-matrix ``pairwise`` would build. A recompression hands ``_dist[:m, :m]`` to
-``_net`` and gathers both buffers down to the kept rows, so it computes no
-distance. Both buffers grow by doubling, up to the threshold; ``_dist`` holds
-at most threshold^2 floats.
+Next to the representative list ``pstar`` the state keeps two buffers whose
+first m = ``len(pstar)`` rows follow ``pstar``'s order: ``_coords`` holds the
+representatives' coordinates and, from the first radius doubling on,
+``_dist[:m, :m]`` their distance matrix. An arrival is scanned against
+``_coords`` with one ``Metric.pairwise`` call, and the first row within
+(eps/2)*r is found with a mask and ``argmax``, so the first-in-insertion-order
+rule is kept exactly.
+
+``_dist`` is None until the first doubling, so a stream that never reaches
+the threshold holds no quadratic matrix. That doubling builds it with one
+``pairwise`` of the representatives; the set then has exactly threshold
+members, the capacity of ``_coords``, so the matrix never grows. From then on,
+when an arrival becomes a representative, its scan row is stored as its row
+and column. ``pairwise(X, X)`` is symmetric bit for bit and computes each
+entry as a one-row call does, so the buffer always equals the matrix
+``pairwise`` would build. A recompression hands ``_dist[:m, :m]`` to ``_net``
+and gathers both buffers down to the kept rows, so after the first doubling
+it computes no distance. ``_coords`` grows by doubling, up to the threshold;
+``_dist`` holds threshold^2 floats.
 
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
@@ -57,7 +63,7 @@ class InsertionStream:
         self.r = 0.0
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
-        self._dist = None  # [:len(pstar), :len(pstar)] holds their distance matrix
+        self._dist = None  # from the first doubling: [:len(pstar), :len(pstar)] holds their distances
         self.arrivals = 0
 
     def arrival(self, point) -> None:
@@ -83,6 +89,8 @@ class InsertionStream:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
             m = len(self.pstar)
+            if self._dist is None:  # m == threshold == len(self._coords)
+                self._dist = self.metric.pairwise(self._coords, self._coords)
             reps, assignment = _net(self.pstar, delta, self.metric, dmat=self._dist[:m, :m])
             _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
             self._coords[:len(keep)] = self._coords[keep]
@@ -101,24 +109,20 @@ class InsertionStream:
         return (i if row[i] <= bound else None), row
 
     def _append(self, point, row) -> None:
-        """Store a new representative's coordinates, and its scan row as its
-        row and column of the distance matrix."""
+        """Store a new representative's coordinates, and once the distance
+        matrix exists, its scan row as its row and column."""
         m = len(self.pstar)
         if self._coords is None:
             self._coords = np.empty((16, len(point)))  # 16 <= threshold
-            self._dist = np.empty((16, 16))
         elif m == len(self._coords):
-            cap = min(2 * m, self.threshold)
-            coords, dist = self._coords, self._dist
-            self._coords = np.empty((cap, len(point)))
+            coords = self._coords
+            self._coords = np.empty((min(2 * m, self.threshold), len(point)))
             self._coords[:m] = coords
-            self._dist = np.empty((cap, cap))
-            self._dist[:m, :m] = dist
         self._coords[m] = point
-        if m:
+        if self._dist is not None:
             self._dist[m, :m] = row
             self._dist[:m, m] = row
-        self._dist[m, m] = 0.0
+            self._dist[m, m] = 0.0
 
     def extend(self, points) -> None:
         for p in points:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -56,6 +57,8 @@ def test_evaluate_cost_examples(linf):
     assert evaluate_cost(weighted, [(1.0,)], 1, linf) == 1.0
     with pytest.raises(InputError):
         evaluate_cost(pts1d(0), [], 0, linf)
+    with pytest.raises(InputError):
+        evaluate_cost(pts1d(0), [(0.0,)], -1, linf)
 
 
 def exhaustive_threshold_scan(points, centers, z, metric):
@@ -109,14 +112,13 @@ def test_cost_batch_matches_scalar_peel(linf, l2):
                             for cs in center_sets])
         for z in {0, 1, int(rng.integers(0, total + 1)), total - 1, total, total + 3}:
             expect = [scalar_cost_from_nearest(row, w, z) for row in nearest]
-            assert _cost_batch(nearest, w, z).tolist() == expect
+            assert _cost_batch(nearest.copy(), w, z).tolist() == expect
             assert [evaluate_cost(pts, cs, z, metric) for cs in center_sets] == expect
 
 
 def test_cost_batch_edge_cases():
-    # both selection branches (unit weights: partition; otherwise
-    # argpartition) against the scalar peel, on rows where selection is
-    # easiest to get wrong
+    # the peel against the scalar peel, on rows of ties, single columns and
+    # z at or past the total weight, with unit, decreasing and equal weights
     rows = {
         "ties": np.full((3, 6), 2.5),
         "ties_and_one": np.array([[1.0, 1.0, 1.0, 4.0, 1.0], [4.0, 4.0, 4.0, 4.0, 0.0]]),
@@ -131,7 +133,7 @@ def test_cost_batch_edge_cases():
                         np.full(n, 3, dtype=np.int64)):
             total = int(weights.sum())
             for z in sorted({0, 1, 2, n - 1, n, n + 2, total - 1, total, total + 5}):
-                got = _cost_batch(nearest, weights, z)
+                got = _cost_batch(nearest.copy(), weights, z)
                 expect = [scalar_cost_from_nearest(row, weights, z) for row in nearest]
                 assert got.tolist() == expect, (name, weights.tolist(), z)
     assert _cost_batch(np.zeros((2, 0)), np.zeros(0, dtype=np.int64), 1).tolist() == [0.0, 0.0]
@@ -282,6 +284,53 @@ def test_enumeration_matches_oracle():
                 assert brute_force_opt(inst, universe) == oracle_brute_force_opt(inst, universe), trial
     assert set(verdicts) == {None, WEIGHT_RESTRICTION, RADIUS_BAND_LOW, RADIUS_BAND_HIGH,
                              EXPANDED_COVER_FAILS}, verdicts
+
+
+def test_cost_batch_many_peel_rounds():
+    # wide rows of few distinct values, so one peel round after another
+    # lands on ties; z from a few rounds up to past the row width
+    rng = np.random.default_rng(83)
+    for trial in range(36):
+        n = int(rng.integers(50, 201))
+        nearest = rng.integers(0, 6, size=(40, n)) * 0.5
+        weights = (np.ones(n, dtype=np.int64),
+                   rng.integers(1, 4, size=n),
+                   rng.integers(1, 40, size=n))[trial % 3]
+        total = int(weights.sum())
+        for z in sorted({5, 8, 20, n - 1, n, total - 1}):
+            expect = [scalar_cost_from_nearest(row, weights, z) for row in nearest]
+            assert _cost_batch(nearest.copy(), weights, z).tolist() == expect, (trial, z)
+
+
+def test_enumeration_matches_oracle_at_large_z():
+    # z in 6..12, above the range of enumeration_case, so the peel runs
+    # many rounds; P and a corrupted or reduced P* on a small grid
+    rng = np.random.default_rng(89)
+    verdicts = Counter()
+    for trial in range(20):
+        metric = Metric((LINF, L2)[trial % 2])
+        z = int(rng.integers(6, 13))
+        k = 1 + trial % 2
+        P = random_points(rng, z + 1 + int(rng.integers(0, 10)), 1 + trial % 2,
+                          hi=int(rng.integers(2, 9)), weights=trial % 3 != 0)
+        if trial % 4 == 0:
+            Pstar = list(mbc_construction(Instance(tuple(P), k, z, 0.5, metric)).representatives)
+        elif trial % 4 == 1:
+            Pstar = [p for p in P if rng.random() < 0.6] or P[:1]
+        elif trial % 4 == 2:
+            Pstar = P[1:] + [WeightedPoint(P[0].point, P[0].weight + 1)]
+        else:
+            Pstar = [WeightedPoint(tuple(v + 1.0 for v in p.point), p.weight) for p in P]
+        universe = midpoint_grid_universe() if trial % 5 == 4 else input_points_universe()
+        eps = (0.1, 0.5, 1.0)[trial % 3]
+        got = check_coreset(P, Pstar, k, z, eps, metric, universe)
+        assert got == oracle_check_coreset(P, Pstar, k, z, eps, metric, universe), trial
+        verdicts[got.violated_condition] += 1
+        for pts in (P, Pstar):
+            if sum(p.weight for p in pts) > z:
+                inst = Instance(tuple(pts), k, z, 1.0, metric)
+                assert brute_force_opt(inst, universe) == oracle_brute_force_opt(inst, universe), trial
+    assert {None, EXPANDED_COVER_FAILS} <= set(verdicts), verdicts
 
 
 def test_evaluate_cost_monotonicity(linf):
@@ -493,6 +542,27 @@ def test_feasible_arithmetic_matches_reference():
                     assert offline._feasible(dmat, w, k, z, float(r)) == \
                         ref_feasible(dmat, w, k, z, float(r)), (trial, total, r, k, z)
     assert paths == {"int32": 60, "float64": 120, "int64": 60}
+
+
+def test_weighted_greedy_memory_stays_below_its_matrix(l2):
+    # at n = 1500 the weighted coverage is summed over 18 row blocks; the
+    # result is the reference's and a search allocates far less than the
+    # 18 MB matrix (one float64 cast of the whole mask would be as large)
+    pts = random_points(np.random.default_rng(43), 1500, 2, hi=1000, cluster_frac=0.5,
+                        weights=True)
+    dmat = offline._self_distances(pts, l2)
+    cands = offline._candidate_radii(dmat)
+    tracemalloc.start()
+    try:
+        got = greedy(pts, 3, 10, l2, dmat=dmat, cands=cands)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == ref_greedy(pts, 3, 10, l2, dmat=dmat)
+    assert peak < dmat.nbytes // 4, (peak, dmat.nbytes)
+    w = weights_array(pts)
+    for r in cands[::len(cands) // 30]:
+        assert offline._feasible(dmat, w, 3, 10, float(r)) == ref_feasible(dmat, w, 3, 10, float(r)), r
 
 
 def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):

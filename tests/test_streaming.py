@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,8 +128,7 @@ def test_non_finite_arrival_leaves_state_unchanged(linf):
 
     def state():
         m = len(st_.pstar)
-        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:m].tolist(), \
-            st_._dist[:m, :m].tolist()
+        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:m].tolist(), st_._dist
 
     before = state()
     for bad in ((float("nan"), 3.0), (1.0, float("inf")), (float("-inf"), 0.0)):
@@ -251,7 +252,7 @@ def test_vectorised_scan_matches_scalar_oracle(case, k, z, eps):
 
 @pytest.mark.parametrize("kind", [L2, LINF, EXPLICIT])
 def test_cached_distances_match_pairwise(kind, monkeypatch):
-    # threshold 33: the buffers grow 16 -> 32 -> 33, and r doubles repeatedly
+    # threshold 33: the coordinates grow 16 -> 32 -> 33, and r doubles repeatedly
     metric, stream = growing_stream(kind, np.random.default_rng(61), 400, 64)
     st_ = InsertionStream(2, 1, 1.0, 1, metric)
     rows = []
@@ -264,7 +265,12 @@ def test_cached_distances_match_pairwise(kind, monkeypatch):
         st_.arrival(p)
         if r0 > 0 and st_.r != r0:
             doublings += 1
-            assert rows == [1]  # the arrival's scan; the recompression computes no distance
+            # the arrival's scan; the first doubling builds the matrix over
+            # the threshold representatives, a later one computes no distance
+            assert rows == ([1, st_.threshold] if doublings == 1 else [1])
+        if not doublings:
+            assert st_._dist is None
+            continue
         m = len(st_.pstar)
         coords = coords_array(st_.pstar)
         assert np.array_equal(st_._coords[:m], coords)
@@ -272,3 +278,20 @@ def test_cached_distances_match_pairwise(kind, monkeypatch):
                               orig(metric, coords, coords).view(np.uint64))
     assert doublings >= 2
     assert len(st_._dist) == st_.threshold == 33
+
+
+def test_distance_matrix_waits_for_the_first_doubling(l2):
+    # threshold 65 536: 3000 spread-out arrivals keep 2717 representatives
+    # and never double r, so no quadratic matrix is built (a 4096 x 4096
+    # one would take 134 MB)
+    stream = [tuple(row) for row in np.random.default_rng(1).uniform(0, 1000, size=(3000, 3))]
+    st_ = InsertionStream(2, 0, 0.5, 3, l2)
+    tracemalloc.start()
+    try:
+        st_.extend(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert st_.threshold == 65536 and st_._dist is None
+    assert len(st_.pstar) == 2717
+    assert peak < 4 << 20
