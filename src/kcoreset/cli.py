@@ -251,7 +251,8 @@ COMMANDS = {
         ("--extra", dict(action="store_true",
                          help="one-dim-lb: append the (k+z+1)-th arrival")),
         "--out"]),
-    "validate": (cmd_validate, "check a coreset file against a point file", [
+    "validate": (cmd_validate, "check a coreset file against a point file (cost linear "
+                 "in z: slower than a selection-based check for z >= 8)", [
         "points", "coreset", "--k", "--z", "--eps", "--metric",
         ("--universe", dict(default="midpoint-grid", choices=UNIVERSES))]),
 }

@@ -31,7 +31,6 @@ from .metric import (
 
 SUBSET_CAP = 2_000_000  # default cap on enumerated candidate center sets
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
-_BLOCK_BYTES = 1 << 20  # bound on the cast copy of a mask block in _weighted_rows
 
 
 @dataclass(frozen=True)
@@ -251,19 +250,14 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     most n, so it sums in int32. Integer weights whose total is below 2^53
     are summed in float64, which takes the BLAS matrix-vector product:
     every partial sum is an integer below 2^53, so it is exact in any
-    summation order. At or above 2^53 the product stays in int64. Weighted
-    coverage is summed over blocks of rows (``_weighted_rows``), so the
-    product's cast copy of the mask stays small at any n.
+    summation order. At or above 2^53 the product stays in int64.
     """
     slack = REL_TOL * max(1.0, abs(r))
     within_r = dmat <= r + slack
     remaining = int(weights.sum())
     unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
     uncovered = weights.astype(np.float64 if remaining < _EXACT_FLOAT else np.int64)
-    if unit:
-        coverage = within_r.sum(axis=1, dtype=np.int32)
-    else:  # row i of within_r is its column i
-        coverage = _weighted_rows(within_r, np.arange(len(weights)), uncovered)
+    coverage = within_r.sum(axis=1, dtype=np.int32) if unit else within_r @ uncovered
     centers = []
     for i in range(k):
         if remaining == 0:
@@ -275,25 +269,10 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
         remaining -= int(gone.sum())
         if i == k - 1 or remaining == 0:  # coverage is not read again
             break
-        if unit:
-            coverage -= within_r[newly].sum(axis=0, dtype=np.int32)
-        else:
-            coverage -= _weighted_rows(within_r, np.flatnonzero(newly), uncovered)
+        rows = within_r[newly]
+        coverage -= rows.sum(axis=0, dtype=np.int32) if unit else gone @ rows
         uncovered[newly] = 0
     return remaining, centers
-
-
-def _weighted_rows(mask: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The sum of ``weights[i] * mask[i]`` over i in ``rows``: the product
-    ``weights[rows] @ mask[rows]``, taken over blocks of rows so that the
-    copy of the bool mask cast to the weights' type stays under about
-    ``_BLOCK_BYTES``. The callers' sums are exact in any order."""
-    out = np.zeros(mask.shape[1], dtype=weights.dtype)
-    step = max(1, _BLOCK_BYTES // (8 * mask.shape[1]))
-    for s in range(0, len(rows), step):
-        block = rows[s:s + step]
-        out += weights[block] @ mask[block]
-    return out
 
 
 def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -542,27 +541,6 @@ def test_feasible_arithmetic_matches_reference():
                     assert offline._feasible(dmat, w, k, z, float(r)) == \
                         ref_feasible(dmat, w, k, z, float(r)), (trial, total, r, k, z)
     assert paths == {"int32": 60, "float64": 120, "int64": 60}
-
-
-def test_weighted_greedy_memory_stays_below_its_matrix(l2):
-    # at n = 1500 the weighted coverage is summed over 18 row blocks; the
-    # result is the reference's and a search allocates far less than the
-    # 18 MB matrix (one float64 cast of the whole mask would be as large)
-    pts = random_points(np.random.default_rng(43), 1500, 2, hi=1000, cluster_frac=0.5,
-                        weights=True)
-    dmat = offline._self_distances(pts, l2)
-    cands = offline._candidate_radii(dmat)
-    tracemalloc.start()
-    try:
-        got = greedy(pts, 3, 10, l2, dmat=dmat, cands=cands)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got == ref_greedy(pts, 3, 10, l2, dmat=dmat)
-    assert peak < dmat.nbytes // 4, (peak, dmat.nbytes)
-    w = weights_array(pts)
-    for r in cands[::len(cands) // 30]:
-        assert offline._feasible(dmat, w, 3, 10, float(r)) == ref_feasible(dmat, w, 3, 10, float(r)), r
 
 
 def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):

@@ -268,12 +268,12 @@ def test_cached_distances_match_pairwise(kind, monkeypatch):
             # the arrival's scan; the first doubling builds the matrix over
             # the threshold representatives, a later one computes no distance
             assert rows == ([1, st_.threshold] if doublings == 1 else [1])
-        if not doublings:
-            assert st_._dist is None
-            continue
         m = len(st_.pstar)
         coords = coords_array(st_.pstar)
         assert np.array_equal(st_._coords[:m], coords)
+        if not doublings:
+            assert st_._dist is None
+            continue
         assert np.array_equal(st_._dist[:m, :m].view(np.uint64),
                               orig(metric, coords, coords).view(np.uint64))
     assert doublings >= 2
