@@ -14,8 +14,12 @@ again after a decode that recovers fewer (sparse mode, see ``sketches``).
 Meanwhile a report decodes that level exactly from the buffer: the read
 cannot fail and builds no tables.
 
-An update validates the point once, as its level-0 cell; the cell at level
-i is that cell's index shifted right by i.
+An update validates the point once, as its level-0 cell. The cell at level
+i is that cell's index shifted right by i, and the sketch of level i sees it
+as one integer id: the shifted coordinates read row-major in base
+Delta >> i (``GridConfig.level_ids``), so no per-level cell tuple is built.
+Row-major ids sort as their index tuples do, so a report sorts the decoded
+ids and turns them into index tuples and centers in one pass per level.
 
 An optional exact shadow (per-level cell -> count maps) supports test mode:
 it enforces strict-turnstile discipline and answers reports without
@@ -78,17 +82,36 @@ class GridConfig:
             out = out * per_axis + v
         return out
 
-    def cell_index(self, ident: int, level: int) -> tuple:
+    def level_ids(self, base: tuple) -> list:
+        """``cell_id`` at every level of the cells holding level-0 cell ``base``:
+        the coordinates shifted right by the level, read row-major."""
+        delta = self.delta
+        ids = []
+        for lv in range(self.levels):
+            per_axis = delta >> lv
+            ident = 0
+            for v in base:
+                ident = ident * per_axis + (v >> lv)
+            ids.append(ident)
+        return ids
+
+    def cell_indices(self, ids, level: int) -> list:
+        """The index tuple of each id at a level, in the order of ``ids``."""
         per_axis = self.cells_per_axis(level)
-        idx = []
-        for _ in range(self.d):
-            idx.append(ident % per_axis)
-            ident //= per_axis
-        return tuple(reversed(idx))
+        strides = [per_axis ** j for j in range(self.d - 1, -1, -1)]
+        return [tuple([ident // st % per_axis for st in strides]) for ident in ids]
+
+    def cell_centers(self, indices, level: int) -> list:
+        """The center of each cell index at a level, in the order given."""
+        side = 1 << level
+        half = (side + 1) / 2.0
+        return [tuple([v * side + half for v in idx]) for idx in indices]
+
+    def cell_index(self, ident: int, level: int) -> tuple:
+        return self.cell_indices((ident,), level)[0]
 
     def cell_center(self, index: tuple, level: int) -> tuple:
-        side = 1 << level
-        return tuple(v * side + (side + 1) / 2.0 for v in index)
+        return self.cell_centers((index,), level)[0]
 
 
 @dataclass(frozen=True)
@@ -140,17 +163,17 @@ class DynamicCoresetState:
             raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
         self.ops += 1
         self.live_count += sign
-        for lv in range(grid.levels):
-            cell = tuple(v >> lv for v in base)
-            if self.shadow is not None:
-                m = self.shadow[lv]
+        if self.shadow is not None:
+            for lv, m in enumerate(self.shadow):
+                cell = tuple(v >> lv for v in base)
                 c = m.get(cell, 0) + sign
                 if c:
                     m[cell] = c
                 else:
                     m.pop(cell, None)
-            if self.sr is not None:
-                self.sr[lv].update(grid.cell_id(cell, lv), sign)
+        if self.sr is not None:
+            for sk, ident in zip(self.sr, grid.level_ids(base)):
+                sk.update(ident, sign)
 
     def apply(self, ops) -> None:
         for sign, point in ops:
@@ -161,13 +184,13 @@ class DynamicCoresetState:
         res = self.sr[level].query()
         if res is None:
             return None
-        return {self.grid.cell_index(i, level): c for i, c in res.items()}
+        ids = sorted(res)  # row-major ids sort as their index tuples do
+        return dict(zip(self.grid.cell_indices(ids, level), map(res.__getitem__, ids)))
 
     def _report_from_cells(self, cells: dict, level: int, from_exact: bool) -> DynReport:
-        pts = tuple(
-            WeightedPoint(self.grid.cell_center(idx, level), int(c))
-            for idx, c in sorted(cells.items())
-        )
+        items = sorted(cells.items())
+        centers = self.grid.cell_centers((idx for idx, _ in items), level)
+        pts = tuple(WeightedPoint(center, int(c)) for center, (_, c) in zip(centers, items))
         return DynReport(points=pts, level=level, from_exact=from_exact)
 
     def report(self, exact: bool = False) -> DynReport:

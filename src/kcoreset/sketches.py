@@ -23,6 +23,11 @@ sketch is linear and reduction modulo the prime commutes with addition, the
 tables built from a buffer equal those of applying every update on its own,
 so the mode never shows in ``digest``.
 A query in sparse mode never fails; only a decode of the tables can.
+The rows' hash parameters are drawn, from a ``random.Random`` seeded by the
+sketch's seed, when the tables are first allocated: every read of them
+(a flush, a decode, ``digest``, ``merge``) allocates the tables first. The
+draws do not depend on when they happen, and a sketch that never leaves
+sparse mode draws none.
 
 The distinct-count sketch subsamples ids geometrically (level = trailing
 zeros of a pairwise-independent hash) and keeps a small recovery structure
@@ -65,9 +70,10 @@ class SparseRecoverySketch:
     net count, fewer than ``buckets`` entries after every update). While the
     ``rows x buckets`` tables ``_count``, ``_idsum`` and ``_sqsum`` are None
     (sparse mode), ``_pending`` is the whole sketch and reads use it directly.
-    ``_flush`` allocates the tables if needed and applies each net count once
-    per row; it runs when the buffer fills, in ``digest`` and ``merge``, and
-    before every read once the tables exist.
+    ``_flush`` allocates the tables if needed (drawing ``_hashes`` the first
+    time) and applies each net count once per row; it runs when the buffer
+    fills, in ``digest`` and ``merge``, and before every read once the tables
+    exist.
     """
 
     def __init__(self, s: int, delta_fail: float, universe: int, seed: int = 0,
@@ -81,12 +87,7 @@ class SparseRecoverySketch:
         self.rows = rows if rows is not None else max(
             4, math.ceil(math.log2(max(s, 2) / delta_fail)))
         self.buckets = 2 * s
-        rng = random.Random(_mix64(seed) ^ 0x5EED)
-        hash_a = [rng.randrange(1, _PRIME) for _ in range(self.rows)]
-        hash_b = [rng.randrange(0, _PRIME) for _ in range(self.rows)]
-        # row r sends id x to bucket r*buckets + ((a_r*x + b_r) mod P) mod buckets
-        self._hashes = [(mul, add, r * self.buckets)
-                        for r, (mul, add) in enumerate(zip(hash_a, hash_b))]
+        self._hashes = None  # drawn with the first tables, see ``_flush``
         self._pending: dict[int, int] = {}
         self._count = self._idsum = self._sqsum = None
 
@@ -106,12 +107,19 @@ class SparseRecoverySketch:
 
     def _flush(self) -> None:
         """Apply the buffered net counts to the tables, allocating them first
-        if this is the first flush."""
+        (and, the first time, drawing the hash parameters) if there are none."""
         if self._count is None:
             size = self.rows * self.buckets
             self._count = [0] * size
             self._idsum = [0] * size
             self._sqsum = [0] * size
+            if self._hashes is None:
+                rng = random.Random(_mix64(self.seed) ^ 0x5EED)
+                hash_a = [rng.randrange(1, _PRIME) for _ in range(self.rows)]
+                hash_b = [rng.randrange(0, _PRIME) for _ in range(self.rows)]
+                # row r sends id x to bucket r*buckets + ((a_r*x + b_r) mod P) mod buckets
+                self._hashes = [(mul, add, r * self.buckets)
+                                for r, (mul, add) in enumerate(zip(hash_a, hash_b))]
         count, idsum, sqsum = self._count, self._idsum, self._sqsum
         buckets = self.buckets
         for ident, c in self._pending.items():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from kcoreset import (
-    DynamicCoresetState, GridConfig, InputError, Instance, L2, Metric,
-    WeightedPoint, brute_force_opt, check_coreset, explicit_universe,
-    gen_dynamic_lb, input_points_universe,
+    DynamicCoresetState, DynReport, GridConfig, InputError, Instance, L2, Metric,
+    SketchFailureError, SparseRecoverySketch, WeightedPoint, brute_force_opt,
+    check_coreset, explicit_universe, gen_dynamic_lb, input_points_universe,
 )
 
 W = WeightedPoint
@@ -40,11 +41,33 @@ def test_cell_id_roundtrip_and_center():
         per_axis = g.cells_per_axis(level)
         for idx in [(0, 0), (per_axis - 1, 0), (per_axis - 1, per_axis - 1)]:
             assert g.cell_index(g.cell_id(idx, level), level) == idx
-    assert g.cell_center((0,), 0) == (1.0,) if False else True
+    assert g.cell_center((0, 0), 0) == (1.0, 1.0)
+    assert g.cell_center((1, 0), 2) == (6.5, 2.5)
+    assert g.cell_center((3, 3), 2) == (14.5, 14.5)
     g1 = GridConfig(16, 1)
     assert g1.cell_center((0,), 0) == (1.0,)
     assert g1.cell_center((2,), 0) == (3.0,)
     assert g1.cell_center((0,), 4) == (8.5,)
+
+
+def test_whole_level_helpers_match_the_per_cell_ones():
+    rng = np.random.default_rng(13)
+    for delta, d in [(9, 1), (37, 2), (100, 3), (1024, 2)]:
+        g = GridConfig(delta, d)
+        for _ in range(20):
+            point = tuple(int(v) for v in rng.integers(1, g.delta + 1, size=d))
+            base = g.cell_of(point, 0)
+            ids = g.level_ids(base)
+            assert ids == [g.cell_id(g.cell_of(point, lv), lv) for lv in range(g.levels)]
+            for lv, ident in enumerate(ids):
+                cell = g.cell_of(point, lv)
+                assert g.cell_indices([ident], lv) == [cell] == [g.cell_index(ident, lv)]
+                side = 1 << lv
+                assert g.cell_centers([cell], lv) == [tuple(v * side + (side + 1) / 2.0
+                                                            for v in cell)]
+        # row-major ids sort as their index tuples do
+        level1 = [int(i) for i in rng.integers(0, g.cell_count(1), size=30)]
+        assert g.cell_indices(sorted(level1), 1) == sorted(g.cell_indices(level1, 1))
 
 
 def test_report_exact_examples():
@@ -304,7 +327,9 @@ def test_batch_sequential_and_sharded_ingestion_agree():
 
 
 def test_construction_allocates_no_sketch_tables():
-    # s = 257 and 11 levels of 75 x 514 buckets: about 10 MB if built eagerly
+    # s = 257 and 11 levels of 75 x 514 buckets: about 10 MB if built eagerly.
+    # The hash parameters are drawn with the tables too; drawn eagerly, their
+    # 11 x 75 x 2 big ints alone made the peak about 170 KB.
     tracemalloc.start()
     try:
         st = DynamicCoresetState(1024, 2, 2, 1, 0.5)
@@ -312,7 +337,8 @@ def test_construction_allocates_no_sketch_tables():
     finally:
         tracemalloc.stop()
     assert (st.s, st.grid.levels, st.sr[0].rows) == (257, 11, 75)
-    assert peak < 1 << 20
+    assert peak < 20_000
+    assert all(sk._hashes is None and sk._count is None for sk in st.sr)
 
 
 def test_sketch_bytes_count_only_built_tables_and_buffered_ids():
@@ -364,3 +390,140 @@ def test_level_bound_and_coreset_quality_exact_mode(l2):
                             metric=Metric(L2), universe=universe)
         assert res.passed, res
         assert sum(p.weight for p in rep.points) == len(pts)
+
+
+def test_update_validates_once_and_touches_each_level_once(monkeypatch):
+    calls = []
+    orig = SparseRecoverySketch.update
+    monkeypatch.setattr(SparseRecoverySketch, "update",
+                        lambda sk, ident, sign: calls.append(ident) or orig(sk, ident, sign))
+    for shadow in (False, True):
+        st = DynamicCoresetState(100, 2, 1, 0, 1.0, seed=2, with_shadow=shadow)
+        calls.clear()
+        st.update((37, 100), 1)
+        assert len(calls) == st.grid.levels == 8
+        assert calls == [st.grid.cell_id(st.grid.cell_of((37, 100), lv), lv)
+                         for lv in range(st.grid.levels)]
+        before = copy.deepcopy(st)
+        for bad in [(0, 5), (129, 5), (2.5, 5), (5,), (5, 5, 5)]:
+            with pytest.raises(InputError):
+                st.update(bad, 1)
+        with pytest.raises(InputError):
+            st.update((5, 5), 0)
+        assert len(calls) == st.grid.levels  # no level was touched
+        assert (st.ops, st.live_count, st.shadow) == (before.ops, before.live_count, before.shadow)
+        assert [sk._pending for sk in st.sr] == [sk._pending for sk in before.sr]
+
+
+# Reference copy of the per-level update and report loops as they were
+# before ids were formed from the level-0 cell: one cell tuple, one row-major
+# id and one index/center conversion per level and cell.
+
+def _ref_update(st, point, sign):
+    if sign not in (1, -1):
+        raise InputError("sign must be +1 or -1")
+    grid = st.grid
+    base = grid.cell_of(point, 0)
+    if st.shadow is not None and sign < 0 and st.shadow[0].get(base, 0) <= 0:
+        raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
+    st.ops += 1
+    st.live_count += sign
+    for lv in range(grid.levels):
+        cell = tuple(v >> lv for v in base)
+        if st.shadow is not None:
+            m = st.shadow[lv]
+            c = m.get(cell, 0) + sign
+            if c:
+                m[cell] = c
+            else:
+                m.pop(cell, None)
+        if st.sr is not None:
+            per_axis = max(1, grid.delta >> lv)
+            ident = 0
+            for v in cell:
+                ident = ident * per_axis + v
+            st.sr[lv].update(ident, sign)
+
+
+def _ref_cell_index(grid, ident, level):
+    per_axis = max(1, grid.delta >> level)
+    idx = []
+    for _ in range(grid.d):
+        idx.append(ident % per_axis)
+        ident //= per_axis
+    return tuple(reversed(idx))
+
+
+def _ref_report(st, exact=False):
+    if st.live_count <= 0:
+        raise InputError("report requires at least one live point")
+    for lv in range(st.grid.levels):
+        if exact:
+            cells = st.shadow[lv]
+        elif st.sr[lv].support_lower_bound() > st.s:
+            continue
+        else:
+            res = st.sr[lv].query()
+            cells = None if res is None else \
+                {_ref_cell_index(st.grid, i, lv): c for i, c in res.items()}
+        if cells is not None and len(cells) <= st.s:
+            side = 1 << lv
+            pts = tuple(W(tuple(v * side + (side + 1) / 2.0 for v in idx), int(c))
+                        for idx, c in sorted(cells.items()))
+            return DynReport(points=pts, level=lv, from_exact=exact)
+    raise SketchFailureError("sparse recovery failed at every level")
+
+
+def _outcome(call):
+    try:
+        rep = call()
+    except (InputError, SketchFailureError) as e:
+        return type(e).__name__
+    return rep.level, rep.from_exact, [(p.point, p.weight) for p in rep.points]
+
+
+@pytest.mark.parametrize("delta, d, k, z, eps, shadow, sketches, ops, peels", [
+    (100, 1, 1, 0, 1.0, False, True, 400, False),
+    (100, 1, 1, 1, 1.0, True, True, 400, True),
+    (9, 1, 2, 0, 1.0, True, True, 120, False),
+    (37, 2, 1, 0, 1.0, False, True, 400, True),
+    (37, 2, 1, 2, 1.0, True, True, 400, True),
+    (1024, 2, 2, 1, 0.5, False, True, 120, False),
+    (9, 3, 1, 0, 1.0, True, True, 200, False),
+    (37, 3, 1, 1, 1.0, False, True, 200, False),
+    (100, 2, 1, 0, 1.0, True, False, 300, False),
+])
+def test_level_ids_match_reference_loops(monkeypatch, delta, d, k, z, eps, shadow,
+                                         sketches, ops, peels):
+    peeled = []
+    orig_query = SparseRecoverySketch.query
+    monkeypatch.setattr(SparseRecoverySketch, "query",
+                        lambda sk: peeled.append(sk._count is not None) or orig_query(sk))
+    rng = np.random.default_rng(delta * 10 + d + z)
+    new, ref = (DynamicCoresetState(delta, d, k, z, eps, seed=d + z, with_shadow=shadow,
+                                    with_sketches=sketches) for _ in range(2))
+    live = []
+    for step in range(ops):
+        # mostly inserts, then mostly deletes, so dense levels overflow and empty again
+        p_delete = 0.2 if step < ops // 2 else 0.85
+        if live and rng.random() < p_delete:
+            sign, point = -1, live.pop(int(rng.integers(len(live))))
+        else:
+            sign, point = 1, tuple(int(v) for v in rng.integers(1, delta + 1, size=d))
+            live.append(point)
+        new.update(point, sign)
+        _ref_update(ref, point, sign)
+        if step % 20 == 19:
+            for exact in (False, True):
+                if (exact and shadow) or (not exact and sketches):
+                    assert _outcome(lambda: new.report(exact)) == \
+                        _outcome(lambda: _ref_report(ref, exact))
+            assert new.sketch_bytes() == ref.sketch_bytes()
+            if sketches:
+                assert copy.deepcopy(new).digest() == copy.deepcopy(ref).digest()
+    assert (new.ops, new.live_count, new.shadow) == (ref.ops, ref.live_count, ref.shadow)
+    if sketches:
+        assert new.digest() == ref.digest()
+        assert new.sketch_bytes() == ref.sketch_bytes()
+    # where a level overflowed 2s and was later decoded from its tables
+    assert (True in peeled) == peels

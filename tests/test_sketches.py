@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import random
 
@@ -238,6 +239,32 @@ def test_buffer_flushes_at_bucket_count_and_tables_are_lazy():
     sk.update(3, 1)
     sk.update(sk.buckets - 1, 1)  # the buffer fills and is flushed
     assert sk._count is not None and sk._pending == {}
+
+
+def test_hash_parameters_are_drawn_with_the_first_tables():
+    # the sha256 of the parameters a sketch drew in its constructor before
+    # the draw moved into the first flush: the same seeded draws
+    pinned = "d7ba95fbf0755c3e61c47bc13a46698fc9ed0ff209e95433e345d83592967984"
+    sha = lambda sk: hashlib.sha256(repr(sk._hashes).encode()).hexdigest()
+    sk = SparseRecoverySketch(3, 0.01, 1000, seed=11)
+    assert (sk.rows, sk.buckets) == (9, 6)
+    assert sk._hashes is None and sk._count is None
+    for i in range(sk.buckets - 1):
+        sk.update(7 * i, 1)
+    assert sk.query() == {7 * i: 1 for i in range(sk.buckets - 1)}
+    assert sk._hashes is None and sk._count is None
+    sk.update(7 * (sk.buckets - 1), 1)  # the buffer overflows
+    assert sk._count is not None and sha(sk) == pinned
+    drawn = sk._hashes
+    for i in range(1, sk.buckets):
+        sk.update(7 * i, -1)
+    assert sk.query() == {0: 1} and sk._count is None  # back on the buffer
+    for i in range(1, sk.buckets):
+        sk.update(7 * i, 1)
+    assert sk._count is not None and sk._hashes is drawn  # rebuilt, not redrawn
+    fresh = SparseRecoverySketch(3, 0.01, 1000, seed=11)
+    fresh.digest()
+    assert sha(fresh) == pinned
 
 
 def test_insert_delete_cancels():
