@@ -79,13 +79,15 @@ def weights_array(points) -> np.ndarray:
 L2 = "l2"
 LINF = "linf"
 EXPLICIT = "matrix"
+_EXPLICIT_POINTS = "explicit metric points must be 1-tuples holding an integral index"
 
 
 @dataclass(frozen=True)
 class Metric:
     """A metric: L2, L-infinity, or an explicit finite distance matrix.
 
-    For ``EXPLICIT``, points are 1-tuples holding an index into the matrix.
+    For ``EXPLICIT``, points are 1-tuples holding an integral index into the
+    matrix; ``pairwise`` and ``distance`` raise ``InputError`` on any other.
     The matrix is validated for symmetry, nonnegativity and zero diagonal;
     the triangle inequality is spot-checked on sampled triples.
 
@@ -117,6 +119,8 @@ class Metric:
         if len(p) != len(q):
             raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
         if self.kind == EXPLICIT:
+            if len(p) != 1 or not (float(p[0]).is_integer() and float(q[0]).is_integer()):
+                raise InputError(_EXPLICIT_POINTS)
             i, j = int(p[0]), int(q[0])
             n = len(self.matrix)
             if not (0 <= i < n and 0 <= j < n):
@@ -134,6 +138,9 @@ class Metric:
         so every entry has the same bits as the scalar ``distance``.
         """
         if self.kind == EXPLICIT:
+            for x in (a, b):
+                if x.ndim != 2 or x.shape[1] != 1 or not np.array_equal(x, np.trunc(x)):
+                    raise InputError(_EXPLICIT_POINTS)
             ia = a.astype(int).ravel()
             ib = b.astype(int).ravel()
             n = len(self._array)

@@ -16,8 +16,9 @@ machine's peak over rounds of what it holds at once: in a covering step its
 points, plus words resident from earlier rounds (the two-round m outlier
 vectors), plus the covering it builds; a part already compressed is dropped.
 Metering describes what a machine stores, not what the simulator reuses
-between rounds: a two-round machine's round-2 covering reuses the distance
-matrix and greedy result of its round-1 analysis, which no figure counts.
+between rounds: a two-round machine keeps its part as one ``_PointSet``, so
+its round-2 covering reuses the distance matrix, candidate radii and probe
+verdicts of its round-1 outlier vector, which no figure counts.
 Machine 1's collection stage, where it compresses the union of the coverings
 it received once more, is metered apart in ``coordinator_words``. In the
 R-round pipeline the last round's union is the result and also counts in
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 from .metric import Metric, WeightedPoint, as_weighted, leq
-from .offline import Instance, _candidate_radii, _mbc, _self_distances, greedy
+from .offline import Instance, _PointSet, _mbc, _point_set, greedy
 
 ROUND_ROBIN = "roundrobin"
 ADVERSARIAL = "adversarial"
@@ -130,22 +131,12 @@ def distribute(points, cfg: MpcConfig) -> list[list[WeightedPoint]]:
     return parts
 
 
-def _greedy_vector(part, k: int, z: int, metric: Metric):
-    """The part's distance matrix (None for an empty part) and its greedy
-    results with 2^j - 1 outliers, j = 0..vector_length(z) - 1. One matrix,
-    one candidate array and one probe memo serve every j, so a radius is
-    probed once on the part."""
-    part = as_weighted(part)
-    dmat = _self_distances(part, metric) if part else None
-    cands = _candidate_radii(dmat) if part else None
-    memo = {}
-    return dmat, [greedy(part, k, (1 << j) - 1, metric, dmat=dmat, cands=cands, memo=memo)
-                  for j in range(vector_length(z))]
-
-
 def outlier_vector(part, k: int, z: int, metric: Metric) -> list[float]:
-    """V[j] = greedy radius on the part with 2^j - 1 outliers, j = 0..ceil(log2(z+1))."""
-    return [result.radius for result in _greedy_vector(part, k, z, metric)[1]]
+    """V[j] = greedy radius on the part with 2^j - 1 outliers, j = 0..ceil(log2(z+1)).
+    Every search runs on one ``_PointSet`` (``part`` itself when it is one),
+    so a radius is probed once on the part."""
+    part = _point_set(part, metric)
+    return [greedy(part, k, (1 << j) - 1, metric).radius for j in range(vector_length(z))]
 
 
 def vector_length(z: int) -> int:
@@ -191,24 +182,19 @@ class _Rounds:
             self.transcript.append(Message(rnd, sender, recipient, kind, words))
             self.sent[rnd] += words
 
-    def compress(self, points, z: int, dmat=None, result=None) -> list[WeightedPoint]:
+    def compress(self, points, z: int) -> list[WeightedPoint]:
         inst = self.inst
-        return list(_mbc(points, inst.k, z, inst.epsilon, inst.metric,
-                         dmat=dmat, result=result).representatives)
+        return list(_mbc(points, inst.k, z, inst.epsilon, inst.metric).representatives)
 
-    def cover(self, rnd: int, held, budgets, resident: int, dest,
-              known=None) -> list[list[WeightedPoint]]:
-        """Round ``rnd``: machine i compresses ``held[i-1]`` into a mini-ball
-        covering with ``budgets[i-1]`` outliers, holding its points,
-        ``resident`` more words and the covering at once, and sends the
-        covering to machine ``dest(i)``. ``known[i-1]``, when given, is the
-        distance matrix of ``held[i-1]`` and its greedy result at
-        ``budgets[i-1]`` from an earlier round; the covering then runs only
-        the net. Returns what each machine received, in sender order."""
+    def cover(self, rnd: int, held, budgets, resident: int, dest) -> list[list[WeightedPoint]]:
+        """Round ``rnd``: machine i compresses ``held[i-1]`` (a point list or
+        a ``_PointSet``) into a mini-ball covering with ``budgets[i-1]``
+        outliers, holding its points, ``resident`` more words and the
+        covering at once, and sends the covering to machine ``dest(i)``.
+        Returns what each machine received, in sender order."""
         inbox = [[] for _ in self.parts]
         for i, (points, budget) in enumerate(zip(held, budgets), start=1):
-            dmat, result = known[i - 1] if known else (None, None)
-            cov = self.compress(points, budget, dmat, result)
+            cov = self.compress(points, budget)
             cov_words = self.words(cov)
             self.store(i, self.words(points) + resident + cov_words)
             self.send(rnd, i, dest(i), "covering", cov_words)
@@ -237,9 +223,9 @@ def run_two_round(points, k: int, z: int, epsilon: float, cfg: MpcConfig,
     m, vlen = cfg.m, vector_length(z)
 
     # round 1: every machine computes its outlier vector and broadcasts it;
-    # it keeps its matrix and greedy results, which its round-2 covering reuses
-    analyses = [_greedy_vector(part, k, z, metric) for part in eng.parts]
-    vectors = [[result.radius for result in results] for _, results in analyses]
+    # it keeps its part's _PointSet, whose memo its round-2 search reads
+    parts = [_PointSet(part, metric) for part in eng.parts]
+    vectors = [outlier_vector(part, k, z, metric) for part in parts]
     for i, part in enumerate(eng.parts, start=1):
         eng.store(i, eng.words(part) + vlen)
         for j in range(1, m + 1):
@@ -248,9 +234,7 @@ def run_two_round(points, k: int, z: int, epsilon: float, cfg: MpcConfig,
     # round 2: every machine holds the same m vectors, so all agree on r-hat;
     # machine i covers its part with 2^j_i - 1 outliers
     r_hat, j_hats = compute_r_hat(vectors, z)
-    known = [(dmat, results[j]) for (dmat, results), j in zip(analyses, j_hats)]
-    union = eng.cover(2, eng.parts, [(1 << j) - 1 for j in j_hats], m * vlen, lambda i: 1,
-                      known)[0]
+    union = eng.cover(2, parts, [(1 << j) - 1 for j in j_hats], m * vlen, lambda i: 1)[0]
     return eng.run("two-round", 2, eng.compress(union, z), eng.words(union) + m * vlen,
                    union_received=tuple(union), r_hat=r_hat, j_hats=j_hats)
 

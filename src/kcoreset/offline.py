@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -222,11 +223,6 @@ def brute_force_opt(inst: Instance, universe: CenterUniverse = None, cap: int = 
     return Solution(radius=best, centers=centers, outlier_weight=out_w)
 
 
-def _self_distances(wps, metric: Metric) -> np.ndarray:
-    coords = coords_array(wps)
-    return metric.pairwise(coords, coords)
-
-
 def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     """One round-robin of the greedy disk heuristic at guess radius r.
 
@@ -234,7 +230,7 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     uncovered weight (ties: lowest index), then marks everything within 3r of
     it covered. Returns (uncovered weight left, chosen center indices).
     Neither depends on an outlier budget: only the verdict ``remaining <= z``
-    does, so one probe serves every z (``greedy``'s ``memo``).
+    does, so one probe serves every z (``_PointSet.probe``).
 
     One n x n mask, ``within_r``, is built per probe. Coverage (uncovered
     weight in each point's r-ball; a count when every weight is 1) is
@@ -275,13 +271,6 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     return remaining, centers
 
 
-def _feasible(dmat: np.ndarray, weights: np.ndarray, k: int, z: int, r: float):
-    """The verdict of one probe at radius r with z outliers: (feasible,
-    chosen center indices)."""
-    remaining, centers = _probe(dmat, weights, k, r)
-    return remaining <= z, centers
-
-
 def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
     """The sorted distinct values of 0, every pair radius and every half pair
     radius. The pair radii are gathered row by row from the upper triangle
@@ -298,8 +287,48 @@ def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
     return runs[distinct]
 
 
-def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None,
-           cands: np.ndarray = None, memo: dict = None) -> GreedyResult:
+class _PointSet:
+    """A weighted point set and what the greedy search and the net read of
+    it: the distance matrix and the candidate radii, each built on first use,
+    and a memo of probes keyed by (k, candidate index). A probe does not
+    depend on an outlier budget, so searches on one set at several z probe a
+    radius once, and a later search at a z already searched makes no probe.
+    ``dmat``, when given, is the points' own distance matrix (any view,
+    contiguous or not); no distance is then computed."""
+
+    def __init__(self, points, metric: Metric, dmat: np.ndarray = None):
+        self.wps = as_weighted(points)
+        self.weights = weights_array(self.wps)
+        self.metric = metric
+        if dmat is not None:
+            self.dmat = dmat
+        self._memo = {}
+
+    def __len__(self) -> int:
+        return len(self.wps)
+
+    @cached_property
+    def dmat(self) -> np.ndarray:
+        coords = coords_array(self.wps)
+        return self.metric.pairwise(coords, coords)
+
+    @cached_property
+    def cands(self) -> np.ndarray:
+        return _candidate_radii(self.dmat)
+
+    def probe(self, k: int, i: int):
+        """``_probe`` with k centers at candidate radius i, memoized."""
+        if (k, i) not in self._memo:
+            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(self.cands[i]))
+        return self._memo[k, i]
+
+
+def _point_set(points, metric: Metric) -> _PointSet:
+    """``points`` itself when it is a ``_PointSet``, else a new one over it."""
+    return points if isinstance(points, _PointSet) else _PointSet(points, metric)
+
+
+def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     """Greedy 3-approximation for weighted k-center with z outliers.
 
     Candidate radii are 0, all pairwise distances, and all half pairwise
@@ -308,61 +337,44 @@ def greedy(points, k: int, z: int, metric: Metric, *, dmat: np.ndarray = None,
     only when the search never probed r (the top candidate, feasible since
     one ball reaches every point) is it probed at the end. Returns radius 0
     and no balls when the total weight is at most z (vacuous instance:
-    everything is an outlier). ``dmat`` is the points' own distance matrix
-    and ``cands`` its ``_candidate_radii``; each is computed here when
-    omitted, so callers that search one matrix at several z pass both.
+    everything is an outlier).
 
-    ``memo`` maps a candidate index to its probe's (remaining weight,
-    centers), which do not depend on z. Callers that search one matrix at
-    several z pass one dict with the same ``dmat`` and ``cands``, and each
-    radius is probed once for all of them. A search still visits the same
-    candidate indices and reads the same verdicts, so the result is the one
-    it has without the memo.
+    ``points`` is a point list or a ``_PointSet``. Searches on one
+    ``_PointSet`` share its matrix, candidate radii and probe memo. A search
+    still visits the same candidate indices and reads the same verdicts, so
+    the result is the one a fresh point list gives.
     """
-    wps = as_weighted(points)
-    w = weights_array(wps) if wps else np.zeros(0, dtype=np.int64)
-    if int(w.sum()) <= z:
+    ps = _point_set(points, metric)
+    if int(ps.weights.sum()) <= z:
         return GreedyResult(0.0, (), 0.0, vacuous=True)
-    if dmat is None:
-        dmat = _self_distances(wps, metric)
-    if cands is None:
-        cands = _candidate_radii(dmat)
-    if memo is None:
-        memo = {}
-
-    def probe(i):
-        if i not in memo:
-            memo[i] = _probe(dmat, w, k, float(cands[i]))
-        return memo[i]
-
+    cands = ps.cands
     lo, hi = 0, len(cands) - 1
     centers = None  # the centers of the probe at cands[hi], once hi has moved
     while lo < hi:
         mid = (lo + hi) // 2
-        remaining, probed = probe(mid)
+        remaining, probed = ps.probe(k, mid)
         if remaining <= z:
             hi, centers = mid, probed
         else:
             lo = mid + 1
     r_f = float(cands[lo])
     if centers is None:
-        remaining, centers = probe(lo)
+        remaining, centers = ps.probe(k, lo)
         if remaining > z:  # cannot happen: the top candidate is feasible
             raise AssertionError("greedy binary search ended on an infeasible radius")
     radius = 3.0 * r_f
-    balls = tuple(Ball(wps[c].point, radius) for c in centers)
+    balls = tuple(Ball(ps.wps[c].point, radius) for c in centers)
     return GreedyResult(radius, balls, r_f)
 
 
-def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
+def _net(points, delta: float, metric: Metric):
     """Greedy delta-net in input order.
 
     Repeatedly takes the first remaining point q and merges every remaining
     point within distance delta of q (inclusive) into q, summing weights.
     Returns (representatives, assignment) where assignment[i] is the
-    representative index of input point i. ``dmat`` is the points' own
-    distance matrix (any view, contiguous or not), computed here when
-    omitted; no distance is computed when it is given.
+    representative index of input point i. ``points`` is a point list or a
+    ``_PointSet``, whose matrix is used as it is.
 
     The matrix is compared with delta once. Only the rows of points that
     become representatives are read, and a point already assigned is skipped,
@@ -371,14 +383,12 @@ def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
     of at most 2^O(d) of them, and the rows read list O(2^O(d) n) members in
     all.
     """
-    wps = as_weighted(points)
-    n = len(wps)
+    ps = _point_set(points, metric)
+    n = len(ps)
     if n == 0:
         return [], []
-    if dmat is None:
-        dmat = _self_distances(wps, metric)
     slack = REL_TOL * max(1.0, abs(delta))
-    within = dmat <= delta + slack
+    within = ps.dmat <= delta + slack
     assignment = [-1] * n
     firsts = []  # input index of each representative
     for i in range(n):
@@ -390,8 +400,8 @@ def _net(points, delta: float, metric: Metric, *, dmat: np.ndarray = None):
             if assignment[j] < 0:
                 assignment[j] = rep
     weights = np.zeros(len(firsts), dtype=np.int64)
-    np.add.at(weights, assignment, weights_array(wps))
-    reps = [WeightedPoint(wps[i].point, wt) for i, wt in zip(firsts, weights.tolist())]
+    np.add.at(weights, assignment, ps.weights)
+    reps = [WeightedPoint(ps.wps[i].point, wt) for i, wt in zip(firsts, weights.tolist())]
     return reps, assignment
 
 
@@ -403,23 +413,19 @@ def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:
     return reps
 
 
-def _mbc(points, k: int, z: int, epsilon: float, metric: Metric, *,
-         dmat: np.ndarray = None, result: GreedyResult = None) -> MiniBallCovering:
+def _mbc(points, k: int, z: int, epsilon: float, metric: Metric) -> MiniBallCovering:
     """Mini-ball covering construction without Instance validation.
 
     Used internally where vacuous sub-instances (total weight <= z) are
     legitimate, e.g. on starved MPC machines; those reduce to a radius-0 net.
-    One distance matrix serves both the greedy search and the net. A caller
-    that already holds the points' matrix and their ``greedy`` result at z
-    passes them, and only the net runs.
+    The greedy search and the net run on one ``_PointSet``, so one distance
+    matrix serves both. On a ``_PointSet`` already searched at z, the search
+    reads every verdict from its memo and makes no probe.
     """
-    wps = as_weighted(points)
-    if dmat is None and wps:
-        dmat = _self_distances(wps, metric)
-    if result is None:
-        result = greedy(wps, k, z, metric, dmat=dmat)
+    ps = _point_set(points, metric)
+    result = greedy(ps, k, z, metric)
     delta = epsilon * result.radius / 3.0
-    reps, assignment = _net(wps, delta, metric, dmat=dmat)
+    reps, assignment = _net(ps, delta, metric)
     return MiniBallCovering(
         representatives=tuple(reps),
         assignment=tuple(assignment),

@@ -21,10 +21,10 @@ members, the capacity of ``_coords``, so the matrix never grows. From then on,
 when an arrival becomes a representative, its scan row is stored as its row
 and column. ``pairwise(X, X)`` is symmetric bit for bit and computes each
 entry as a one-row call does, so the buffer always equals the matrix
-``pairwise`` would build. A recompression hands ``_dist[:m, :m]`` to ``_net``
-and gathers both buffers down to the kept rows, so after the first doubling
-it computes no distance. ``_coords`` grows by doubling, up to the threshold;
-``_dist`` holds threshold^2 floats.
+``pairwise`` would build. A recompression hands ``_net`` a ``_PointSet`` of
+``pstar`` built on ``_dist[:m, :m]`` and gathers both buffers down to the kept
+rows, so after the first doubling it computes no distance. ``_coords`` grows
+by doubling, up to the threshold; ``_dist`` holds threshold^2 floats.
 
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError
 from .metric import Metric, REL_TOL, WeightedPoint, min_pairwise_distance
-from .offline import _net
+from .offline import _PointSet, _net
 
 
 def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
@@ -91,7 +91,8 @@ class InsertionStream:
             m = len(self.pstar)
             if self._dist is None:  # m == threshold == len(self._coords)
                 self._dist = self.metric.pairwise(self._coords, self._coords)
-            reps, assignment = _net(self.pstar, delta, self.metric, dmat=self._dist[:m, :m])
+            pset = _PointSet(self.pstar, self.metric, self._dist[:m, :m])
+            reps, assignment = _net(pset, delta, self.metric)
             _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
             self._coords[:len(keep)] = self._coords[keep]
             self._dist[:len(keep), :len(keep)] = self._dist[np.ix_(keep, keep)]

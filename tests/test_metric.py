@@ -164,6 +164,26 @@ def test_explicit_pairwise_checks_indices():
     assert m == twin and hash(m) == hash(twin)
 
 
+def test_explicit_points_must_be_one_integral_index():
+    from kcoreset import Instance, evaluate_cost, mbc_construction
+    m = Metric(EXPLICIT, matrix=[[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    # integral indices of any numeric type are accepted
+    assert m.distance((1,), (2.0,)) == 1.0
+    assert evaluate_cost([(1,), (0.0,)], [(2.0,)], 0, m) == 2.0
+    # a fractional index used to be truncated: distance 1.0 and cost 2.0
+    for p, q in (((1.5,), (2.0,)), ((1.0,), (0.5,)), ((float("nan"),), (1.0,)),
+                 ((0.0, 1.0), (1.0, 2.0))):
+        with pytest.raises(InputError):
+            m.distance(p, q)
+        with pytest.raises(InputError):
+            m.pairwise(np.asarray([p]), np.asarray([q]))
+    with pytest.raises(InputError):
+        evaluate_cost([(1.5,), (0.0,)], [(2.0,)], 0, m)
+    # 2-D points used to reach _probe and fail with numpy's broadcast error
+    with pytest.raises(InputError):
+        mbc_construction(Instance(((0.0, 1.0), (1.0, 2.0)), 1, 0, 0.5, m))
+
+
 def test_weighted_point_rejects_non_finite():
     for bad in ((float("nan"), 3.0), (float("inf"),), (1.0, float("-inf"))):
         with pytest.raises(InputError):

@@ -10,7 +10,7 @@ from kcoreset import (
     distribute, input_points_universe, outlier_vector, random_dist,
     round_robin, run_one_round_randomized, run_r_round, run_two_round,
 )
-from kcoreset import mpc, offline
+from kcoreset import offline
 from kcoreset.metric import as_weighted
 from kcoreset.offline import _mbc
 from kcoreset.mpc import RANDOM, Message, MpcRun, point_words, vector_length
@@ -236,22 +236,31 @@ def test_outlier_vector_monotone(linf):
 
 
 def test_two_round_analyses_each_part_once(monkeypatch, linf):
-    # round 2 reuses each part's round-1 matrix and greedy result: m parts
-    # plus the coordinator make m + 1 self-distance matrices and m + 1
-    # candidate arrays, not 2m + 1, and the run is the reference's
+    # round 2 reuses each part's round-1 _PointSet: m parts plus the
+    # coordinator make m + 1 self-distance matrices and m + 1 candidate
+    # arrays, not 2m + 1, and the run is the reference's. Round 2 reads every
+    # verdict from the parts' memos, so the run probes exactly as often as
+    # the parts' outlier vectors and the coordinator's covering do alone.
     rng = np.random.default_rng(61)
     pts = random_points(rng, 90, 2, hi=50, cluster_frac=0.5, weights=True)
     m, cfg = 5, MpcConfig(5, round_robin())
     expect = dataclasses.replace(ref_two_round(pts, 2, 6, 0.5, cfg, linf), seed=None)
-    matrices, cands = [], []
+    matrices, cands, probes = [], [], []
     orig_pairwise, orig_cands = Metric.pairwise, offline._candidate_radii
     monkeypatch.setattr(Metric, "pairwise",
                         lambda self, a, b: matrices.append(1) or orig_pairwise(self, a, b))
     counting = lambda dmat: cands.append(1) or orig_cands(dmat)  # noqa: E731
     monkeypatch.setattr(offline, "_candidate_radii", counting)
-    monkeypatch.setattr(mpc, "_candidate_radii", counting)
-    assert run_two_round(pts, 2, 6, 0.5, cfg, linf) == expect
+    orig_probe = offline._probe
+    monkeypatch.setattr(offline, "_probe", lambda *a: probes.append(1) or orig_probe(*a))
+    run = run_two_round(pts, 2, 6, 0.5, cfg, linf)
+    assert run == expect
     assert (len(matrices), len(cands)) == (m + 1, m + 1)
+    in_run, probes[:] = len(probes), []
+    for part in run.parts:
+        outlier_vector(list(part), 2, 6, linf)
+    _mbc(list(run.union_received), 2, 6, 0.5, linf)
+    assert len(probes) == in_run > 0
 
 
 def test_two_round_single_point(linf):

@@ -13,12 +13,12 @@ from kcoreset import (
     check_mini_ball_covering, evaluate_cost, greedy, input_points_universe,
     mbc_construction, mbc_size_bound, midpoint_grid_universe, update_coreset,
 )
-from kcoreset import mpc, offline, outlier_vector
+from kcoreset import offline, outlier_vector
 from kcoreset.metric import (
     REL_TOL, Ball, as_weighted, coords_array, materialize_universe, weights_array,
 )
 from kcoreset.mpc import vector_length
-from kcoreset.offline import GreedyResult, _cost_batch, _net, uncovered_weight
+from kcoreset.offline import GreedyResult, _PointSet, _cost_batch, _mbc, _net, uncovered_weight
 from kcoreset.validate import (
     EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION,
 )
@@ -401,9 +401,16 @@ def test_greedy_three_approx_small(linf, l2):
 # Reference greedy: the feasibility probe that builds both n x n masks and
 # recomputes coverage with a full matrix-vector product per center, and the
 # binary search that sorts every pair radius and probes the answer again.
-# They pin _feasible, greedy and outlier_vector bit for bit
+# They pin _probe (through _feasible), greedy and outlier_vector bit for bit
 # (test_greedy_matches_reference).
 # ---------------------------------------------------------------------------
+
+def _feasible(dmat, weights, k, z, r):
+    """The verdict of one _probe at radius r with z outliers: (feasible,
+    chosen center indices)."""
+    remaining, centers = offline._probe(dmat, weights, k, r)
+    return remaining <= z, centers
+
 
 def ref_feasible(dmat, weights, k, z, r):
     slack = REL_TOL * max(1.0, abs(r))
@@ -498,7 +505,7 @@ def test_greedy_matches_reference():
         assert np.array_equal(offline._candidate_radii(dmat).view(np.uint64), cands.view(np.uint64))
         step = 1 if len(cands) < 200 else 5
         for r in cands[::step]:
-            got = offline._feasible(dmat, w, k, z, float(r))
+            got = _feasible(dmat, w, k, z, float(r))
             assert got == ref_feasible(dmat, w, k, z, float(r)), (trial, r)
             probes += 1
             feasible += got[0]
@@ -511,7 +518,7 @@ def test_greedy_matches_reference():
 
 
 def test_feasible_arithmetic_matches_reference():
-    # _feasible counts unit weights in int32, sums integer weights in float64
+    # _probe counts unit weights in int32, sums integer weights in float64
     # while their total is below 2^53 and in int64 from 2^53 on; each path
     # against the int64 reference probe, bit for bit
     big = 2 ** 53
@@ -521,7 +528,7 @@ def test_feasible_arithmetic_matches_reference():
     x = np.asarray([[0.0], [1.0], [2.0]])
     dmat = Metric(LINF).pairwise(x, x)
     w = np.asarray([big, 4, 1], dtype=np.int64)
-    assert offline._feasible(dmat, w, 1, 0, 1.0) == ref_feasible(dmat, w, 1, 0, 1.0) == (True, [1])
+    assert _feasible(dmat, w, 1, 0, 1.0) == ref_feasible(dmat, w, 1, 0, 1.0) == (True, [1])
     rng = np.random.default_rng(37)
     paths = Counter()
     for trial in range(60):
@@ -538,7 +545,7 @@ def test_feasible_arithmetic_matches_reference():
             for r in ref_candidates(dmat)[::3]:
                 for k in (1, 3):
                     z = int(rng.integers(0, total))
-                    assert offline._feasible(dmat, w, k, z, float(r)) == \
+                    assert _feasible(dmat, w, k, z, float(r)) == \
                         ref_feasible(dmat, w, k, z, float(r)), (trial, total, r, k, z)
     assert paths == {"int32": 60, "float64": 120, "int64": 60}
 
@@ -592,10 +599,35 @@ def test_outlier_vector_builds_one_matrix_and_one_candidate_array(monkeypatch, l
                         lambda self, a, b: pairwise.append(1) or orig_pairwise(self, a, b))
     counting = lambda dmat: sorts.append(1) or orig_cands(dmat)  # noqa: E731
     monkeypatch.setattr(offline, "_candidate_radii", counting)
-    monkeypatch.setattr(mpc, "_candidate_radii", counting)
     got = outlier_vector(pts, 2, z, linf)
     assert repr(got) == repr(expect) and len(got) == vector_length(z) == 5
     assert (len(pairwise), len(sorts)) == (1, 1)
+
+
+def test_point_set_searches_equal_fresh_list_calls():
+    # one _PointSet searched at k = 1, then at k = 2, each at several z,
+    # returns what fresh point lists return: its memo is keyed by (k, index),
+    # so a k = 1 verdict is never read by a k = 2 search
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        pts, _, _, metric = greedy_case(rng, trial)
+        ps = _PointSet(pts, metric)
+        for k in (1, 2):
+            for z in (0, 1, 3, 7):
+                got, expect = greedy(ps, k, z, metric), greedy(pts, k, z, metric)
+                assert got == expect and repr(got) == repr(expect), (trial, k, z)
+
+
+def test_net_and_mbc_on_a_point_set_equal_list_calls():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        pts, k, z, metric = greedy_case(rng, trial)
+        ps = _PointSet(pts, metric)
+        for delta in (0.0, 1.0, 2.5):
+            assert _net(ps, delta, metric) == _net(pts, delta, metric), (trial, delta)
+        for budget in (z, z + 2):
+            got, expect = _mbc(ps, k, budget, 0.5, metric), _mbc(pts, k, budget, 0.5, metric)
+            assert got == expect and repr(got) == repr(expect), (trial, budget)
 
 
 def test_mbc_examples(linf):
@@ -700,7 +732,7 @@ def test_net_matches_scalar_oracle():
         m, coords = len(pts), coords_array(pts)
         buf = np.zeros((m + 5, m + 3))
         buf[:m, :m] = metric.pairwise(coords, coords)
-        assert _net(pts, delta, metric, dmat=buf[:m, :m]) == expect
+        assert _net(_PointSet(pts, metric, buf[:m, :m]), delta, metric) == expect
 
 
 def test_update_coreset_examples(linf):
