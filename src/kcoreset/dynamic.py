@@ -15,15 +15,14 @@ Meanwhile a report decodes that level exactly from the buffer: the read
 cannot fail and builds no tables.
 
 An update validates the point once, as its level-0 cell. The cell at level
-i is that cell's index shifted right by i, and the sketch of level i sees it
-as one integer id: the shifted coordinates read row-major in base
-Delta >> i (``GridConfig.level_ids``), so no per-level cell tuple is built.
-Row-major ids sort as their index tuples do, so a report sorts the decoded
-ids and turns them into index tuples and centers in one pass per level.
-
-An optional exact shadow (per-level cell -> count maps) supports test mode:
-it enforces strict-turnstile discipline and answers reports without
-randomness.
+i is that cell's index shifted right by i, and every structure names it by
+one integer id: the shifted coordinates read row-major in base Delta >> i
+(``GridConfig.level_ids``), so no per-level cell tuple is built. The
+sketch of level i sees that id, and so does the optional exact shadow
+(per-level id -> count maps), which enforces strict-turnstile discipline
+and answers reports without randomness (test mode). A report takes
+{id: count} from the shadow or the sketch, sorts the ids once (row-major
+ids sort as their index tuples do) and turns them straight into centers.
 """
 
 from __future__ import annotations
@@ -75,16 +74,10 @@ class GridConfig:
             raise InputError(f"point dimension {len(idx)} != {self.d}")
         return tuple(idx)
 
-    def cell_id(self, index: tuple, level: int) -> int:
-        per_axis = self.cells_per_axis(level)
-        out = 0
-        for v in index:
-            out = out * per_axis + v
-        return out
-
     def level_ids(self, base: tuple) -> list:
-        """``cell_id`` at every level of the cells holding level-0 cell ``base``:
-        the coordinates shifted right by the level, read row-major."""
+        """The row-major id at every level of the cells holding level-0 cell
+        ``base``: the coordinates shifted right by the level, read in base
+        ``cells_per_axis`` of that level."""
         delta = self.delta
         ids = []
         for lv in range(self.levels):
@@ -95,23 +88,13 @@ class GridConfig:
             ids.append(ident)
         return ids
 
-    def cell_indices(self, ids, level: int) -> list:
-        """The index tuple of each id at a level, in the order of ``ids``."""
+    def cell_centers(self, ids, level: int) -> list:
+        """The center of each cell id at a level, in the order given."""
         per_axis = self.cells_per_axis(level)
         strides = [per_axis ** j for j in range(self.d - 1, -1, -1)]
-        return [tuple([ident // st % per_axis for st in strides]) for ident in ids]
-
-    def cell_centers(self, indices, level: int) -> list:
-        """The center of each cell index at a level, in the order given."""
         side = 1 << level
         half = (side + 1) / 2.0
-        return [tuple([v * side + half for v in idx]) for idx in indices]
-
-    def cell_index(self, ident: int, level: int) -> tuple:
-        return self.cell_indices((ident,), level)[0]
-
-    def cell_center(self, index: tuple, level: int) -> tuple:
-        return self.cell_centers((index,), level)[0]
+        return [tuple([ident // st % per_axis * side + half for st in strides]) for ident in ids]
 
 
 @dataclass(frozen=True)
@@ -123,9 +106,9 @@ class DynReport:
 
 class DynamicCoresetState:
     """Per-level sparse-recovery sketches (and optionally an exact shadow)
-    over [Delta]^d.
+    over [Delta]^d, each keyed by the cells' row-major level ids.
 
-    ``with_shadow=True`` keeps exact per-level cell counts, enforces the
+    ``with_shadow=True`` keeps exact per-level {id: count} maps, enforces the
     strict turnstile discipline and enables ``report(exact=True)``;
     ``with_sketches=False`` skips sketch allocation for shadow-only replays.
     """
@@ -158,39 +141,30 @@ class DynamicCoresetState:
         if sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
         grid = self.grid
-        base = grid.cell_of(point, 0)  # validates the point; level lv's cell is base >> lv
-        if self.shadow is not None and sign < 0 and self.shadow[0].get(base, 0) <= 0:
+        ids = grid.level_ids(grid.cell_of(point, 0))  # cell_of validates the point
+        if self.shadow is not None and sign < 0 and self.shadow[0].get(ids[0], 0) <= 0:
             raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
         self.ops += 1
         self.live_count += sign
         if self.shadow is not None:
-            for lv, m in enumerate(self.shadow):
-                cell = tuple(v >> lv for v in base)
-                c = m.get(cell, 0) + sign
+            for m, ident in zip(self.shadow, ids):
+                c = m.get(ident, 0) + sign
                 if c:
-                    m[cell] = c
+                    m[ident] = c
                 else:
-                    m.pop(cell, None)
+                    m.pop(ident, None)
         if self.sr is not None:
-            for sk, ident in zip(self.sr, grid.level_ids(base)):
+            for sk, ident in zip(self.sr, ids):
                 sk.update(ident, sign)
 
     def apply(self, ops) -> None:
         for sign, point in ops:
             self.update(point, sign)
 
-    def sr_query_level(self, level: int):
-        """Recovered {cell index: count} at a level, or None on sketch failure."""
-        res = self.sr[level].query()
-        if res is None:
-            return None
-        ids = sorted(res)  # row-major ids sort as their index tuples do
-        return dict(zip(self.grid.cell_indices(ids, level), map(res.__getitem__, ids)))
-
     def _report_from_cells(self, cells: dict, level: int, from_exact: bool) -> DynReport:
-        items = sorted(cells.items())
-        centers = self.grid.cell_centers((idx for idx, _ in items), level)
-        pts = tuple(WeightedPoint(center, int(c)) for center, (_, c) in zip(centers, items))
+        ids = sorted(cells)
+        centers = self.grid.cell_centers(ids, level)
+        pts = tuple(WeightedPoint(center, int(cells[i])) for center, i in zip(centers, ids))
         return DynReport(points=pts, level=level, from_exact=from_exact)
 
     def report(self, exact: bool = False) -> DynReport:
@@ -213,7 +187,7 @@ class DynamicCoresetState:
             elif self.sr[lv].support_lower_bound() > self.s:
                 continue
             else:
-                cells = self.sr_query_level(lv)
+                cells = self.sr[lv].query()
             if cells is not None and len(cells) <= self.s:
                 return self._report_from_cells(cells, lv, exact)
         raise SketchFailureError("sparse recovery failed at every level")
@@ -222,10 +196,11 @@ class DynamicCoresetState:
         """Absorb another shard built with identical parameters and seed.
 
         Sketches add bucket-wise (linearity); shadows and counters add too,
-        so shard-then-merge ingestion equals sequential ingestion.
+        so shard-then-merge ingestion equals sequential ingestion. Every check
+        runs before anything is added, so a refused merge changes nothing.
         """
-        if (self.grid, self.k, self.z, self.epsilon, self.seed, self.s) != \
-                (other.grid, other.k, other.z, other.epsilon, other.seed, other.s):
+        if (self.grid, self.k, self.z, self.epsilon, self.delta_fail, self.seed, self.s) != \
+                (other.grid, other.k, other.z, other.epsilon, other.delta_fail, other.seed, other.s):
             raise InputError("can only merge states with identical configuration")
         if (self.shadow is None) != (other.shadow is None) or \
                 (self.sr is None) != (other.sr is None):
@@ -234,12 +209,12 @@ class DynamicCoresetState:
         self.ops += other.ops
         if self.shadow is not None:
             for lv in range(self.grid.levels):
-                for cell, c in other.shadow[lv].items():
-                    total = self.shadow[lv].get(cell, 0) + c
+                for ident, c in other.shadow[lv].items():
+                    total = self.shadow[lv].get(ident, 0) + c
                     if total:
-                        self.shadow[lv][cell] = total
+                        self.shadow[lv][ident] = total
                     else:
-                        self.shadow[lv].pop(cell, None)
+                        self.shadow[lv].pop(ident, None)
         if self.sr is not None:
             for mine, theirs in zip(self.sr, other.sr):
                 mine.merge(theirs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,9 @@ class LbGeometry:
 
     epsilon: float
     d: int
-    lam: int = None
-    h: float = None
-    r: float = None
+    lam: int = field(init=False)
+    h: float = field(init=False)
+    r: float = field(init=False)
 
     def __post_init__(self):
         if self.d < 1:

@@ -197,10 +197,13 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
 
 def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
     """Total weight at nearest-center distance beyond ``radius`` (with tolerance)."""
+    centers = [tuple(c) for c in centers]
+    if not centers:
+        raise InputError("uncovered_weight needs at least one center")
     wps = as_weighted(points)
     if not wps:
         return 0
-    d = metric.pairwise(coords_array(wps), np.asarray([tuple(c) for c in centers], dtype=float).reshape(len(centers), -1))
+    d = metric.pairwise(coords_array(wps), np.asarray(centers, dtype=float).reshape(len(centers), -1))
     nearest = d.min(axis=1)
     slack = REL_TOL * np.maximum(1.0, np.maximum(np.abs(nearest), abs(radius)))
     return int(weights_array(wps)[nearest > radius + slack].sum())

@@ -35,19 +35,23 @@ def test_cell_of_examples():
         g.cell_of((2.5,), 0)
 
 
+def _center(grid, index, level):
+    return grid.cell_centers([_ref_cell_id(grid, index, level)], level)[0]
+
+
 def test_cell_id_roundtrip_and_center():
     g = GridConfig(16, 2)
     for level in range(g.levels):
         per_axis = g.cells_per_axis(level)
         for idx in [(0, 0), (per_axis - 1, 0), (per_axis - 1, per_axis - 1)]:
-            assert g.cell_index(g.cell_id(idx, level), level) == idx
-    assert g.cell_center((0, 0), 0) == (1.0, 1.0)
-    assert g.cell_center((1, 0), 2) == (6.5, 2.5)
-    assert g.cell_center((3, 3), 2) == (14.5, 14.5)
+            assert _ref_cell_index(g, _ref_cell_id(g, idx, level), level) == idx
+    assert _center(g, (0, 0), 0) == (1.0, 1.0)
+    assert _center(g, (1, 0), 2) == (6.5, 2.5)
+    assert _center(g, (3, 3), 2) == (14.5, 14.5)
     g1 = GridConfig(16, 1)
-    assert g1.cell_center((0,), 0) == (1.0,)
-    assert g1.cell_center((2,), 0) == (3.0,)
-    assert g1.cell_center((0,), 4) == (8.5,)
+    assert _center(g1, (0,), 0) == (1.0,)
+    assert _center(g1, (2,), 0) == (3.0,)
+    assert _center(g1, (0,), 4) == (8.5,)
 
 
 def test_whole_level_helpers_match_the_per_cell_ones():
@@ -58,16 +62,18 @@ def test_whole_level_helpers_match_the_per_cell_ones():
             point = tuple(int(v) for v in rng.integers(1, g.delta + 1, size=d))
             base = g.cell_of(point, 0)
             ids = g.level_ids(base)
-            assert ids == [g.cell_id(g.cell_of(point, lv), lv) for lv in range(g.levels)]
+            assert ids == [_ref_cell_id(g, g.cell_of(point, lv), lv) for lv in range(g.levels)]
             for lv, ident in enumerate(ids):
                 cell = g.cell_of(point, lv)
-                assert g.cell_indices([ident], lv) == [cell] == [g.cell_index(ident, lv)]
+                assert _ref_cell_index(g, ident, lv) == cell
                 side = 1 << lv
-                assert g.cell_centers([cell], lv) == [tuple(v * side + (side + 1) / 2.0
-                                                            for v in cell)]
-        # row-major ids sort as their index tuples do
+                assert g.cell_centers([ident], lv) == [tuple(v * side + (side + 1) / 2.0
+                                                             for v in cell)]
+        # row-major ids sort as their index tuples, and so as their centers, do
         level1 = [int(i) for i in rng.integers(0, g.cell_count(1), size=30)]
-        assert g.cell_indices(sorted(level1), 1) == sorted(g.cell_indices(level1, 1))
+        assert [_ref_cell_index(g, i, 1) for i in sorted(level1)] == \
+            sorted(_ref_cell_index(g, i, 1) for i in level1)
+        assert g.cell_centers(sorted(level1), 1) == sorted(g.cell_centers(level1, 1))
 
 
 def test_report_exact_examples():
@@ -116,7 +122,7 @@ def test_shadow_replay_matches_recomputation():
         expect = {}
         for p, c in live.items():
             if c:
-                cell = grid.cell_of(p, level)
+                cell = _ref_cell_id(grid, grid.cell_of(p, level), level)
                 expect[cell] = expect.get(cell, 0) + c
         assert st.shadow[level] == expect
 
@@ -177,7 +183,7 @@ def test_sketch_agrees_with_shadow():
     for _ in range(60):
         st.update(tuple(int(v) for v in rng.integers(1, 65, size=2)), 1)
     for level in range(st.grid.levels):
-        got = st.sr_query_level(level)
+        got = st.sr[level].query()
         if got is not None:
             assert got == st.shadow[level]
     exact = st.report(exact=True)
@@ -201,14 +207,20 @@ def test_sketch_report_has_at_most_s_cells():
            [(p.point, p.weight) for p in exact.points]
 
 
+def _log_decodes(monkeypatch, st):
+    """Make each level's sketch log its level on ``query``; returns the log."""
+    decoded = []
+    for lv, sk in enumerate(st.sr):
+        monkeypatch.setattr(sk, "query", lambda lv=lv, q=sk.query: decoded.append(lv) or q())
+    return decoded
+
+
 def test_sketch_report_decodes_no_level_known_to_exceed_s(monkeypatch):
     # 32 odd points: levels 0-3 hold 32, 32, 16 and 8 cells, level 4 holds s = 4
     st = DynamicCoresetState(64, 1, 1, 0, 1.0, seed=3, with_shadow=True)
     for p in range(1, 65, 2):
         st.update((p,), 1)
-    decoded = []
-    orig = st.sr_query_level
-    monkeypatch.setattr(st, "sr_query_level", lambda lv: decoded.append(lv) or orig(lv))
+    decoded = _log_decodes(monkeypatch, st)
     sk = st.report()
     exact = st.report(exact=True)
     assert decoded == [exact.level] == [4]
@@ -230,9 +242,7 @@ def test_dense_levels_overflow_skip_and_peel(monkeypatch):
         if p > 16:
             st.update((p,), -1)
     assert [sk._count is not None for sk in st.sr[:7]] == [True] * 6 + [False]
-    decoded = []
-    orig = st.sr_query_level
-    monkeypatch.setattr(st, "sr_query_level", lambda lv: decoded.append(lv) or orig(lv))
+    decoded = _log_decodes(monkeypatch, st)
     sk = st.report()
     exact = st.report(exact=True)
     assert (sk.level, exact.level) == (2, 2)
@@ -253,7 +263,6 @@ def test_top_level_stays_sparse_and_ends_every_report(monkeypatch):
     assert st.grid.cell_count(top) == 1 and st.s == 32
     rng = np.random.default_rng(53)
     live = []
-    orig = st.sr_query_level
     for step in range(300):
         if live and rng.random() < 0.3:
             st.update(live.pop(int(rng.integers(len(live)))), -1)
@@ -263,7 +272,8 @@ def test_top_level_stays_sparse_and_ends_every_report(monkeypatch):
         assert st.sr[top]._count is None and len(st.sr[top]._pending) <= 1
         if step % 50 == 49:
             with monkeypatch.context() as mp:
-                mp.setattr(st, "sr_query_level", lambda lv: None if lv < top else orig(lv))
+                for sk in st.sr[:top]:
+                    mp.setattr(sk, "query", lambda: None)
                 rep = st.report()
             assert rep.level == top and [p.weight for p in rep.points] == [len(live)]
             assert st.sr[top]._count is None
@@ -297,6 +307,21 @@ def test_shard_then_merge_equals_sequential():
     assert shard_a.live_count == whole.live_count
     with pytest.raises(InputError):
         shard_a.merge(DynamicCoresetState(16, 1, 1, 0, 1.0, seed=7, with_shadow=True))
+
+
+def test_refused_merge_changes_nothing():
+    # equal but for delta_fail, which sets the sketches' row count
+    st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True)
+    other = DynamicCoresetState(16, 1, 1, 0, 1.0, delta_fail=0.01, with_shadow=True)
+    assert st.sr[0].rows != other.sr[0].rows
+    st.update((3,), 1)
+    other.update((9,), 1)
+    before = copy.deepcopy(st)
+    with pytest.raises(InputError):
+        st.merge(other)
+    assert (st.ops, st.live_count, st.shadow) == (before.ops, before.live_count, before.shadow)
+    assert st.digest() == before.digest()
+    assert _cells(st.report(exact=True)) == _cells(st.report()) == _cells(before.report())
 
 
 def _cells(rep):
@@ -402,7 +427,7 @@ def test_update_validates_once_and_touches_each_level_once(monkeypatch):
         calls.clear()
         st.update((37, 100), 1)
         assert len(calls) == st.grid.levels == 8
-        assert calls == [st.grid.cell_id(st.grid.cell_of((37, 100), lv), lv)
+        assert calls == [_ref_cell_id(st.grid, st.grid.cell_of((37, 100), lv), lv)
                          for lv in range(st.grid.levels)]
         before = copy.deepcopy(st)
         for bad in [(0, 5), (129, 5), (2.5, 5), (5,), (5, 5, 5)]:
@@ -417,7 +442,8 @@ def test_update_validates_once_and_touches_each_level_once(monkeypatch):
 
 # Reference copy of the per-level update and report loops as they were
 # before ids were formed from the level-0 cell: one cell tuple, one row-major
-# id and one index/center conversion per level and cell.
+# id and one index/center conversion per level and cell. The reference shadow
+# keys its maps by index tuples, as the package did before it used ids.
 
 def _ref_update(st, point, sign):
     if sign not in (1, -1):
@@ -443,6 +469,19 @@ def _ref_update(st, point, sign):
             for v in cell:
                 ident = ident * per_axis + v
             st.sr[lv].update(ident, sign)
+
+
+def _ref_cell_id(grid, index, level):
+    per_axis = max(1, grid.delta >> level)
+    out = 0
+    for v in index:
+        out = out * per_axis + v
+    return out
+
+
+def _ref_shadow_by_id(st):
+    return [{_ref_cell_id(st.grid, cell, lv): c for cell, c in m.items()}
+            for lv, m in enumerate(st.shadow)]
 
 
 def _ref_cell_index(grid, ident, level):
@@ -521,7 +560,10 @@ def test_level_ids_match_reference_loops(monkeypatch, delta, d, k, z, eps, shado
             assert new.sketch_bytes() == ref.sketch_bytes()
             if sketches:
                 assert copy.deepcopy(new).digest() == copy.deepcopy(ref).digest()
-    assert (new.ops, new.live_count, new.shadow) == (ref.ops, ref.live_count, ref.shadow)
+            if shadow:
+                assert new.shadow == _ref_shadow_by_id(ref)
+    assert (new.ops, new.live_count) == (ref.ops, ref.live_count)
+    assert new.shadow == (_ref_shadow_by_id(ref) if shadow else None)
     if sketches:
         assert new.digest() == ref.digest()
         assert new.sketch_bytes() == ref.sketch_bytes()

@@ -1,7 +1,7 @@
 import pytest
 
 from kcoreset import (
-    DynamicCoresetState, InputError, InsertionStream, Instance,
+    DynamicCoresetState, InputError, InsertionStream, Instance, LbGeometry,
     WeightedPoint, brute_force_opt, gen_dynamic_lb, gen_insertion_lb,
     gen_one_dim_lb, lb_geometry, midpoint_grid_universe, probe_cover_ok,
 )
@@ -21,6 +21,14 @@ def test_geometry_examples():
         lb_geometry(1 / 4, 1)  # epsilon above 1/(8d)
     with pytest.raises(InputError):
         lb_geometry(0.1, 1)  # 1/(4*d*eps) = 2.5 not an integer
+
+
+def test_geometry_derives_lam_h_and_r_only():
+    g = LbGeometry(1 / 8, 1)
+    assert (g.lam, g.h, g.r) == (2, 2.0, 1.0)
+    for name, value in (("lam", 99), ("h", 1.0), ("r", 2.0)):
+        with pytest.raises(TypeError):
+            LbGeometry(1 / 8, 1, **{name: value})
 
 
 def test_geometry_inequality_grid():

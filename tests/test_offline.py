@@ -60,6 +60,13 @@ def test_evaluate_cost_examples(linf):
         evaluate_cost(pts1d(0), [(0.0,)], -1, linf)
 
 
+def test_uncovered_weight_needs_a_center(linf):
+    assert uncovered_weight(pts1d(0, 1, 3), [(1.0,)], 1.0, linf) == 1
+    for points in (pts1d(0), []):
+        with pytest.raises(InputError, match="at least one center"):
+            uncovered_weight(points, [], 1.0, linf)
+
+
 def exhaustive_threshold_scan(points, centers, z, metric):
     dists = [min(metric.distance(p.point, c) for c in centers) for p in points]
     for r in sorted({0.0} | set(dists)):
