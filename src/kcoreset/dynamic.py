@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, SketchFailureError
-from .metric import WeightedPoint
+from .metric import _unchecked_point
 from .sketches import SparseRecoverySketch, _mix64
 
 
@@ -162,9 +162,11 @@ class DynamicCoresetState:
             self.update(point, sign)
 
     def _report_from_cells(self, cells: dict, level: int, from_exact: bool) -> DynReport:
+        # the centers are tuples of finite floats and the counts positive
+        # ints (a decode refuses negative ones), so no point is re-checked
         ids = sorted(cells)
         centers = self.grid.cell_centers(ids, level)
-        pts = tuple(WeightedPoint(center, int(cells[i])) for center, i in zip(centers, ids))
+        pts = tuple(_unchecked_point(center, int(cells[i])) for center, i in zip(centers, ids))
         return DynReport(points=pts, level=level, from_exact=from_exact)
 
     def report(self, exact: bool = False) -> DynReport:

@@ -52,15 +52,24 @@ class WeightedPoint:
         object.__setattr__(self, "point", point)
 
 
+# bound once: looking the two up on ``object`` costs as much as the stores
+_new_object, _set_attribute = object.__new__, object.__setattr__
+
+
+def _unchecked_point(point: tuple, weight: int) -> WeightedPoint:
+    """A ``WeightedPoint`` built without ``__post_init__``. Only for callers
+    whose ``point`` is already a tuple of finite floats and whose ``weight``
+    is already a positive int: a representative's point with a sum of
+    validated weights, or a cell center with its decoded count."""
+    wp = _new_object(WeightedPoint)
+    _set_attribute(wp, "point", point)
+    _set_attribute(wp, "weight", weight)
+    return wp
+
+
 def as_weighted(points) -> list[WeightedPoint]:
     """Normalize a list of Points / WeightedPoints to WeightedPoints."""
-    out = []
-    for p in points:
-        if isinstance(p, WeightedPoint):
-            out.append(p)
-        else:
-            out.append(WeightedPoint(tuple(p)))
-    return out
+    return [p if isinstance(p, WeightedPoint) else WeightedPoint(tuple(p)) for p in points]
 
 
 def total_weight(points) -> int:

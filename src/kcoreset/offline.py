@@ -23,6 +23,7 @@ from .metric import (
     Metric,
     REL_TOL,
     WeightedPoint,
+    _unchecked_point,
     as_weighted,
     coords_array,
     input_points_universe,
@@ -32,6 +33,7 @@ from .metric import (
 
 SUBSET_CAP = 2_000_000  # default cap on enumerated candidate center sets
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
+_NET_BLOCK = 1 << 16  # most distances in one row block of _net
 
 
 @dataclass(frozen=True)
@@ -292,28 +294,41 @@ def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
 
 class _PointSet:
     """A weighted point set and what the greedy search and the net read of
-    it: the distance matrix and the candidate radii, each built on first use,
-    and a memo of probes keyed by (k, candidate index). A probe does not
-    depend on an outlier budget, so searches on one set at several z probe a
-    radius once, and a later search at a z already searched makes no probe.
-    ``dmat``, when given, is the points' own distance matrix (any view,
-    contiguous or not); no distance is then computed."""
+    it: the coordinates, the distance matrix and the candidate radii, each
+    built on first use, and a memo of probes keyed by (k, candidate index).
+    A probe does not depend on an outlier budget, so searches on one set at
+    several z probe a radius once, and a later search at a z already
+    searched makes no probe."""
 
-    def __init__(self, points, metric: Metric, dmat: np.ndarray = None):
+    def __init__(self, points, metric: Metric):
         self.wps = as_weighted(points)
         self.weights = weights_array(self.wps)
         self.metric = metric
-        if dmat is not None:
-            self.dmat = dmat
         self._memo = {}
 
     def __len__(self) -> int:
         return len(self.wps)
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        return coords_array(self.wps)
+
+    @cached_property
     def dmat(self) -> np.ndarray:
-        coords = coords_array(self.wps)
-        return self.metric.pairwise(coords, coords)
+        return self.metric.pairwise(self.coords, self.coords)
+
+    def rows(self, i, j) -> np.ndarray:
+        """Distances from the points at ``i`` to the points at ``j``, each an
+        index array or a slice. They are read from the matrix once it is
+        built, else computed with one ``pairwise`` call, whose entries have
+        the matrix's bits. A slice of a built matrix is returned as a view,
+        so the result is read-only to the caller."""
+        dmat = self.__dict__.get("dmat")
+        if dmat is None:
+            return self.metric.pairwise(self.coords[i], self.coords[j])
+        if isinstance(i, slice) or isinstance(j, slice):
+            return dmat[i, j]
+        return dmat[np.ix_(i, j)]
 
     @cached_property
     def cands(self) -> np.ndarray:
@@ -377,35 +392,62 @@ def _net(points, delta: float, metric: Metric):
     point within distance delta of q (inclusive) into q, summing weights.
     Returns (representatives, assignment) where assignment[i] is the
     representative index of input point i. ``points`` is a point list or a
-    ``_PointSet``, whose matrix is used as it is.
+    ``_PointSet``, whose rows (``_PointSet.rows``) are read.
 
-    The matrix is compared with delta once. Only the rows of points that
-    become representatives are read, and a point already assigned is skipped,
-    so it stays with the first representative that covers it. Representatives
-    are pairwise more than delta apart, so by packing a point lies in the rows
-    of at most 2^O(d) of them, and the rows read list O(2^O(d) n) members in
-    all.
+    The input is walked in blocks. A point belongs to the first
+    representative within delta of it, and every representative before a
+    block lies in an earlier block. So one row block, the representatives so
+    far against the block, assigns each point it covers to its first hit.
+    The block's other points then run the leader loop over their own
+    distances: each in turn, if still free, becomes a representative and
+    takes the free points it covers. A block has at most sqrt(_NET_BLOCK)
+    points, and at most _NET_BLOCK / r of them once there are r
+    representatives, so no row block holds more than about ``_NET_BLOCK``
+    distances. Every comparison reads the entry (representative, point) of
+    the full matrix, so the result is the one the full matrix gives.
     """
     ps = _point_set(points, metric)
     n = len(ps)
     if n == 0:
         return [], []
-    slack = REL_TOL * max(1.0, abs(delta))
-    within = ps.dmat <= delta + slack
-    assignment = [-1] * n
+    bound = delta + REL_TOL * max(1.0, abs(delta))
+    assignment = np.full(n, -1, dtype=np.intp)
     firsts = []  # input index of each representative
-    for i in range(n):
-        if assignment[i] >= 0:
-            continue
-        rep = len(firsts)
-        firsts.append(i)
-        for j in np.flatnonzero(within[i]).tolist():
-            if assignment[j] < 0:
-                assignment[j] = rep
+    side = max(1, math.isqrt(_NET_BLOCK))
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, min(side, _NET_BLOCK // max(1, len(firsts)))))
+        free, block = slice(lo, hi), range(lo, hi)
+        lo = hi
+        if firsts:
+            within = ps.rows(np.asarray(firsts), free) <= bound
+            hit = within.argmax(axis=0)
+            covered = within[hit, np.arange(len(block))]
+            assignment[free][covered] = hit[covered]
+            if covered.any():
+                free = np.flatnonzero(~covered) + block.start
+                block = free.tolist()
+                if not block:
+                    continue
+        local = ps.rows(free, free) <= bound
+        # a row that covers no other point of the block needs no scan
+        shared = (local.sum(axis=1, dtype=np.int32) > local.diagonal()).tolist()
+        owner = [-1] * len(block)
+        for a, i in enumerate(block):
+            if owner[a] >= 0:
+                continue
+            owner[a] = rep = len(firsts)
+            firsts.append(i)
+            if shared[a]:
+                for b in local[a].nonzero()[0].tolist():
+                    if owner[b] < 0:
+                        owner[b] = rep
+        assignment[free] = owner
     weights = np.zeros(len(firsts), dtype=np.int64)
     np.add.at(weights, assignment, ps.weights)
-    reps = [WeightedPoint(ps.wps[i].point, wt) for i, wt in zip(firsts, weights.tolist())]
-    return reps, assignment
+    wps = ps.wps
+    reps = [_unchecked_point(wps[i].point, wt) for i, wt in zip(firsts, weights.tolist())]
+    return reps, assignment.tolist()
 
 
 def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:

@@ -6,25 +6,18 @@ insertion order) within (eps/2)*r, else appended with weight 1. Once the set
 reaches k*(16/eps)^d + z, r doubles and the set is recompressed to a
 (eps/2)*r net until it shrinks below the threshold.
 
-Next to the representative list ``pstar`` the state keeps two buffers whose
-first m = ``len(pstar)`` rows follow ``pstar``'s order: ``_coords`` holds the
-representatives' coordinates and, from the first radius doubling on,
-``_dist[:m, :m]`` their distance matrix. An arrival is scanned against
-``_coords`` with one ``Metric.pairwise`` call, and the first row within
-(eps/2)*r is found with a mask and ``argmax``, so the first-in-insertion-order
-rule is kept exactly.
+Next to the representative list ``pstar`` the state keeps one buffer,
+``_coords``, whose first m = ``len(pstar)`` rows hold the representatives'
+coordinates in ``pstar``'s order. It grows by doubling up to the threshold,
+so the stream holds O(threshold * (d+1)) words. An arrival is scanned
+against ``_coords`` with one ``Metric.pairwise`` call, and the first row
+within (eps/2)*r is found with a mask and ``argmax``, so the
+first-in-insertion-order rule is kept exactly.
 
-``_dist`` is None until the first doubling, so a stream that never reaches
-the threshold holds no quadratic matrix. That doubling builds it with one
-``pairwise`` of the representatives; the set then has exactly threshold
-members, the capacity of ``_coords``, so the matrix never grows. From then on,
-when an arrival becomes a representative, its scan row is stored as its row
-and column. ``pairwise(X, X)`` is symmetric bit for bit and computes each
-entry as a one-row call does, so the buffer always equals the matrix
-``pairwise`` would build. A recompression hands ``_net`` a ``_PointSet`` of
-``pstar`` built on ``_dist[:m, :m]`` and gathers both buffers down to the kept
-rows, so after the first doubling it computes no distance. ``_coords`` grows
-by doubling, up to the threshold; ``_dist`` holds threshold^2 floats.
+No distance matrix is kept. A recompression hands ``_net`` a ``_PointSet``
+of ``pstar``, which computes the distances it reads one row block at a time
+(at most about 2^16 of them at once), then gathers ``_coords`` down to the
+kept rows.
 
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
@@ -36,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .metric import Metric, REL_TOL, WeightedPoint, min_pairwise_distance
+from .metric import Metric, REL_TOL, WeightedPoint, _unchecked_point, min_pairwise_distance
 from .offline import _PointSet, _net
 
 
@@ -63,7 +56,6 @@ class InsertionStream:
         self.r = 0.0
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
-        self._dist = None  # from the first doubling: [:len(pstar), :len(pstar)] holds their distances
         self.arrivals = 0
 
     def arrival(self, point) -> None:
@@ -74,12 +66,12 @@ class InsertionStream:
         self.arrivals += 1
         limit = (self.epsilon / 2.0) * self.r
         slack = REL_TOL * max(1.0, limit)
-        i, row = self._first_within(point, limit + slack)
+        i = self._first_within(point, limit + slack)
         if i is not None:
             rep = self.pstar[i]
-            self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
+            self.pstar[i] = _unchecked_point(rep.point, rep.weight + 1)
         else:
-            self._append(point, row)
+            self._append(point)
             self.pstar.append(new)
 
         if self.r == 0.0 and len(self.pstar) >= self.k + self.z + 1:
@@ -88,30 +80,23 @@ class InsertionStream:
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
-            m = len(self.pstar)
-            if self._dist is None:  # m == threshold == len(self._coords)
-                self._dist = self.metric.pairwise(self._coords, self._coords)
-            pset = _PointSet(self.pstar, self.metric, self._dist[:m, :m])
-            reps, assignment = _net(pset, delta, self.metric)
+            reps, assignment = _net(_PointSet(self.pstar, self.metric), delta, self.metric)
             _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
             self._coords[:len(keep)] = self._coords[keep]
-            self._dist[:len(keep), :len(keep)] = self._dist[np.ix_(keep, keep)]
             self.pstar = reps
 
     def _first_within(self, point, bound):
-        """The index of the first representative within ``bound`` of point
-        (None if there is none) and point's distance row to the
-        representatives (None if there are no representatives)."""
+        """The index of the first representative within ``bound`` of point,
+        or None if there is none."""
         m = len(self.pstar)
         if not m:
-            return None, None
+            return None
         row = self.metric.pairwise(np.asarray([point]), self._coords[:m])[0]
         i = int((row <= bound).argmax())
-        return (i if row[i] <= bound else None), row
+        return i if row[i] <= bound else None
 
-    def _append(self, point, row) -> None:
-        """Store a new representative's coordinates, and once the distance
-        matrix exists, its scan row as its row and column."""
+    def _append(self, point) -> None:
+        """Store a new representative's coordinates."""
         m = len(self.pstar)
         if self._coords is None:
             self._coords = np.empty((16, len(point)))  # 16 <= threshold
@@ -120,10 +105,6 @@ class InsertionStream:
             self._coords = np.empty((min(2 * m, self.threshold), len(point)))
             self._coords[:m] = coords
         self._coords[m] = point
-        if self._dist is not None:
-            self._dist[m, :m] = row
-            self._dist[:m, m] = row
-            self._dist[m, m] = 0.0
 
     def extend(self, points) -> None:
         for p in points:

@@ -177,6 +177,33 @@ def test_valid_turnstile_streams_keep_digest_and_report():
         "6b70dcf8b08e8e2f90c7529b03b28260e921459ff8853e3c64e1a30eb887507a"
 
 
+def test_report_points_equal_validated_points():
+    # the streams of test_valid_turnstile_streams_keep_digest_and_report,
+    # with the shadow kept: report points are built without __post_init__,
+    # and each equals, bit for bit, the point the checking constructor builds
+    lb = gen_dynamic_lb(2, 1, 0.125, 1, 256, scenario=(0, 1, 0))
+    first = DynamicCoresetState(lb.delta, lb.d, 2, 1, 0.125, seed=0, with_shadow=True)
+    first.apply(lb.ops)
+    rng = np.random.default_rng(23)
+    second = DynamicCoresetState(64, 2, 2, 2, 1.0, seed=5, with_shadow=True)
+    live = []
+    for _ in range(120):
+        if live and rng.random() < 0.35:
+            second.update(live.pop(int(rng.integers(len(live)))), -1)
+        else:
+            live.append(tuple(int(v) for v in rng.integers(1, 65, size=2)))
+            second.update(live[-1], 1)
+    for st in (first, second):
+        for exact in (False, True):
+            points = st.report(exact=exact).points
+            assert points
+            for p in points:
+                checked = W(p.point, p.weight)
+                assert all(type(c) is float for c in p.point)
+                assert [c.hex() for c in p.point] == [c.hex() for c in checked.point]
+                assert type(p.weight) is int and p.weight == checked.weight
+
+
 def test_sketch_agrees_with_shadow():
     rng = np.random.default_rng(23)
     st = DynamicCoresetState(64, 2, 2, 2, 1.0, with_shadow=True, seed=5)

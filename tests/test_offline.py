@@ -710,7 +710,7 @@ def scalar_net(points, delta, metric):
     return reps, assignment
 
 
-def test_net_matches_scalar_oracle():
+def test_net_matches_scalar_oracle(monkeypatch):
     rng = np.random.default_rng(53)
     cases = []
     for trial in range(120):
@@ -735,11 +735,21 @@ def test_net_matches_scalar_oracle():
         reps, assignment = _net(pts, delta, metric)
         assert (reps, assignment) == expect
         assert all(type(a) is int for a in assignment)
-        # the insertion stream passes a [:m, :m] view of a larger buffer
-        m, coords = len(pts), coords_array(pts)
-        buf = np.zeros((m + 5, m + 3))
-        buf[:m, :m] = metric.pairwise(coords, coords)
-        assert _net(_PointSet(pts, metric, buf[:m, :m]), delta, metric) == expect
+        assert all(type(r.weight) is int for r in reps)
+        # every case fits one block; then blocks of at most 1, 2 and 3 rows.
+        # Each runs on a set whose matrix is built first (the rows are read
+        # from it, as in _mbc after greedy) and on one without (they are
+        # computed, as in the stream)
+        for rows in (None, 1, 2, 3):
+            if rows:
+                monkeypatch.setattr(offline, "_NET_BLOCK", rows * rows)
+            for built in (True, False):
+                ps = _PointSet(pts, metric)
+                if built:
+                    ps.dmat
+                assert _net(ps, delta, metric) == expect, (rows, built)
+                assert ("dmat" in ps.__dict__) == built
+        monkeypatch.undo()
 
 
 def test_update_coreset_examples(linf):

@@ -10,6 +10,7 @@ from kcoreset import (
     brute_force_opt, input_points_universe, min_pairwise_distance, size_threshold,
 )
 from kcoreset.metric import REL_TOL, coords_array
+from kcoreset.offline import _PointSet
 from conftest import random_points
 from test_offline import scalar_net
 
@@ -128,7 +129,7 @@ def test_non_finite_arrival_leaves_state_unchanged(linf):
 
     def state():
         m = len(st_.pstar)
-        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:m].tolist(), st_._dist
+        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:m].tolist()
 
     before = state()
     for bad in ((float("nan"), 3.0), (1.0, float("inf")), (float("-inf"), 0.0)):
@@ -142,9 +143,9 @@ class ScalarInsertionStream(InsertionStream):
 
     This is the scan ``InsertionStream.arrival`` replaced with one
     ``pairwise`` call over its coordinate buffer, and it recompresses with
-    ``scalar_net``, the net loop that builds its own matrix, where the stream
-    hands ``_net`` its cached distance matrix. It is kept as the differential
-    oracle for both fast paths. It also keeps the
+    ``scalar_net``, the net loop over one full matrix, where the stream's
+    ``_net`` computes its distances one row block at a time. It is kept as
+    the differential oracle for both fast paths. It also keeps the
     representative-merge history, so that ``resolved_representative`` traces
     each arrival to its current representative.
     """
@@ -251,39 +252,38 @@ def test_vectorised_scan_matches_scalar_oracle(case, k, z, eps):
 
 
 @pytest.mark.parametrize("kind", [L2, LINF, EXPLICIT])
-def test_cached_distances_match_pairwise(kind, monkeypatch):
-    # threshold 33: the coordinates grow 16 -> 32 -> 33, and r doubles repeatedly
+def test_point_set_rows_match_pairwise(kind):
+    # threshold 33: the coordinates grow 16 -> 32 -> 33, and r doubles
+    # repeatedly. After every arrival, the representatives' rows from a
+    # _PointSet have pairwise's bits, read from a built matrix or computed.
     metric, stream = growing_stream(kind, np.random.default_rng(61), 400, 64)
     st_ = InsertionStream(2, 1, 1.0, 1, metric)
-    rows = []
-    orig = Metric.pairwise
-    monkeypatch.setattr(Metric, "pairwise", lambda self, a, b: rows.append(len(a)) or orig(self, a, b))
     doublings = 0
     for p in stream:
         r0 = st_.r
-        rows.clear()
         st_.arrival(p)
-        if r0 > 0 and st_.r != r0:
-            doublings += 1
-            # the arrival's scan; the first doubling builds the matrix over
-            # the threshold representatives, a later one computes no distance
-            assert rows == ([1, st_.threshold] if doublings == 1 else [1])
+        doublings += r0 > 0 and st_.r != r0
         m = len(st_.pstar)
         coords = coords_array(st_.pstar)
         assert np.array_equal(st_._coords[:m], coords)
-        if not doublings:
-            assert st_._dist is None
-            continue
-        assert np.array_equal(st_._dist[:m, :m].view(np.uint64),
-                              orig(metric, coords, coords).view(np.uint64))
+        full = metric.pairwise(coords, coords).view(np.uint64)
+        every, odd = np.arange(m), np.arange(m)[1::2]
+        for built in (True, False):
+            ps = _PointSet(st_.pstar, metric)
+            if built:
+                ps.dmat
+            for i, j in ((slice(None), slice(None)), (odd, slice(m // 3, m)),
+                         (slice(0, m, 2), odd[::-1]), (every[::-1], odd)):
+                assert np.array_equal(ps.rows(i, j).view(np.uint64), full[i][:, j])
+            assert ("dmat" in ps.__dict__) == built
     assert doublings >= 2
-    assert len(st_._dist) == st_.threshold == 33
+    assert len(st_._coords) == st_.threshold == 33
 
 
 def test_distance_matrix_waits_for_the_first_doubling(l2):
     # threshold 65 536: 3000 spread-out arrivals keep 2717 representatives
-    # and never double r, so no quadratic matrix is built (a 4096 x 4096
-    # one would take 134 MB)
+    # and never double r; the stream holds no quadratic matrix (a 4096 x
+    # 4096 one would take 134 MB)
     stream = [tuple(row) for row in np.random.default_rng(1).uniform(0, 1000, size=(3000, 3))]
     st_ = InsertionStream(2, 0, 0.5, 3, l2)
     tracemalloc.start()
@@ -292,6 +292,31 @@ def test_distance_matrix_waits_for_the_first_doubling(l2):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert st_.threshold == 65536 and st_._dist is None
+    assert st_.threshold == 65536
     assert len(st_.pstar) == 2717
     assert peak < 4 << 20
+
+
+def test_stream_space_stays_linear_in_its_threshold(linf):
+    # the paper's space bound: threshold 8 * (16 / 0.5)^2 = 8192. 9000
+    # shuffled points of a 100 x 100 lattice with spacing 10 double r once
+    # and keep 1852 representatives; a threshold^2 matrix alone would take
+    # 537 MB, the coordinates 131 KB
+    g = 10.0 * np.arange(100)
+    lattice = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    stream = [tuple(row) for row in np.random.default_rng(3).permutation(lattice)[:9000].tolist()]
+    st_ = InsertionStream(8, 0, 0.5, 2, linf)
+    doublings = 0
+    tracemalloc.start()
+    try:
+        for p in stream:
+            r0 = st_.r
+            st_.arrival(p)
+            doublings += r0 > 0 and st_.r != r0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert st_.threshold == 8192 and doublings == 1
+    assert len(st_.pstar) == 1852
+    assert sum(p.weight for p in st_.pstar) == 9000
+    assert peak < 8 << 20
