@@ -120,6 +120,8 @@ class DynamicCoresetState:
             raise InputError("need k >= 1, z >= 0, 0 < epsilon <= 1")
         if not with_sketches and not with_shadow:
             raise InputError("enable sketches, the shadow, or both")
+        if not 0 < delta_fail < 1:
+            raise InputError(f"delta_fail must be in (0, 1), got {delta_fail}")
         self.grid = GridConfig(delta, d)
         self.k, self.z, self.epsilon = k, z, epsilon
         self.delta_fail = delta_fail
@@ -198,8 +200,10 @@ class DynamicCoresetState:
         """Absorb another shard built with identical parameters and seed.
 
         Sketches add bucket-wise (linearity); shadows and counters add too,
-        so shard-then-merge ingestion equals sequential ingestion. Every check
-        runs before anything is added, so a refused merge changes nothing.
+        so shard-then-merge ingestion equals sequential ingestion. A shadow
+        holds only positive counts (each shard refuses to delete what it does
+        not hold), so no sum of two shadows cancels. Every check runs before
+        anything is added, so a refused merge changes nothing.
         """
         if (self.grid, self.k, self.z, self.epsilon, self.delta_fail, self.seed, self.s) != \
                 (other.grid, other.k, other.z, other.epsilon, other.delta_fail, other.seed, other.s):
@@ -210,13 +214,9 @@ class DynamicCoresetState:
         self.live_count += other.live_count
         self.ops += other.ops
         if self.shadow is not None:
-            for lv in range(self.grid.levels):
-                for ident, c in other.shadow[lv].items():
-                    total = self.shadow[lv].get(ident, 0) + c
-                    if total:
-                        self.shadow[lv][ident] = total
-                    else:
-                        self.shadow[lv].pop(ident, None)
+            for mine, theirs in zip(self.shadow, other.shadow):
+                for ident, c in theirs.items():
+                    mine[ident] = mine.get(ident, 0) + c
         if self.sr is not None:
             for mine, theirs in zip(self.sr, other.sr):
                 mine.merge(theirs)

@@ -58,8 +58,38 @@ def lb_geometry(epsilon: float, d: int) -> LbGeometry:
     return LbGeometry(epsilon=epsilon, d=d)
 
 
-def _cluster_grid(lam: int, d: int) -> list[tuple]:
-    return [tuple(float(c) for c in x) for x in itertools.product(range(lam + 1), repeat=d)]
+def _outliers(z: int, gap, d: int) -> list[tuple]:
+    """z points ``gap`` apart on the negative first axis, nearest first; the
+    coordinates have the type of ``gap``."""
+    if z < 0:
+        raise InputError("need z >= 0")
+    return [(-gap * i,) + (gap * 0,) * (d - 1) for i in range(1, z + 1)]
+
+
+def _shifted(base: list, offset) -> list[tuple]:
+    """The points of ``base`` moved by ``offset`` along the first axis."""
+    return [(p[0] + offset,) + p[1:] for p in base]
+
+
+def _probe_cross(p_star: tuple, offset) -> list[tuple]:
+    """p* + offset*e_j for every axis j, then p* - offset*e_j, each twice."""
+    cross = []
+    for sgn in (1, -1):
+        for j in range(len(p_star)):
+            q = list(p_star)
+            q[j] += sgn * offset
+            cross.extend([tuple(q)] * 2)
+    return cross
+
+
+def _pick(nested: list, indices: tuple, what: str):
+    """The item of nested lists at ``indices``, each index checked."""
+    item = nested
+    for i in indices:
+        if not 0 <= i < len(item):
+            raise InputError(f"{what} indices out of range")
+        item = item[i]
+    return item
 
 
 def gen_insertion_lb(k: int, z: int, epsilon: float, d: int, probe=None) -> list[tuple]:
@@ -74,27 +104,12 @@ def gen_insertion_lb(k: int, z: int, epsilon: float, d: int, probe=None) -> list
     if k < 2 * d:
         raise InputError("the construction needs k >= 2d")
     lam, h, r = geom.lam, geom.h, geom.r
-    stream = []
-    for i in range(1, z + 1):
-        stream.append((-4.0 * (h + r) * i,) + (0.0,) * (d - 1))
-    base = sorted(_cluster_grid(lam, d))
-    shift = lam + 4.0 * (h + r)
-    clusters = []
-    for i in range(k - 2 * d + 1):
-        cluster = [(p[0] + i * shift,) + p[1:] for p in base]
-        clusters.append(cluster)
-        stream.extend(cluster)
+    stream = _outliers(z, 4.0 * (h + r), d)
+    base = [tuple(map(float, x)) for x in itertools.product(range(lam + 1), repeat=d)]
+    clusters = [_shifted(base, i * (lam + 4.0 * (h + r))) for i in range(k - 2 * d + 1)]
+    stream.extend(p for cluster in clusters for p in cluster)
     if probe is not None:
-        ci, pi = probe
-        p_star = clusters[ci][pi]
-        for j in range(d):
-            plus = list(p_star)
-            plus[j] += h + r
-            stream.extend([tuple(plus)] * 2)
-        for j in range(d):
-            minus = list(p_star)
-            minus[j] -= h + r
-            stream.extend([tuple(minus)] * 2)
+        stream.extend(_probe_cross(_pick(clusters, probe, "probe"), h + r))
     return stream
 
 
@@ -103,18 +118,12 @@ def probe_cover_ok(geom: LbGeometry, k: int, probe, metric: Metric = None) -> bo
     p* +/- h*e_j cover the probe points and the probed cluster minus p*."""
     metric = metric or Metric(L2)
     d = geom.d
-    stream = gen_insertion_lb(k, 0, geom.epsilon, d, probe=probe)
-    base = sorted(_cluster_grid(geom.lam, d))
+    stream = gen_insertion_lb(k, 0, geom.epsilon, d, probe=probe)  # checks the indices
     ci, pi = probe
-    shift = geom.lam + 4.0 * (geom.h + geom.r)
-    cluster = [(p[0] + ci * shift,) + p[1:] for p in base]
+    size = (geom.lam + 1) ** d
+    cluster = stream[ci * size:(ci + 1) * size]
     p_star = cluster[pi]
-    centers = []
-    for j in range(d):
-        for sgn in (1.0, -1.0):
-            c = list(p_star)
-            c[j] += sgn * geom.h
-            centers.append(tuple(c))
+    centers = _probe_cross(p_star, geom.h)[::2]
     targets = [q for q in cluster if q != p_star] + stream[-4 * d:]
     tol = 1e-9 * max(1.0, geom.r)
     dist = metric.pairwise(np.asarray(targets, dtype=float), np.asarray(centers))
@@ -167,60 +176,27 @@ def gen_dynamic_lb(k: int, z: int, epsilon: float, d: int, delta: int,
 
     spacing = math.ceil((1 << (g + 2)) * (h + r))
     half = lam // 2
-    group_points = {}
-    for m in range(1, g + 1):
-        pts = [
-            tuple(c * (1 << m) for c in x)
-            for x in itertools.product(range(lam + 1), repeat=d)
-            if not all(c <= half for c in x)
-        ]
-        group_points[m] = sorted(pts)
-    group_size = (lam + 1) ** d - (half + 1) ** d
+    groups = [[tuple(c << m for c in x) for x in itertools.product(range(lam + 1), repeat=d)
+               if not all(c <= half for c in x)] for m in range(1, g + 1)]
     n_clusters = k - 2 * d + 1
-    extent = lam * (1 << g)
+    outliers = _outliers(z, spacing, d)
+    clusters = [[_shifted(pts, i * (lam * (1 << g) + spacing)) for pts in groups]
+                for i in range(n_clusters)]
 
-    outliers = [(-spacing * i,) + (0,) * (d - 1) for i in range(1, z + 1)]
-    clusters = []
-    for i in range(n_clusters):
-        off = i * (extent + spacing)
-        clusters.append({m: [(p[0] + off,) + p[1:] for p in pts]
-                         for m, pts in group_points.items()})
-
-    probes = []
-    deletes = []
+    probes, deletes = [], []
     if scenario is not None:
         ci, m_star, pi = scenario
-        if not (0 <= ci < n_clusters) or not (1 <= m_star <= g):
-            raise InputError("scenario indices out of range")
-        p_star = clusters[ci][m_star][pi]
-        offset = math.ceil((1 << m_star) * (h + r))
-        for sgn in (1, -1):
-            for j in range(d):
-                q = list(p_star)
-                q[j] += sgn * offset
-                probes.extend([tuple(q)] * 2)
-        for cluster in clusters:
-            for m in range(m_star + 1, g + 1):
-                deletes.extend(cluster[m])
+        p_star = _pick(clusters, (ci, m_star - 1, pi), "scenario")
+        probes = _probe_cross(p_star, math.ceil((1 << m_star) * (h + r)))
+        deletes = [p for cluster in clusters for pts in cluster[m_star:] for p in pts]
 
-    everything = outliers + [p for c in clusters for m in c for p in c[m]] + probes
-    lo = min(min(p) for p in everything)
-    hi = max(max(p) for p in everything)
+    inserts = outliers + [p for cluster in clusters for pts in cluster for p in pts]
+    lo = min(min(p) for p in inserts + probes)
+    hi = max(max(p) for p in inserts + probes)
     if hi - lo > delta_pow - 1:
         raise AssertionError("construction does not fit in [1, Delta] (Delta-fit bound)")
-    shift = 1 - lo
-
-    def tr(p):
-        return tuple(int(c + shift) for c in p)
-
-    ops = [(1, tr(p)) for p in outliers]
-    for cluster in clusters:
-        for m in range(1, g + 1):
-            ops.extend((1, tr(p)) for p in cluster[m])
-    ops.extend((-1, tr(p)) for p in deletes)
-    ops.extend((1, tr(p)) for p in probes)
-    for _, p in ops:
-        if not all(1 <= c <= delta_pow for c in p):
-            raise AssertionError(f"emitted coordinate {p} outside [1, {delta_pow}]")
-    return DynamicLbStream(delta=delta_pow, d=d, ops=tuple(ops), geometry=geom,
-                           g=g, clusters=n_clusters, group_size=group_size)
+    shift = 1 - lo  # every coordinate is an int in [1, Delta] from here on
+    ops = [(1, p) for p in inserts] + [(-1, p) for p in deletes] + [(1, p) for p in probes]
+    ops = tuple((sign, tuple(c + shift for c in p)) for sign, p in ops)
+    return DynamicLbStream(delta=delta_pow, d=d, ops=ops, geometry=geom,
+                           g=g, clusters=n_clusters, group_size=len(groups[0]))

@@ -81,8 +81,16 @@ def coords_array(points) -> np.ndarray:
     return np.asarray(pts, dtype=float).reshape(len(pts), -1)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def weights_array(points) -> np.ndarray:
-    return np.asarray([wp.weight for wp in as_weighted(points)], dtype=np.int64)
+    """The weights as int64; their total must fit, so no sum over them wraps."""
+    weights = [wp.weight for wp in as_weighted(points)]
+    total = sum(weights)
+    if total > _INT64_MAX:
+        raise InputError(f"total weight {total} exceeds the int64 range")
+    return np.asarray(weights, dtype=np.int64)
 
 
 L2 = "l2"
@@ -172,7 +180,10 @@ class Metric:
         return out if self.kind == LINF else np.sqrt(out, out=out)
 
 
-def _validate_matrix(m, samples=200, seed=0):
+_TRIANGLE_SAMPLES = 200  # triples checked when a matrix has more than 12 points
+
+
+def _validate_matrix(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise InputError("explicit metric matrix must be square")
@@ -184,8 +195,9 @@ def _validate_matrix(m, samples=200, seed=0):
                 raise InputError("explicit metric matrix must be nonnegative")
             if m[i][j] != m[j][i]:
                 raise InputError("explicit metric matrix must be symmetric")
+    rng = random.Random(0)  # one generator for every sample, so the samples differ
     triples = itertools.permutations(range(n), 3) if n <= 12 else (
-        tuple(random.Random(seed).choices(range(n), k=3)) for _ in range(samples)
+        rng.sample(range(n), 3) for _ in range(_TRIANGLE_SAMPLES)
     )
     for i, j, k in triples:
         if m[i][k] > m[i][j] + m[j][k] + REL_TOL * max(1.0, m[i][k]):

@@ -92,10 +92,6 @@ class MiniBallCovering:
     ball_radius: float
     greedy_radius: float
 
-    @property
-    def points(self) -> list[WeightedPoint]:
-        return list(self.representatives)
-
 
 def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
     """Per row of a (rows, n) nearest-distance matrix: the smallest r with
@@ -136,11 +132,16 @@ def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
     return cost
 
 
-def _combo_chunks(n_items: int, k: int, chunk: int = 1024):
-    """Lexicographic k-combinations of range(n_items), as (chunk, k) arrays."""
+_COMBO_CHUNK = 1024  # center sets per batch of _center_set_costs
+
+
+def _combo_chunks(n_items: int, k: int):
+    """Lexicographic k-combinations of range(n_items), as arrays of at most
+    ``_COMBO_CHUNK`` rows of k."""
     it = itertools.combinations(range(n_items), k)
     while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)), dtype=np.intp)
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _COMBO_CHUNK)),
+                            dtype=np.intp)
         if not block.size:
             return
         yield block.reshape(-1, k)

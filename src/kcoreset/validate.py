@@ -36,6 +36,8 @@ RADIUS_BAND_HIGH = "RadiusBandHigh"
 EXPANDED_COVER_FAILS = "ExpandedCoverFails"
 WEIGHT_RESTRICTION = "WeightRestriction"
 
+_WEIGHT_CAP = 10**6  # largest total input weight check_mini_ball_covering accepts
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -48,8 +50,7 @@ class ValidationReport:
             raise InputError("passed must hold exactly when no condition is violated")
 
 
-def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric,
-                             weight_cap: int = 10**6) -> ValidationReport:
+def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> ValidationReport:
     """Does a partition of P into radius-``bound`` balls around Pstar exist?
 
     Supply w(p) at each input point, demand w(q) at each representative, edges
@@ -69,8 +70,8 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric,
             raise InputError(f"representative {q.point} is not an input location")
     wp_total = sum(p.weight for p in P)
     wq_total = sum(q.weight for q in Pstar)
-    if wp_total > weight_cap:
-        raise CapacityError(f"total weight {wp_total} exceeds validation cap {weight_cap}")
+    if wp_total > _WEIGHT_CAP:
+        raise CapacityError(f"total weight {wp_total} exceeds validation cap {_WEIGHT_CAP}")
     if wp_total != wq_total:
         return ValidationReport(False, WEIGHT_MISMATCH,
                                 f"total weight {wq_total} of representatives vs {wp_total} of input")

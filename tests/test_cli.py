@@ -238,6 +238,31 @@ def test_validate_rejects_mixed_dimensions_and_nan_epsilon(tmp_path, capsys):
         assert code == 3 and stats is None and err.startswith("input error:"), argv
 
 
+def test_weights_past_int64_are_input_errors(tmp_path, capsys):
+    too_big = tmp_path / "big.txt"
+    too_big.write_text(f"1,w={2**70}\n2\n")
+    total_wraps = tmp_path / "wrap.txt"
+    total_wraps.write_text(f"1,w={2**63 - 1}\n2,w={2**63 - 1}\n3\n")
+    kze = ("--k", "1", "--z", "0", "--eps", "0.5")
+    for pts in (str(too_big), str(total_wraps)):
+        for argv in (("offline", pts, *kze, "--out", str(tmp_path / "c.txt")),
+                     ("mpc", pts, "--algo", "two-round", "--machines", "2", *kze,
+                      "--out", str(tmp_path / "c.txt")),
+                     ("validate", pts, pts, *kze)):
+            code, stats, err = run_cli(capsys, *argv)
+            assert code == 3 and stats is None and "int64" in err, argv
+
+
+def test_delta_fail_outside_the_unit_interval_is_an_input_error(tmp_path, capsys):
+    upd = tmp_path / "u.txt"
+    upd.write_text("delta=8 d=1\n+ 3\n+ 4\n")
+    for value, extra in (("2", ()), ("nan", ("--exact-shadow",)), ("-3", ("--exact-shadow",))):
+        code, stats, err = run_cli(capsys, "dynamic", str(upd), "--k", "1", "--z", "0",
+                                   "--eps", "1.0", "--delta-fail", value, *extra,
+                                   "--out", str(tmp_path / "c.txt"))
+        assert code == 3 and stats is None and "delta_fail" in err, (value, extra)
+
+
 def test_two_round_stats_record_the_distribution_seed(tmp_path, capsys):
     pts = tmp_path / "p.txt"
     write_pts(pts, range(12))
@@ -261,6 +286,13 @@ def _mostly(good, bad):
 _K = _mostly(["1", "2", "3"], ["0", "-1"])
 _Z = _mostly(["0", "1", "2"], ["-1", "5", "40"])
 _EPS = _mostly(["0.0625", "0.125", "0.5", "1.0"], ["0", "-0.5", "1.5", "nan", "inf"])
+# (family, k, z, eps, d, delta) that each family accepts; each has one cluster
+_GEN_OK = [("one-dim-lb", "2", "1", "0.125", "1", "0"),
+           ("insertion-lb", "2", "1", "0.125", "1", "0"),
+           ("insertion-lb", "4", "2", "0.0625", "2", "0"),
+           ("dynamic-lb", "2", "1", "0.125", "1", "256"),
+           ("dynamic-lb", "4", "0", "0.0625", "2", "4096")]
+_INDEX = _mostly(["0", "1", "2"], ["-1", "3", "9", "999"])  # a probe or scenario index
 _BAD_POINT_LINE = st.sampled_from(["1,x", "nan,1", "1e400", ",", "1,w=0", "1,w=y", "3,4,5"])
 
 
@@ -297,6 +329,28 @@ def _update_file(draw):
 
 
 @st.composite
+def _gen_argv(draw):
+    """gen flags: half the time a configuration its family accepts, else free
+    draws; then maybe probe and scenario indices, in range or not."""
+    out = ["--out", draw(_mostly(["{dir}/out.txt"], ["{dir}/folder"]))]
+    if draw(st.booleans()):
+        family, k, z, eps, d, delta = draw(st.sampled_from(_GEN_OK))
+        argv = ["gen", "--family", family, "--k", k, "--z", z, "--eps", eps, "--d", d,
+                "--delta", delta, *out]
+    else:
+        family = draw(st.sampled_from(["one-dim-lb", "insertion-lb", "dynamic-lb"]))
+        argv = ["gen", "--family", family, "--k", draw(_K), "--z", draw(_Z), "--eps", draw(_EPS),
+                "--d", draw(_mostly(["1", "2"], ["0"])), *out]
+        if draw(st.booleans()):
+            argv += ["--delta", draw(st.sampled_from(["0", "64", "256"]))]
+    if draw(st.booleans()):
+        argv += ["--probe", draw(_INDEX), draw(_INDEX)]
+    if draw(st.booleans()):
+        argv += ["--scenario", draw(_INDEX), draw(_INDEX), draw(_INDEX)]
+    return argv
+
+
+@st.composite
 def _cli_case(draw):
     """(argv with {dir} placeholders, point file, second point file, update file)."""
     files = (draw(_point_file()), draw(_point_file()), draw(_update_file()))
@@ -324,21 +378,16 @@ def _cli_case(draw):
                      "adversarial:{dir}/folder", "adversarial:{dir}/missing.txt", "mystery"])),
                 "--metric", draw(st.sampled_from(["l2", "linf"]))]
     elif cmd == "gen":
-        argv = [cmd, "--family", draw(st.sampled_from(["one-dim-lb", "insertion-lb", "dynamic-lb"])),
-                *kze, "--d", draw(_mostly(["1", "2"], ["0"])), *out]
-        if draw(st.booleans()):
-            argv += ["--delta", draw(st.sampled_from(["0", "64", "256"]))]
+        argv = draw(_gen_argv())
     else:
         argv = [cmd, src, draw(st.sampled_from(["{dir}/q.txt", "{dir}/p.txt"])), *kze,
                 "--universe", draw(st.sampled_from(["input-points", "midpoint-grid"]))]
     return argv, files
 
 
-@seed(20261018)
-@given(case=_cli_case())
-@settings(max_examples=150, deadline=None)
-def test_cli_fuzz_ends_in_a_documented_exit_code(case):
-    argv, (points, coreset, updates) = case
+def _exit_code(argv, files):
+    """Runs ``argv`` in a fresh directory holding the fuzz files and returns its exit code."""
+    points, coreset, updates = files
     with tempfile.TemporaryDirectory() as tmp:
         for name, lines in (("p.txt", points), ("q.txt", coreset)):
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
@@ -352,7 +401,22 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(case):
         os.mkdir(os.path.join(tmp, "folder"))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([arg.replace("{dir}", tmp) for arg in argv])
-    assert code in {0, 2, 3, 4, 5}
+    return code
+
+
+@seed(20261018)
+@given(case=_cli_case())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_ends_in_a_documented_exit_code(case):
+    assert _exit_code(*case) in {0, 2, 3, 4, 5}
+
+
+# gen is one command in six above, so its index draws get a run of their own
+@seed(20261019)
+@given(argv=_gen_argv())
+@settings(max_examples=100, deadline=None)
+def test_gen_fuzz_ends_in_a_documented_exit_code(argv):
+    assert _exit_code(argv, ([], [], "")) in {0, 2, 3, 4, 5}
 
 
 # ---------------------------------------------------------------------------

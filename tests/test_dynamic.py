@@ -336,6 +336,41 @@ def test_shard_then_merge_equals_sequential():
         shard_a.merge(DynamicCoresetState(16, 1, 1, 0, 1.0, seed=7, with_shadow=True))
 
 
+def test_merge_of_shards_that_delete_equals_sequential():
+    # each shard deletes some of its own points, down to zero counts; a shard
+    # cannot delete a point that only the other one holds, so every shadow
+    # count stays positive and the merged shadow is the sequential one
+    rng = np.random.default_rng(53)
+    pts = [tuple(int(v) for v in rng.integers(1, 17, size=2)) for _ in range(40)]
+    whole, shard_a, shard_b = (DynamicCoresetState(16, 2, 1, 0, 1.0, seed=4, with_shadow=True)
+                               for _ in range(3))
+    for i, p in enumerate(pts):
+        for st in (whole, (shard_a, shard_b)[i % 2]):
+            st.update(p, 1)
+    for i, p in enumerate(pts):
+        if i % 3 == 0:
+            for st in (whole, (shard_a, shard_b)[i % 2]):
+                st.update(p, -1)
+    with pytest.raises(InputError, match="absent"):
+        shard_a.update(pts[1], -1)  # held by shard_b only
+    shard_a.merge(shard_b)
+    assert shard_a.shadow == whole.shadow
+    assert all(c > 0 for level in shard_a.shadow for c in level.values())
+    assert shard_a.digest() == whole.digest()
+    assert (shard_a.live_count, shard_a.ops) == (whole.live_count, whole.ops)
+    assert _cells(shard_a.report(exact=True)) == _cells(whole.report(exact=True))
+
+
+@pytest.mark.parametrize("mode", [dict(with_sketches=True, with_shadow=False),
+                                  dict(with_sketches=False, with_shadow=True)],
+                         ids=["sketches", "shadow"])
+def test_delta_fail_outside_the_unit_interval_is_refused(mode):
+    for delta_fail in (0.0, 1.0, 2.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="delta_fail"):
+            DynamicCoresetState(16, 1, 1, 0, 1.0, delta_fail=delta_fail, **mode)
+    assert DynamicCoresetState(16, 1, 1, 0, 1.0, delta_fail=0.5, **mode).delta_fail == 0.5
+
+
 def test_refused_merge_changes_nothing():
     # equal but for delta_fail, which sets the sketches' row count
     st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True)

@@ -3,7 +3,10 @@ SHA-256 each, and their index checks."""
 
 import hashlib
 
+import pytest
+
 from kcoreset import InputError, gen_dynamic_lb, gen_insertion_lb, lb_geometry, probe_cover_ok
+from kcoreset.cli import main
 
 _KS = range(2, 8)
 _ZS = range(0, 4)
@@ -91,3 +94,46 @@ def test_dynamic_lb_outputs_are_pinned():
     assert len(records) == 1168
     assert _digest(records) == \
         "3146c297913a189413917d2442b191aa151aab6c7e1304d575244bbd89fce753"
+
+
+@pytest.mark.parametrize("probe", [(5, 0), (0, 9), (-1, 0), (0, -1)])
+def test_probe_indices_are_checked(probe):
+    # k=4, d=2, lambda=2: one cluster of nine points
+    with pytest.raises(InputError, match="probe"):
+        gen_insertion_lb(4, 1, 1 / 16, 2, probe=probe)
+    with pytest.raises(InputError, match="probe"):
+        probe_cover_ok(lb_geometry(1 / 16, 2), 4, probe)
+
+
+@pytest.mark.parametrize("scenario", [(1, 1, 0), (-1, 1, 0), (0, 0, 0), (0, 3, 0),
+                                      (0, 1, 1), (0, 1, 999), (0, 1, -1)])
+def test_scenario_indices_are_checked(scenario):
+    # k=2, d=1, lambda=2, Delta=256: one cluster of g=2 groups of one point each
+    stream = gen_dynamic_lb(2, 1, 1 / 8, 1, 256)
+    assert (stream.clusters, stream.g, stream.group_size) == (1, 2, 1)
+    with pytest.raises(InputError, match="scenario"):
+        gen_dynamic_lb(2, 1, 1 / 8, 1, 256, scenario=scenario)
+
+
+def test_negative_outlier_counts_are_refused():
+    with pytest.raises(InputError, match="z >= 0"):
+        gen_insertion_lb(2, -1, 1 / 8, 1)
+    with pytest.raises(InputError, match="z >= 0"):
+        gen_dynamic_lb(2, -1, 1 / 8, 1, 256)
+
+
+@pytest.mark.parametrize("argv", [
+    "--family insertion-lb --k 2 --z 1 --probe 5 0",
+    "--family insertion-lb --k 2 --z 1 --probe 0 9",
+    "--family insertion-lb --k 2 --z 1 --probe -1 0",
+    "--family insertion-lb --k 2 --z 1 --probe 0 -1",
+    "--family insertion-lb --k 2 --z -1",
+    "--family dynamic-lb --k 2 --z 1 --delta 256 --scenario 0 1 999",
+    "--family dynamic-lb --k 2 --z 1 --delta 256 --scenario 0 1 -1",
+    "--family dynamic-lb --k 2 --z -1 --delta 256",
+])
+def test_cli_refuses_bad_generator_indices(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert main(["gen", *argv.split(), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()

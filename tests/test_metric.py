@@ -61,6 +61,12 @@ def test_explicit_matrix_metric():
         Metric("matrix", matrix=[[0, 1], [2, 0]])  # asymmetric
     with pytest.raises(InputError):
         Metric("matrix", matrix=[[0, 9, 1], [9, 0, 1], [1, 1, 0]])  # triangle
+    # 20 points, so triples are sampled: distance 1, except 3 between two
+    # multiples of 3, which breaks the triangle inequality in one triple of 12
+    mat = [[0 if i == j else 3 if i % 3 == 0 and j % 3 == 0 else 1 for j in range(20)]
+           for i in range(20)]
+    with pytest.raises(InputError, match="triangle"):
+        Metric("matrix", matrix=mat)
 
 
 def test_min_pairwise_examples(linf, l2):

@@ -331,7 +331,7 @@ def test_one_round_z_zero_and_m_one(linf):
     assert run.z_prime == 0 and run.rounds_used == 1
     solo = run_one_round_randomized(pts, 2, 2, 0.5, MpcConfig(1, random_dist(1)), linf)
     assert solo.z_prime == 2
-    offline = _mbc(_mbc(pts, 2, 2, 0.5, linf).points, 2, 2, 0.5, linf)
+    offline = _mbc(_mbc(pts, 2, 2, 0.5, linf).representatives, 2, 2, 0.5, linf)
     assert [(p.point, p.weight) for p in solo.final] == \
            [(p.point, p.weight) for p in offline.representatives]
     with pytest.raises(InputError):

@@ -372,6 +372,18 @@ def test_brute_force_deterministic_witness(linf):
     assert a == b
 
 
+def test_weights_past_int64_are_input_errors(linf):
+    top = 2**63 - 1
+    too_big = [W((1.0,), 2**70), W((2.0,))]
+    total_wraps = [W((1.0,), top), W((2.0,), top), W((3.0,), 1)]  # greedy read radius 0
+    for pts in (too_big, total_wraps):
+        for call in (lambda: weights_array(pts), lambda: greedy(pts, 1, 0, linf),
+                     lambda: mbc_construction(Instance(tuple(pts), 1, 0, 0.5, linf))):
+            with pytest.raises(InputError, match="int64"):
+                call()
+    assert weights_array([W((1.0,), top)]).tolist() == [top]
+
+
 def test_greedy_examples(linf):
     r, balls, *_ = greedy(pts1d(5), 3, 0, linf)
     assert r == 0.0 and len(balls) == 1 and balls[0].center == (5.0,)

@@ -407,6 +407,24 @@ def test_f0_empty_and_cancellation():
     assert f0.query() == 0.0
 
 
+def test_f0_merge_digest_and_bytes():
+    whole, a, b = (F0Sketch(0.2, 0.1, 1 << 20, seed=4) for _ in range(3))
+    assert whole.nominal_bytes() == 0
+    for n in range(300):
+        whole.update(n * 977, 1)
+        (a, b)[n % 2].update(n * 977, 1)
+    assert a.digest() != whole.digest()
+    a.merge(b)
+    assert a.digest() == whole.digest()
+    assert a.query() == whole.query()
+    assert a.nominal_bytes() == whole.nominal_bytes() == \
+        sum(sk.nominal_bytes() for sk in whole._samplers) > 0
+    before = a.digest()
+    with pytest.raises(InputError):
+        a.merge(F0Sketch(0.2, 0.1, 1 << 20, seed=5))
+    assert a.digest() == before
+
+
 def test_f0_rough_accuracy():
     hits = 0
     trials = 60
