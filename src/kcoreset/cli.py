@@ -81,8 +81,7 @@ def cmd_stream(args):
     points = pointio.read_points(args.points)
     state = InsertionStream(args.k, args.z, args.eps, args.d, METRICS[args.metric])
     for wp in points:
-        for _ in range(wp.weight):  # a weighted line stands for repeated arrivals
-            state.arrival(wp.point)
+        state.weighted_arrival(wp)  # a weighted line stands for repeated arrivals
     coreset = state.report()
     pointio.write_points(args.out, coreset)
     stats = {

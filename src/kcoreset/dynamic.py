@@ -18,11 +18,27 @@ An update validates the point once, as its level-0 cell. The cell at level
 i is that cell's index shifted right by i, and every structure names it by
 one integer id: the shifted coordinates read row-major in base Delta >> i
 (``GridConfig.level_ids``), so no per-level cell tuple is built. The
-sketch of level i sees that id, and so does the optional exact shadow
-(per-level id -> count maps), which enforces strict-turnstile discipline
-and answers reports without randomness (test mode). A report takes
-{id: count} from the shadow or the sketch, sorts the ids once (row-major
-ids sort as their index tuples do) and turns them straight into centers.
+optional exact shadow (per-level id -> count maps) sees the id of every
+level; it enforces strict-turnstile discipline and answers reports without
+randomness (test mode). A report takes {id: count} from the shadow or the
+sketch, sorts the ids once (row-major ids sort as their index tuples do) and
+turns them straight into centers.
+
+The sketches are fed lazily. An update feeds only levels 0..``fed``-1, and
+``fed`` starts at 1, so while level 0 is sparse an update makes one sketch
+update. A coarser level is loaded when something first reads it: its buffer
+is set to the buffer of the level below summed into its cells
+(``GridConfig.coarsen``), and ``fed`` rises past it. A report loads the
+levels up to the one it reads. ``digest`` and ``merge`` (after its checks,
+on both states) load every level, and so does an update that finds 2s - 1
+ids in level 0's buffer, since it could make level 0 build its tables.
+``sketch_bytes`` counts an unfed level as the buffer it would be loaded
+with. The load is exact: a sparse buffer is its level's exact net vector, a
+coarse level never has more nonzero cells than level 0 (so none could have
+built tables while level 0 had not), and tables built from a buffer equal
+those built one update at a time. So while ``fed`` < levels no level has
+tables, and every report, digest and byte count is that of feeding every
+level on every update.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, SketchFailureError
 from .metric import _unchecked_point
-from .sketches import SparseRecoverySketch, _mix64
+from .sketches import _BUFFERED_ID_BYTES, SparseRecoverySketch, _mix64
 
 
 @dataclass(frozen=True)
@@ -74,19 +90,34 @@ class GridConfig:
             raise InputError(f"point dimension {len(idx)} != {self.d}")
         return tuple(idx)
 
-    def level_ids(self, base: tuple) -> list:
-        """The row-major id at every level of the cells holding level-0 cell
-        ``base``: the coordinates shifted right by the level, read in base
-        ``cells_per_axis`` of that level."""
+    def level_ids(self, base: tuple, count: int = None) -> list:
+        """The row-major id at levels 0..``count``-1 (every level by default)
+        of the cells holding level-0 cell ``base``: the coordinates shifted
+        right by the level, read in base ``cells_per_axis`` of that level."""
         delta = self.delta
         ids = []
-        for lv in range(self.levels):
+        for lv in range(self.levels if count is None else count):
             per_axis = delta >> lv
             ident = 0
             for v in base:
                 ident = ident * per_axis + (v >> lv)
             ids.append(ident)
         return ids
+
+    def coarsen(self, vector: dict, level: int) -> dict:
+        """The {id: count} vector of ``level`` summed into the cells of
+        ``level`` + 1, without the cells whose sum is zero: each coordinate
+        of a row-major id loses its lowest bit."""
+        width = self.top_level - level  # bits per coordinate at ``level``
+        low = (1 << width) - 1
+        shifts = range((self.d - 1) * width, -1, -width)  # the first coordinate first
+        out = {}
+        for ident, c in vector.items():
+            coarse = 0
+            for shift in shifts:
+                coarse = (coarse << (width - 1)) | (((ident >> shift) & low) >> 1)
+            out[coarse] = out.get(coarse, 0) + c
+        return {ident: c for ident, c in out.items() if c}
 
     def cell_centers(self, ids, level: int) -> list:
         """The center of each cell id at a level, in the order given."""
@@ -111,6 +142,8 @@ class DynamicCoresetState:
     ``with_shadow=True`` keeps exact per-level {id: count} maps, enforces the
     strict turnstile discipline and enables ``report(exact=True)``;
     ``with_sketches=False`` skips sketch allocation for shadow-only replays.
+    The sketches of levels ``fed`` and up are empty until they are loaded
+    (see the module docstring).
     """
 
     def __init__(self, delta: int, d: int, k: int, z: int, epsilon: float,
@@ -131,6 +164,7 @@ class DynamicCoresetState:
         self.ops = 0
         self.shadow = [dict() for _ in range(self.grid.levels)] if with_shadow else None
         self.sr = None
+        self.fed = 1
         if with_sketches:
             # per-query failure budget: delta / (levels * assumed stream length Delta^(3d))
             queries = self.grid.levels * self.grid.delta ** (3 * d)
@@ -142,22 +176,40 @@ class DynamicCoresetState:
     def update(self, point, sign: int) -> None:
         if sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
-        grid = self.grid
-        ids = grid.level_ids(grid.cell_of(point, 0))  # cell_of validates the point
-        if self.shadow is not None and sign < 0 and self.shadow[0].get(ids[0], 0) <= 0:
+        grid, shadow, sr = self.grid, self.shadow, self.sr
+        base = grid.cell_of(point, 0)  # cell_of validates the point
+        ids = grid.level_ids(base, len(shadow) if shadow is not None else self.fed)
+        if shadow is not None and sign < 0 and shadow[0].get(ids[0], 0) <= 0:
             raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
         self.ops += 1
         self.live_count += sign
-        if self.shadow is not None:
-            for m, ident in zip(self.shadow, ids):
+        if shadow is not None:
+            for m, ident in zip(shadow, ids):
                 c = m.get(ident, 0) + sign
                 if c:
                     m[ident] = c
                 else:
                     m.pop(ident, None)
-        if self.sr is not None:
-            for sk, ident in zip(self.sr, ids):
+        if sr is not None:
+            fed = self.fed
+            if fed < len(sr) and len(sr[0]._pending) >= sr[0].buckets - 1:
+                self._load(len(sr))  # this update could make level 0 build tables
+                fed, ids = len(sr), grid.level_ids(base)
+            for sk, ident in zip(sr[:fed], ids):
                 sk.update(ident, sign)
+
+    def _load(self, upto: int) -> None:
+        """Load levels ``fed``..``upto``-1, each from the buffer of the level
+        below, and raise ``fed`` to ``upto``. While ``fed`` < levels no level
+        has tables, so each buffer is its level's exact net vector."""
+        for lv in range(self.fed, upto):
+            self.sr[lv]._pending = self.grid.coarsen(self.sr[lv - 1]._pending, lv - 1)
+        self.fed = max(self.fed, upto)
+
+    def level_sketch(self, level: int) -> SparseRecoverySketch:
+        """The sketch of ``level``, loaded first if no update has fed it."""
+        self._load(level + 1)
+        return self.sr[level]
 
     def apply(self, ops) -> None:
         for sign, point in ops:
@@ -188,7 +240,7 @@ class DynamicCoresetState:
         for lv in range(self.grid.levels):
             if exact:
                 cells = self.shadow[lv]
-            elif self.sr[lv].support_lower_bound() > self.s:
+            elif self.level_sketch(lv).support_lower_bound() > self.s:
                 continue
             else:
                 cells = self.sr[lv].query()
@@ -199,11 +251,12 @@ class DynamicCoresetState:
     def merge(self, other: "DynamicCoresetState") -> None:
         """Absorb another shard built with identical parameters and seed.
 
-        Sketches add bucket-wise (linearity); shadows and counters add too,
-        so shard-then-merge ingestion equals sequential ingestion. A shadow
-        holds only positive counts (each shard refuses to delete what it does
-        not hold), so no sum of two shadows cancels. Every check runs before
-        anything is added, so a refused merge changes nothing.
+        Sketches add bucket-wise (linearity), once both states have loaded
+        every level; shadows and counters add too, so shard-then-merge
+        ingestion equals sequential ingestion. A shadow holds only positive
+        counts (each shard refuses to delete what it does not hold), so no
+        sum of two shadows cancels. Every check runs before anything is
+        loaded or added, so a refused merge changes nothing.
         """
         if (self.grid, self.k, self.z, self.epsilon, self.delta_fail, self.seed, self.s) != \
                 (other.grid, other.k, other.z, other.epsilon, other.delta_fail, other.seed, other.s):
@@ -211,6 +264,9 @@ class DynamicCoresetState:
         if (self.shadow is None) != (other.shadow is None) or \
                 (self.sr is None) != (other.sr is None):
             raise InputError("can only merge states with identical modes")
+        if self.sr is not None:
+            self._load(self.grid.levels)
+            other._load(other.grid.levels)
         self.live_count += other.live_count
         self.ops += other.ops
         if self.shadow is not None:
@@ -222,12 +278,20 @@ class DynamicCoresetState:
                 mine.merge(theirs)
 
     def sketch_bytes(self) -> int:
-        """Nominal bytes of the built tables and buffered ids of every level."""
+        """Nominal bytes of the built tables and buffered ids of every level.
+        An unfed level counts the buffer it would be loaded with, so the
+        figure is that of feeding every level on every update."""
         if self.sr is None:
             return 0
-        return sum(sk.nominal_bytes() for sk in self.sr)
+        sr, fed = self.sr, self.fed
+        vector, unfed = sr[fed - 1]._pending, 0
+        for lv in range(fed, len(sr)):
+            vector = self.grid.coarsen(vector, lv - 1)
+            unfed += len(vector)
+        return sum(sk.nominal_bytes() for sk in sr[:fed]) + unfed * _BUFFERED_ID_BYTES
 
     def digest(self) -> tuple:
         if self.sr is None:
             raise InputError("digest requires sketches")
+        self._load(self.grid.levels)
         return tuple(sk.digest() for sk in self.sr)

@@ -47,6 +47,7 @@ from .errors import InputError, SketchFailureError
 
 _M64 = (1 << 64) - 1
 _PRIME = (1 << 127) - 1
+_BUFFERED_ID_BYTES = 16  # an id and its net count, one 8-byte word each
 
 
 def _mix64(x: int) -> int:
@@ -214,8 +215,8 @@ class SparseRecoverySketch:
         """Bytes the sketch holds, in 8-byte words: four per table bucket once
         the tables are built (count and id sum one word each, the field
         element two), plus two per buffered id (the id and its net count)."""
-        tables = 0 if self._count is None else self.rows * self.buckets * 4
-        return (tables + 2 * len(self._pending)) * 8
+        tables = 0 if self._count is None else self.rows * self.buckets * 4 * 8
+        return tables + _BUFFERED_ID_BYTES * len(self._pending)
 
 
 class F0Sketch:

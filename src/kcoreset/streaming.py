@@ -85,6 +85,24 @@ class InsertionStream:
             self._coords[:len(keep)] = self._coords[keep]
             self.pstar = reps
 
+    def weighted_arrival(self, wp: WeightedPoint) -> None:
+        """``wp.weight`` arrivals of ``wp.point`` in one scan.
+
+        After one arrival of the point, some representative lies within
+        (eps/2)*r of it: the one that absorbed it, or the point itself, or,
+        if its arrival filled the set, its representative in the last net (an
+        arrival adds at most one representative, so only the last of the
+        recompressions it triggers merges any). Each later arrival joins the
+        first such representative without changing the set or r, so that
+        one takes the remaining weight at once."""
+        self.arrival(wp.point)
+        if wp.weight > 1:
+            limit = (self.epsilon / 2.0) * self.r
+            i = self._first_within(wp.point, limit + REL_TOL * max(1.0, limit))
+            rep = self.pstar[i]
+            self.pstar[i] = _unchecked_point(rep.point, rep.weight + wp.weight - 1)
+            self.arrivals += wp.weight - 1
+
     def _first_within(self, point, bound):
         """The index of the first representative within ``bound`` of point,
         or None if there is none."""

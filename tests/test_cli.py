@@ -109,6 +109,18 @@ def test_stream_on_shuffled_insertion_lb(tmp_path, capsys):
     assert set(stats) >= {"arrivals", "final_r", "coreset_size", "threshold"}
 
 
+def test_stream_takes_a_huge_weight_in_one_scan(tmp_path, capsys):
+    # a line of weight 2^63 - 1 is one arrival plus a weight added to the
+    # representative that covers it, not 2^63 - 1 arrivals
+    src, out = tmp_path / "w.txt", tmp_path / "c.txt"
+    src.write_text("1,w=9223372036854775807\n2\n")
+    code, stats, _ = run_cli(capsys, "stream", str(src), "--k", "1", "--z", "0",
+                             "--eps", "1.0", "--d", "1", "--out", str(out))
+    assert code == 0
+    assert (stats["arrivals"], stats["coreset_size"], stats["final_r"]) == (2**63, 2, 0.5)
+    assert out.read_text().split() == ["1.0,w=9223372036854775807", "2.0,w=1"]
+
+
 def test_dynamic_end_to_end(tmp_path, capsys):
     upd, out = tmp_path / "u.txt", tmp_path / "c.txt"
     code, _, _ = run_cli(capsys, "gen", "--family", "dynamic-lb", "--k", "2", "--z", "1",

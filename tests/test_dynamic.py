@@ -58,8 +58,10 @@ def test_whole_level_helpers_match_the_per_cell_ones():
     rng = np.random.default_rng(13)
     for delta, d in [(9, 1), (37, 2), (100, 3), (1024, 2)]:
         g = GridConfig(delta, d)
+        counts = {}  # signed counts per point, so that some cells sum to zero
         for _ in range(20):
             point = tuple(int(v) for v in rng.integers(1, g.delta + 1, size=d))
+            counts[point] = counts.get(point, 0) + int(rng.choice([-1, 1, 2]))
             base = g.cell_of(point, 0)
             ids = g.level_ids(base)
             assert ids == [_ref_cell_id(g, g.cell_of(point, lv), lv) for lv in range(g.levels)]
@@ -69,6 +71,16 @@ def test_whole_level_helpers_match_the_per_cell_ones():
                 side = 1 << lv
                 assert g.cell_centers([ident], lv) == [tuple(v * side + (side + 1) / 2.0
                                                              for v in cell)]
+        # coarsen sums a level's vector into the cells of the next one
+        vector = None
+        for lv in range(g.levels):
+            expect = {}
+            for point, c in counts.items():
+                ident = _ref_cell_id(g, g.cell_of(point, lv), lv)
+                expect[ident] = expect.get(ident, 0) + c
+            expect = {i: c for i, c in expect.items() if c}
+            vector = expect if lv == 0 else g.coarsen(vector, lv - 1)
+            assert vector == expect
         # row-major ids sort as their index tuples, and so as their centers, do
         level1 = [int(i) for i in rng.integers(0, g.cell_count(1), size=30)]
         assert [_ref_cell_index(g, i, 1) for i in sorted(level1)] == \
@@ -210,7 +222,7 @@ def test_sketch_agrees_with_shadow():
     for _ in range(60):
         st.update(tuple(int(v) for v in rng.integers(1, 65, size=2)), 1)
     for level in range(st.grid.levels):
-        got = st.sr[level].query()
+        got = st.level_sketch(level).query()  # loaded as a report loads it
         if got is not None:
             assert got == st.shadow[level]
     exact = st.report(exact=True)
@@ -372,18 +384,26 @@ def test_delta_fail_outside_the_unit_interval_is_refused(mode):
 
 
 def test_refused_merge_changes_nothing():
-    # equal but for delta_fail, which sets the sketches' row count
-    st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True)
-    other = DynamicCoresetState(16, 1, 1, 0, 1.0, delta_fail=0.01, with_shadow=True)
-    assert st.sr[0].rows != other.sr[0].rows
-    st.update((3,), 1)
-    other.update((9,), 1)
-    before = copy.deepcopy(st)
-    with pytest.raises(InputError):
-        st.merge(other)
-    assert (st.ops, st.live_count, st.shadow) == (before.ops, before.live_count, before.shadow)
-    assert st.digest() == before.digest()
-    assert _cells(st.report(exact=True)) == _cells(st.report()) == _cells(before.report())
+    # equal but for delta_fail, which sets the sketches' row count; five cells
+    # at levels 0 and 1 exceed s = 4, so the second report reads level 2, and
+    # that st is fed up to level 2 only
+    for xs, fed in [([3], 1), ([1, 3, 5, 7, 9], 3)]:
+        st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True)
+        other = DynamicCoresetState(16, 1, 1, 0, 1.0, delta_fail=0.01, with_shadow=True)
+        assert st.sr[0].rows != other.sr[0].rows
+        for x in xs:
+            st.update((x,), 1)
+        other.update((9,), 1)
+        st.report()
+        assert st.fed == fed < st.grid.levels
+        before = copy.deepcopy(st)
+        with pytest.raises(InputError):
+            st.merge(other)
+        assert (st.ops, st.live_count, st.shadow) == (before.ops, before.live_count, before.shadow)
+        assert st.fed == fed and other.fed == 1  # neither state loaded a level
+        assert [sk._pending for sk in st.sr] == [sk._pending for sk in before.sr]
+        assert st.digest() == before.digest()
+        assert _cells(st.report(exact=True)) == _cells(st.report()) == _cells(before.report())
 
 
 def _cells(rep):
@@ -408,8 +428,13 @@ def test_batch_sequential_and_sharded_ingestion_agree():
     shard_a.apply(ops[0::2])
     shard_b.apply(ops[1::2])
     assert all(any(sk._pending for sk in shard.sr) for shard in (shard_a, shard_b))
+    # each shard is fed up to a different level when it merges
+    shard_a.level_sketch(2)
+    shard_b.level_sketch(4)
+    assert (shard_a.fed, shard_b.fed) == (3, 5)
     shard_a.merge(shard_b)
     assert batch.digest() == seq.digest() == shard_a.digest()
+    assert batch.sketch_bytes() == seq.sketch_bytes() == shard_a.sketch_bytes()
     assert _cells(batch.report()) == _cells(seq.report()) == _cells(shard_a.report())
 
 
@@ -486,11 +511,19 @@ def test_update_validates_once_and_touches_each_level_once(monkeypatch):
                         lambda sk, ident, sign: calls.append(ident) or orig(sk, ident, sign))
     for shadow in (False, True):
         st = DynamicCoresetState(100, 2, 1, 0, 1.0, seed=2, with_shadow=shadow)
-        calls.clear()
-        st.update((37, 100), 1)
+        ids = [_ref_cell_id(st.grid, st.grid.cell_of((37, 100), lv), lv)
+               for lv in range(st.grid.levels)]
+        # a sparse state feeds level 0 only; a read of level 3 loads levels
+        # 1-3 and sketch_bytes loads none, so then an update feeds levels 0-3;
+        # digest loads every level
+        for read, fed in [(lambda: None, 1), (lambda: st.level_sketch(3), 4),
+                          (st.sketch_bytes, 4), (st.digest, 8)]:
+            read()
+            assert st.fed == fed
+            calls.clear()
+            st.update((37, 100), 1)
+            assert calls == ids[:fed]
         assert len(calls) == st.grid.levels == 8
-        assert calls == [_ref_cell_id(st.grid, st.grid.cell_of((37, 100), lv), lv)
-                         for lv in range(st.grid.levels)]
         before = copy.deepcopy(st)
         for bad in [(0, 5), (129, 5), (2.5, 5), (5,), (5, 5, 5)]:
             with pytest.raises(InputError):
@@ -593,6 +626,10 @@ def _outcome(call):
     (9, 3, 1, 0, 1.0, True, True, 200, False),
     (37, 3, 1, 1, 1.0, False, True, 200, False),
     (100, 2, 1, 0, 1.0, True, False, 300, False),
+    # sketch-only streams whose reports read levels above 0 with no level
+    # overflowing: the later updates feed the loaded levels
+    (256, 1, 2, 1, 0.125, False, True, 300, False),
+    (1024, 2, 1, 0, 1.0, False, True, 160, False),
 ])
 def test_level_ids_match_reference_loops(monkeypatch, delta, d, k, z, eps, shadow,
                                          sketches, ops, peels):
@@ -603,6 +640,9 @@ def test_level_ids_match_reference_loops(monkeypatch, delta, d, k, z, eps, shado
     rng = np.random.default_rng(delta * 10 + d + z)
     new, ref = (DynamicCoresetState(delta, d, k, z, eps, seed=d + z, with_shadow=shadow,
                                     with_sketches=sketches) for _ in range(2))
+    # the reference feeds every level itself (_ref_update), so the package must
+    # never reload its coarse buffers from its level 0
+    ref.fed = ref.grid.levels
     live = []
     for step in range(ops):
         # mostly inserts, then mostly deletes, so dense levels overflow and empty again
@@ -614,6 +654,8 @@ def test_level_ids_match_reference_loops(monkeypatch, delta, d, k, z, eps, shado
             live.append(point)
         new.update(point, sign)
         _ref_update(ref, point, sign)
+        if sketches and new.fed < new.grid.levels:  # no tables while a level is unfed
+            assert all(sk._count is None for sk in new.sr)
         if step % 20 == 19:
             for exact in (False, True):
                 if (exact and shadow) or (not exact and sketches):

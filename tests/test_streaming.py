@@ -320,3 +320,45 @@ def test_stream_space_stays_linear_in_its_threshold(linf):
     assert len(st_.pstar) == 1852
     assert sum(p.weight for p in st_.pstar) == 9000
     assert peak < 8 << 20
+
+
+def _weighted_stream(rng, d):
+    """A random stream of weighted lines: mostly weight 1, some up to 40, and
+    repeats of earlier points. Its first two points lie 1 apart, so r starts
+    small and doubles; in two dimensions the stream is long enough to pass
+    the threshold of 256, with fewer heavy lines."""
+    n = int(rng.integers(10, 80)) if d == 1 else int(rng.integers(250, 350))
+    heavy, repeat = (0.15, 0.3) if d == 1 else (0.05, 0.1)
+    pts = [tuple(float(v) for v in rng.integers(0, 1000, size=d)) for _ in range(n)]
+    pts[1] = (pts[0][0] + 1.0,) + pts[0][1:]
+    lines = []
+    for i in range(n):
+        p = pts[int(rng.integers(0, i + 1))] if rng.random() < repeat else pts[i]
+        w = int(rng.integers(2, 41)) if rng.random() < heavy else 1
+        lines.append(WeightedPoint(p, w))
+    return lines
+
+
+def test_weighted_arrival_matches_repeated_arrivals():
+    # a line of weight w in one scan against w single arrivals: reports, r and
+    # the arrival count agree after every line, over streams whose radius
+    # doubles, several times in one arrival too
+    rng = np.random.default_rng(61)
+    doubled = heavy_doubled = 0
+    for trial in range(300):
+        d = 2 if trial % 15 == 0 else 1
+        lines = _weighted_stream(rng, d)
+        metric = Metric(L2 if trial % 2 else LINF)
+        k, z = 1 + trial % 2 * (d == 1), trial % 3
+        fast, ref = (InsertionStream(k, z, 1.0, d, metric) for _ in range(2))
+        for wp in lines:
+            r = fast.r
+            fast.weighted_arrival(wp)
+            for _ in range(wp.weight):
+                ref.arrival(wp.point)
+            assert fast.r == ref.r and fast.arrivals == ref.arrivals
+            assert fast.report() == ref.report()
+            doubled += 0 < r < fast.r
+            heavy_doubled += 0 < r < fast.r and wp.weight > 1
+    # lines whose first arrival doubled r, and so joined a net representative
+    assert doubled >= 500 and heavy_doubled >= 80
