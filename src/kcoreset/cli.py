@@ -61,6 +61,7 @@ def _oracle_fields(points, coreset, args) -> dict:
 def cmd_offline(args):
     points = pointio.read_points(args.points)
     inst = Instance(tuple(points), args.k, args.z, args.eps, METRICS[args.metric])
+    size_bound = mbc_size_bound(args.k, args.z, args.eps, len(points[0].point))
     cov = mbc_construction(inst)
     pointio.write_points(args.out, cov.representatives)
     stats = {
@@ -68,7 +69,7 @@ def cmd_offline(args):
         "k": args.k, "z": args.z, "epsilon": args.eps, "metric": args.metric,
         "points": len(points), "total_weight": total_weight(points),
         "coreset_size": len(cov.representatives),
-        "size_bound": mbc_size_bound(args.k, args.z, args.eps, len(points[0].point)),
+        "size_bound": size_bound,
         "greedy_radius": cov.greedy_radius,
         "mini_ball_radius": cov.ball_radius,
         "out": args.out,

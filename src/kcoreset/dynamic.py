@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, SketchFailureError
-from .metric import _unchecked_point
+from .metric import _size_bound, _unchecked_point
 from .sketches import _BUFFERED_ID_BYTES, SparseRecoverySketch, _mix64
 
 
@@ -82,7 +82,10 @@ class GridConfig:
             raise InputError(f"level {level} outside 0..{self.top_level}")
         idx = []
         for c in point:
-            ci = int(c)
+            try:
+                ci = int(c)
+            except (OverflowError, ValueError):  # inf and NaN have no int value
+                ci = 0  # outside the range, so refused below
             if ci != c or not (1 <= ci <= self.delta):
                 raise InputError(f"coordinate {c} outside integer range [1, {self.delta}]")
             idx.append((ci - 1) >> level)
@@ -159,7 +162,8 @@ class DynamicCoresetState:
         self.k, self.z, self.epsilon = k, z, epsilon
         self.delta_fail = delta_fail
         self.seed = seed
-        self.s = math.ceil(k * (4.0 * math.sqrt(d) / epsilon) ** d - 1e-9) + z
+        self.s = math.ceil(_size_bound(k, 4.0 * math.sqrt(d), epsilon, d,
+                                       "sparsity k*(4*sqrt(d)/eps)^d") - 1e-9) + z
         self.live_count = 0
         self.ops = 0
         self.shadow = [dict() for _ in range(self.grid.levels)] if with_shadow else None
@@ -168,7 +172,11 @@ class DynamicCoresetState:
         if with_sketches:
             # per-query failure budget: delta / (levels * assumed stream length Delta^(3d))
             queries = self.grid.levels * self.grid.delta ** (3 * d)
-            per_query = delta_fail / max(queries, 1)
+            try:
+                per_query = delta_fail / max(queries, 1)
+            except OverflowError:  # the int is past the float range
+                raise InputError(f"failure budget: levels * Delta^(3d) = {self.grid.levels}"
+                                 f" * {self.grid.delta}^{3 * d} overflows a float") from None
             self.sr = [SparseRecoverySketch(self.s, per_query, self.grid.cell_count(lv),
                                             seed=_mix64(seed + 7919 * lv + 1))
                        for lv in range(self.grid.levels)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import Metric, L2
+from .metric import Metric, L2, _nearest
 
 _INT_TOL = 1e-9
 
@@ -26,7 +26,8 @@ _INT_TOL = 1e-9
 class LbGeometry:
     """The lambda/h/r geometry underlying the cluster constructions.
 
-    Requires eps <= 1/(8d) and integral 1/(4*d*eps); construction asserts
+    Requires eps <= 1/(8d) and integral 1/(4*d*eps), and refuses an eps so
+    small that h or r is past the float range; construction asserts
     r < (1 - eps) * (r + h) / 2, the inequality the hardness argument needs.
     """
 
@@ -42,11 +43,17 @@ class LbGeometry:
         if not (0 < self.epsilon <= 1.0 / (8 * self.d)):
             raise InputError(f"epsilon must be in (0, 1/(8d)] = (0, {1.0 / (8 * self.d)}]")
         raw = 1.0 / (4 * self.d * self.epsilon)
-        lam = round(raw)
+        try:
+            lam = round(raw)  # raises on an infinite raw
+            h = self.d * (lam + 2) / 2.0  # raises on an int past the float range
+        except OverflowError:
+            lam, h = raw, math.inf  # refused below
         if abs(raw - lam) > _INT_TOL * max(1.0, raw):
             raise InputError(f"1/(4*d*eps) = {raw} is not an integer; pick eps = 1/(4*d*m)")
-        h = self.d * (lam + 2) / 2.0
         r = math.sqrt(h * h - 2 * h + self.d)
+        if not (math.isfinite(h) and math.isfinite(r)):
+            raise InputError(f"h or r overflows at eps = {self.epsilon}, d = {self.d}; "
+                             "use a larger epsilon")
         object.__setattr__(self, "lam", int(lam))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
@@ -126,8 +133,8 @@ def probe_cover_ok(geom: LbGeometry, k: int, probe, metric: Metric = None) -> bo
     centers = _probe_cross(p_star, geom.h)[::2]
     targets = [q for q in cluster if q != p_star] + stream[-4 * d:]
     tol = 1e-9 * max(1.0, geom.r)
-    dist = metric.pairwise(np.asarray(targets, dtype=float), np.asarray(centers))
-    return bool((dist.min(axis=1) <= geom.r + tol).all())
+    nearest = _nearest(metric, np.asarray(targets, dtype=float), centers)
+    return bool((nearest <= geom.r + tol).all())
 
 
 def gen_one_dim_lb(k: int, z: int, include_extra: bool = False) -> list[tuple]:

@@ -13,6 +13,10 @@ three forms:
   ``check_mini_ball_covering`` and ``probe_cover_ok``.
 - ``check_coreset`` scales its radius-band slack by the larger of opt(P)
   and opt(coreset).
+
+Every distance the package computes comes from ``Metric.pairwise``; the
+scalar formula it matches bit for bit is the test reference in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -104,12 +108,13 @@ class Metric:
     """A metric: L2, L-infinity, or an explicit finite distance matrix.
 
     For ``EXPLICIT``, points are 1-tuples holding an integral index into the
-    matrix; ``pairwise`` and ``distance`` raise ``InputError`` on any other.
+    matrix; ``pairwise`` raises ``InputError`` on any other.
     The matrix is validated for symmetry, nonnegativity and zero diagonal;
     the triangle inequality is spot-checked on sampled triples.
 
-    ``pairwise`` is the package's distance kernel; the scalar ``distance``
-    computes the same bits one pair at a time and serves as its reference.
+    ``pairwise`` is the package's only distance kernel; ``distance`` reads
+    one entry of it. The scalar formula it must match bit for bit is kept
+    as a test reference, ``scalar_distance`` in ``tests/conftest.py``.
     """
 
     kind: str
@@ -132,27 +137,16 @@ class Metric:
             raise InputError("matrix only allowed for explicit metrics")
 
     def distance(self, p: Point, q: Point) -> float:
-        p, q = tuple(p), tuple(q)
-        if len(p) != len(q):
-            raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
-        if self.kind == EXPLICIT:
-            if len(p) != 1 or not (float(p[0]).is_integer() and float(q[0]).is_integer()):
-                raise InputError(_EXPLICIT_POINTS)
-            i, j = int(p[0]), int(q[0])
-            n = len(self.matrix)
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"matrix index out of range: {i}, {j}")
-            return self.matrix[i][j]
-        diff = [abs(a - b) for a, b in zip(p, q)]
-        if self.kind == LINF:
-            return max(diff) if diff else 0.0
-        return math.sqrt(sum(d * d for d in diff))
+        """The distance between two points: one entry of ``pairwise``."""
+        a, b = np.asarray([p], dtype=float), np.asarray([q], dtype=float)
+        return float(self.pairwise(a, b)[0, 0])
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance matrix between rows of a (n x d) and rows of b (m x d).
 
-        Accumulates one coordinate at a time, in the order ``distance`` does,
-        so every entry has the same bits as the scalar ``distance``.
+        Accumulates one coordinate at a time, in the order of the scalar
+        formula (sum of squared differences, or maximum absolute
+        difference), so every entry has the same bits as that formula.
         """
         if self.kind == EXPLICIT:
             for x in (a, b):
@@ -178,6 +172,25 @@ class Metric:
                 np.multiply(diff, diff, out=diff)
                 out += diff
         return out if self.kind == LINF else np.sqrt(out, out=out)
+
+
+def _nearest(metric: Metric, points: np.ndarray, centers) -> np.ndarray:
+    """Each row's distance to its nearest center: one ``pairwise`` call and
+    one row minimum. ``centers`` is a nonempty sequence of coordinate tuples."""
+    centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
+    return metric.pairwise(points, centers).min(axis=1)
+
+
+def _size_bound(k: int, c: float, epsilon: float, d: int, what: str) -> float:
+    """k*(c/eps)^d, the packing bound behind every coreset size; ``what``
+    names it in the ``InputError`` raised when it is past the float range."""
+    try:
+        bound = k * (c / epsilon) ** d
+    except OverflowError:  # the power overflows; c/eps alone may be inf
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise InputError(f"{what} overflows; use a larger epsilon")
+    return bound
 
 
 _TRIANGLE_SAMPLES = 200  # triples checked when a matrix has more than 12 points

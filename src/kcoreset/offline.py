@@ -23,6 +23,8 @@ from .metric import (
     Metric,
     REL_TOL,
     WeightedPoint,
+    _nearest,
+    _size_bound,
     _unchecked_point,
     as_weighted,
     coords_array,
@@ -194,8 +196,8 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
     wps = as_weighted(points)
     if not wps:
         return 0.0
-    d = metric.pairwise(coords_array(wps), np.asarray(centers, dtype=float).reshape(len(centers), -1))
-    return float(_cost_batch(d.min(axis=1)[None, :], weights_array(wps), z)[0])
+    nearest = _nearest(metric, coords_array(wps), centers)
+    return float(_cost_batch(nearest[None, :], weights_array(wps), z)[0])
 
 
 def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
@@ -206,8 +208,7 @@ def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
     wps = as_weighted(points)
     if not wps:
         return 0
-    d = metric.pairwise(coords_array(wps), np.asarray(centers, dtype=float).reshape(len(centers), -1))
-    nearest = d.min(axis=1)
+    nearest = _nearest(metric, coords_array(wps), centers)
     slack = REL_TOL * np.maximum(1.0, np.maximum(np.abs(nearest), abs(radius)))
     return int(weights_array(wps)[nearest > radius + slack].sum())
 
@@ -488,4 +489,4 @@ def mbc_construction(inst: Instance) -> MiniBallCovering:
 
 
 def mbc_size_bound(k: int, z: int, epsilon: float, d: int) -> float:
-    return k * (12.0 / epsilon) ** d + z
+    return _size_bound(k, 12.0, epsilon, d, "size bound k*(12/eps)^d") + z

@@ -29,14 +29,17 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .metric import Metric, REL_TOL, WeightedPoint, _unchecked_point, min_pairwise_distance
+from .metric import (
+    Metric, REL_TOL, WeightedPoint, _size_bound, _unchecked_point, min_pairwise_distance,
+)
 from .offline import _PointSet, _net
 
 
 def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
-    t = k * (16.0 / epsilon) ** d
+    what = "size threshold k*(16/eps)^d"
+    t = _size_bound(k, 16.0, epsilon, d, what)
     if t > 2**53:
-        raise InputError("size threshold k*(16/eps)^d overflows; use a larger epsilon")
+        raise InputError(f"{what} overflows; use a larger epsilon")
     return int(math.floor(t)) + z
 
 

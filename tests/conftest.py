@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from kcoreset import L2, LINF, Metric, WeightedPoint
+from kcoreset import EXPLICIT, L2, LINF, InputError, Metric, WeightedPoint
+from kcoreset.metric import _EXPLICIT_POINTS
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +15,26 @@ def linf():
 @pytest.fixture(scope="session")
 def l2():
     return Metric(L2)
+
+
+def scalar_distance(metric, p, q):
+    """Reference distance: the scalar formula, one pair at a time. Every
+    entry of ``Metric.pairwise`` has the same bits."""
+    p, q = tuple(p), tuple(q)
+    if len(p) != len(q):
+        raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
+    if metric.kind == EXPLICIT:
+        if len(p) != 1 or not (float(p[0]).is_integer() and float(q[0]).is_integer()):
+            raise InputError(_EXPLICIT_POINTS)
+        i, j = int(p[0]), int(q[0])
+        n = len(metric.matrix)
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"matrix index out of range: {i}, {j}")
+        return metric.matrix[i][j]
+    diff = [abs(a - b) for a, b in zip(p, q)]
+    if metric.kind == LINF:
+        return max(diff) if diff else 0.0
+    return math.sqrt(sum(d * d for d in diff))
 
 
 def random_points(rng, n, d, lo=0, hi=100, cluster_frac=0.0, weights=False):
@@ -43,7 +66,7 @@ def unit_assignment_exists(P, Pstar, bound, metric):
         units.extend([p.point] * p.weight)
     compat = [
         tuple(j for j, q in enumerate(Pstar)
-              if metric.distance(u, q.point) <= bound + 1e-12 * max(1.0, bound))
+              if scalar_distance(metric, u, q.point) <= bound + 1e-12 * max(1.0, bound))
         for u in units
     ]
     from functools import lru_cache

@@ -21,7 +21,7 @@ from kcoreset import (
 from kcoreset.mpc import point_words, vector_length
 from kcoreset.offline import _mbc
 from kcoreset.cli import main as cli_main
-from conftest import random_points
+from conftest import random_points, scalar_distance
 
 W = WeightedPoint
 LINF_M = Metric(LINF)
@@ -61,7 +61,7 @@ def test_criterion_1_greedy_three_approximation(greedy_suite):
         assert res.radius <= 3 * opt + 1e-9, (res.radius, opt)
         uncov = sum(
             p.weight for p in inst.points
-            if all(inst.metric.distance(p.point, b.center) > b.radius + 1e-9
+            if all(scalar_distance(inst.metric, p.point, b.center) > b.radius + 1e-9
                    for b in res.balls)
         )
         assert uncov <= inst.z
@@ -194,7 +194,7 @@ def test_criterion_5_one_round_randomized(one_round_instance):
     sol = brute_force_opt(Instance(tuple(pts), k, z, 1.0, LINF_M))
     outlier_locs = {
         p.point for p in pts
-        if min(LINF_M.distance(p.point, c) for c in sol.centers) > sol.radius + 1e-9
+        if min(scalar_distance(LINF_M, p.point, c) for c in sol.centers) > sol.radius + 1e-9
     }
     threshold = 6 * z / m + 3 * math.log2(n)
     passes = exceed = 0

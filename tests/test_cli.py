@@ -275,6 +275,26 @@ def test_delta_fail_outside_the_unit_interval_is_an_input_error(tmp_path, capsys
         assert code == 3 and stats is None and "delta_fail" in err, (value, extra)
 
 
+@pytest.mark.parametrize("argv", [
+    "offline {pts} --k 1 --z 0 --eps 1e-200 --out {out}",        # k*(12/eps)^d
+    "stream {pts} --k 1 --z 0 --eps 1e-200 --d 2 --out {out}",   # k*(16/eps)^d
+    "stream {pts} --k 1 --z 0 --eps 0.5 --d 1000 --out {out}",
+    "dynamic {upd} --k 1 --z 0 --eps 1e-308 --out {out}",        # k*(4*sqrt(d)/eps)^d
+    "dynamic {wide} --k 1 --z 0 --eps 1.0 --out {out}",          # levels * Delta^(3d)
+    "gen --family insertion-lb --k 1 --z 0 --eps 1e-300 --out {out}",  # h*h
+    "gen --family dynamic-lb --k 1 --z 0 --eps 1e-300 --delta 64 --out {out}",
+])
+def test_bounds_past_the_float_range_are_input_errors(tmp_path, capsys, argv):
+    files = {name: tmp_path / f"{name}.txt" for name in ("pts", "upd", "wide", "out")}
+    pointio.write_points(str(files["pts"]), [W(p) for p in ((0, 0), (1, 0), (5, 5), (9, 9))])
+    files["upd"].write_text("delta=8 d=1\n+ 3\n+ 4\n")
+    files["wide"].write_text("delta=1048576 d=20\n+ " + ",".join(["1"] * 20) + "\n")
+    code, stats, err = run_cli(capsys, *argv.format(**files).split())
+    assert code == 3 and stats is None
+    assert err.startswith("input error:") and err.count("\n") == 1, err
+    assert not files["out"].exists()
+
+
 def test_two_round_stats_record_the_distribution_seed(tmp_path, capsys):
     pts = tmp_path / "p.txt"
     write_pts(pts, range(12))

@@ -525,7 +525,8 @@ def test_update_validates_once_and_touches_each_level_once(monkeypatch):
             assert calls == ids[:fed]
         assert len(calls) == st.grid.levels == 8
         before = copy.deepcopy(st)
-        for bad in [(0, 5), (129, 5), (2.5, 5), (5,), (5, 5, 5)]:
+        for bad in [(0, 5), (129, 5), (2.5, 5), (5,), (5, 5, 5),
+                    (float("inf"), 5), (float("nan"), 5)]:
             with pytest.raises(InputError):
                 st.update(bad, 1)
         with pytest.raises(InputError):

@@ -21,6 +21,10 @@ def test_geometry_examples():
         lb_geometry(1 / 4, 1)  # epsilon above 1/(8d)
     with pytest.raises(InputError):
         lb_geometry(0.1, 1)  # 1/(4*d*eps) = 2.5 not an integer
+    # h*h overflows; 1/(4*d*eps) is inf; d*(lam+2) is an int past the float range
+    for eps, d in ((1e-300, 1), (1e-200, 3), (5e-324, 1), (1e-309, 4)):
+        with pytest.raises(InputError, match="overflows"):
+            lb_geometry(eps, d)
 
 
 def test_geometry_derives_lam_h_and_r_only():

@@ -11,6 +11,8 @@ from kcoreset import (
     midpoint_grid_universe, min_pairwise_distance,
 )
 
+from conftest import scalar_distance
+
 coords = st.lists(st.integers(-50, 50).map(float), min_size=1, max_size=3)
 
 
@@ -82,7 +84,7 @@ def test_min_pairwise_matches_double_loop(l2):
     rng = np.random.default_rng(42)
     pts = [tuple(map(float, p)) for p in rng.uniform(1, 100, size=(200, 2))]
     expect = min(
-        l2.distance(p, q) for p, q in itertools.combinations(pts, 2)
+        scalar_distance(l2, p, q) for p, q in itertools.combinations(pts, 2)
     )
     assert min_pairwise_distance(pts, l2) == pytest.approx(expect)
 
@@ -119,8 +121,8 @@ def test_midpoint_grid_contains_linf_meb_center(linf):
         for subset in itertools.combinations(pts, size):
             arr = np.asarray(subset)
             mid = tuple((arr.min(axis=0) + arr.max(axis=0)) / 2.0)
-            exact = max(linf.distance(p, mid) for p in subset)
-            best = min(max(linf.distance(p, c) for p in subset) for c in grid)
+            exact = max(scalar_distance(linf, p, mid) for p in subset)
+            best = min(max(scalar_distance(linf, p, c) for p in subset) for c in grid)
             assert best == pytest.approx(exact)
             assert any(np.allclose(c, mid) for c in grid)
 
@@ -136,7 +138,9 @@ def test_pairwise_equals_scalar_distance_bit_for_bit(dim, n, m, data):
         assert got.shape == (n, m)
         for i in range(n):
             for j in range(m):
-                assert got[i, j] == metric.distance(tuple(a[i]), tuple(b[j]))
+                p, q = tuple(a[i]), tuple(b[j])
+                assert got[i, j] == scalar_distance(metric, p, q)
+                assert got[i, j] == metric.distance(p, q)
 
 
 def test_self_pairwise_is_symmetric_bit_for_bit():

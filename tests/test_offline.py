@@ -22,7 +22,7 @@ from kcoreset.offline import GreedyResult, _PointSet, _cost_batch, _mbc, _net, u
 from kcoreset.validate import (
     EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION,
 )
-from conftest import random_points
+from conftest import random_points, scalar_distance
 
 W = WeightedPoint
 
@@ -68,7 +68,7 @@ def test_uncovered_weight_needs_a_center(linf):
 
 
 def exhaustive_threshold_scan(points, centers, z, metric):
-    dists = [min(metric.distance(p.point, c) for c in centers) for p in points]
+    dists = [min(scalar_distance(metric, p.point, c) for c in centers) for p in points]
     for r in sorted({0.0} | set(dists)):
         if sum(p.weight for p, d in zip(points, dists) if d > r + 1e-12) <= z:
             return r
@@ -411,7 +411,7 @@ def test_greedy_three_approx_small(linf, l2):
         # uncovered weight within the reported balls is at most z
         uncov = 0
         for p in pts:
-            if all(metric.distance(p.point, b.center) > b.radius + 1e-9 for b in res.balls):
+            if all(scalar_distance(metric, p.point, b.center) > b.radius + 1e-9 for b in res.balls):
                 uncov += p.weight
         assert uncov <= z
 
@@ -673,7 +673,7 @@ def test_mbc_passes_flow_validation(linf):
         totals = [0] * len(cov.representatives)
         for i, p in enumerate(pts):
             rep = cov.representatives[cov.assignment[i]]
-            assert linf.distance(p.point, rep.point) <= cov.ball_radius + 1e-9
+            assert scalar_distance(linf, p.point, rep.point) <= cov.ball_radius + 1e-9
             totals[cov.assignment[i]] += p.weight
         assert totals == [r.weight for r in cov.representatives]
         # representatives are pairwise separated beyond the mini-ball radius
@@ -681,7 +681,7 @@ def test_mbc_passes_flow_validation(linf):
             reps = cov.representatives
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
-                    assert linf.distance(reps[i].point, reps[j].point) > cov.ball_radius
+                    assert scalar_distance(linf, reps[i].point, reps[j].point) > cov.ball_radius
 
 
 def test_mbc_builds_one_distance_matrix(monkeypatch, linf):
@@ -783,7 +783,7 @@ def test_update_coreset_properties(raw, delta):
     assert sum(p.weight for p in out) == sum(p.weight for p in pts)
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            assert m.distance(out[i].point, out[j].point) > delta
+            assert scalar_distance(m, out[i].point, out[j].point) > delta
     again = update_coreset(out, float(delta), m)
     assert [(p.point, p.weight) for p in again] == [(p.point, p.weight) for p in out]
 
@@ -817,3 +817,12 @@ def test_transitive_composition(linf):
         second = update_coreset(list(first.representatives), eps * opt, linf)
         bound = (eps + gamma + eps * gamma) * opt
         assert check_mini_ball_covering(pts, second, bound, linf).passed
+
+
+def test_mbc_size_bound_keeps_its_formula_and_refuses_overflow():
+    for k, z, eps, d in ((1, 0, 1.0, 1), (2, 1, 0.5, 2), (3, 4, 0.1, 3), (5, 2, 1e-3, 40)):
+        assert mbc_size_bound(k, z, eps, d) == k * (12.0 / eps) ** d + z
+    # the power overflows, 12/eps is inf, k does not fit a float
+    for k, eps, d in ((1, 1e-200, 2), (1, 0.5, 1000), (1, 1e-308, 1), (10**400, 1.0, 1)):
+        with pytest.raises(InputError, match=r"size bound k\*\(12/eps\)\^d overflows"):
+            mbc_size_bound(k, 0, eps, d)

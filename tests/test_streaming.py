@@ -11,7 +11,7 @@ from kcoreset import (
 )
 from kcoreset.metric import REL_TOL, coords_array
 from kcoreset.offline import _PointSet
-from conftest import random_points
+from conftest import random_points, scalar_distance
 from test_offline import scalar_net
 
 
@@ -20,8 +20,10 @@ def test_threshold_examples(linf):
     assert size_threshold(2, 3, 1.0, 1) == 35
     with pytest.raises(InputError):
         InsertionStream(1, 0, 0.0, 1, linf)
-    with pytest.raises(InputError):
-        size_threshold(1, 0, 1e-8, 4)  # (16/eps)^d overflows 2^53
+    # past 2^53; the power overflows; 16/eps is inf
+    for eps, d in ((1e-8, 4), (1e-200, 2), (0.5, 1000), (1e-308, 1)):
+        with pytest.raises(InputError, match=r"size threshold k\*\(16/eps\)\^d overflows"):
+            size_threshold(1, 0, eps, d)
 
 
 def test_hand_simulation(linf):
@@ -73,13 +75,13 @@ def test_weight_conservation_and_size(xs):
             reps = st_.pstar
             for a in range(len(reps)):
                 for b in range(a + 1, len(reps)):
-                    assert m.distance(reps[a].point, reps[b].point) > limit
+                    assert scalar_distance(m, reps[a].point, reps[b].point) > limit
     # every arrival stays within eps*r of its transitively merged representative;
     # the reference tracks the merges, and it chooses the representatives the
     # fast stream does (test_vectorised_scan_matches_scalar_oracle)
     for t, x in enumerate(xs):
         rep = ref.resolved_representative(t)
-        assert m.distance((float(x),), rep) <= ref.epsilon * ref.r + 1e-9
+        assert scalar_distance(m, (float(x),), rep) <= ref.epsilon * ref.r + 1e-9
 
 
 def test_r_below_optimum(linf):
@@ -139,7 +141,7 @@ def test_non_finite_arrival_leaves_state_unchanged(linf):
 
 
 class ScalarInsertionStream(InsertionStream):
-    """Reference arrival rule: a scalar ``Metric.distance`` loop over ``pstar``.
+    """Reference arrival rule: a ``scalar_distance`` loop over ``pstar``.
 
     This is the scan ``InsertionStream.arrival`` replaced with one
     ``pairwise`` call over its coordinate buffer, and it recompresses with
@@ -165,7 +167,7 @@ class ScalarInsertionStream(InsertionStream):
         limit = (self.epsilon / 2.0) * self.r
         slack = REL_TOL * max(1.0, limit)
         for i, rep in enumerate(self.pstar):
-            if self.metric.distance(point, rep.point) <= limit + slack:
+            if scalar_distance(self.metric, point, rep.point) <= limit + slack:
                 self.pstar[i] = WeightedPoint(rep.point, rep.weight + 1)
                 self._arrival_rep.append(self._rep_ids[i])
                 break

@@ -13,7 +13,7 @@ from kcoreset import (
 from kcoreset.validate import (
     COVERING_DISTANCE, RADIUS_BAND_LOW, WEIGHT_MISMATCH, WEIGHT_RESTRICTION,
 )
-from conftest import random_points, unit_assignment_exists
+from conftest import random_points, scalar_distance, unit_assignment_exists
 
 W = WeightedPoint
 
@@ -83,7 +83,8 @@ def test_flow_finds_no_saturating_assignment_when_every_point_reaches(linf):
         splits = rng.multinomial(total - n_reps, [1 / n_reps] * n_reps) + 1
         reps = [W(loc, int(w)) for loc, w in zip(chosen, splits)]
         bound = float(rng.integers(0, 5))
-        if not all(any(linf.distance(p.point, q.point) <= bound for q in reps) for p in pts):
+        if not all(any(scalar_distance(linf, p.point, q.point) <= bound for q in reps)
+                   for p in pts):
             continue
         got = check_mini_ball_covering(pts, reps, bound, linf)
         assert got.passed == unit_assignment_exists(pts, reps, bound, linf)
@@ -152,7 +153,7 @@ def test_union_property(linf):
         inst = Instance(tuple(pts), k, z, eps, linf)
         sol = brute_force_opt(inst)
         outlier = [
-            min(linf.distance(p.point, c) for c in sol.centers) > sol.radius + 1e-9
+            min(scalar_distance(linf, p.point, c) for c in sol.centers) > sol.radius + 1e-9
             for p in pts
         ]
         half = len(pts) // 2
