@@ -174,7 +174,12 @@ def gen_dynamic_lb(k: int, z: int, epsilon: float, d: int, delta: int,
     if lam % 2 != 0:
         raise InputError("lambda/2 must be an integer; pick eps = 1/(8*d*m)")
     delta_pow = 1 << max(0, (delta - 1).bit_length())
-    if delta_pow < ((2 * k + z) * (1.0 / (4 * epsilon) + d)) ** 2:
+    try:
+        fit = ((2 * k + z) * (1.0 / (4 * epsilon) + d)) ** 2
+    except OverflowError:  # the bound is past the float range
+        raise InputError("((2k+z)(1/(4eps)+d))^2 overflows; use a smaller k or z "
+                         "or a larger epsilon")
+    if delta_pow < fit:
         raise InputError("Delta must be at least ((2k+z)(1/(4eps)+d))^2")
     big_l = delta_pow.bit_length() - 1
     g = big_l // 2 - 2

@@ -49,11 +49,16 @@ class WeightedPoint:
         if not isinstance(self.weight, int) or self.weight < 1:
             raise InputError(f"weight must be a positive integer, got {self.weight!r}")
         point = tuple(map(float, self.point))
-        # the sum is a cheap screen; only when it is not finite (a NaN or inf,
-        # or finite coordinates whose sum overflows) are the coordinates checked
-        if not math.isfinite(sum(point)) and not all(map(math.isfinite, point)):
+        if not _finite(point):
             raise InputError(f"coordinates must be finite, got {point!r}")
         object.__setattr__(self, "point", point)
+
+
+def _finite(point: tuple) -> bool:
+    """Whether every coordinate of a tuple of floats is finite. The sum is a
+    cheap screen; only when it is not finite (a NaN or inf, or finite
+    coordinates whose sum overflows) are the coordinates checked one by one."""
+    return math.isfinite(sum(point)) or all(map(math.isfinite, point))
 
 
 # bound once: looking the two up on ``object`` costs as much as the stores
@@ -64,7 +69,8 @@ def _unchecked_point(point: tuple, weight: int) -> WeightedPoint:
     """A ``WeightedPoint`` built without ``__post_init__``. Only for callers
     whose ``point`` is already a tuple of finite floats and whose ``weight``
     is already a positive int: a representative's point with a sum of
-    validated weights, or a cell center with its decoded count."""
+    validated weights, a cell center with its decoded count, or a point-file
+    line whose coordinates ``_finite`` passed."""
     wp = _new_object(WeightedPoint)
     _set_attribute(wp, "point", point)
     _set_attribute(wp, "weight", weight)
@@ -80,17 +86,21 @@ def total_weight(points) -> int:
     return sum(wp.weight for wp in as_weighted(points))
 
 
-def coords_array(points) -> np.ndarray:
-    pts = [wp.point for wp in as_weighted(points)]
+def coords_array(wps) -> np.ndarray:
+    """The coordinates of a sequence of ``WeightedPoint``s as an n x d array.
+    A caller normalizes its input with ``as_weighted`` once, beforehand."""
+    pts = [wp.point for wp in wps]
     return np.asarray(pts, dtype=float).reshape(len(pts), -1)
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+_FLOAT64 = np.dtype(float)
 
 
-def weights_array(points) -> np.ndarray:
-    """The weights as int64; their total must fit, so no sum over them wraps."""
-    weights = [wp.weight for wp in as_weighted(points)]
+def weights_array(wps) -> np.ndarray:
+    """The weights of a sequence of ``WeightedPoint``s as int64; their total
+    must fit, so no sum over them wraps."""
+    weights = [wp.weight for wp in wps]
     total = sum(weights)
     if total > _INT64_MAX:
         raise InputError(f"total weight {total} exceeds the int64 range")
@@ -146,7 +156,18 @@ class Metric:
 
         Accumulates one coordinate at a time, in the order of the scalar
         formula (sum of squared differences, or maximum absolute
-        difference), so every entry has the same bits as that formula.
+        difference), so every entry has the same bits as that formula. The
+        first coordinate's term is written straight into the output: adding
+        it to a zero, or taking its maximum with a zero, would give the
+        same bits, since a square or an absolute value is never -0.0.
+
+        A one-row ``a`` against a float64 ``b`` takes its coordinates as
+        Python floats, scalar operands of the same subtractions, so no
+        (1, 1) operand is broadcast per coordinate. A Python float is
+        converted to float64 exactly, and the loop runs in float64 either
+        way, so each entry keeps its bits. (Against a float32 ``b`` a
+        Python float would not promote the loop to float64, so such a ``b``
+        takes the general path.)
         """
         if self.kind == EXPLICIT:
             for x in (a, b):
@@ -159,18 +180,27 @@ class Metric:
                 if idx.size and not (0 <= idx.min() and idx.max() < n):
                     raise InputError(f"matrix index out of range: {idx.min()}..{idx.max()}")
             return self._array[np.ix_(ia, ib)]
-        if a.shape[1] != b.shape[1]:
-            raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-        out = np.zeros((a.shape[0], b.shape[0]))
-        diff = np.empty_like(out)
-        for j in range(a.shape[1]):
-            np.subtract(a[:, j, None], b[None, :, j], out=diff)
+        d = a.shape[1]
+        if d != b.shape[1]:
+            raise InputError(f"dimension mismatch: {d} vs {b.shape[1]}")
+        # with no coordinates every distance is 0, and the loop below is empty
+        out = (np.empty if d else np.zeros)((a.shape[0], b.shape[0]))
+        if a.shape[0] == 1 and b.dtype is _FLOAT64:
+            lhs, rhs, acc = a[0].tolist(), b.T, out[0]
+        else:
+            lhs, rhs, acc = a.T[:, :, None], b.T[:, None, :], out
+        diff = np.empty_like(acc) if d > 1 else None
+        for j in range(d):
+            term = acc if j == 0 else diff
+            np.subtract(lhs[j], rhs[j], out=term)
             if self.kind == LINF:
-                np.abs(diff, out=diff)
-                np.maximum(out, diff, out=out)
+                np.abs(term, out=term)
+                if j:
+                    np.maximum(acc, diff, out=acc)
             else:
-                np.multiply(diff, diff, out=diff)
-                out += diff
+                np.multiply(term, term, out=term)
+                if j:
+                    acc += diff
         return out if self.kind == LINF else np.sqrt(out, out=out)
 
 

@@ -156,7 +156,8 @@ def _nth_combination(n_items: int, k: int, index: int) -> tuple:
 
 def _center_set_costs(point_sets, cands, k: int, z: int, metric: Metric,
                       cap: int) -> list[np.ndarray]:
-    """Cost of every k-subset of ``cands``, one array per weighted point set.
+    """Cost of every k-subset of ``cands``, one array per point set (each a
+    sequence of ``WeightedPoint``s).
 
     Entry i of each array is the cost of the i-th k-combination of
     range(len(cands)) in lexicographic order, so np.argmin and np.argmax
@@ -300,7 +301,12 @@ class _PointSet:
     built on first use, and a memo of probes keyed by (k, candidate index).
     A probe does not depend on an outlier budget, so searches on one set at
     several z probe a radius once, and a later search at a z already
-    searched makes no probe."""
+    searched makes no probe.
+
+    The input is normalized by one ``as_weighted`` pass, and the weights and
+    coordinates are read from that list. A caller that already holds the
+    coordinates, as a float64 n x d array in input order, may assign it to
+    ``coords`` before first use; the set then reads it in place."""
 
     def __init__(self, points, metric: Metric):
         self.wps = as_weighted(points)
@@ -393,8 +399,9 @@ def _net(points, delta: float, metric: Metric):
     Repeatedly takes the first remaining point q and merges every remaining
     point within distance delta of q (inclusive) into q, summing weights.
     Returns (representatives, assignment) where assignment[i] is the
-    representative index of input point i. ``points`` is a point list or a
-    ``_PointSet``, whose rows (``_PointSet.rows``) are read.
+    representative index of input point i. A representative whose net holds
+    only itself is its input ``WeightedPoint``, not a copy. ``points`` is a
+    point list or a ``_PointSet``, whose rows (``_PointSet.rows``) are read.
 
     The input is walked in blocks. A point belongs to the first
     representative within delta of it, and every representative before a
@@ -448,7 +455,8 @@ def _net(points, delta: float, metric: Metric):
     weights = np.zeros(len(firsts), dtype=np.int64)
     np.add.at(weights, assignment, ps.weights)
     wps = ps.wps
-    reps = [_unchecked_point(wps[i].point, wt) for i, wt in zip(firsts, weights.tolist())]
+    reps = [wps[i] if wps[i].weight == wt else _unchecked_point(wps[i].point, wt)
+            for i, wt in zip(firsts, weights.tolist())]
     return reps, assignment.tolist()
 
 

@@ -1,15 +1,23 @@
 """Text file formats: point files and dynamic update streams.
 
 Point file: one point per line, comma-separated coordinates, optional final
-field ``w=<int>`` (default weight 1); ``#`` starts a comment line. Update
-stream: header ``delta=<int> d=<int>``, then one op per line, ``+ x1,...,xd``
-or ``- x1,...,xd`` with integer coordinates.
+field ``w=<int>`` (default weight 1); ``#`` starts a comment line, and blank
+lines are skipped. Fields may be padded with whitespace. A line is checked
+for nonempty fields, coordinates that parse as finite floats, and a weight
+that is a positive integer, and it is checked once: ``read_points`` splits
+it once and converts each field once, and a line of finite coordinates with
+no weight field becomes a point with no second check. Any other line, a
+weighted one or a faulty one, goes through ``parse_point_line``, which
+builds the point or names the line and its fault.
+
+Update stream: header ``delta=<int> d=<int>``, then one op per line,
+``+ x1,...,xd`` or ``- x1,...,xd`` with integer coordinates.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .metric import WeightedPoint, as_weighted
+from .metric import WeightedPoint, _finite, _unchecked_point, as_weighted
 
 
 def parse_point_line(line: str, lineno: int) -> WeightedPoint:
@@ -40,6 +48,14 @@ def read_points(path: str) -> list[WeightedPoint]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            try:  # float() strips a field's padding as str.strip() does
+                coords = tuple(map(float, line.split(",")))
+            except ValueError:  # a weight field, or a fault parse_point_line names
+                pass
+            else:
+                if _finite(coords):
+                    points.append(_unchecked_point(coords, 1))
+                    continue
             points.append(parse_point_line(line, lineno))
     return points
 
@@ -79,7 +95,7 @@ def read_update_stream(path: str):
                 raise InputError(f"line {lineno}: expected '+ x1,...,xd' or '- x1,...,xd'")
             sign = 1 if line[0] == "+" else -1
             try:
-                coords = tuple(int(f.strip()) for f in line[1:].strip().split(","))
+                coords = tuple(map(int, line[1:].split(",")))  # int() strips padding
             except ValueError:
                 raise InputError(f"line {lineno}: bad coordinates in {line!r}")
             if len(coords) != header[1]:

@@ -15,9 +15,10 @@ within (eps/2)*r is found with a mask and ``argmax``, so the
 first-in-insertion-order rule is kept exactly.
 
 No distance matrix is kept. A recompression hands ``_net`` a ``_PointSet``
-of ``pstar``, which computes the distances it reads one row block at a time
-(at most about 2^16 of them at once), then gathers ``_coords`` down to the
-kept rows.
+of ``pstar`` whose coordinates are ``_coords[:m]`` itself, read in place
+rather than copied from the representatives. The set computes the distances
+it reads one row block at a time (at most about 2^16 of them at once). The
+stream then gathers ``_coords`` down to the kept rows.
 
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
@@ -83,7 +84,9 @@ class InsertionStream:
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
-            reps, assignment = _net(_PointSet(self.pstar, self.metric), delta, self.metric)
+            ps = _PointSet(self.pstar, self.metric)
+            ps.coords = self._coords[:len(self.pstar)]  # read in place, not copied
+            reps, assignment = _net(ps, delta, self.metric)
             _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
             self._coords[:len(keep)] = self._coords[keep]
             self.pstar = reps

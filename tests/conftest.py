@@ -37,6 +37,79 @@ def scalar_distance(metric, p, q):
     return math.sqrt(sum(d * d for d in diff))
 
 
+def reference_parse_point_line(line, lineno):
+    """Reference point-line parser: every field stripped, converted, then
+    checked again by ``WeightedPoint``. The readers in ``kcoreset.pointio``
+    give the same points and the same errors."""
+    fields = [f.strip() for f in line.split(",")]
+    weight = 1
+    if fields and fields[-1].startswith("w="):
+        try:
+            weight = int(fields[-1][2:])
+        except ValueError:
+            raise InputError(f"line {lineno}: bad weight field {fields[-1]!r}")
+        fields = fields[:-1]
+    if not fields or any(not f for f in fields):
+        raise InputError(f"line {lineno}: expected comma-separated coordinates")
+    try:
+        coords = tuple(map(float, fields))
+    except ValueError:
+        raise InputError(f"line {lineno}: bad coordinate in {line!r}")
+    try:
+        return WeightedPoint(coords, weight)
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}")
+
+
+def reference_read_points(path):
+    """Reference point-file reader: ``reference_parse_point_line`` on every
+    line that is neither blank nor a comment."""
+    points = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            points.append(reference_parse_point_line(line, lineno))
+    return points
+
+
+def reference_read_update_stream(path):
+    """Reference update-stream reader: every coordinate field stripped and
+    converted on its own. Returns (delta, d, ops)."""
+    header = None
+    ops = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                parts = dict(
+                    kv.split("=", 1) for kv in line.split() if "=" in kv
+                )
+                if "delta" not in parts or "d" not in parts:
+                    raise InputError(f"line {lineno}: expected header 'delta=<int> d=<int>'")
+                try:
+                    header = (int(parts["delta"]), int(parts["d"]))
+                except ValueError:
+                    raise InputError(f"line {lineno}: bad header {line!r}")
+                continue
+            if line[0] not in "+-" or len(line) < 2:
+                raise InputError(f"line {lineno}: expected '+ x1,...,xd' or '- x1,...,xd'")
+            sign = 1 if line[0] == "+" else -1
+            try:
+                coords = tuple(int(f.strip()) for f in line[1:].strip().split(","))
+            except ValueError:
+                raise InputError(f"line {lineno}: bad coordinates in {line!r}")
+            if len(coords) != header[1]:
+                raise InputError(f"line {lineno}: expected {header[1]} coordinates")
+            ops.append((sign, coords))
+    if header is None:
+        raise InputError("update stream is missing its header line")
+    return header[0], header[1], ops
+
+
 def random_points(rng, n, d, lo=0, hi=100, cluster_frac=0.0, weights=False):
     """Random integer-coordinate points, optionally clustered, as WeightedPoints."""
     pts = []

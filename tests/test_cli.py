@@ -283,6 +283,7 @@ def test_delta_fail_outside_the_unit_interval_is_an_input_error(tmp_path, capsys
     "dynamic {wide} --k 1 --z 0 --eps 1.0 --out {out}",          # levels * Delta^(3d)
     "gen --family insertion-lb --k 1 --z 0 --eps 1e-300 --out {out}",  # h*h
     "gen --family dynamic-lb --k 1 --z 0 --eps 1e-300 --delta 64 --out {out}",
+    f"gen --family dynamic-lb --k {10**160} --z 0 --eps 0.125 --d 1 --delta 64 --out {{out}}",
 ])
 def test_bounds_past_the_float_range_are_input_errors(tmp_path, capsys, argv):
     files = {name: tmp_path / f"{name}.txt" for name in ("pts", "upd", "wide", "out")}

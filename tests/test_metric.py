@@ -139,8 +139,50 @@ def test_pairwise_equals_scalar_distance_bit_for_bit(dim, n, m, data):
         for i in range(n):
             for j in range(m):
                 p, q = tuple(a[i]), tuple(b[j])
-                assert got[i, j] == scalar_distance(metric, p, q)
-                assert got[i, j] == metric.distance(p, q)
+                assert _bits(got[i, j]) == _bits(scalar_distance(metric, p, q))
+                assert _bits(got[i, j]) == _bits(metric.distance(p, q))
+
+
+def _bits(x):
+    """The bits of a float, so that -0.0 and 0.0 differ."""
+    return int(np.float64(x).view(np.uint64))
+
+
+def test_one_row_pairwise_equals_its_row_bit_for_bit():
+    # a one-row call takes its coordinates as scalar operands; its entries
+    # must have the bits of the same row of a many-row call, and of the
+    # scalar formula, also where a difference or a square overflows to inf
+    rng = np.random.default_rng(43)
+    with np.errstate(over="ignore"):
+        _check_one_row_calls(rng)
+    for metric in (Metric(L2), Metric(LINF)):  # no coordinates: every distance is 0
+        for n in (1, 2):
+            assert metric.pairwise(np.zeros((n, 0)), np.zeros((3, 0))).tolist() == [[0.0] * 3] * n
+
+
+def _check_one_row_calls(rng):
+    for dim in range(1, 6):
+        for scale in (1.0, 1e-300, 1e154, 1e308):
+            a = rng.uniform(-1.0, 1.0, size=(12, dim)) * scale
+            b = rng.uniform(-1.0, 1.0, size=(9, dim)) * scale
+            a[0], b[0] = 1.7e308, -1.7e308  # every difference overflows
+            a[1], b[1] = -0.0, 0.0
+            a[2] = b[2]
+            for metric in (Metric(L2), Metric(LINF)):
+                full = metric.pairwise(a, b).view(np.uint64)
+                for i in range(len(a)):
+                    row = metric.pairwise(a[i:i + 1], b).view(np.uint64)
+                    assert np.array_equal(row, full[i:i + 1]), (dim, scale, i)
+                    for j in range(len(b)):
+                        want = scalar_distance(metric, tuple(a[i]), tuple(b[j]))
+                        assert int(row[0, j]) == _bits(want), (dim, scale, i, j)
+                assert np.isinf(metric.pairwise(a[:1], b[:1])[0, 0])
+                # a float32 b promotes a float64 row the same way in both calls
+                b32 = b.astype(np.float32)
+                full32 = metric.pairwise(a, b32).view(np.uint64)
+                for i in range(len(a)):
+                    row = metric.pairwise(a[i:i + 1], b32).view(np.uint64)
+                    assert np.array_equal(row, full32[i:i + 1]), (dim, scale, i)
 
 
 def test_self_pairwise_is_symmetric_bit_for_bit():

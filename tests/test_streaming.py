@@ -9,6 +9,7 @@ from kcoreset import (
     EXPLICIT, InputError, InsertionStream, Instance, L2, LINF, Metric, WeightedPoint,
     brute_force_opt, input_points_universe, min_pairwise_distance, size_threshold,
 )
+from kcoreset import metric as metric_module, offline, streaming
 from kcoreset.metric import REL_TOL, coords_array
 from kcoreset.offline import _PointSet
 from conftest import random_points, scalar_distance
@@ -280,6 +281,50 @@ def test_point_set_rows_match_pairwise(kind):
             assert ("dmat" in ps.__dict__) == built
     assert doublings >= 2
     assert len(st_._coords) == st_.threshold == 33
+
+
+def test_recompression_reads_the_stream_coordinates_in_place(monkeypatch):
+    # the set handed to _net reads _coords[:m] itself, not a copy, and holds
+    # the representatives' coordinates; a representative whose net holds
+    # only itself comes back as the same WeightedPoint
+    seen = []
+
+    def net(ps, delta, metric):
+        assert np.shares_memory(ps.coords, st_._coords)
+        assert np.array_equal(ps.coords, coords_array(ps.wps))
+        reps, assignment = real_net(ps, delta, metric)
+        firsts = np.unique(assignment, return_index=True)[1]
+        alone = np.bincount(assignment) == 1
+        assert [rep is ps.wps[i] for rep, i in zip(reps, firsts)] == alone.tolist()
+        seen.append((len(ps), alone.sum(), (~alone).sum()))
+        return reps, assignment
+
+    real_net = streaming._net
+    monkeypatch.setattr(streaming, "_net", net)
+    metric, stream = growing_stream(LINF, np.random.default_rng(5), 400, 64)
+    st_ = InsertionStream(2, 1, 1.0, 1, metric)
+    st_.extend(stream)
+    assert len(seen) >= 2 and {n for n, _, _ in seen} == {st_.threshold}
+    assert sum(a for _, a, _ in seen) and sum(m for _, _, m in seen)  # both kinds of net
+
+
+def test_point_set_normalizes_its_input_once(monkeypatch, linf):
+    calls = []
+
+    def counted(points):
+        calls.append(1)
+        return real(points)
+
+    real = metric_module.as_weighted
+    monkeypatch.setattr(metric_module, "as_weighted", counted)
+    monkeypatch.setattr(offline, "as_weighted", counted)
+    pts = [(0.0, 1.0), WeightedPoint((2.0, 3.0), 4), (5.0, 5.0)]
+    ps = _PointSet(pts, linf)
+    assert ps.weights.tolist() == [1, 4, 1]
+    assert ps.coords.tolist() == [[0.0, 1.0], [2.0, 3.0], [5.0, 5.0]]
+    ps.rows(slice(None), np.asarray([2]))
+    assert ps.dmat.shape == (3, 3) and len(ps.cands)
+    assert len(calls) == 1
 
 
 def test_distance_matrix_waits_for_the_first_doubling(l2):
