@@ -70,7 +70,7 @@ def _unchecked_point(point: tuple, weight: int) -> WeightedPoint:
     whose ``point`` is already a tuple of finite floats and whose ``weight``
     is already a positive int: a representative's point with a sum of
     validated weights, a cell center with its decoded count, or a point-file
-    line whose coordinates ``_finite`` passed."""
+    line whose weight is at least 1 and whose coordinates ``_finite`` passed."""
     wp = _new_object(WeightedPoint)
     _set_attribute(wp, "point", point)
     _set_attribute(wp, "weight", weight)
@@ -94,7 +94,6 @@ def coords_array(wps) -> np.ndarray:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-_FLOAT64 = np.dtype(float)
 
 
 def weights_array(wps) -> np.ndarray:
@@ -185,7 +184,7 @@ class Metric:
             raise InputError(f"dimension mismatch: {d} vs {b.shape[1]}")
         # with no coordinates every distance is 0, and the loop below is empty
         out = (np.empty if d else np.zeros)((a.shape[0], b.shape[0]))
-        if a.shape[0] == 1 and b.dtype is _FLOAT64:
+        if a.shape[0] == 1 and b.dtype == np.float64:
             lhs, rhs, acc = a[0].tolist(), b.T, out[0]
         else:
             lhs, rhs, acc = a.T[:, :, None], b.T[:, None, :], out

@@ -304,9 +304,9 @@ class _PointSet:
     searched makes no probe.
 
     The input is normalized by one ``as_weighted`` pass, and the weights and
-    coordinates are read from that list. A caller that already holds the
-    coordinates, as a float64 n x d array in input order, may assign it to
-    ``coords`` before first use; the set then reads it in place."""
+    coordinates are read from that list. (``InsertionStream`` alone sets
+    ``coords`` to rows of its own array before the set's only use, a
+    ``_net`` call; see ``streaming.py``.)"""
 
     def __init__(self, points, metric: Metric):
         self.wps = as_weighted(points)

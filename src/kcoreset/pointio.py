@@ -4,11 +4,9 @@ Point file: one point per line, comma-separated coordinates, optional final
 field ``w=<int>`` (default weight 1); ``#`` starts a comment line, and blank
 lines are skipped. Fields may be padded with whitespace. A line is checked
 for nonempty fields, coordinates that parse as finite floats, and a weight
-that is a positive integer, and it is checked once: ``read_points`` splits
-it once and converts each field once, and a line of finite coordinates with
-no weight field becomes a point with no second check. Any other line, a
-weighted one or a faulty one, goes through ``parse_point_line``, which
-builds the point or names the line and its fault.
+that is a positive integer, and it is checked once: ``parse_point_line``
+splits it once, converts each field once and builds the point with no
+second check, or names the line and its fault.
 
 Update stream: header ``delta=<int> d=<int>``, then one op per line,
 ``+ x1,...,xd`` or ``- x1,...,xd`` with integer coordinates.
@@ -21,22 +19,42 @@ from .metric import WeightedPoint, _finite, _unchecked_point, as_weighted
 
 
 def parse_point_line(line: str, lineno: int) -> WeightedPoint:
-    fields = [f.strip() for f in line.split(",")]
+    """The point on a stripped line that is neither blank nor a comment.
+
+    The line is split once and each field converted once; a point with a
+    positive weight and finite coordinates is then built with no second
+    check. ``float`` and ``int`` strip a field's padding as ``str.strip``
+    does, except for the separators U+001C..U+001F, so only a line that
+    fails to convert strips its fields and converts them again, to tell an
+    empty field from a bad one. Faults are named in this order: a bad
+    weight field, an empty field, a bad coordinate, a weight below 1, a
+    coordinate that is not finite."""
+    fields = line.split(",")
     weight = 1
-    if fields and fields[-1].startswith("w="):
-        try:
-            weight = int(fields[-1][2:])
-        except ValueError:
-            raise InputError(f"line {lineno}: bad weight field {fields[-1]!r}")
-        fields = fields[:-1]
-    if not fields or any(not f for f in fields):
-        raise InputError(f"line {lineno}: expected comma-separated coordinates")
+    if "w=" in fields[-1]:  # a cheap screen; the field must start with it
+        last = fields[-1].strip()
+        if last.startswith("w="):
+            try:
+                weight = int(last[2:])
+            except ValueError:
+                raise InputError(f"line {lineno}: bad weight field {last!r}")
+            fields.pop()
     try:
         coords = tuple(map(float, fields))
     except ValueError:
-        raise InputError(f"line {lineno}: bad coordinate in {line!r}")
+        fields = [f.strip() for f in fields]
+        coords = None
+        if all(fields):
+            try:
+                coords = tuple(map(float, fields))
+            except ValueError:
+                raise InputError(f"line {lineno}: bad coordinate in {line!r}")
+    if not coords:  # an empty field, or a weight field alone
+        raise InputError(f"line {lineno}: expected comma-separated coordinates")
+    if weight >= 1 and _finite(coords):
+        return _unchecked_point(coords, weight)
     try:
-        return WeightedPoint(coords, weight)
+        return WeightedPoint(coords, weight)  # raises, naming the weight or a coordinate
     except InputError as exc:
         raise InputError(f"line {lineno}: {exc}")
 
@@ -46,17 +64,8 @@ def read_points(path: str) -> list[WeightedPoint]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:  # float() strips a field's padding as str.strip() does
-                coords = tuple(map(float, line.split(",")))
-            except ValueError:  # a weight field, or a fault parse_point_line names
-                pass
-            else:
-                if _finite(coords):
-                    points.append(_unchecked_point(coords, 1))
-                    continue
-            points.append(parse_point_line(line, lineno))
+            if line and not line.startswith("#"):
+                points.append(parse_point_line(line, lineno))
     return points
 
 

@@ -84,8 +84,11 @@ class InsertionStream:
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
             delta = (self.epsilon / 2.0) * self.r
+            # the set reads the representatives' rows in place; the stream
+            # writes them only once _net has returned
             ps = _PointSet(self.pstar, self.metric)
-            ps.coords = self._coords[:len(self.pstar)]  # read in place, not copied
+            ps.coords = self._coords[:len(self.pstar)]
+            assert ps.coords.shape == (len(self.pstar), len(self.pstar[0].point))
             reps, assignment = _net(ps, delta, self.metric)
             _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
             self._coords[:len(keep)] = self._coords[keep]

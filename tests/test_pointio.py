@@ -23,6 +23,10 @@ POINT_LINES = [
     "1,w=0", "1,w=-2", "1,w=x", "1,w=", "1,w=1.5", "1,w=3,4", "1,2,W=3",
     # other text float() takes or refuses
     "abc", "1;2", "1 2", "0x10,1", "1_000,2", "١٢,3", "1\x00,2", "1,2\r",
+    # str.strip() strips the separators U+001C..U+001F, float() and int() do not
+    "1,\x1c2\x1d", "1,2,\x1ew=3\x1f", "1,w=\x1f3", "1,\x1f,2", "1,\x1c,w=3", "1,\x1cx",
+    # text around a weight field
+    "1, w=x ", "1,2,xw=3", "1,w=3w=4", "1,2=w", "1,w=3,w=4",
 ]
 
 UPDATE_LINES = [
