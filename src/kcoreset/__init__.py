@@ -13,10 +13,13 @@ from .metric import (
     midpoint_grid_universe, min_pairwise_distance,
 )
 from .offline import (
-    GreedyResult, Instance, MiniBallCovering, Solution, brute_force_opt,
-    evaluate_cost, greedy, mbc_construction, mbc_size_bound, update_coreset,
+    GreedyResult, Instance, MiniBallCovering, greedy, mbc_construction, mbc_size_bound,
+    update_coreset,
 )
-from .validate import ValidationReport, check_coreset, check_mini_ball_covering
+from .validate import (
+    Solution, ValidationReport, brute_force_opt, check_coreset, check_mini_ball_covering,
+    evaluate_cost,
+)
 from .streaming import InsertionStream, size_threshold
 from .sketches import F0Sketch, SparseRecoverySketch
 from .dynamic import DynReport, DynamicCoresetState, GridConfig

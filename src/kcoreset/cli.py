@@ -21,9 +21,9 @@ from .mpc import (
     MpcConfig, adversarial, random_dist, round_robin,
     run_one_round_randomized, run_r_round, run_two_round,
 )
-from .offline import Instance, brute_force_opt, mbc_construction, mbc_size_bound
+from .offline import Instance, mbc_construction, mbc_size_bound
 from .streaming import InsertionStream
-from .validate import check_coreset
+from .validate import brute_force_opt, check_coreset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -6,7 +6,7 @@ with a slack of ``REL_TOL`` (1e-9) times a scale of at least 1, in one of
 three forms:
 
 - ``leq(a, b)`` scales by the larger of |a| and |b|. ``compute_r_hat`` calls
-  it, and ``uncovered_weight`` applies the same rule to each distance.
+  it, and ``validate.uncovered_weight`` applies it to each distance.
 - A comparison of many distances with one bound scales by the bound alone,
   ``dist <= bound + REL_TOL * max(1, |bound|)``, so one slack serves a whole
   matrix or row: ``_probe``, ``_net``, the streaming scan,
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateSetError, InputError
 
 REL_TOL = 1e-9
+UNIVERSE_CAP = 1_000_000  # most candidate centers a materialized universe holds
 
 Point = tuple  # tuple of floats (or a single index for explicit-matrix metrics)
 
@@ -269,6 +270,7 @@ class CenterUniverse:
     ``INPUT_POINTS``: the distinct input locations. ``LINF_MIDPOINT_GRID``:
     the Cartesian product, per coordinate, of all input coordinate values and
     all midpoints of input coordinate pairs; exact for L-infinity k-center.
+    ``EXPLICIT_LIST``: the given centers, at least one, each finite.
     """
 
     kind: str
@@ -280,6 +282,11 @@ class CenterUniverse:
         object.__setattr__(
             self, "points", tuple(tuple(float(c) for c in p) for p in self.points)
         )
+        if self.kind == EXPLICIT_LIST and not self.points:
+            raise InputError("an explicit center list needs at least one center")
+        for p in self.points:
+            if not _finite(p):
+                raise InputError(f"centers must be finite, got {p!r}")
 
 
 def input_points_universe() -> CenterUniverse:
@@ -294,7 +301,7 @@ def explicit_universe(points) -> CenterUniverse:
     return CenterUniverse(EXPLICIT_LIST, tuple(tuple(p) for p in points))
 
 
-def materialize_universe(points, universe: CenterUniverse, cap: int = 1_000_000) -> list[Point]:
+def materialize_universe(points, universe: CenterUniverse) -> list[Point]:
     """Materialize the candidate centers for a point set, in canonical (sorted) order."""
     wps = as_weighted(points)
     if not wps:
@@ -309,13 +316,15 @@ def materialize_universe(points, universe: CenterUniverse, cap: int = 1_000_000)
         for j in range(dim):
             vals = sorted({wp.point[j] for wp in wps})
             mids = {(a + b) / 2.0 for a, b in itertools.combinations(vals, 2)}
+            if not all(map(math.isfinite, mids)):
+                raise InputError(f"a midpoint of coordinate {j} overflows the float range")
             axes.append(sorted(set(vals) | mids))
         size = math.prod(len(ax) for ax in axes)
-        if size > cap:
-            raise CapacityError(f"midpoint-grid universe has {size} points, cap is {cap}")
+        if size > UNIVERSE_CAP:
+            raise CapacityError(f"midpoint-grid universe has {size} points, cap is {UNIVERSE_CAP}")
         pts = [tuple(p) for p in itertools.product(*axes)]
-    if len(pts) > cap:
-        raise CapacityError(f"universe has {len(pts)} points, cap is {cap}")
+    if len(pts) > UNIVERSE_CAP:
+        raise CapacityError(f"universe has {len(pts)} points, cap is {UNIVERSE_CAP}")
     return pts
 
 

@@ -1,6 +1,6 @@
-"""Offline solvers: cost evaluation, brute-force oracle, the greedy
-3-approximation for k-center with outliers, and the two coreset
-constructions (mini-ball covering and the delta-net recompression).
+"""Offline constructions: the greedy 3-approximation for k-center with
+outliers, the delta-net recompression and the mini-ball covering with its
+size bound. The exhaustive oracles that check them are in ``validate.py``.
 
 Everything here is a pure function of immutable inputs. "Arbitrary point"
 choices are pinned to first-in-input-order so every run is reproducible.
@@ -8,7 +8,6 @@ choices are pinned to first-in-input-order so every run is reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,24 +15,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .metric import (
     Ball,
-    CenterUniverse,
     Metric,
     REL_TOL,
     WeightedPoint,
-    _nearest,
     _size_bound,
     _unchecked_point,
     as_weighted,
     coords_array,
-    input_points_universe,
-    materialize_universe,
     weights_array,
 )
 
-SUBSET_CAP = 2_000_000  # default cap on enumerated candidate center sets
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
 _NET_BLOCK = 1 << 16  # most distances in one row block of _net
 
@@ -65,13 +59,6 @@ class Instance:
             raise InputError("points have mixed dimensions")
 
 
-@dataclass(frozen=True)
-class Solution:
-    radius: float
-    centers: tuple
-    outlier_weight: int
-
-
 class GreedyResult(NamedTuple):
     radius: float          # radius of the reported balls (3x feasibility radius)
     balls: tuple
@@ -93,142 +80,6 @@ class MiniBallCovering:
     epsilon: float
     ball_radius: float
     greedy_radius: float
-
-
-def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
-    """Per row of a (rows, n) nearest-distance matrix: the smallest r with
-    total weight of points at distance > r at most z (z >= 0). The answer is
-    0 when the total weight is at most z.
-
-    The rows are peeled all at once, one entry per round: each round takes
-    every row's largest remaining entry (``argmax``), adds its weight to the
-    row's dropped weight, and then overwrites it with -inf. A row's answer is
-    the entry whose weight first takes its dropped weight past z. Every
-    weight is an integer >= 1, so each row has crossed after at most
-    min(z+1, n) rounds, and the loop stops once every row has.
-
-    Ties cannot change the answer. Among equal entries ``argmax`` takes the
-    first, but all of them weigh in before any smaller entry, so the value at
-    which the dropped weight crosses z is the same in any tie order. The
-    answer is always one of the input distances, so its bits do not depend on
-    the order either.
-
-    ``nearest`` is overwritten: pass a copy if it is read again. A round is
-    one argmax over the rows, so the cost is O((z+1) n) per row.
-    """
-    rows, n = nearest.shape
-    cost = np.zeros(rows)
-    if int(weights.sum()) <= z:
-        return cost
-    at = np.arange(rows)
-    dropped = np.zeros(rows, dtype=np.int64)
-    for _ in range(min(z + 1, n)):
-        open_ = dropped <= z  # rows that have not crossed yet
-        if not open_.any():
-            break
-        col = nearest.argmax(axis=1)
-        top = nearest[at, col]
-        cost[open_] = top[open_]
-        dropped += weights[col]
-        nearest[at, col] = -np.inf
-    return cost
-
-
-_COMBO_CHUNK = 1024  # center sets per batch of _center_set_costs
-
-
-def _combo_chunks(n_items: int, k: int):
-    """Lexicographic k-combinations of range(n_items), as arrays of at most
-    ``_COMBO_CHUNK`` rows of k."""
-    it = itertools.combinations(range(n_items), k)
-    while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _COMBO_CHUNK)),
-                            dtype=np.intp)
-        if not block.size:
-            return
-        yield block.reshape(-1, k)
-
-
-def _nth_combination(n_items: int, k: int, index: int) -> tuple:
-    """The index-th k-combination of range(n_items) in lexicographic order."""
-    return next(itertools.islice(itertools.combinations(range(n_items), k), index, None))
-
-
-def _center_set_costs(point_sets, cands, k: int, z: int, metric: Metric,
-                      cap: int) -> list[np.ndarray]:
-    """Cost of every k-subset of ``cands``, one array per point set (each a
-    sequence of ``WeightedPoint``s).
-
-    Entry i of each array is the cost of the i-th k-combination of
-    range(len(cands)) in lexicographic order, so np.argmin and np.argmax
-    name the lexicographically first minimizer and maximizer. Raises
-    CapacityError when there are more than ``cap`` subsets.
-    """
-    n_sets = math.comb(len(cands), k)
-    if n_sets > cap:
-        raise CapacityError(f"{n_sets} candidate center sets exceed cap {cap}")
-    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
-    # candidates x points, so each candidate's distances are one contiguous
-    # row; the bits equal the points x candidates matrix transposed, since
-    # L2 and L-inf are symmetric in their arguments and an explicit matrix is
-    # validated as symmetric
-    dists = [metric.pairwise(carr, coords_array(wps)) for wps in point_sets]
-    weights = [weights_array(wps) for wps in point_sets]
-    costs = [np.empty(n_sets) for _ in point_sets]
-    start = 0
-    for combos in _combo_chunks(len(cands), k):
-        stop = start + len(combos)
-        for d, w, out in zip(dists, weights, costs):
-            nearest = d[combos[:, 0]]  # (chunk, n), a copy
-            for col in combos.T[1:]:
-                np.minimum(nearest, d[col], out=nearest)
-            out[start:stop] = _cost_batch(nearest, w, z)
-        start = stop
-    return costs
-
-
-def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
-    """k-center-with-outliers cost of a fixed center set."""
-    centers = [tuple(c) for c in centers]
-    if not centers:
-        raise InputError("evaluate_cost needs at least one center")
-    if z < 0:
-        raise InputError("z must be >= 0")
-    wps = as_weighted(points)
-    if not wps:
-        return 0.0
-    nearest = _nearest(metric, coords_array(wps), centers)
-    return float(_cost_batch(nearest[None, :], weights_array(wps), z)[0])
-
-
-def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
-    """Total weight at nearest-center distance beyond ``radius`` (with tolerance)."""
-    centers = [tuple(c) for c in centers]
-    if not centers:
-        raise InputError("uncovered_weight needs at least one center")
-    wps = as_weighted(points)
-    if not wps:
-        return 0
-    nearest = _nearest(metric, coords_array(wps), centers)
-    slack = REL_TOL * np.maximum(1.0, np.maximum(np.abs(nearest), abs(radius)))
-    return int(weights_array(wps)[nearest > radius + slack].sum())
-
-
-def brute_force_opt(inst: Instance, universe: CenterUniverse = None, cap: int = SUBSET_CAP) -> Solution:
-    """Exact optimum over all k-subsets of the materialized universe.
-
-    Deterministic: the witness is the lexicographically first minimizer in the
-    canonical universe order.
-    """
-    universe = universe or input_points_universe()
-    cands = materialize_universe(inst.points, universe)
-    k = min(inst.k, len(cands))
-    costs, = _center_set_costs([inst.points], cands, k, inst.z, inst.metric, cap)
-    i = int(np.argmin(costs))
-    best = float(costs[i])
-    centers = tuple(cands[c] for c in _nth_combination(len(cands), k, i))
-    out_w = uncovered_weight(inst.points, centers, best, inst.metric)
-    return Solution(radius=best, centers=centers, outlier_weight=out_w)
 
 
 def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):

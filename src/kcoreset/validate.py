@@ -1,15 +1,18 @@
-"""Machine-checkable validators for mini-ball coverings and coresets.
+"""The exhaustive oracle and the machine-checkable validators.
 
 The mini-ball check does not trust any assignment produced by a construction:
 it decides existence of a valid partition independently, as a transportation
-feasibility problem solved by max-flow. The coreset check enumerates candidate
-center sets over a finite universe; for each center set the uncovered-weight
-function of the radius is a step function, so checking at its feasibility
-threshold is exact.
+feasibility problem solved by max-flow. ``brute_force_opt`` and
+``check_coreset`` share one enumeration of the center sets of a finite
+universe, ``_center_set_costs``, which refuses a distance past the float
+range; for each center set the uncovered-weight function of the radius is a
+step function, so checking at its feasibility threshold is exact.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +26,12 @@ from .metric import (
     REL_TOL,
     as_weighted,
     coords_array,
+    explicit_universe,
     input_points_universe,
     materialize_universe,
     weights_array,
 )
-from .offline import SUBSET_CAP, _center_set_costs, _nth_combination
+from .offline import Instance
 
 WEIGHT_MISMATCH = "WeightMismatch"
 COVERING_DISTANCE = "CoveringDistance"
@@ -36,7 +40,9 @@ RADIUS_BAND_HIGH = "RadiusBandHigh"
 EXPANDED_COVER_FAILS = "ExpandedCoverFails"
 WEIGHT_RESTRICTION = "WeightRestriction"
 
+SUBSET_CAP = 2_000_000  # most candidate center sets one enumeration takes
 _WEIGHT_CAP = 10**6  # largest total input weight check_mini_ball_covering accepts
+_COMBO_CHUNK = 1024  # center sets per batch of _center_set_costs
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,140 @@ class ValidationReport:
     def __post_init__(self):
         if self.passed != (self.violated_condition is None):
             raise InputError("passed must hold exactly when no condition is violated")
+
+
+@dataclass(frozen=True)
+class Solution:
+    radius: float
+    centers: tuple
+    outlier_weight: int
+
+
+def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
+    """Per row of a (rows, n) nearest-distance matrix: the smallest r with
+    total weight of points at distance > r at most z (z >= 0). The answer is
+    0 when the total weight is at most z.
+
+    The rows are peeled all at once, one entry per round: each round takes
+    every row's largest remaining entry (``argmax``), adds its weight to the
+    row's dropped weight, and then overwrites it with -inf. A row's answer is
+    the entry whose weight first takes its dropped weight past z. Every
+    weight is an integer >= 1, so each row has crossed after at most
+    min(z+1, n) rounds, and the loop stops once every row has.
+
+    Ties cannot change the answer. Among equal entries ``argmax`` takes the
+    first, but all of them weigh in before any smaller entry, so the value at
+    which the dropped weight crosses z is the same in any tie order. The
+    answer is always one of the input distances, so its bits do not depend on
+    the order either.
+
+    ``nearest`` is overwritten: pass a copy if it is read again. A round is
+    one argmax over the rows, so the cost is O((z+1) n) per row.
+    """
+    rows, n = nearest.shape
+    cost = np.zeros(rows)
+    if int(weights.sum()) <= z:
+        return cost
+    at = np.arange(rows)
+    dropped = np.zeros(rows, dtype=np.int64)
+    for _ in range(min(z + 1, n)):
+        open_ = dropped <= z  # rows that have not crossed yet
+        if not open_.any():
+            break
+        col = nearest.argmax(axis=1)
+        top = nearest[at, col]
+        cost[open_] = top[open_]
+        dropped += weights[col]
+        nearest[at, col] = -np.inf
+    return cost
+
+
+def _finite_distances(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``metric.pairwise(a, b)``, refused with InputError when an entry is
+    past the float range: a cost of inf, or inf minus inf, decides nothing."""
+    with np.errstate(over="ignore"):  # refused below instead
+        d = metric.pairwise(a, b)
+    if not np.isfinite(d).all():
+        raise InputError("a distance overflows the float range")
+    return d
+
+
+def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: CenterUniverse):
+    """The cost of every k-subset of the universe (input points by default,
+    materialized over the first point set; k is capped at its size), one
+    array per point set, costed in one pass; and a function naming subset i
+    as a tuple of centers. Entry i is the i-th k-combination of the
+    candidates in lexicographic order, so np.argmin and np.argmax name the
+    lexicographically first minimizer and maximizer. Raises CapacityError
+    past ``SUBSET_CAP`` subsets.
+    """
+    cands = materialize_universe(point_sets[0], universe or input_points_universe())
+    k = min(k, len(cands))
+    n_sets = math.comb(len(cands), k)
+    if n_sets > SUBSET_CAP:
+        raise CapacityError(f"{n_sets} candidate center sets exceed cap {SUBSET_CAP}")
+    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
+    # candidates x points, so each candidate's distances are one contiguous
+    # row; the bits equal the points x candidates matrix transposed, since
+    # L2 and L-inf are symmetric in their arguments and an explicit matrix is
+    # validated as symmetric
+    dists = [_finite_distances(metric, carr, coords_array(wps)) for wps in point_sets]
+    weights = [weights_array(wps) for wps in point_sets]
+    costs = [np.empty(n_sets) for _ in point_sets]
+    subsets = itertools.combinations(range(len(cands)), k)
+    for start in range(0, n_sets, _COMBO_CHUNK):
+        combos = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, _COMBO_CHUNK)),
+                             dtype=np.intp).reshape(-1, k)
+        for d, w, out in zip(dists, weights, costs):
+            nearest = d[combos[:, 0]]  # (chunk, n), a copy
+            for col in combos.T[1:]:
+                np.minimum(nearest, d[col], out=nearest)
+            out[start:start + len(combos)] = _cost_batch(nearest, w, z)
+
+    def centers(i: int) -> tuple:
+        combo = next(itertools.islice(itertools.combinations(range(len(cands)), k), i, None))
+        return tuple(cands[c] for c in combo)
+
+    return costs, centers
+
+
+def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
+    """k-center-with-outliers cost of a fixed center set: the enumeration
+    over the universe of its own centers, which has one center set."""
+    universe = explicit_universe(centers)  # refuses an empty or non-finite set
+    if z < 0:
+        raise InputError("z must be >= 0")
+    wps = as_weighted(points)
+    if not wps:
+        return 0.0
+    (cost,), _ = _center_set_costs([wps], len(universe.points), z, metric, universe)
+    return float(cost[0])
+
+
+def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
+    """Total weight at nearest-center distance beyond ``radius`` (with tolerance)."""
+    centers = explicit_universe(centers).points  # refuses an empty or non-finite set
+    wps = as_weighted(points)
+    if not wps:
+        return 0
+    carr = np.asarray(centers).reshape(len(centers), -1)
+    nearest = _finite_distances(metric, coords_array(wps), carr).min(axis=1)
+    slack = REL_TOL * np.maximum(1.0, np.maximum(np.abs(nearest), abs(radius)))
+    return int(weights_array(wps)[nearest > radius + slack].sum())
+
+
+def brute_force_opt(inst: Instance, universe: CenterUniverse = None) -> Solution:
+    """Exact optimum over all k-subsets of the materialized universe.
+
+    Deterministic: the witness is the lexicographically first minimizer in the
+    canonical universe order.
+    """
+    (costs,), centers_of = _center_set_costs([inst.points], inst.k, inst.z, inst.metric, universe)
+    i = int(np.argmin(costs))
+    best = float(costs[i])
+    centers = centers_of(i)
+    out_w = uncovered_weight(inst.points, centers, best, inst.metric)
+    return Solution(radius=best, centers=centers, outlier_weight=out_w)
 
 
 def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> ValidationReport:
@@ -107,7 +247,7 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> Validati
 
 
 def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
-                  universe: CenterUniverse = None, cap: int = SUBSET_CAP) -> ValidationReport:
+                  universe: CenterUniverse = None) -> ValidationReport:
     """Decide both coreset conditions over a finite center universe.
 
     Condition 1 compares the two optima computed over the same universe.
@@ -130,10 +270,7 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
     if wS > wP:
         return ValidationReport(False, WEIGHT_RESTRICTION,
                                 f"coreset weight {wS} exceeds input weight {wP}")
-    universe = universe or input_points_universe()
-    cands = materialize_universe(P, universe)
-    kk = min(k, len(cands))
-    rp, rs = _center_set_costs([P, Pstar], cands, kk, z, metric, cap)
+    (rp, rs), centers_of = _center_set_costs([P, Pstar], k, z, metric, universe)
     opt_p, opt_s = float(rp.min()), float(rs.min())
     gaps = rp - rs
     i = int(np.argmax(gaps))
@@ -147,8 +284,7 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
         return ValidationReport(False, RADIUS_BAND_HIGH,
                                 f"opt(coreset)={opt_s} above (1+eps)*opt(P)={(1 + epsilon) * opt_p}")
     if max_gap > epsilon * opt_p + slack:
-        centers = tuple(cands[c] for c in _nth_combination(len(cands), kk, i))
         return ValidationReport(False, EXPANDED_COVER_FAILS,
-                                f"centers {centers}: expanding by eps*opt(P)={epsilon * opt_p} "
+                                f"centers {centers_of(i)}: expanding by eps*opt(P)={epsilon * opt_p} "
                                 f"leaves more than z={z} weight of P uncovered")
     return ValidationReport(True)

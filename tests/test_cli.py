@@ -296,6 +296,24 @@ def test_bounds_past_the_float_range_are_input_errors(tmp_path, capsys, argv):
     assert not files["out"].exists()
 
 
+# both sets' costs at the center set (-1.7e308, -1e308) overflow, so a NaN
+# gap once hid the finite center set (-1.7e308, 1.7e308), which fails
+# condition 2, and the check passed
+OVERFLOW_POINTS = "-1.7e308\n-1e308\n0\n5e307\n1e308\n1.7e308\n"
+OVERFLOW_CORESET = "-1.7e308,w=1\n-1e308,w=2\n5e307,w=1\n1e308,w=1\n1.7e308,w=1\n"
+
+
+@pytest.mark.parametrize("universe", ["input-points", "midpoint-grid"])
+def test_validate_refuses_overflowing_distances(tmp_path, capsys, universe):
+    pts, core = tmp_path / "big.txt", tmp_path / "core.txt"
+    pts.write_text(OVERFLOW_POINTS)
+    core.write_text(OVERFLOW_CORESET)
+    code, stats, err = run_cli(capsys, "validate", str(pts), str(core), "--k", "2", "--z", "0",
+                               "--eps", "0.5", "--universe", universe)
+    assert code == 3 and stats is None
+    assert err.startswith("input error:") and err.count("\n") == 1, err
+
+
 def test_two_round_stats_record_the_distribution_seed(tmp_path, capsys):
     pts = tmp_path / "p.txt"
     write_pts(pts, range(12))

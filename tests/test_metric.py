@@ -10,6 +10,7 @@ from kcoreset import (
     WeightedPoint, input_points_universe, materialize_universe,
     midpoint_grid_universe, min_pairwise_distance,
 )
+from kcoreset import metric as metric_module
 
 from conftest import scalar_distance
 
@@ -100,10 +101,11 @@ def test_materialize_universe_examples():
     assert materialize_universe(single, input_points_universe()) == [(3.0, 1.0)]
 
 
-def test_materialize_universe_cap():
+def test_materialize_universe_cap(monkeypatch):
+    monkeypatch.setattr(metric_module, "UNIVERSE_CAP", 100)
     pts = [WeightedPoint((float(i), float(i * 7 % 23))) for i in range(20)]
     with pytest.raises(CapacityError):
-        materialize_universe(pts, midpoint_grid_universe(), cap=100)
+        materialize_universe(pts, midpoint_grid_universe())
 
 
 def test_input_points_deduplicates():

@@ -13,14 +13,15 @@ from kcoreset import (
     check_mini_ball_covering, evaluate_cost, greedy, input_points_universe,
     mbc_construction, mbc_size_bound, midpoint_grid_universe, update_coreset,
 )
-from kcoreset import offline, outlier_vector
+from kcoreset import offline, outlier_vector, validate
 from kcoreset.metric import (
     REL_TOL, Ball, as_weighted, coords_array, materialize_universe, weights_array,
 )
 from kcoreset.mpc import vector_length
-from kcoreset.offline import GreedyResult, _PointSet, _cost_batch, _mbc, _net, uncovered_weight
+from kcoreset.offline import GreedyResult, _PointSet, _mbc, _net
 from kcoreset.validate import (
-    EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION,
+    EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION, _cost_batch,
+    uncovered_weight,
 )
 from conftest import random_points, scalar_distance
 
@@ -339,6 +340,30 @@ def test_enumeration_matches_oracle_at_large_z():
     assert {None, EXPANDED_COVER_FAILS} <= set(verdicts), verdicts
 
 
+def test_extreme_coordinates_are_refused_or_checked_exactly(linf):
+    # 1-D sets of 3-6 points near the ends of the float range: a check
+    # either refuses an overflowing distance or midpoint, or gives the
+    # oracle's verdict, which then reads only finite costs
+    rng = np.random.default_rng(97)
+    values = (-1.7e308, -1e308, -5e307, 0.0, 5e307, 1e308, 1.7e308)
+    refused = checked = 0
+    for trial in range(300):
+        P = [WeightedPoint((float(v),)) for v in rng.choice(values, size=int(rng.integers(3, 7)))]
+        Pstar = [WeightedPoint(p.point, int(rng.integers(1, 3))) for p in P if rng.random() < 0.7]
+        Pstar = Pstar or P[:1]
+        k, z = 1 + trial % 2, int(rng.integers(0, 2))
+        eps = (0.25, 0.5, 1.0)[trial % 3]
+        universe = midpoint_grid_universe() if trial % 4 == 3 else input_points_universe()
+        try:
+            got = check_coreset(P, Pstar, k, z, eps, linf, universe)
+        except InputError:
+            refused += 1
+            continue
+        assert got == oracle_check_coreset(P, Pstar, k, z, eps, linf, universe), trial
+        checked += 1
+    assert refused and checked, (refused, checked)
+
+
 def test_evaluate_cost_monotonicity(linf):
     rng = np.random.default_rng(11)
     pts = random_points(rng, 20, 2, weights=True)
@@ -359,10 +384,11 @@ def test_brute_force_examples(linf):
     assert sol.centers == ((1.0,), (11.0,))
 
 
-def test_brute_force_cap(linf):
+def test_brute_force_cap(linf, monkeypatch):
+    monkeypatch.setattr(validate, "SUBSET_CAP", 100)
     inst = inst1d(range(30), 3, 0, 1.0, linf)
     with pytest.raises(CapacityError):
-        brute_force_opt(inst, cap=100)
+        brute_force_opt(inst)
 
 
 def test_brute_force_deterministic_witness(linf):

@@ -7,9 +7,10 @@ import pytest
 
 from kcoreset import (
     InputError, Instance, WeightedPoint, brute_force_opt, check_coreset,
-    check_mini_ball_covering, input_points_universe, mbc_construction,
-    midpoint_grid_universe,
+    check_mini_ball_covering, evaluate_cost, explicit_universe, input_points_universe,
+    materialize_universe, mbc_construction, midpoint_grid_universe,
 )
+from kcoreset.validate import uncovered_weight
 from kcoreset.validate import (
     COVERING_DISTANCE, RADIUS_BAND_LOW, WEIGHT_MISMATCH, WEIGHT_RESTRICTION,
 )
@@ -128,6 +129,47 @@ def test_check_coreset_weight_restriction(linf):
     inflated = [W((1.0,), 2), W((2.0,), 1), W((3.0,), 1)]
     rep = check_coreset(P, inflated, k=1, z=0, epsilon=1.0, metric=linf)
     assert not rep.passed and rep.violated_condition == WEIGHT_RESTRICTION
+
+
+def test_overflowing_distances_are_input_errors(linf, l2):
+    # the points of the README's overflow example: a NaN gap once let a
+    # failing coreset pass, and the oracle's costs were inf
+    P = [W((x,)) for x in (-1.7e308, -1e308, 0.0, 5e307, 1e308, 1.7e308)]
+    Ps = [W((-1.7e308,)), W((-1e308,), 2), W((5e307,)), W((1e308,)), W((1.7e308,))]
+    for metric in (linf, l2):
+        with pytest.raises(InputError, match="overflows"):
+            check_coreset(P, Ps, 2, 0, 0.5, metric)
+        with pytest.raises(InputError, match="overflows"):
+            brute_force_opt(Instance(tuple(P), 2, 0, 0.5, metric))
+        with pytest.raises(InputError, match="overflows"):
+            evaluate_cost(P, [(1.7e308,)], 0, metric)
+        with pytest.raises(InputError, match="overflows"):
+            uncovered_weight(P, [(-1.7e308,)], 1.0, metric)
+
+
+def test_a_midpoint_past_the_float_range_is_an_input_error(linf):
+    P = [W((1e308,)), W((1.7e308,)), W((0.0,))]
+    with pytest.raises(InputError, match="midpoint"):
+        materialize_universe(P, midpoint_grid_universe())
+    with pytest.raises(InputError, match="midpoint"):
+        check_coreset(P, P, 1, 0, 0.5, linf, midpoint_grid_universe())
+
+
+@pytest.mark.parametrize("centers", [[(float("nan"),)], [(0.0,), (float("inf"),)], []])
+def test_bad_explicit_universes_are_input_errors(centers):
+    # refused where the universe is built, so neither the oracle nor the
+    # checker ever enumerates it
+    with pytest.raises(InputError, match="center"):
+        explicit_universe(centers)
+
+
+@pytest.mark.parametrize("center", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_centers_are_input_errors(linf, center):
+    P = [W((0.0,)), W((1.0,))]
+    with pytest.raises(InputError, match="finite"):
+        uncovered_weight(P, [(center,)], 1.0, linf)
+    with pytest.raises(InputError, match="finite"):
+        evaluate_cost(P, [(0.0,), (center,)], 0, linf)
 
 
 def test_mbc_outputs_are_coresets(linf):
