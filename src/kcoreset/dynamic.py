@@ -14,15 +14,20 @@ again after a decode that recovers fewer (sparse mode, see ``sketches``).
 Meanwhile a report decodes that level exactly from the buffer: the read
 cannot fail and builds no tables.
 
-An update validates the point once, as its level-0 cell. The cell at level
-i is that cell's index shifted right by i, and every structure names it by
-one integer id: the shifted coordinates read row-major in base Delta >> i
-(``GridConfig.level_ids``), so no per-level cell tuple is built. The
-optional exact shadow (per-level id -> count maps) sees the id of every
-level; it enforces strict-turnstile discipline and answers reports without
-randomness (test mode). A report takes {id: count} from the shadow or the
-sketch, sorts the ids once (row-major ids sort as their index tuples do) and
-turns them straight into centers.
+An update takes its sign as an int (``operator.index``; a float sign is
+refused) and checks its point in one pass over the coordinates
+(``GridConfig.base_cell``), which also forms the zero-based level-0 cell and
+its id. The cell at level i is that cell's index shifted right by i, and
+every structure names it by one integer id: the shifted coordinates read
+row-major in base Delta >> i (``GridConfig.level_ids``), so no per-level cell
+tuple is built. The ids of levels 1 and up are formed only when a fed level
+or the shadow needs them. The optional exact shadow (per-level id -> count
+maps) sees the id of every level; it enforces strict-turnstile discipline
+and answers reports without randomness (test mode). A report takes
+{id: count} from the shadow or the sketch, sorts the ids once (row-major ids
+sort as their index tuples do) and turns them straight into centers: cells
+per axis are a power of two, so each coordinate of an id is a bit field,
+decoded with a shift and a mask (``GridConfig.cell_centers``).
 
 The sketches are fed lazily. An update feeds only levels 0..``fed``-1, and
 ``fed`` starts at 1, so while level 0 is sparse an update makes one sketch
@@ -44,10 +49,11 @@ level on every update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import index as _index
 
 from .errors import InputError, SketchFailureError
-from .metric import _size_bound, _unchecked_point
+from .metric import WeightedPoint, _new_object, _set_attribute, _size_bound
 from .sketches import _BUFFERED_ID_BYTES, SparseRecoverySketch, _mix64
 
 
@@ -57,15 +63,14 @@ class GridConfig:
 
     delta: int
     d: int
+    top_level: int = field(init=False, repr=False, compare=False)  # log2 of Delta
 
     def __post_init__(self):
         if self.delta < 1 or self.d < 1:
             raise InputError("need Delta >= 1 and d >= 1")
-        object.__setattr__(self, "delta", 1 << max(0, (self.delta - 1).bit_length()))
-
-    @property
-    def top_level(self) -> int:
-        return max(1, self.delta).bit_length() - 1  # log2 of the power of two
+        top = (self.delta - 1).bit_length()
+        object.__setattr__(self, "delta", 1 << top)
+        object.__setattr__(self, "top_level", top)
 
     @property
     def levels(self) -> int:
@@ -77,21 +82,31 @@ class GridConfig:
     def cell_count(self, level: int) -> int:
         return self.cells_per_axis(level) ** self.d
 
-    def cell_of(self, point, level: int) -> tuple:
-        if not (0 <= level <= self.top_level):
-            raise InputError(f"level {level} outside 0..{self.top_level}")
-        idx = []
+    def base_cell(self, point) -> tuple:
+        """Check ``point`` and return its zero-based level-0 cell (a list)
+        with that cell's row-major id (``level_ids``' first entry), both
+        formed in the one pass that checks each coordinate. A coordinate
+        must be an integer in [1, Delta], checked in order, and then the
+        point must have d of them."""
+        delta = self.delta
+        base, ident = [], 0
         for c in point:
             try:
                 ci = int(c)
             except (OverflowError, ValueError):  # inf and NaN have no int value
                 ci = 0  # outside the range, so refused below
-            if ci != c or not (1 <= ci <= self.delta):
-                raise InputError(f"coordinate {c} outside integer range [1, {self.delta}]")
-            idx.append((ci - 1) >> level)
-        if len(idx) != self.d:
-            raise InputError(f"point dimension {len(idx)} != {self.d}")
-        return tuple(idx)
+            if ci != c or not 1 <= ci <= delta:
+                raise InputError(f"coordinate {c} outside integer range [1, {delta}]")
+            base.append(ci - 1)
+            ident = ident * delta + (ci - 1)
+        if len(base) != self.d:
+            raise InputError(f"point dimension {len(base)} != {self.d}")
+        return base, ident
+
+    def cell_of(self, point, level: int) -> tuple:
+        if not (0 <= level <= self.top_level):
+            raise InputError(f"level {level} outside 0..{self.top_level}")
+        return tuple([v >> level for v in self.base_cell(point)[0]])
 
     def level_ids(self, base: tuple, count: int = None) -> list:
         """The row-major id at levels 0..``count``-1 (every level by default)
@@ -123,12 +138,19 @@ class GridConfig:
         return {ident: c for ident, c in out.items() if c}
 
     def cell_centers(self, ids, level: int) -> list:
-        """The center of each cell id at a level, in the order given."""
-        per_axis = self.cells_per_axis(level)
-        strides = [per_axis ** j for j in range(self.d - 1, -1, -1)]
+        """The center of each cell id at a level, in the order given. A
+        level has 2^w cells per axis (w = ``top_level`` - level), so each
+        coordinate of a row-major id is a w-bit field: one list per axis
+        decodes it with a shift and a mask for every id. These are the ints
+        ``id // stride % cells_per_axis`` gives, so the centers keep their
+        bits."""
+        width = self.top_level - level
+        low = (1 << width) - 1
         side = 1 << level
         half = (side + 1) / 2.0
-        return [tuple([ident // st % per_axis * side + half for st in strides]) for ident in ids]
+        shifts = [j * width for j in range(self.d - 1, -1, -1)]  # the first axis first
+        axes = [[((ident >> shift) & low) * side + half for ident in ids] for shift in shifts]
+        return list(zip(*axes))
 
 
 @dataclass(frozen=True)
@@ -182,12 +204,17 @@ class DynamicCoresetState:
                        for lv in range(self.grid.levels)]
 
     def update(self, point, sign: int) -> None:
-        if sign not in (1, -1):
-            raise InputError("sign must be +1 or -1")
+        try:
+            sign = _index(sign)
+        except TypeError:  # a float, or anything else that is not an integer
+            raise InputError(f"sign must be +1 or -1, got {sign!r}") from None
+        if sign != 1 and sign != -1:
+            raise InputError(f"sign must be +1 or -1, got {sign!r}")
         grid, shadow, sr = self.grid, self.shadow, self.sr
-        base = grid.cell_of(point, 0)  # cell_of validates the point
-        ids = grid.level_ids(base, len(shadow) if shadow is not None else self.fed)
-        if shadow is not None and sign < 0 and shadow[0].get(ids[0], 0) <= 0:
+        base, ident = grid.base_cell(point)  # the only check of the point
+        need = len(shadow) if shadow is not None else self.fed
+        ids = grid.level_ids(base, need) if need > 1 else [ident]
+        if shadow is not None and sign < 0 and shadow[0].get(ident, 0) <= 0:
             raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
         self.ops += 1
         self.live_count += sign
@@ -225,11 +252,16 @@ class DynamicCoresetState:
 
     def _report_from_cells(self, cells: dict, level: int, from_exact: bool) -> DynReport:
         # the centers are tuples of finite floats and the counts positive
-        # ints (a decode refuses negative ones), so no point is re-checked
+        # ints (signs are ints, and a decode refuses negative counts), so
+        # each point is built as _unchecked_point builds it, in one loop
         ids = sorted(cells)
-        centers = self.grid.cell_centers(ids, level)
-        pts = tuple(_unchecked_point(center, int(cells[i])) for center, i in zip(centers, ids))
-        return DynReport(points=pts, level=level, from_exact=from_exact)
+        points = []
+        for center, ident in zip(self.grid.cell_centers(ids, level), ids):
+            wp = _new_object(WeightedPoint)
+            _set_attribute(wp, "point", center)
+            _set_attribute(wp, "weight", cells[ident])
+            points.append(wp)
+        return DynReport(points=tuple(points), level=level, from_exact=from_exact)
 
     def report(self, exact: bool = False) -> DynReport:
         """Weighted cell centers of the finest level with at most s cells.

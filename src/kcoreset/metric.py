@@ -70,8 +70,9 @@ def _unchecked_point(point: tuple, weight: int) -> WeightedPoint:
     """A ``WeightedPoint`` built without ``__post_init__``. Only for callers
     whose ``point`` is already a tuple of finite floats and whose ``weight``
     is already a positive int: a representative's point with a sum of
-    validated weights, a cell center with its decoded count, or a point-file
-    line whose weight is at least 1 and whose coordinates ``_finite`` passed."""
+    validated weights, or a point-file line whose weight is at least 1 and
+    whose coordinates ``_finite`` passed. A dynamic report builds its cell
+    centers the same way, inline, in its one loop over the cells."""
     wp = _new_object(WeightedPoint)
     _set_attribute(wp, "point", point)
     _set_attribute(wp, "weight", weight)

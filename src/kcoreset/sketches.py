@@ -9,9 +9,11 @@ integer far below the field size, so the singleton test can never falsely
 verify. Peeling therefore returns only exact pairs; a query either recovers
 everything or reports an explicit failure.
 
-Updates are write-combined. ``update`` validates its arguments and adds the
-sign into a buffer of id -> net count, dropping ids whose net count returns
-to zero. A sketch starts in sparse mode: it has no tables, the buffer is the
+Updates are write-combined. ``update`` takes its id and sign as ints
+(``operator.index``, so a float is refused and a numpy integer never makes
+a count a fixed-width numpy int), checks their ranges and adds the sign
+into a buffer of id -> net count, dropping ids whose net count returns to
+zero. A sketch starts in sparse mode: it has no tables, the buffer is the
 exact net vector, ``query`` returns a copy of it and ``support_lower_bound``
 its size. The tables are allocated and the buffer is applied to them, one
 row update per id and row with the id's net count, when the buffer reaches
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import index as _index
 
 from .errors import InputError, SketchFailureError
 
@@ -93,10 +96,14 @@ class SparseRecoverySketch:
         self._count = self._idsum = self._sqsum = None
 
     def update(self, ident: int, sign: int) -> None:
-        if not (0 <= ident < self.universe):
+        try:
+            ident, sign = _index(ident), _index(sign)
+        except TypeError:  # a float id or sign would make the counts floats
+            raise InputError(f"id and sign must be integers, got {ident!r} and {sign!r}") from None
+        if ident < 0 or ident >= self.universe:
             raise InputError(f"id {ident} outside universe [0, {self.universe})")
-        if sign not in (1, -1):
-            raise InputError("sign must be +1 or -1")
+        if sign != 1 and sign != -1:
+            raise InputError(f"sign must be +1 or -1, got {sign!r}")
         pending = self._pending
         c = pending.get(ident, 0) + sign
         if c:

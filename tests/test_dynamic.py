@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import random
 import tracemalloc
 
 import numpy as np
@@ -534,6 +535,100 @@ def test_update_validates_once_and_touches_each_level_once(monkeypatch):
         assert len(calls) == st.grid.levels  # no level was touched
         assert (st.ops, st.live_count, st.shadow) == (before.ops, before.live_count, before.shadow)
         assert [sk._pending for sk in st.sr] == [sk._pending for sk in before.sr]
+
+
+def test_non_integer_signs_are_refused():
+    st = DynamicCoresetState(1024, 2, 2, 1, 0.5, seed=1, with_shadow=True)
+    for sign in (1.0, -1.0, 0.5, "1", None, 0, 2, np.int64(2)):
+        with pytest.raises(InputError, match="sign must be"):
+            st.update((5, 5), sign)
+    assert (st.ops, st.live_count) == (0, 0)
+    assert not any(st.shadow) and not any(sk._pending for sk in st.sr)
+    st.update((5, 5), np.int64(1))  # an integer of another type is read as an int
+    st.update((5, 5), True)
+    assert type(st.live_count) is int and st.live_count == 2
+    assert [type(c) for c in st.sr[0]._pending.values()] == [int]
+    assert [(p.point, type(p.weight)) for p in st.report().points] == [((5.0, 5.0), int)]
+
+
+# Reference copies of GridConfig.cell_of and GridConfig.cell_centers as they
+# were before one pass formed the level-0 cell and its id, and before the
+# centers were decoded with shifts.
+
+def _reference_cell_of(grid, point, level):
+    if not (0 <= level <= grid.top_level):
+        raise InputError(f"level {level} outside 0..{grid.top_level}")
+    idx = []
+    for c in point:
+        try:
+            ci = int(c)
+        except (OverflowError, ValueError):
+            ci = 0
+        if ci != c or not (1 <= ci <= grid.delta):
+            raise InputError(f"coordinate {c} outside integer range [1, {grid.delta}]")
+        idx.append((ci - 1) >> level)
+    if len(idx) != grid.d:
+        raise InputError(f"point dimension {len(idx)} != {grid.d}")
+    return tuple(idx)
+
+
+def _reference_cell_centers(grid, ids, level):
+    per_axis = grid.cells_per_axis(level)
+    strides = [per_axis ** j for j in range(grid.d - 1, -1, -1)]
+    side = 1 << level
+    half = (side + 1) / 2.0
+    return [tuple([ident // st % per_axis * side + half for st in strides]) for ident in ids]
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except InputError as e:
+        return "InputError", str(e)
+
+
+@pytest.mark.parametrize("delta, d", [(1, 1), (1, 3), (2, 1), (2, 4), (1000, 1), (1000, 2),
+                                      (1000, 3), (1000, 4), (1 << 40, 2)])
+def test_cell_centers_equal_the_reference_bit_for_bit(delta, d):
+    rng = random.Random(delta * 10 + d)
+    g = GridConfig(delta, d)
+    assert g.levels == (delta - 1).bit_length() + 1
+    if delta == 1 << 40:
+        assert g.cell_count(0) - 1 > 1 << 64  # ids past 64 bits
+    for level in range(g.levels):  # the top level, with one cell, included
+        count = g.cell_count(level)
+        ids = list(range(count)) if count <= 4096 else \
+            [0, 1, count - 2, count - 1] + [rng.randrange(count) for _ in range(500)]
+        got, want = g.cell_centers(ids, level), _reference_cell_centers(g, ids, level)
+        assert len(got) == len(ids) and all(type(c) is tuple and len(c) == d for c in got)
+        assert [[v.hex() for v in c] for c in got] == [[v.hex() for v in c] for c in want]
+    assert g.cell_centers([], 0) == []
+
+
+def test_the_point_check_equals_the_reference_cell_of():
+    # every failure gives the reference's InputError message, so the checks
+    # run in its order: each coordinate in turn, then the dimension
+    nan, inf = float("nan"), float("inf")
+    corpus = [(1, 1), (1000, 1024), (1024, 7), (512.0, 3), (np.int64(9), np.float64(17.0)),
+              (0, 5), (5, 0), (1025, 5), (5, 1025), (-3, 5), (2.5, 5), (5, 2.5),
+              (inf, 5), (-inf, 5), (5, inf), (nan, 5), (5, nan), (5,), (), (5, 5, 5),
+              (0, 5, 5), (5, 5, 0), (nan,), (5, 5, nan), (2.5,), np.array([3, 4])]
+    g = GridConfig(1000, 2)
+    st = DynamicCoresetState(1000, 2, 1, 0, 1.0, seed=2, with_shadow=True)
+    for point in corpus:
+        for level in (0, 1, 5, g.top_level):
+            assert _outcome_of(lambda: g.cell_of(point, level)) == \
+                _outcome_of(lambda: _reference_cell_of(g, point, level)), (point, level)
+        want = _outcome_of(lambda: _reference_cell_of(g, point, 0))
+        if want[0] == "InputError":
+            assert _outcome_of(lambda: g.base_cell(point)) == want
+            assert _outcome_of(lambda: st.update(point, 1)) == want, point
+        else:
+            base, ident = g.base_cell(point)
+            assert tuple(base) == want and ident == g.level_ids(want, 1)[0]
+    for level in (-1, g.levels):
+        assert _outcome_of(lambda: g.cell_of((5, 5), level)) == \
+            _outcome_of(lambda: _reference_cell_of(g, (5, 5), level))
 
 
 # Reference copy of the per-level update and report loops as they were

@@ -397,6 +397,26 @@ def test_update_validation():
         sk.update(3, 2)
 
 
+def test_non_integer_ids_and_signs_are_refused():
+    # a numpy sign used to be stored as a numpy count, and the flush's
+    # count * id products overflowed int64 for ids past 2^62 / count
+    sk = SparseRecoverySketch(2, 1e-3, 1 << 62, seed=3)
+    ids = [(1 << 61) + 12345 * i for i in range(4)]
+    for ident in ids:
+        sk.update(ident, np.int64(1))  # the 4th update fills the buffer and flushes
+    assert sk._count is not None and all(type(c) is int for c in sk._count)
+    assert all(type(v) is int for v in sk._idsum + sk._sqsum)
+    got = sk.query()
+    assert got == dict.fromkeys(ids, 1) and all(type(c) is int for c in got.values())
+    before = copy.deepcopy(sk)
+    for ident, sign in [(3.0, 1), (3, 1.0), (3, -1.0), (3, 0.5), ("3", 1), (3, None)]:
+        with pytest.raises(InputError, match="integers"):
+            sk.update(ident, sign)
+    assert sk.digest() == before.digest() and sk._pending == before._pending
+    sk.update(np.uint8(7), True)  # integers of other types are read as ints
+    assert sk._pending == {7: 1} and type(sk._pending[7]) is int
+
+
 def test_f0_empty_and_cancellation():
     f0 = F0Sketch(0.2, 0.1, 1 << 20, seed=2)
     assert f0.query() == 0.0
