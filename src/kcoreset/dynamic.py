@@ -93,10 +93,10 @@ class GridConfig:
         for c in point:
             try:
                 ci = int(c)
-            except (OverflowError, ValueError):  # inf and NaN have no int value
+            except (OverflowError, ValueError, TypeError):  # inf, NaN, None, 1+0j
                 ci = 0  # outside the range, so refused below
             if ci != c or not 1 <= ci <= delta:
-                raise InputError(f"coordinate {c} outside integer range [1, {delta}]")
+                raise InputError(f"coordinate {c!r} outside integer range [1, {delta}]")
             base.append(ci - 1)
             ident = ident * delta + (ci - 1)
         if len(base) != self.d:

@@ -7,11 +7,18 @@ feasibility problem solved by max-flow. ``brute_force_opt`` and
 universe, ``_center_set_costs``, which refuses a distance past the float
 range; for each center set the uncovered-weight function of the radius is a
 step function, so checking at its feasibility threshold is exact.
+
+The enumeration takes the center sets in lexicographic order, in blocks of
+about ``_BLOCK_DISTANCES`` distances per point set, and decodes each block of
+ranks in numpy (``_lex_combinations``). For c_0 < ... < c_{k-1} in range(m)
+the lexicographic rank is C(m, k) - 1 - sum_j C(m-1-c_j, k-j), so a rank is
+read back greedily, one ``searchsorted`` per position over a table of
+binomials (the last position is what is left); the same decoder names a
+witness from its rank.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +49,7 @@ WEIGHT_RESTRICTION = "WeightRestriction"
 
 SUBSET_CAP = 2_000_000  # most candidate center sets one enumeration takes
 _WEIGHT_CAP = 10**6  # largest total input weight check_mini_ball_covering accepts
-_COMBO_CHUNK = 1024  # center sets per batch of _center_set_costs
+_BLOCK_DISTANCES = 1 << 16  # distances per point set in one block of _center_set_costs
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,45 @@ def _finite_distances(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return d
 
 
+def _lex_combinations(m: int, k: int):
+    """The k-combinations of range(m) in lexicographic order, by rank:
+    returns ``block(start, stop)``, the combinations of ranks start..stop-1
+    as a (stop - start, k) index array.
+
+    Rank i is decoded as N = C(m, k) - 1 - i written greedily as
+    sum_j C(x_j, k-j) with x_0 > x_1 > ...: x_j is the largest x with
+    C(x, k-j) <= N (one ``searchsorted`` over the whole block), N loses
+    C(x_j, k-j), and c_j = m - 1 - x_j. The last position needs no search:
+    C(x, 1) = x, so x_{k-1} is what is left of N. Table r (r = k..2) holds
+    C(x, r) for x = r-1, r, ..., each capped at C(m, k), and stops at x = m
+    or at its first entry >= C(m, k), whichever comes first: N stays below
+    both, so the search never runs off a table. The cap keeps the tables
+    small when C(m, k) is: at k = m - 1 they hold O(m) entries in all, not
+    O(k m).
+    """
+    total = math.comb(m, k)
+    tables = []
+    for r in range(k, 1, -1):
+        row = []
+        for x in range(r - 1, m + 1):
+            row.append(min(math.comb(x, r), total))
+            if row[-1] >= total:
+                break
+        tables.append(np.array(row, dtype=np.int64))
+
+    def block(start: int, stop: int) -> np.ndarray:
+        left = (total - 1) - np.arange(start, stop, dtype=np.int64)
+        combos = np.empty((len(left), k), dtype=np.intp)
+        for j, table in enumerate(tables):
+            t = np.searchsorted(table, left, side="right") - 1  # x_j = k-j-1 + t
+            left -= table[t]
+            combos[:, j] = (m - k + j) - t
+        combos[:, k - 1] = (m - 1) - left  # x_{k-1} = N
+        return combos
+
+    return block
+
+
 def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: CenterUniverse):
     """The cost of every k-subset of the universe (input points by default,
     materialized over the first point set; k is capped at its size), one
@@ -120,6 +166,11 @@ def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: Cent
     candidates in lexicographic order, so np.argmin and np.argmax name the
     lexicographically first minimizer and maximizer. Raises CapacityError
     past ``SUBSET_CAP`` subsets.
+
+    The subsets come in blocks decoded by ``_lex_combinations``. A block
+    holds max(1, ``_BLOCK_DISTANCES`` // n) subsets, where n is the size of
+    the largest point set, so each gather of a block stays near 512 KB. A
+    subset's cost reads only its own row, so the block size changes no cost.
     """
     cands = materialize_universe(point_sets[0], universe or input_points_universe())
     k = min(k, len(cands))
@@ -134,19 +185,18 @@ def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: Cent
     dists = [_finite_distances(metric, carr, coords_array(wps)) for wps in point_sets]
     weights = [weights_array(wps) for wps in point_sets]
     costs = [np.empty(n_sets) for _ in point_sets]
-    subsets = itertools.combinations(range(len(cands)), k)
-    for start in range(0, n_sets, _COMBO_CHUNK):
-        combos = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, _COMBO_CHUNK)),
-                             dtype=np.intp).reshape(-1, k)
+    subsets = _lex_combinations(len(cands), k)
+    per_block = max(1, _BLOCK_DISTANCES // max(len(w) for w in weights))
+    for start in range(0, n_sets, per_block):
+        combos = subsets(start, min(start + per_block, n_sets))
         for d, w, out in zip(dists, weights, costs):
-            nearest = d[combos[:, 0]]  # (chunk, n), a copy
+            nearest = d[combos[:, 0]]  # (block, n), a copy
             for col in combos.T[1:]:
                 np.minimum(nearest, d[col], out=nearest)
             out[start:start + len(combos)] = _cost_batch(nearest, w, z)
 
     def centers(i: int) -> tuple:
-        combo = next(itertools.islice(itertools.combinations(range(len(cands)), k), i, None))
-        return tuple(cands[c] for c in combo)
+        return tuple(cands[c] for c in subsets(i, i + 1)[0])
 
     return costs, centers
 
@@ -218,7 +268,8 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> Validati
     if not P:
         return ValidationReport(True)
 
-    d = metric.pairwise(coords_array(P), coords_array(Pstar))
+    with np.errstate(over="ignore"):  # an inf distance is past every finite bound
+        d = metric.pairwise(coords_array(P), coords_array(Pstar))
     slack = REL_TOL * max(1.0, abs(bound))
     reachable = d <= bound + slack
     stranded = np.flatnonzero(~reachable.any(axis=1))

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -769,3 +770,11 @@ def test_level_ids_match_reference_loops(monkeypatch, delta, d, k, z, eps, shado
         assert new.sketch_bytes() == ref.sketch_bytes()
     # where a level overflowed 2s and was later decoded from its tables
     assert (True in peeled) == peels
+
+
+@pytest.mark.parametrize("coord, shown", [(None, "None"), (1 + 0j, "(1+0j)"), ("5", "'5'")])
+def test_a_coordinate_without_an_int_value_is_an_input_error(coord, shown):
+    st = DynamicCoresetState(16, 2, 1, 0, 1.0)
+    with pytest.raises(InputError, match=f"^coordinate {re.escape(shown)} outside integer range"):
+        st.update((coord, 5), 1)
+    assert st.ops == 0

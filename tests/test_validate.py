@@ -1,6 +1,10 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from kcoreset import (
     check_mini_ball_covering, evaluate_cost, explicit_universe, input_points_universe,
     materialize_universe, mbc_construction, midpoint_grid_universe,
 )
-from kcoreset.validate import uncovered_weight
+from kcoreset import validate
+from kcoreset.validate import _center_set_costs, _lex_combinations, uncovered_weight
 from kcoreset.validate import (
     COVERING_DISTANCE, RADIUS_BAND_LOW, WEIGHT_MISMATCH, WEIGHT_RESTRICTION,
 )
@@ -47,6 +52,19 @@ def test_mini_ball_rejects_mixed_dimensions(linf, l2):
         with pytest.raises(InputError, match="mixed dimensions"):
             check_mini_ball_covering([W((0, 0)), W((1, 1, 1))], [W((0, 0)), W((1, 1, 1))],
                                      0.0, metric)
+
+
+def test_mini_ball_on_overflowing_distances_warns_nothing(linf, l2):
+    # an inf distance is past every finite bound: that pair is unreachable,
+    # and no overflow warning escapes (CI runs the suite with -W error)
+    far = [W((-1.7e308,)), W((1.7e308,))]
+    for metric in (linf, l2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_mini_ball_covering(far, far, 1.0, metric).passed
+            rep = check_mini_ball_covering(far, [W((-1.7e308,), 2)], 1e308, metric)
+        assert not rep.passed and rep.violated_condition == COVERING_DISTANCE
+        assert rep.witness == "point (1.7e+308,) has no representative within 1e+308"
 
 
 def test_flow_checker_matches_unit_assignment_oracle(linf):
@@ -211,3 +229,72 @@ def test_union_property(linf):
                 cov = _mbc(part, k, z_i, eps, linf)
             union.extend(cov.representatives)
         assert check_mini_ball_covering(pts, union, eps * sol.radius, linf).passed
+
+
+def _itertools_block(m, k, start, stop):
+    combos = list(itertools.islice(itertools.combinations(range(m), k), start, stop))
+    return np.array(combos, dtype=np.intp).reshape(len(combos), k)
+
+
+def test_lex_combinations_match_itertools():
+    # every rank, in blocks of 1, 7 and all sets, so blocks start and stop
+    # at every offset of the enumeration
+    for m in range(1, 13):
+        for k in range(1, m + 1):
+            block = _lex_combinations(m, k)
+            n_sets = math.comb(m, k)
+            for size in (1, 7, n_sets):
+                for start in range(0, n_sets, size):
+                    stop = min(start + size, n_sets)
+                    got = block(start, stop)
+                    assert got.dtype == np.intp
+                    assert np.array_equal(got, _itertools_block(m, k, start, stop)), (m, k, start)
+
+
+def test_block_size_changes_no_cost(linf, monkeypatch):
+    # blocks of 1 set and of 7 sets straddle every boundary the default
+    # blocks do not; each cost keeps its bits
+    rng = np.random.default_rng(41)
+    for n, k in ((40, 2), (20, 3)):
+        P = random_points(rng, n, 2, hi=30, cluster_frac=0.5, weights=True)
+        Ps = P[: n // 3]
+        default, _ = _center_set_costs([P, Ps], k, 2, linf, None)
+        for sets_per_block in (1, 7):
+            monkeypatch.setattr(validate, "_BLOCK_DISTANCES", sets_per_block * n)
+            costs, _ = _center_set_costs([P, Ps], k, 2, linf, None)
+            for got, want in zip(costs, default):
+                assert got.tobytes() == want.tobytes(), (n, k, sets_per_block)
+        monkeypatch.undo()
+
+
+def test_witness_is_decoded_from_its_rank(linf):
+    # the one-rank decode equals walking the combinations up to the rank;
+    # C(25, 10) is past SUBSET_CAP, so there only the decoder is enumerated
+    rng = np.random.default_rng(43)
+    for m, k in ((200, 2), (60, 3), (25, 10)):
+        n_sets = math.comb(m, k)
+        ranks = [0, n_sets - 1] + [int(i) for i in rng.integers(0, n_sets, size=4)]
+        walks = [next(itertools.islice(itertools.combinations(range(m), k), i, None))
+                 for i in ranks]
+        block = _lex_combinations(m, k)
+        assert [tuple(block(i, i + 1)[0]) for i in ranks] == walks
+        if n_sets <= validate.SUBSET_CAP:
+            P = [W((float(x),)) for x in range(m)]
+            _, centers = _center_set_costs([P], k, 0, linf, None)
+            assert [centers(i) for i in ranks] == \
+                [tuple((float(c),) for c in walk) for walk in walks]
+
+
+def test_decoder_tables_stay_linear_at_k_one_below_m():
+    # k = m - 1 = 1999: a table of k^2 binomials would be 32 MB of int64
+    m, k = 2000, 1999
+    tracemalloc.start()
+    try:
+        block = _lex_combinations(m, k)
+        first, last = block(0, 16), block(m - 16, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert np.array_equal(first, _itertools_block(m, k, 0, 16))
+    assert np.array_equal(last, [np.delete(np.arange(m), m - 1 - i) for i in range(m - 16, m)])
