@@ -9,10 +9,60 @@ reaches k*(16/eps)^d + z, r doubles and the set is recompressed to a
 Next to the representative list ``pstar`` the state keeps one buffer,
 ``_coords``, whose first m = ``len(pstar)`` rows hold the representatives'
 coordinates in ``pstar``'s order. It grows by doubling up to the threshold,
-so the stream holds O(threshold * (d+1)) words. An arrival is scanned
-against ``_coords`` with one ``Metric.pairwise`` call, and the first row
-within (eps/2)*r is found with a mask and ``argmax``, so the
-first-in-insertion-order rule is kept exactly.
+so the stream holds O(threshold * (d+1)) words.
+
+An arrival that can join a representative is scanned against ``_coords``
+with one ``Metric.pairwise`` call, and the first row within the bound
+b = (eps/2)*r + slack is found with a mask and ``argmax``, so the
+first-in-insertion-order rule is kept exactly. Most arrivals cannot join
+one, and a cell-occupancy filter appends those without the scan. The
+filter is a set ``_cells`` holding the cell of each representative, in a
+grid of cubes of width w = b*(1 + 2^-20) along each of the points' D
+coordinates (D is the coordinate count, not the declared d). An arrival
+whose 3^D neighbouring cells are all empty is appended at once; any other
+arrival is scanned as before. The set is rebuilt whenever r changes (the
+first estimate, and once after the recompressions an arrival triggers), and
+each new representative adds its cell. It holds one entry per
+representative, so at most threshold entries.
+
+The filter is exact. A point's cell is (floor(fl(c_j / w)))_j, computed
+only while every quotient satisfies |fl(c_j / w)| < 2^30 (the guard); with
+u = 2^-53, a representative q with ``pairwise(p, q) <= b`` lies in one of
+the 3^D cells around p:
+
+1. |p_j - q_j| <= b*(1 + 4u) for every j. Under L-inf the entry is
+   max_j |fl(p_j - q_j)|. Under L2 it is fl(sqrt(s)), where s is a float sum
+   of the nonnegative squares fl(fl(p_j - q_j)^2) and so at least each of
+   them; an L2 ball lies inside the L-inf ball of the same radius. A
+   rounded result x' of x has |x| <= |x'| / (1 - u), so the difference,
+   square and root roundings give at most the factor (1 - u)^(-5/2) <
+   1 + 4u. b >= 1e-9, so an underflowing square, off by at most 2^-1074,
+   changes nothing at this precision, and an overflowing difference or
+   square gives inf, which is never <= b.
+2. So the exact quotients x = p_j/w and y = q_j/w differ by at most
+   (1 + 4u) / ((1 + 2^-20)*(1 - u)) < 1 - 2^-21, and by the guard each
+   computed quotient is within u*2^30*(1 + u) < 2^-22 of the exact one:
+   X = fl(x) and Y = fl(y) satisfy |X - Y| < 1.
+3. floor(X) - floor(Y) >= 2 would need X - Y > 1, so the cells differ by at
+   most 1 in each coordinate.
+
+Keys pack the cell in base 2^32 (Horner over the coordinates). Each digit,
+and each neighbour's, has magnitude at most 2^30 + 1 < 2^31, so the balanced
+representation is unique, and a neighbour's key is the point's key plus a
+fixed offset. The cell arithmetic computes no distance: ``pairwise`` stays
+the one distance kernel.
+
+The filter also bounds the scan. The filter is on only while w < 2^470,
+and a point with a cell has every |c_j| < 2^31 * w, so a difference in
+its scan stays below 2^502 and a sum of at most three squares below 2^1006.
+Such a scan cannot overflow, and it skips the kernel's errstate
+(``overflow_free``); every other scan keeps it.
+
+The full scan of every arrival stays for explicit metrics (points are
+matrix indices), for r = 0, for D above ``_CELL_MAX_DIM`` (where, as
+measured, the 3^D lookups cost more than the scans they save), for
+w >= 2^470 and for an arrival with a quotient past the guard. A
+representative past the guard turns the filter off until r next changes.
 
 No distance matrix is kept. A recompression hands ``_net`` a ``_PointSet``
 of ``pstar`` whose coordinates are ``_coords[:m]`` itself, read in place
@@ -25,15 +75,23 @@ Single-writer: one arrival at a time; reports may be taken between arrivals.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import InputError
 from .metric import (
-    Metric, REL_TOL, WeightedPoint, _size_bound, _unchecked_point, min_pairwise_distance,
+    EXPLICIT, Metric, REL_TOL, WeightedPoint, _size_bound, _unchecked_point,
+    min_pairwise_distance,
 )
 from .offline import _PointSet, _net
+
+_CELL_MARGIN = 1.0 + 2.0**-20  # a cell's width over the scan bound
+_CELL_GUARD = 2.0**30          # cells are kept only while every |c / width| is below it
+_CELL_BASE = 1 << 32           # key digit base: above 2 * (guard + 1)
+_CELL_MAX_DIM = 3              # above it the 3^D lookups cost more than the scans they save
+_CELL_MAX_WIDTH = 2.0**470     # below it a scan of a point with a cell cannot overflow
 
 
 def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
@@ -42,6 +100,15 @@ def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
     if t > 2**53:
         raise InputError(f"{what} overflows; use a larger epsilon")
     return int(math.floor(t)) + z
+
+
+def _keys(digits: np.ndarray) -> list[int]:
+    """The keys of an integer array's rows, packed as ``_cell`` packs them:
+    in base ``_CELL_BASE``, first coordinate most significant."""
+    keys = np.zeros(len(digits), dtype=object)  # Python ints: three digits overflow int64
+    for j in range(digits.shape[1]):
+        keys = keys * _CELL_BASE + digits[:, j]
+    return keys.tolist()
 
 
 class InsertionStream:
@@ -60,6 +127,8 @@ class InsertionStream:
         self.r = 0.0
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
+        self._cells = None  # the representatives' cell keys, or None when the filter is off
+        self._width = self._offsets = None  # the cells' width; neighbour key offsets
         self.arrivals = 0
 
     def arrival(self, point) -> None:
@@ -68,16 +137,25 @@ class InsertionStream:
         if self.pstar and len(point) != len(self.pstar[0].point):
             raise InputError("arrival dimension mismatch")
         self.arrivals += 1
-        limit = (self.epsilon / 2.0) * self.r
-        slack = REL_TOL * max(1.0, limit)
-        i = self._first_within(point, limit + slack)
+        cells = self._cells
+        key = None if cells is None else self._cell(point)
+        if key is not None and self._isolated(key):
+            i = None  # no representative's cell neighbours the point's
+        else:
+            i = self._first_within(point, self._bound(), overflow_free=key is not None)
         if i is not None:
             rep = self.pstar[i]
             self.pstar[i] = _unchecked_point(rep.point, rep.weight + 1)
         else:
             self._append(point)
             self.pstar.append(new)
+            if cells is not None:
+                if key is None:
+                    self._cells = None  # a representative past the guard
+                else:
+                    cells.add(key)
 
+        r0 = self.r
         if self.r == 0.0 and len(self.pstar) >= self.k + self.z + 1:
             self.r = min_pairwise_distance(self.pstar, self.metric) / 2.0
 
@@ -94,6 +172,9 @@ class InsertionStream:
             self._coords[:len(keep)] = self._coords[keep]
             self.pstar = reps
 
+        if self.r != r0:
+            self._index()
+
     def weighted_arrival(self, wp: WeightedPoint) -> None:
         """``wp.weight`` arrivals of ``wp.point`` in one scan.
 
@@ -106,19 +187,59 @@ class InsertionStream:
         one takes the remaining weight at once."""
         self.arrival(wp.point)
         if wp.weight > 1:
-            limit = (self.epsilon / 2.0) * self.r
-            i = self._first_within(wp.point, limit + REL_TOL * max(1.0, limit))
+            i = self._first_within(wp.point, self._bound())
             rep = self.pstar[i]
             self.pstar[i] = _unchecked_point(rep.point, rep.weight + wp.weight - 1)
             self.arrivals += wp.weight - 1
 
-    def _first_within(self, point, bound):
+    def _bound(self) -> float:
+        """The scan bound b: (eps/2)*r with its rounding slack."""
+        limit = (self.epsilon / 2.0) * self.r
+        return limit + REL_TOL * max(1.0, limit)
+
+    def _index(self) -> None:
+        """Rebuild ``_cells`` for the current r, or leave the filter off
+        where the module docstring says the full scan stays."""
+        self._cells = None
+        m, dim = len(self.pstar), len(self.pstar[0].point)
+        if self.r == 0.0 or self.metric.kind == EXPLICIT or dim > _CELL_MAX_DIM:
+            return
+        width = self._bound() * _CELL_MARGIN
+        if width >= _CELL_MAX_WIDTH:
+            return
+        quotients = self._coords[:m] / width
+        if not (np.abs(quotients) < _CELL_GUARD).all():
+            return
+        self._width = width
+        self._offsets = _keys(np.asarray(list(itertools.product((-1, 0, 1), repeat=dim))))
+        self._cells = set(_keys(np.floor(quotients).astype(np.int64)))
+
+    def _cell(self, point):
+        """The key of point's cell, or None if a quotient is past the guard."""
+        width, key = self._width, 0
+        for c in point:
+            q = c / width
+            if not -_CELL_GUARD < q < _CELL_GUARD:
+                return None
+            key = key * _CELL_BASE + math.floor(q)
+        return key
+
+    def _isolated(self, key: int) -> bool:
+        """Whether the 3^D cells around the cell of ``key`` are all empty."""
+        cells = self._cells
+        for offset in self._offsets:
+            if key + offset in cells:
+                return False
+        return True
+
+    def _first_within(self, point, bound, overflow_free: bool = False):
         """The index of the first representative within ``bound`` of point,
-        or None if there is none."""
+        or None if there is none. ``overflow_free`` is passed to
+        ``Metric.pairwise``."""
         m = len(self.pstar)
         if not m:
             return None
-        row = self.metric.pairwise(np.asarray([point]), self._coords[:m])[0]
+        row = self.metric.pairwise(np.asarray([point]), self._coords[:m], overflow_free)[0]
         i = int((row <= bound).argmax())
         return i if row[i] <= bound else None
 

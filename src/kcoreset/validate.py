@@ -112,8 +112,7 @@ def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
 def _finite_distances(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``metric.pairwise(a, b)``, refused with InputError when an entry is
     past the float range: a cost of inf, or inf minus inf, decides nothing."""
-    with np.errstate(over="ignore"):  # refused below instead
-        d = metric.pairwise(a, b)
+    d = metric.pairwise(a, b)
     if not np.isfinite(d).all():
         raise InputError("a distance overflows the float range")
     return d
@@ -268,8 +267,7 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> Validati
     if not P:
         return ValidationReport(True)
 
-    with np.errstate(over="ignore"):  # an inf distance is past every finite bound
-        d = metric.pairwise(coords_array(P), coords_array(Pstar))
+    d = metric.pairwise(coords_array(P), coords_array(Pstar))  # an inf entry is past every bound
     slack = REL_TOL * max(1.0, abs(bound))
     reachable = d <= bound + slack
     stranded = np.flatnonzero(~reachable.any(axis=1))

@@ -4,12 +4,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import kcoreset
 from kcoreset import WeightedPoint, pointio
 from kcoreset.cli import build_parser, main
 from kcoreset.sketches import SparseRecoverySketch
@@ -312,6 +315,37 @@ def test_validate_refuses_overflowing_distances(tmp_path, capsys, universe):
                                "--eps", "0.5", "--universe", universe)
     assert code == 3 and stats is None
     assert err.startswith("input error:") and err.count("\n") == 1, err
+
+
+# under -W error a numpy overflow warning once ended offline and stream on
+# these points in a traceback and exit 1; the kernel now makes such an entry
+# inf without a warning. Stats (but the timing) and coresets are pinned.
+OVERFLOW_STATS = {
+    "offline": {"algorithm": "offline-mbc", "coreset_size": 6, "epsilon": 0.5,
+                "greedy_radius": 1.5e308, "k": 2, "metric": "linf", "mini_ball_radius": 2.5e307,
+                "points": 6, "size_bound": 48.0, "total_weight": 6, "z": 0},
+    "stream": {"algorithm": "insertion-streaming", "arrivals": 6, "coreset_size": 6, "d": 1,
+               "epsilon": 0.5, "final_r": 3.4999999999999996e307, "k": 2, "threshold": 64,
+               "z": 0},
+}
+
+
+@pytest.mark.parametrize("command", ["offline", "stream"])
+def test_overflowing_distances_warn_nothing_under_w_error(tmp_path, command):
+    pts, out = tmp_path / "big.txt", tmp_path / "out.txt"
+    pts.write_text(OVERFLOW_POINTS)
+    argv = [command, "big.txt", "--k", "2", "--z", "0", "--eps", "0.5", "--out", "out.txt"]
+    if command == "stream":
+        argv += ["--d", "1"]
+    src = os.path.dirname(os.path.dirname(kcoreset.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "kcoreset", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    stats = json.loads(proc.stdout)
+    del stats["wall_time_s"], stats["out"]
+    assert stats == OVERFLOW_STATS[command]
+    assert out.read_text() == "".join(f"{x!r},w=1\n" for x in (-1.7e308, -1e308, 0.0, 5e307,
+                                                                1e308, 1.7e308))
 
 
 def test_two_round_stats_record_the_distribution_seed(tmp_path, capsys):

@@ -12,8 +12,10 @@ from kcoreset import (
 from kcoreset import metric as metric_module, offline, streaming
 from kcoreset.metric import REL_TOL, coords_array
 from kcoreset.offline import _PointSet
+from kcoreset.pointio import read_points
 from conftest import random_points, scalar_distance
 from test_offline import scalar_net
+from test_output_pins import _load_gen
 
 
 def test_threshold_examples(linf):
@@ -409,3 +411,133 @@ def test_weighted_arrival_matches_repeated_arrivals():
             heavy_doubled += 0 < r < fast.r and wp.weight > 1
     # lines whose first arrival doubled r, and so joined a net representative
     assert doubled >= 500 and heavy_doubled >= 80
+
+
+class UnfilteredStream(InsertionStream):
+    """The stream with its cell filter off: every arrival is scanned."""
+
+    def _index(self):
+        self._cells = None
+
+
+def _filtered_matches_scan(metric, stream, k, d):
+    """Feed ``stream`` to a filtered and an unfiltered stream. Before each
+    arrival the filter skips, ``_first_within`` must find no representative
+    within the bound; after each arrival both streams must hold the same r
+    and representatives. Returns (skipped arrivals, scanned arrivals that
+    joined a representative in another cell at exactly the bound)."""
+    fast, plain = InsertionStream(k, 0, 1.0, d, metric), UnfilteredStream(k, 0, 1.0, d, metric)
+    skipped = across = 0
+    for p in stream:
+        key = None if fast._cells is None else fast._cell(p)
+        bound = fast._bound()
+        i = fast._first_within(p, bound)
+        if key is not None and fast._isolated(key):
+            assert i is None, (p, bound)
+            skipped += 1
+        elif i is not None and key is not None:
+            q = fast.pstar[i].point
+            across += fast._cell(q) != key and metric.distance(p, q) == bound
+        fast.arrival(p)
+        plain.arrival(p)
+        assert fast.r == plain.r and fast.report() == plain.report()
+    return skipped, across
+
+
+@pytest.mark.parametrize("kind", [L2, LINF])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim):
+    # declared d != D: 2 for 1-D points, 1 otherwise. The first k + 1
+    # arrivals lie far out on axis 0 and fix r. Then come -tiny and b (or
+    # tiny and -b) on axis 0: pairwise puts them b apart, so b joins -tiny,
+    # across the cell edge at 0; they are b + tiny apart exactly, so cells
+    # as wide as b, or one ulp narrower, would put them two cells apart.
+    # The rest are a shuffled lattice of spacing b around the origin, with
+    # the neighbouring floats of each lattice value: negative coordinates,
+    # and more points exactly b apart across cell edges.
+    metric, k, d = Metric(kind), 40, 2 if dim == 1 else 1
+    rng = np.random.default_rng(7 + dim)
+    seeds = [(1000.0 + 6.6 * i,) + (0.0,) * (dim - 1) for i in range(k + 1)]
+    probe = InsertionStream(k, 0, 1.0, d, metric)
+    probe.extend(seeds)
+    b = probe._bound()
+    values = sorted({float(np.nextafter(j * b, s)) for j in range(-3, 4)
+                     for s in (-np.inf, 0.0, np.inf)} | {j * b for j in range(-3, 4)})
+    grid = np.stack(np.meshgrid(*[values] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    total_skipped = total_across = 0
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        pair = [(-sign * 5e-324,) + (0.0,) * (dim - 1), (sign * b,) + (0.0,) * (dim - 1)]
+        lattice = rng.permutation(grid)[:700]
+        stream = seeds + pair + [tuple(row) for row in lattice.tolist()]
+        skipped, across = _filtered_matches_scan(metric, stream, k, d)
+        total_skipped += skipped
+        total_across += across
+    assert total_skipped >= 10 and total_across >= 5
+
+
+@pytest.mark.parametrize("kind", [L2, LINF])
+def test_cell_filter_matches_the_scan_on_growing_streams(kind):
+    # r doubles many times, so the cells are rebuilt at every width
+    for dim in (1, 2, 3):
+        for seed in range(3):
+            metric, stream = growing_stream(kind, np.random.default_rng(seed), 600, 64, dim=dim,
+                                            scale=(1.0, 1 / 3, -7.5)[seed])
+            skipped, _ = _filtered_matches_scan(metric, stream, 2, 1)
+            assert skipped > 0
+
+
+@pytest.mark.parametrize("kind", [L2, LINF])
+def test_cell_filter_falls_back_to_the_scan_past_its_guard(kind):
+    metric = Metric(kind)
+    seeds = [(float(x), 0.0) for x in range(0, 6, 2)]  # k + 1 = 3 arrivals fix r = 1
+    probe = InsertionStream(2, 0, 1.0, 1, metric)
+    probe.extend(seeds)
+    b, width = probe._bound(), probe._width
+    edge = streaming._CELL_GUARD * width
+    inside, outside = edge - b / 2, edge + b / 4  # 0.75 b apart, across the guard
+    stream = seeds + [
+        (inside, 1.0), (outside, 1.0),     # scanned past the guard, joins its neighbour
+        (-outside, -1.0), (-inside, -1.0),  # appended past the guard: the filter turns off
+        (0.25, 0.25), (4.0 * edge, 3.0),   # scanned while the filter is off
+    ]
+    fast, plain = InsertionStream(2, 0, 1.0, 1, metric), UnfilteredStream(2, 0, 1.0, 1, metric)
+    filters = []
+    for p in stream:
+        fast.arrival(p)
+        plain.arrival(p)
+        assert fast.r == plain.r and fast.report() == plain.report()
+        filters.append(fast._cells is not None)
+    assert fast._cell((outside, 1.0)) is None
+    assert filters == [False, False] + [True] * 3 + [False] * 4
+    assert [wp.weight for wp in fast.pstar] == [2, 1, 1, 2, 2, 1]
+    # the filter stays off for explicit metrics and above three coordinates
+    explicit, stream = growing_stream(EXPLICIT, np.random.default_rng(1), 100, 4)
+    for metric, points in ((explicit, stream),
+                           (Metric(kind), [(float(i), 0.0, 0.0, 0.0) for i in range(5)])):
+        st_ = InsertionStream(1, 0, 1.0, 1, metric)
+        st_.extend(points)
+        assert st_.r > 0 and st_._cells is None
+
+
+def test_cell_filter_skips_most_benchmark_arrivals(tmp_path, monkeypatch):
+    # the seed-1 insertion-stream input: every one of the 3000 arrivals was
+    # scanned before the filter (3049 pairwise calls with the nets); 867
+    # reach the scan with it, 916 pairwise calls in all
+    spec = _load_gen().generate("insertion-stream", 1, str(tmp_path))
+    p = spec["params"]
+    points = [wp.point for wp in read_points(str(tmp_path / "points.txt"))]
+    calls = {"scan": 0, "pairwise": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(InsertionStream, "_first_within",
+                        counted("scan", InsertionStream._first_within))
+    monkeypatch.setattr(Metric, "pairwise", counted("pairwise", Metric.pairwise))
+    st_ = InsertionStream(p["k"], p["z"], p["eps"], p["d"], Metric(LINF))
+    st_.extend(points)
+    assert len(points) == 3000 and len(st_.pstar) == 503
+    assert calls["scan"] < len(points) / 3 and calls["pairwise"] < 1500
