@@ -152,7 +152,7 @@ class Metric:
         a, b = np.asarray([p], dtype=float), np.asarray([q], dtype=float)
         return float(self.pairwise(a, b)[0, 0])
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray, overflow_free: bool = False) -> np.ndarray:
+    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance matrix between rows of a (n x d) and rows of b (m x d).
 
         Accumulates one coordinate at a time, in the order of the scalar
@@ -174,10 +174,6 @@ class Metric:
         inf, which is past every finite bound; the loop runs under
         ``np.errstate(over="ignore")``, so no input makes the kernel warn.
         Callers that need finite distances refuse an inf entry themselves.
-        A caller that has shown that no entry can overflow passes
-        ``overflow_free=True`` to skip the errstate, which costs about a
-        microsecond, a tenth of a short scan: the insertion stream does for
-        the arrivals its cell filter has bounded (see ``streaming.py``).
         """
         if self.kind == EXPLICIT:
             for x in (a, b):
@@ -199,28 +195,20 @@ class Metric:
             lhs, rhs, acc = a[0].tolist(), b.T, out[0]
         else:
             lhs, rhs, acc = a.T[:, :, None], b.T[:, None, :], out
-        if overflow_free:
-            self._accumulate(lhs, rhs, acc, d)
-        else:
-            with np.errstate(over="ignore"):
-                self._accumulate(lhs, rhs, acc, d)
-        return out if self.kind == LINF else np.sqrt(out, out=out)
-
-    def _accumulate(self, lhs, rhs, acc: np.ndarray, d: int) -> None:
-        """``pairwise``'s loop over the coordinates, into ``acc``; under L2
-        it leaves the sums of squares, whose square roots are the entries."""
         diff = np.empty_like(acc) if d > 1 else None
-        for j in range(d):
-            term = acc if j == 0 else diff
-            np.subtract(lhs[j], rhs[j], out=term)
-            if self.kind == LINF:
-                np.abs(term, out=term)
-                if j:
-                    np.maximum(acc, diff, out=acc)
-            else:
-                np.multiply(term, term, out=term)
-                if j:
-                    acc += diff
+        with np.errstate(over="ignore"):
+            for j in range(d):
+                term = acc if j == 0 else diff
+                np.subtract(lhs[j], rhs[j], out=term)
+                if self.kind == LINF:
+                    np.abs(term, out=term)
+                    if j:
+                        np.maximum(acc, diff, out=acc)
+                else:
+                    np.multiply(term, term, out=term)
+                    if j:
+                        acc += diff
+        return out if self.kind == LINF else np.sqrt(out, out=out)
 
 
 def _nearest(metric: Metric, points: np.ndarray, centers) -> np.ndarray:

@@ -14,16 +14,16 @@ so the stream holds O(threshold * (d+1)) words.
 An arrival that can join a representative is scanned against ``_coords``
 with one ``Metric.pairwise`` call, and the first row within the bound
 b = (eps/2)*r + slack is found with a mask and ``argmax``, so the
-first-in-insertion-order rule is kept exactly. Most arrivals cannot join
-one, and a cell-occupancy filter appends those without the scan. The
-filter is a set ``_cells`` holding the cell of each representative, in a
-grid of cubes of width w = b*(1 + 2^-20) along each of the points' D
-coordinates (D is the coordinate count, not the declared d). An arrival
-whose 3^D neighbouring cells are all empty is appended at once; any other
-arrival is scanned as before. The set is rebuilt whenever r changes (the
-first estimate, and once after the recompressions an arrival triggers), and
-each new representative adds its cell. It holds one entry per
-representative, so at most threshold entries.
+first-in-insertion-order rule is kept exactly. While the points' spread
+grows, most arrivals cannot join one, and a cell-occupancy filter appends
+those without the scan. The filter is a set ``_cells`` holding the cell of
+each representative, in a grid of cubes of width w = b*(1 + 2^-20) along
+each of the points' D coordinates (D is the coordinate count, not the
+declared d). An arrival whose 3^D neighbouring cells are all empty is
+appended at once; any other arrival is scanned as before. The set is
+rebuilt whenever r changes (the first estimate, and once after the
+recompressions an arrival triggers), and each new representative adds its
+cell. It holds one entry per representative, so at most threshold entries.
 
 The filter is exact. A point's cell is (floor(fl(c_j / w)))_j, computed
 only while every quotient satisfies |fl(c_j / w)| < 2^30 (the guard); with
@@ -46,23 +46,27 @@ the 3^D cells around p:
 3. floor(X) - floor(Y) >= 2 would need X - Y > 1, so the cells differ by at
    most 1 in each coordinate.
 
-Keys pack the cell in base 2^32 (Horner over the coordinates). Each digit,
-and each neighbour's, has magnitude at most 2^30 + 1 < 2^31, so the balanced
-representation is unique, and a neighbour's key is the point's key plus a
-fixed offset. The cell arithmetic computes no distance: ``pairwise`` stays
-the one distance kernel.
-
-The filter also bounds the scan. The filter is on only while w < 2^470,
-and a point with a cell has every |c_j| < 2^31 * w, so a difference in
-its scan stays below 2^502 and a sum of at most three squares below 2^1006.
-Such a scan cannot overflow, and it skips the kernel's errstate
-(``overflow_free``); every other scan keeps it.
+``_pack`` packs a cell in base 2^32 (Horner over the coordinates). Each
+digit, and each neighbour's, has magnitude at most 2^30 + 1 < 2^31, so the
+balanced representation is unique, and a neighbour's key is the point's key
+plus a fixed offset, ``_OFFSETS[D]``. The point's own cell is looked up
+first: an arrival that joins a representative most often finds it there,
+and then pays one lookup. The cell arithmetic computes no distance:
+``pairwise`` stays the one distance kernel.
 
 The full scan of every arrival stays for explicit metrics (points are
 matrix indices), for r = 0, for D above ``_CELL_MAX_DIM`` (where, as
-measured, the 3^D lookups cost more than the scans they save), for
-w >= 2^470 and for an arrival with a quotient past the guard. A
-representative past the guard turns the filter off until r next changes.
+measured, the 3^D lookups cost more than the scans they save) and for an
+arrival with a quotient past the guard. A representative past the guard
+turns the filter off until r next changes.
+
+The filter pays only where arrivals skip the scan. A skipped arrival saves
+a scan, 10 to 15 us on a 2-vCPU machine; a scanned one pays about 1 us for
+its key and lookups. Once r settles, nearly every arrival joins a
+representative. So the stream counts the arrivals the filter skipped and
+scanned since the last rebuild. Once ``_CELL_TRIAL`` were scanned and fewer
+than one was skipped per ``_CELL_PAYBACK`` scanned, the filter is turned
+off until r next changes.
 
 No distance matrix is kept. A recompression hands ``_net`` a ``_PointSet``
 of ``pstar`` whose coordinates are ``_coords[:m]`` itself, read in place
@@ -91,7 +95,8 @@ _CELL_MARGIN = 1.0 + 2.0**-20  # a cell's width over the scan bound
 _CELL_GUARD = 2.0**30          # cells are kept only while every |c / width| is below it
 _CELL_BASE = 1 << 32           # key digit base: above 2 * (guard + 1)
 _CELL_MAX_DIM = 3              # above it the 3^D lookups cost more than the scans they save
-_CELL_MAX_WIDTH = 2.0**470     # below it a scan of a point with a cell cannot overflow
+_CELL_TRIAL = 64               # scans of arrivals with a key before the filter is judged
+_CELL_PAYBACK = 8              # the filter stays on while it skips one arrival per this many scans
 
 
 def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
@@ -102,13 +107,21 @@ def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
     return int(math.floor(t)) + z
 
 
-def _keys(digits: np.ndarray) -> list[int]:
-    """The keys of an integer array's rows, packed as ``_cell`` packs them:
-    in base ``_CELL_BASE``, first coordinate most significant."""
-    keys = np.zeros(len(digits), dtype=object)  # Python ints: three digits overflow int64
-    for j in range(digits.shape[1]):
-        keys = keys * _CELL_BASE + digits[:, j]
-    return keys.tolist()
+def _pack(digits) -> int:
+    """The key of a cell given by its integer digits: base ``_CELL_BASE``,
+    first coordinate most significant. A Python int, since three digits
+    overflow int64."""
+    key = 0
+    for digit in digits:
+        key = key * _CELL_BASE + digit
+    return key
+
+
+# the key offsets of a cell's 3^D neighbours, the cell itself first
+_OFFSETS = {
+    dim: tuple(_pack(step) for step in itertools.product((0, -1, 1), repeat=dim))
+    for dim in range(1, _CELL_MAX_DIM + 1)
+}
 
 
 class InsertionStream:
@@ -128,7 +141,8 @@ class InsertionStream:
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
         self._cells = None  # the representatives' cell keys, or None when the filter is off
-        self._width = self._offsets = None  # the cells' width; neighbour key offsets
+        self._width = self._offsets = None  # the cells' width; _OFFSETS[D]
+        self._skips = self._scans = 0  # filtered arrivals skipped and scanned since the rebuild
         self.arrivals = 0
 
     def arrival(self, point) -> None:
@@ -141,8 +155,13 @@ class InsertionStream:
         key = None if cells is None else self._cell(point)
         if key is not None and self._isolated(key):
             i = None  # no representative's cell neighbours the point's
+            self._skips += 1
         else:
-            i = self._first_within(point, self._bound(), overflow_free=key is not None)
+            i = self._first_within(point, self._bound())
+            if key is not None:
+                self._scans += 1
+                if self._scans >= _CELL_TRIAL and self._skips * _CELL_PAYBACK < self._scans:
+                    self._cells = cells = None  # it costs more than it saves until r changes
         if i is not None:
             rep = self.pstar[i]
             self.pstar[i] = _unchecked_point(rep.point, rep.weight + 1)
@@ -201,28 +220,26 @@ class InsertionStream:
         """Rebuild ``_cells`` for the current r, or leave the filter off
         where the module docstring says the full scan stays."""
         self._cells = None
+        self._skips = self._scans = 0
         m, dim = len(self.pstar), len(self.pstar[0].point)
         if self.r == 0.0 or self.metric.kind == EXPLICIT or dim > _CELL_MAX_DIM:
             return
         width = self._bound() * _CELL_MARGIN
-        if width >= _CELL_MAX_WIDTH:
-            return
         quotients = self._coords[:m] / width
         if not (np.abs(quotients) < _CELL_GUARD).all():
             return
-        self._width = width
-        self._offsets = _keys(np.asarray(list(itertools.product((-1, 0, 1), repeat=dim))))
-        self._cells = set(_keys(np.floor(quotients).astype(np.int64)))
+        self._width, self._offsets = width, _OFFSETS[dim]
+        self._cells = {_pack(row) for row in np.floor(quotients).astype(np.int64).tolist()}
 
     def _cell(self, point):
         """The key of point's cell, or None if a quotient is past the guard."""
-        width, key = self._width, 0
+        width, digits = self._width, []
         for c in point:
             q = c / width
             if not -_CELL_GUARD < q < _CELL_GUARD:
                 return None
-            key = key * _CELL_BASE + math.floor(q)
-        return key
+            digits.append(math.floor(q))
+        return _pack(digits)
 
     def _isolated(self, key: int) -> bool:
         """Whether the 3^D cells around the cell of ``key`` are all empty."""
@@ -232,14 +249,13 @@ class InsertionStream:
                 return False
         return True
 
-    def _first_within(self, point, bound, overflow_free: bool = False):
+    def _first_within(self, point, bound):
         """The index of the first representative within ``bound`` of point,
-        or None if there is none. ``overflow_free`` is passed to
-        ``Metric.pairwise``."""
+        or None if there is none."""
         m = len(self.pstar)
         if not m:
             return None
-        row = self.metric.pairwise(np.asarray([point]), self._coords[:m], overflow_free)[0]
+        row = self.metric.pairwise(np.asarray([point]), self._coords[:m])[0]
         i = int((row <= bound).argmax())
         return i if row[i] <= bound else None
 

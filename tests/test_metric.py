@@ -190,8 +190,7 @@ def _check_one_row_calls(rng):
 
 def test_overflowing_pairwise_warns_nothing():
     # a difference or a square past the float range makes its entry inf, and
-    # neither path of the kernel warns; overflow_free=True, for callers that
-    # have shown nothing overflows, computes the same bits
+    # neither path of the kernel warns
     a = np.array([[1.7e308, 0.0], [1.0, 2.0]])
     b = np.array([[-1.7e308, 0.0], [3.0, -1.0], [1e200, 1e200]])
     for metric in (Metric(L2), Metric(LINF)):
@@ -201,8 +200,6 @@ def test_overflowing_pairwise_warns_nothing():
             rows = np.vstack([metric.pairwise(a[i:i + 1], b) for i in range(len(a))])
         assert np.isinf(full[0, 0]) and np.isinf(full[1, 2]) == (metric.kind == L2)
         assert np.array_equal(rows.view(np.uint64), full.view(np.uint64))
-        free = metric.pairwise(a[1:], b[1:2], overflow_free=True)
-        assert np.array_equal(free.view(np.uint64), full[1:, 1:2].view(np.uint64))
 
 
 def test_self_pairwise_is_symmetric_bit_for_bit():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -446,7 +447,7 @@ def _filtered_matches_scan(metric, stream, k, d):
 
 @pytest.mark.parametrize("kind", [L2, LINF])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim):
+def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim, monkeypatch):
     # declared d != D: 2 for 1-D points, 1 otherwise. The first k + 1
     # arrivals lie far out on axis 0 and fix r. Then come -tiny and b (or
     # tiny and -b) on axis 0: pairwise puts them b apart, so b joins -tiny,
@@ -455,6 +456,9 @@ def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim):
     # The rest are a shuffled lattice of spacing b around the origin, with
     # the neighbouring floats of each lattice value: negative coordinates,
     # and more points exactly b apart across cell edges.
+    # most lattice points join a representative, which would turn the
+    # filter off; it is kept on, so every arrival meets it
+    monkeypatch.setattr(streaming, "_CELL_TRIAL", math.inf)
     metric, k, d = Metric(kind), 40, 2 if dim == 1 else 1
     rng = np.random.default_rng(7 + dim)
     seeds = [(1000.0 + 6.6 * i,) + (0.0,) * (dim - 1) for i in range(k + 1)]
@@ -484,6 +488,31 @@ def test_cell_filter_matches_the_scan_on_growing_streams(kind):
                                             scale=(1.0, 1 / 3, -7.5)[seed])
             skipped, _ = _filtered_matches_scan(metric, stream, 2, 1)
             assert skipped > 0
+
+
+@pytest.mark.parametrize("kind", [L2, LINF])
+def test_cell_filter_turns_itself_off_where_arrivals_join(kind):
+    # three tight clusters: once r settles nearly every arrival joins a
+    # representative, so the filter skips too few scans and turns itself
+    # off until r next changes; the output stays the scan's
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-100, 100, size=(3, 2))
+    points = centers[rng.integers(0, 3, 1500)] + rng.normal(0, 1, size=(1500, 2))
+    metric = Metric(kind)
+    fast, plain = InsertionStream(3, 0, 1.0, 1, metric), UnfilteredStream(3, 0, 1.0, 1, metric)
+    filters = []
+    for p in map(tuple, points.tolist()):
+        r = fast.r
+        fast.arrival(p)
+        plain.arrival(p)
+        assert fast.r == plain.r and fast.report() == plain.report()
+        if fast.r != r:  # rebuilt: on again, with fresh counts
+            assert fast._cells is not None and fast._skips == fast._scans == 0
+        filters.append(fast._cells is not None)
+    # off, on, off and on again after an r change; off for the settled rest
+    flips = [i for i in range(1, len(filters)) if filters[i] != filters[i - 1]]
+    assert not filters[0] and len(flips) >= 3 and not any(filters[-800:])
+    assert fast._skips * streaming._CELL_PAYBACK < fast._scans == streaming._CELL_TRIAL
 
 
 @pytest.mark.parametrize("kind", [L2, LINF])
