@@ -32,6 +32,7 @@ from .errors import CapacityError, DegenerateSetError, InputError
 
 REL_TOL = 1e-9
 UNIVERSE_CAP = 1_000_000  # most candidate centers a materialized universe holds
+_PAIRWISE_BLOCK = 1 << 15  # most entries in one row block of ``pairwise``
 
 Point = tuple  # tuple of floats (or a single index for explicit-matrix metrics)
 
@@ -162,16 +163,23 @@ class Metric:
         it to a zero, or taking its maximum with a zero, would give the
         same bits, since a square or an absolute value is never -0.0.
 
-        A one-row ``a`` against a float64 ``b`` takes its coordinates as
-        Python floats, scalar operands of the same subtractions, so no
-        (1, 1) operand is broadcast per coordinate. A Python float is
-        converted to float64 exactly, and the loop runs in float64 either
-        way, so each entry keeps its bits. (Against a float32 ``b`` a
-        Python float would not promote the loop to float64, so such a ``b``
-        takes the general path.)
+        The general path fills the output in row blocks of at most
+        ``_PAIRWISE_BLOCK`` entries (at least one row), through one
+        block-sized buffer for the later coordinates' terms, so no n x m
+        temporary is made and a block stays in cache. Every entry still
+        gets the same operations in the same order, so it keeps its bits
+        whatever the block size.
+
+        A one-row ``a`` against a float64 ``b`` is one block. It takes its
+        coordinates as Python floats, scalar operands of the same
+        subtractions, so no (1, 1) operand is broadcast per coordinate. A
+        Python float is converted to float64 exactly, and the loop runs in
+        float64 either way, so each entry keeps its bits. (Against a float32
+        ``b`` a Python float would not promote the loop to float64, so such
+        a ``b`` takes the general path.)
 
         A difference, square or sum past the float range makes its entry
-        inf, which is past every finite bound; the loop runs under
+        inf, which is past every finite bound; the blocks run under one
         ``np.errstate(over="ignore")``, so no input makes the kernel warn.
         Callers that need finite distances refuse an inf entry themselves.
         """
@@ -189,26 +197,37 @@ class Metric:
         d = a.shape[1]
         if d != b.shape[1]:
             raise InputError(f"dimension mismatch: {d} vs {b.shape[1]}")
-        # with no coordinates every distance is 0, and the loop below is empty
+        # with no coordinates every distance is 0, and nothing is accumulated
         out = (np.empty if d else np.zeros)((a.shape[0], b.shape[0]))
-        if a.shape[0] == 1 and b.dtype == np.float64:
-            lhs, rhs, acc = a[0].tolist(), b.T, out[0]
-        else:
-            lhs, rhs, acc = a.T[:, :, None], b.T[:, None, :], out
-        diff = np.empty_like(acc) if d > 1 else None
         with np.errstate(over="ignore"):
-            for j in range(d):
-                term = acc if j == 0 else diff
-                np.subtract(lhs[j], rhs[j], out=term)
-                if self.kind == LINF:
-                    np.abs(term, out=term)
-                    if j:
-                        np.maximum(acc, diff, out=acc)
-                else:
-                    np.multiply(term, term, out=term)
-                    if j:
-                        acc += diff
+            if a.shape[0] == 1 and b.dtype == np.float64:
+                acc = out[0]
+                self._accumulate(a[0].tolist(), b.T, acc, np.empty_like(acc) if d > 1 else None)
+            else:
+                n, m = out.shape
+                step = max(1, _PAIRWISE_BLOCK // max(1, m))
+                buf = np.empty((min(step, n), m))
+                for lo in range(0, n, step):
+                    self._accumulate(a.T[:, lo:lo + step, None], b.T[:, None, :],
+                                     out[lo:lo + step], buf[:min(step, n - lo)])
         return out if self.kind == LINF else np.sqrt(out, out=out)
+
+    def _accumulate(self, lhs, rhs, acc, diff):
+        """Fill ``acc`` with the squared L2 or the L-inf distances between
+        ``lhs`` and ``rhs``, one coordinate at a time: ``lhs[j] - rhs[j]``
+        broadcasts to ``acc``'s shape, and ``diff``, of that shape too, takes
+        the terms of the coordinates after the first."""
+        for j in range(len(lhs)):
+            term = acc if j == 0 else diff
+            np.subtract(lhs[j], rhs[j], out=term)
+            if self.kind == LINF:
+                np.abs(term, out=term)
+                if j:
+                    np.maximum(acc, term, out=acc)
+            else:
+                np.multiply(term, term, out=term)
+                if j:
+                    acc += term
 
 
 def _nearest(metric: Metric, points: np.ndarray, centers) -> np.ndarray:

@@ -30,6 +30,7 @@ from .metric import (
 
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
 _NET_BLOCK = 1 << 16  # most distances in one row block of _net
+_SLAB = 255  # most mask rows counted in uint8 at once: a count of 255 fits
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,20 @@ class MiniBallCovering:
     greedy_radius: float
 
 
-def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
+def _column_counts(mask: np.ndarray) -> np.ndarray:
+    """The number of True entries in each column of a bool matrix, as int32.
+    The matrix is read as its 0/1 bytes, with no cast. Each slab of at most
+    ``_SLAB`` rows is summed in uint8, which cannot wrap, and the slab sums
+    are added into int32."""
+    ones = mask.view(np.uint8)
+    counts = np.zeros(mask.shape[1], dtype=np.int32)
+    for lo in range(0, len(ones), _SLAB):
+        counts += np.add.reduce(ones[lo:lo + _SLAB], axis=0, dtype=np.uint8)
+    return counts
+
+
+def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
+           mask: np.ndarray | None = None):
     """One round-robin of the greedy disk heuristic at guess radius r.
 
     Picks, k times, the input point whose radius-r ball covers maximum
@@ -91,28 +105,36 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
     Neither depends on an outlier budget: only the verdict ``remaining <= z``
     does, so one probe serves every z (``_PointSet.probe``).
 
-    One n x n mask, ``within_r``, is built per probe. Coverage (uncovered
-    weight in each point's r-ball; a count when every weight is 1) is
-    computed once, then kept up to date: after center c, the newly covered
-    points are the uncovered ones in c's 3r-row, and each drops out of every
-    r-ball that holds it. After the last center, or once nothing is left
-    uncovered, coverage is not updated. The update reads row i of
-    ``within_r`` as its column i, so ``dmat`` must be symmetric bit for bit:
+    One n x n mask, ``within_r``, is written per probe, into ``mask`` when
+    it is given (an n x n bool buffer; ``_PointSet`` keeps one per set), else
+    into a new array. Coverage (uncovered weight in each point's r-ball; a
+    count when every weight is 1) is computed once, then kept up to date:
+    after center c, the newly covered points are the uncovered ones in c's
+    3r-row, and each drops out of every r-ball that holds it. After the last
+    center, or once nothing is left uncovered, coverage is not updated. The
+    updates, and with unit weights the first coverage too, read columns of
+    ``within_r`` as rows, so ``dmat`` must be symmetric bit for bit:
     ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit matrix
     is validated as symmetric.
 
     Coverage is exact in the narrowest type that holds it. A count is at
-    most n, so it sums in int32. Integer weights whose total is below 2^53
-    are summed in float64, which takes the BLAS matrix-vector product:
-    every partial sum is an integer below 2^53, so it is exact in any
-    summation order. At or above 2^53 the product stays in int64.
+    most n: it is a column count of the mask (or of the newly covered rows),
+    summed in uint8 over slabs of at most 255 rows and added into int32.
+    Integer weights whose total is below 2^53 are summed in float64, which
+    takes the BLAS matrix-vector product: every partial sum is an integer
+    below 2^53, so it is exact in any summation order. At or above 2^53 the
+    product stays in int64.
     """
     slack = REL_TOL * max(1.0, abs(r))
-    within_r = dmat <= r + slack
+    within_r = np.less_equal(dmat, r + slack, out=mask)
     remaining = int(weights.sum())
     unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
-    uncovered = weights.astype(np.float64 if remaining < _EXACT_FLOAT else np.int64)
-    coverage = within_r.sum(axis=1, dtype=np.int32) if unit else within_r @ uncovered
+    if unit:
+        uncovered = np.ones(len(weights), dtype=bool)
+        coverage = _column_counts(within_r)
+    else:
+        uncovered = weights.astype(np.float64 if remaining < _EXACT_FLOAT else np.int64)
+        coverage = within_r @ uncovered
     centers = []
     for i in range(k):
         if remaining == 0:
@@ -120,12 +142,12 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float):
         c = int(coverage.argmax())
         centers.append(c)
         newly = (dmat[c] <= 3 * r + 3 * slack) & (uncovered > 0)
-        gone = uncovered[newly]
-        remaining -= int(gone.sum())
+        gone = None if unit else uncovered[newly]
+        remaining -= int(np.count_nonzero(newly) if unit else gone.sum())
         if i == k - 1 or remaining == 0:  # coverage is not read again
             break
         rows = within_r[newly]
-        coverage -= rows.sum(axis=0, dtype=np.int32) if unit else gone @ rows
+        coverage -= _column_counts(rows) if unit else gone @ rows
         uncovered[newly] = 0
     return remaining, centers
 
@@ -148,8 +170,9 @@ def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
 
 class _PointSet:
     """A weighted point set and what the greedy search and the net read of
-    it: the coordinates, the distance matrix and the candidate radii, each
-    built on first use, and a memo of probes keyed by (k, candidate index).
+    it: the coordinates, the distance matrix, the candidate radii and the
+    probes' mask buffer, each built on first use, and a memo of probes keyed
+    by (k, candidate index).
     A probe does not depend on an outlier budget, so searches on one set at
     several z probe a radius once, and a later search at a z already
     searched makes no probe.
@@ -193,10 +216,16 @@ class _PointSet:
     def cands(self) -> np.ndarray:
         return _candidate_radii(self.dmat)
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The n x n bool buffer that every probe on this set writes its
+        mask into."""
+        return np.empty((len(self), len(self)), dtype=bool)
+
     def probe(self, k: int, i: int):
         """``_probe`` with k centers at candidate radius i, memoized."""
         if (k, i) not in self._memo:
-            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(self.cands[i]))
+            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(self.cands[i]), self.mask)
         return self._memo[k, i]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -212,6 +213,60 @@ def test_self_pairwise_is_symmetric_bit_for_bit():
             for metric in (Metric(L2), Metric(LINF)):
                 d = metric.pairwise(x, x)
                 assert np.array_equal(d.view(np.uint64), d.T.view(np.uint64)), (dim, scale)
+
+
+@pytest.mark.parametrize("m", [1, 7, 200, 4097])
+def test_pairwise_row_blocks_keep_every_entry(m):
+    # The general path fills its output in row blocks of _PAIRWISE_BLOCK
+    # entries. At row counts one below, at and one above a block's, and at
+    # two blocks plus one, every row equals its one-row call, every column
+    # equals the one-row call of its b row against a (for small m), and
+    # sampled entries equal the scalar formula, bit for bit. Overflowing rows
+    # open and close the first block; -0.0 rows are row 1 and the second
+    # block's first row.
+    rng = np.random.default_rng(m)
+    step = max(1, metric_module._PAIRWISE_BLOCK // m)
+    for n in (step - 1, step, step + 1, 2 * step + 1):
+        edges = sorted({0, 1, step - 1, step, step + 1, 2 * step, n - 1} & set(range(n)))
+        rows = range(n) if n <= 512 else edges + rng.integers(0, n, size=20).tolist()
+        for dim in range(1, 6):
+            a = rng.uniform(-1.0, 1.0, size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            b = rng.uniform(-1.0, 1.0, size=(m, dim))
+            last, first = min(step - 1, n - 1), min(step, n - 1)  # a block's ends
+            a[0] = a[last] = 1.7e308
+            b[0] = -1.7e308  # every difference with those rows overflows
+            a[1] = a[first] = -0.0
+            if m > 1:
+                b[-1] = 0.0
+            for metric in (Metric(L2), Metric(LINF)):
+                full = metric.pairwise(a, b)
+                bits = full.view(np.uint64)
+                for i in rows:
+                    row = metric.pairwise(a[i:i + 1], b).view(np.uint64)
+                    assert np.array_equal(row[0], bits[i]), (m, n, dim, i)
+                if m <= 7:
+                    for j in range(m):
+                        col = metric.pairwise(b[j:j + 1], a).view(np.uint64)
+                        assert np.array_equal(col[0], bits[:, j]), (m, n, dim, j)
+                picks = [(i, j) for i in edges for j in (0, m - 1)]
+                picks += zip(rng.integers(0, n, size=30).tolist(), rng.integers(0, m, size=30).tolist())
+                for i, j in picks:
+                    want = scalar_distance(metric, a[i].tolist(), b[j].tolist())
+                    assert _bits(full[i, j]) == _bits(want), (m, n, dim, i, j)
+                assert np.isinf(full[a[:, 0] == 1.7e308, 0]).all()
+
+
+def test_self_pairwise_past_one_block_is_symmetric_bit_for_bit():
+    # a self-distance matrix of several row blocks is symmetric bit for bit,
+    # as the greedy probe's column counts need
+    rng = np.random.default_rng(31)
+    n = 2 * math.isqrt(metric_module._PAIRWISE_BLOCK) + 1
+    for dim in range(1, 6):
+        x = rng.normal(0.0, 1e3, size=(n, dim))
+        x = np.concatenate([x, x[:5], np.round(x[:40])])  # duplicates and ties
+        for metric in (Metric(L2), Metric(LINF)):
+            d = metric.pairwise(x, x)
+            assert np.array_equal(d.view(np.uint64), d.T.view(np.uint64)), dim
 
 
 def test_pairwise_dimension_mismatch(l2):

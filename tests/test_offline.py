@@ -595,6 +595,41 @@ def test_feasible_arithmetic_matches_reference():
     assert paths == {"int32": 60, "float64": 120, "int64": 60}
 
 
+def ref_remaining(dmat, weights, r, centers):
+    """The weight outside the 3r-balls of ``centers``, summed in Python."""
+    slack = REL_TOL * max(1.0, abs(r))
+    hit = (dmat[centers] <= 3 * r + 3 * slack).any(axis=0)
+    return sum(int(wt) for wt, h in zip(weights, hit) if not h)
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 510, 511, 512, 700])
+def test_probe_counts_past_a_uint8_slab(n):
+    # A unit-weight probe counts coverage in uint8 slabs of at most 255 rows.
+    # n blob points lie within the blob's diameter of each other, so at that
+    # radius or above one column counts all n of them. Far points, after or
+    # before the blob, count only themselves, so a count that wrapped would
+    # move the argmax; a second blob of 300 makes the per-center decrement
+    # count more than 255 rows too. Every probe on a set writes into one
+    # reused buffer, and returns what a probe without one returns.
+    rng = np.random.default_rng(n)
+    blob = rng.integers(0, 2, size=(n, 2)).astype(float)
+    far = np.asarray([[40.0, 40.0], [80.0, 0.0]])
+    for x in (blob, np.vstack([blob, far]), np.vstack([far, blob]),
+              np.vstack([blob, blob[:300] + 20.0])):
+        mask = np.empty((len(x), len(x)), dtype=bool)
+        for metric in (Metric(LINF), Metric(L2)):
+            dmat = metric.pairwise(x, x)
+            diameter = float(dmat.max())
+            radii = (float(metric.pairwise(blob, blob).max()), diameter, 2 * diameter)
+            for w in (np.ones(len(x), dtype=np.int64), rng.integers(1, 4, size=len(x))):
+                for r in radii:
+                    for k in (1, 3):
+                        got = offline._probe(dmat, w, k, r, mask)
+                        _, centers = ref_feasible(dmat, w, k, 0, r)
+                        assert got == (ref_remaining(dmat, w, r, centers), centers), (n, r, k)
+                        assert got == offline._probe(dmat, w, k, r)
+
+
 def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):
     # the searches of every budget share one probe memo: each candidate index
     # is probed once, and exactly the indices the unshared searches probe
@@ -605,7 +640,7 @@ def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):
     radii = []
     orig = offline._probe
     monkeypatch.setattr(offline, "_probe",
-                        lambda dmat, w, k, r: radii.append(r) or orig(dmat, w, k, r))
+                        lambda *a: radii.append(a[3]) or orig(*a))
     for j in range(vector_length(z)):
         greedy(pts, 2, (1 << j) - 1, linf)
     unshared, radii[:] = list(radii), []
