@@ -28,9 +28,10 @@ from .metric import (
     weights_array,
 )
 
+_EXACT_FLOAT32 = 2 ** 24  # float32 holds every integer below this exactly
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
 _NET_BLOCK = 1 << 16  # most distances in one row block of _net
-_SLAB = 255  # most mask rows counted in uint8 at once: a count of 255 fits
+_SLAB = 255  # most mask rows summed at once: a uint8 count of 255 fits
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,27 @@ class MiniBallCovering:
     greedy_radius: float
 
 
-def _column_counts(mask: np.ndarray) -> np.ndarray:
-    """The number of True entries in each column of a bool matrix, as int32.
-    The matrix is read as its 0/1 bytes, with no cast. Each slab of at most
-    ``_SLAB`` rows is summed in uint8, which cannot wrap, and the slab sums
-    are added into int32."""
+def _column_sums(mask: np.ndarray, rows: np.ndarray | None = None,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """The column sums of the mask's rows at ``rows`` (an index array; None
+    for every row), each row scaled by its entry of ``weights``, or counted
+    when ``weights`` is None. The rows are read one slab of at most
+    ``_SLAB`` at a time, so no call makes a temporary larger than a slab.
+
+    A count is a slab's 0/1 bytes summed in uint8, which cannot wrap, and
+    added into int32. A weighted sum is the product of a slab's weights with
+    the slab cast to the weights' type, added into that type. The caller
+    picks a type that holds every integer up to the weights' total exactly,
+    so every partial sum is exact in any summation order."""
     ones = mask.view(np.uint8)
-    counts = np.zeros(mask.shape[1], dtype=np.int32)
-    for lo in range(0, len(ones), _SLAB):
-        counts += np.add.reduce(ones[lo:lo + _SLAB], axis=0, dtype=np.uint8)
-    return counts
+    sums = np.zeros(mask.shape[1], dtype=np.int32 if weights is None else weights.dtype)
+    for lo in range(0, len(ones) if rows is None else len(rows), _SLAB):
+        slab = ones[lo:lo + _SLAB] if rows is None else ones.take(rows[lo:lo + _SLAB], axis=0)
+        if weights is None:
+            sums += np.add.reduce(slab, axis=0, dtype=np.uint8)
+        else:
+            sums += weights[lo:lo + _SLAB] @ slab.astype(sums.dtype)
+    return sums
 
 
 def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
@@ -112,18 +124,17 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
     after center c, the newly covered points are the uncovered ones in c's
     3r-row, and each drops out of every r-ball that holds it. After the last
     center, or once nothing is left uncovered, coverage is not updated. The
-    updates, and with unit weights the first coverage too, read columns of
-    ``within_r`` as rows, so ``dmat`` must be symmetric bit for bit:
-    ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit matrix
-    is validated as symmetric.
+    first coverage and the updates are column sums of ``within_r``
+    (``_column_sums``), which read its columns as rows, so ``dmat`` must be
+    symmetric bit for bit: ``Metric.pairwise(X, X)`` is, for L2 and L-inf,
+    and an explicit matrix is validated as symmetric.
 
-    Coverage is exact in the narrowest type that holds it. A count is at
-    most n: it is a column count of the mask (or of the newly covered rows),
-    summed in uint8 over slabs of at most 255 rows and added into int32.
-    Integer weights whose total is below 2^53 are summed in float64, which
-    takes the BLAS matrix-vector product: every partial sum is an integer
-    below 2^53, so it is exact in any summation order. At or above 2^53 the
-    product stays in int64.
+    Coverage is exact in one of four types, the narrowest that holds it. A
+    count is at most n: uint8 slab counts added into int32. Integer weights
+    are summed in slabs cast to float32 while their total is below 2^24, to
+    float64 while it is below 2^53, and to int64 from 2^53 on. Below each
+    cut every partial sum is an integer the type holds exactly, so the sums,
+    and so the argmax and its ties, are those of any exact arithmetic.
     """
     slack = REL_TOL * max(1.0, abs(r))
     within_r = np.less_equal(dmat, r + slack, out=mask)
@@ -131,41 +142,64 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
     unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
     if unit:
         uncovered = np.ones(len(weights), dtype=bool)
-        coverage = _column_counts(within_r)
+        coverage = _column_sums(within_r)
     else:
-        uncovered = weights.astype(np.float64 if remaining < _EXACT_FLOAT else np.int64)
-        coverage = within_r @ uncovered
+        uncovered = weights.astype(np.float32 if remaining < _EXACT_FLOAT32 else
+                                   np.float64 if remaining < _EXACT_FLOAT else np.int64)
+        coverage = _column_sums(within_r, weights=uncovered)
     centers = []
     for i in range(k):
         if remaining == 0:
             break
         c = int(coverage.argmax())
         centers.append(c)
-        newly = (dmat[c] <= 3 * r + 3 * slack) & (uncovered > 0)
+        newly = ((dmat[c] <= 3 * r + 3 * slack) & (uncovered > 0)).nonzero()[0]
         gone = None if unit else uncovered[newly]
-        remaining -= int(np.count_nonzero(newly) if unit else gone.sum())
+        remaining -= int(len(newly) if unit else gone.sum())
         if i == k - 1 or remaining == 0:  # coverage is not read again
             break
-        rows = within_r[newly]
-        coverage -= _column_counts(rows) if unit else gone @ rows
+        coverage -= _column_sums(within_r, newly, gone)
         uncovered[newly] = 0
     return remaining, centers
 
 
+def _starts(values: np.ndarray) -> np.ndarray:
+    """For a sorted array, a bool mask of the entries that differ from their
+    left neighbour, the first entry included."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
     """The sorted distinct values of 0, every pair radius and every half pair
-    radius. The pair radii are gathered row by row from the upper triangle
-    and made distinct first; 0 followed by them and their halves is then two
-    sorted runs, which a stable sort merges in linear time before equal
-    neighbours are dropped. The result is bit-identical to ``np.unique`` of
-    all three."""
-    u = np.unique(np.concatenate([dmat[i, i + 1:] for i in range(len(dmat))]))
-    runs = np.concatenate([np.asarray([0.0]), u, u / 2.0])
+    radius, bit-identical to ``np.unique`` of all three.
+
+    The pair radii are gathered row by row from the upper triangle, sorted
+    in place and made distinct, which is what ``np.unique`` does, without
+    its copy. 0, the distinct radii and their halves are written into one
+    buffer as two sorted runs, which a stable sort merges in linear time
+    before equal neighbours are dropped again.
+
+    The two compactions keep the first of each run of equal values
+    (``_starts``). The first drops about half of the gather in no pattern,
+    where a take by index is several times faster than boolean indexing;
+    ``mode="clip"`` writes into the buffer unbuffered. The second keeps
+    nearly every value, where boolean indexing is fastest and needs no
+    index array. The gather is freed before the merge, so at most the gather,
+    the buffer and one index array are alive at once."""
+    pair = np.concatenate([dmat[i, i + 1:] for i in range(len(dmat))])
+    pair.sort()
+    first = _starts(pair).nonzero()[0]
+    m = len(first)
+    runs = np.empty(2 * m + 1)
+    runs[0] = 0.0
+    u = pair.take(first, out=runs[1:m + 1], mode="clip")
+    del pair, first
+    np.divide(u, 2.0, out=runs[m + 1:])
     runs.sort(kind="stable")
-    distinct = np.empty(len(runs), dtype=bool)
-    distinct[0] = True
-    np.not_equal(runs[1:], runs[:-1], out=distinct[1:])
-    return runs[distinct]
+    return runs[_starts(runs)]
 
 
 class _PointSet:
@@ -350,6 +384,12 @@ def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:
 
 def _mbc(points, k: int, z: int, epsilon: float, metric: Metric) -> MiniBallCovering:
     """Mini-ball covering construction without Instance validation.
+
+    The covering is a coreset at eps for centers among the input points, and
+    at 2 * eps for centers anywhere in the metric space. The mini-ball radius
+    is eps * r_f, where r_f is the greedy's feasibility radius. Its disks are
+    centered on input points, so r_f is at most the optimum over input-point
+    centers, which can be twice the optimum over centers anywhere.
 
     Used internally where vacuous sub-instances (total weight <= z) are
     legitimate, e.g. on starved MPC machines; those reduce to a radius-0 net.

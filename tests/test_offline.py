@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from kcoreset.validate import (
     uncovered_weight,
 )
 from conftest import random_points, scalar_distance
+from test_output_pins import _load_gen
 
 W = WeightedPoint
 
@@ -563,36 +565,43 @@ def test_greedy_matches_reference():
 
 
 def test_feasible_arithmetic_matches_reference():
-    # _probe counts unit weights in int32, sums integer weights in float64
-    # while their total is below 2^53 and in int64 from 2^53 on; each path
-    # against the int64 reference probe, bit for bit
-    big = 2 ** 53
-    # Only the int64 path gets this one right: ball(0) weighs 2^53 + 4 and
-    # ball(1) 2^53 + 5, which float64 rounds to 2^53 + 4, so a float product
-    # would tie them and pick center 0.
+    # _probe counts unit weights in int32 and sums integer weights in float32
+    # while their total is below 2^24, in float64 while it is below 2^53 and
+    # in int64 from 2^53 on; each path against the int64 reference probe,
+    # bit for bit
     x = np.asarray([[0.0], [1.0], [2.0]])
     dmat = Metric(LINF).pairwise(x, x)
-    w = np.asarray([big, 4, 1], dtype=np.int64)
-    assert _feasible(dmat, w, 1, 0, 1.0) == ref_feasible(dmat, w, 1, 0, 1.0) == (True, [1])
+    for cut in (2 ** 24, 2 ** 53):
+        # Only an exact type above the cut gets this one right: ball(0)
+        # weighs cut + 4 and ball(1) cut + 5, which the type below rounds to
+        # cut + 4, so its product would tie them and pick center 0.
+        w = np.asarray([cut, 4, 1], dtype=np.int64)
+        assert _feasible(dmat, w, 1, 0, 1.0) == ref_feasible(dmat, w, 1, 0, 1.0) == (True, [1])
     rng = np.random.default_rng(37)
     paths = Counter()
     for trial in range(60):
         n = 2 + int(rng.integers(0, 30))
         x = rng.integers(0, 2 + trial % 9, size=(n, 1 + trial % 3)).astype(float)
         dmat = Metric(L2 if trial % 2 else LINF).pairwise(x, x)
+        small = rng.integers(1, 4, size=n)
+        small[0] = 2  # never all 1
         heavy = rng.integers(1, 2 ** 40, size=n)
-        heavy[0] = big + int(rng.integers(0, 5))
-        edge = np.ones(n, dtype=np.int64)
-        edge[0] = big - n  # total 2^53 - 1, the last float64 total
-        for w in (np.ones(n, dtype=np.int64), rng.integers(1, 2 ** 40, size=n), edge, heavy):
+        heavy[0] = 2 ** 53 + int(rng.integers(0, 5))
+        weights = [np.ones(n, dtype=np.int64), small, rng.integers(1, 2 ** 40, size=n), heavy]
+        for cut in (2 ** 24, 2 ** 53):
+            edge = np.ones(n, dtype=np.int64)
+            edge[0] = cut - n  # total cut - 1, the last total below the cut
+            weights.append(edge)
+        for w in weights:
             total = int(w.sum())
-            paths["int32" if total == n else "float64" if total < big else "int64"] += 1
+            paths["int32" if total == n else "float32" if total < 2 ** 24
+                  else "float64" if total < 2 ** 53 else "int64"] += 1
             for r in ref_candidates(dmat)[::3]:
                 for k in (1, 3):
                     z = int(rng.integers(0, total))
                     assert _feasible(dmat, w, k, z, float(r)) == \
                         ref_feasible(dmat, w, k, z, float(r)), (trial, total, r, k, z)
-    assert paths == {"int32": 60, "float64": 120, "int64": 60}
+    assert paths == {"int32": 60, "float32": 120, "float64": 120, "int64": 60}
 
 
 def ref_remaining(dmat, weights, r, centers):
@@ -630,6 +639,28 @@ def test_probe_counts_past_a_uint8_slab(n):
                         assert got == offline._probe(dmat, w, k, r)
 
 
+def test_weighted_probe_allocates_one_slab_at_a_time():
+    # A weighted probe sums coverage one slab of at most _SLAB rows at a
+    # time. At n = 1500 an n x n float64 cast of the mask is 18 MB; a slab,
+    # with its gathered bool rows, stays below 4 MB in every weighted type.
+    rng = np.random.default_rng(41)
+    x = rng.normal(scale=30.0, size=(1500, 2))
+    dmat = Metric(LINF).pairwise(x, x)
+    mask = np.empty(dmat.shape, dtype=bool)
+    radii = [float(np.quantile(dmat, q)) for q in (0.01, 0.2, 0.6)]
+    for top in (4, 2 ** 30, 2 ** 52):  # float32, float64 and int64 totals
+        w = rng.integers(1, top, size=len(x))
+        expect = [offline._probe(dmat, w, 3, r, mask) for r in radii]
+        tracemalloc.start()
+        try:
+            got = [offline._probe(dmat, w, 3, r, mask) for r in radii]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expect
+        assert peak < 4 * 2 ** 20, (top, peak)
+
+
 def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):
     # the searches of every budget share one probe memo: each candidate index
     # is probed once, and exactly the indices the unshared searches probe
@@ -663,7 +694,31 @@ def test_candidate_radii_match_unique_formula():
             x = rng.integers(0, 1 + trial % 7, size=(n, 1 + trial % 3)).astype(float)
         metric = Metric(L2 if trial % 2 else LINF)
         cases.append(metric.pairwise(x, x))
+    for trial in range(12):
+        metric = Metric(L2 if trial % 2 else LINF)
+        n = int(rng.integers(2, 40))
+        # subnormal distances: halving one rounds it, so a half can equal a
+        # pair radius (half of 3 * 5e-324 rounds to 2 * 5e-324); under L2
+        # their squares underflow, and every distance is 0
+        x = rng.integers(0, 9, size=(n, 1 + trial % 2)) * 5e-324
+        cases.append(metric.pairwise(x, x))
+        # overflowing distances: inf, whose half is inf, next to finite ones
+        x = rng.choice([-1.7e308, -1e308, 0.0, 5e307, 1.7e308], size=(n, 1 + trial % 2))
+        cases.append(metric.pairwise(x, x))
+    assert any(np.isinf(dmat).any() for dmat in cases)
+    assert any(((dmat > 0) & (dmat < np.finfo(float).tiny)).any() for dmat in cases)
     for dmat in cases:
+        got = offline._candidate_radii(dmat)
+        assert np.array_equal(got.view(np.uint64), ref_candidates(dmat).view(np.uint64))
+
+
+def test_candidate_radii_of_the_benchmark_set(tmp_path):
+    # the 1500 points of the offline-mpc benchmark at seed 1, under both
+    # metrics: the largest set the benchmark searches, bit for bit
+    coords = np.asarray(_load_gen().generate("offline-mpc", 1, str(tmp_path))["coords"])
+    assert coords.shape == (1500, 2)
+    for metric in (Metric(LINF), Metric(L2)):
+        dmat = metric.pairwise(coords, coords)
         got = offline._candidate_radii(dmat)
         assert np.array_equal(got.view(np.uint64), ref_candidates(dmat).view(np.uint64))
 
