@@ -82,7 +82,7 @@ def cmd_stream(args):
     points = pointio.read_points(args.points)
     state = InsertionStream(args.k, args.z, args.eps, args.d, METRICS[args.metric])
     for wp in points:
-        state.weighted_arrival(wp)  # a weighted line stands for repeated arrivals
+        state.arrival(wp.point, wp.weight)  # a line of weight w is one arrival carrying w
     coreset = state.report()
     pointio.write_points(args.out, coreset)
     stats = {

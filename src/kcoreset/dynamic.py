@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from operator import index as _index
 
 from .errors import InputError, SketchFailureError
-from .metric import WeightedPoint, _new_object, _set_attribute, _size_bound
+from .metric import WeightedPoint, _check_counts, _new_object, _set_attribute, _size_bound
 from .sketches import _BUFFERED_ID_BYTES, SparseRecoverySketch, _mix64
 
 
@@ -174,8 +174,9 @@ class DynamicCoresetState:
     def __init__(self, delta: int, d: int, k: int, z: int, epsilon: float,
                  delta_fail: float = 0.1, seed: int = 0,
                  with_sketches: bool = True, with_shadow: bool = False):
-        if k < 1 or z < 0 or not (0 < epsilon <= 1):
-            raise InputError("need k >= 1, z >= 0, 0 < epsilon <= 1")
+        _check_counts(k, z)
+        if not (0 < epsilon <= 1):
+            raise InputError("epsilon must be in (0, 1]")
         if not with_sketches and not with_shadow:
             raise InputError("enable sketches, the shadow, or both")
         if not 0 < delta_fail < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import Metric, L2, _nearest
+from .metric import Metric, L2, REL_TOL, _check_counts
 
 _INT_TOL = 1e-9
 
@@ -132,16 +132,15 @@ def probe_cover_ok(geom: LbGeometry, k: int, probe, metric: Metric = None) -> bo
     p_star = cluster[pi]
     centers = _probe_cross(p_star, geom.h)[::2]
     targets = [q for q in cluster if q != p_star] + stream[-4 * d:]
-    tol = 1e-9 * max(1.0, geom.r)
-    nearest = _nearest(metric, np.asarray(targets, dtype=float), centers)
-    return bool((nearest <= geom.r + tol).all())
+    tol = REL_TOL * max(1.0, geom.r)
+    nearest = metric.pairwise(np.asarray(targets, dtype=float), np.asarray(centers, dtype=float))
+    return bool((nearest.min(axis=1) <= geom.r + tol).all())
 
 
 def gen_one_dim_lb(k: int, z: int, include_extra: bool = False) -> list[tuple]:
     """Points 1..k+z on the line; the optional extra arrival k+z+1 forces
     the optimum from 0 to 1/2."""
-    if k < 1 or z < 0:
-        raise InputError("need k >= 1 and z >= 0")
+    _check_counts(k, z)
     n = k + z + (1 if include_extra else 0)
     return [(float(i),) for i in range(1, n + 1)]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -230,11 +231,16 @@ class Metric:
                     acc += term
 
 
-def _nearest(metric: Metric, points: np.ndarray, centers) -> np.ndarray:
-    """Each row's distance to its nearest center: one ``pairwise`` call and
-    one row minimum. ``centers`` is a nonempty sequence of coordinate tuples."""
-    centers = np.asarray(centers, dtype=float).reshape(len(centers), -1)
-    return metric.pairwise(points, centers).min(axis=1)
+def _check_counts(k, z) -> None:
+    """Refuse a center count k or an outlier budget z that is not an integer
+    with k >= 1 and z >= 0. ``operator.index`` takes Python and numpy ints
+    and refuses floats, so no model runs with a fractional count."""
+    try:
+        ok = operator.index(k) >= 1 and operator.index(z) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InputError(f"need integers k >= 1 and z >= 0, got k={k!r}, z={z!r}")
 
 
 def _size_bound(k: int, c: float, epsilon: float, d: int, what: str) -> float:

@@ -21,6 +21,7 @@ from .metric import (
     Metric,
     REL_TOL,
     WeightedPoint,
+    _check_counts,
     _size_bound,
     _unchecked_point,
     as_weighted,
@@ -46,10 +47,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(as_weighted(self.points)))
-        if self.k < 1:
-            raise InputError("k must be >= 1")
-        if self.z < 0:
-            raise InputError("z must be >= 0")
+        _check_counts(self.k, self.z)
         if not (0 < self.epsilon <= 1):
             raise InputError("epsilon must be in (0, 1]")
         if not self.points:
@@ -149,8 +147,6 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
         coverage = _column_sums(within_r, weights=uncovered)
     centers = []
     for i in range(k):
-        if remaining == 0:
-            break
         c = int(coverage.argmax())
         centers.append(c)
         newly = ((dmat[c] <= 3 * r + 3 * slack) & (uncovered > 0)).nonzero()[0]
@@ -284,6 +280,7 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     still visits the same candidate indices and reads the same verdicts, so
     the result is the one a fresh point list gives.
     """
+    _check_counts(k, z)
     ps = _point_set(points, metric)
     if int(ps.weights.sum()) <= z:
         return GreedyResult(0.0, (), 0.0, vacuous=True)

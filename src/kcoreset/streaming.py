@@ -1,10 +1,11 @@
 """Deterministic one-pass insertion-only streaming coreset maintainer.
 
 The state keeps a lower-bound estimate r of the optimal radius and a weighted
-representative set. A new arrival is absorbed by the first representative (in
-insertion order) within (eps/2)*r, else appended with weight 1. Once the set
-reaches k*(16/eps)^d + z, r doubles and the set is recompressed to a
-(eps/2)*r net until it shrinks below the threshold.
+representative set. An arrival is a point with a weight (1 unless given): the
+first representative (in insertion order) within (eps/2)*r takes its weight,
+else it is appended with that weight. Once the set reaches k*(16/eps)^d + z,
+r doubles and the set is recompressed to a (eps/2)*r net until it shrinks
+below the threshold.
 
 Next to the representative list ``pstar`` the state keeps one buffer,
 ``_coords``, whose first m = ``len(pstar)`` rows hold the representatives'
@@ -86,7 +87,7 @@ import numpy as np
 
 from .errors import InputError
 from .metric import (
-    EXPLICIT, Metric, REL_TOL, WeightedPoint, _size_bound, _unchecked_point,
+    EXPLICIT, Metric, REL_TOL, WeightedPoint, _check_counts, _size_bound, _unchecked_point,
     min_pairwise_distance,
 )
 from .offline import _PointSet, _net
@@ -128,8 +129,7 @@ class InsertionStream:
     """Streaming (eps,k,z)-coreset over a metric of declared doubling dimension d."""
 
     def __init__(self, k: int, z: int, epsilon: float, d: int, metric: Metric):
-        if k < 1 or z < 0:
-            raise InputError("need k >= 1 and z >= 0")
+        _check_counts(k, z)
         if not (0 < epsilon <= 1):
             raise InputError("epsilon must be in (0, 1]")
         if d < 1:
@@ -145,12 +145,16 @@ class InsertionStream:
         self._skips = self._scans = 0  # filtered arrivals skipped and scanned since the rebuild
         self.arrivals = 0
 
-    def arrival(self, point) -> None:
-        new = WeightedPoint(point)
+    def arrival(self, point, weight: int = 1) -> None:
+        """One arrival of ``point`` carrying ``weight``. It equals ``weight``
+        unit arrivals: after the first, the point is in (or is) the
+        representative that the rest of the weight joins, so neither the set
+        nor r moves."""
+        new = WeightedPoint(point, weight)
         point = new.point
         if self.pstar and len(point) != len(self.pstar[0].point):
             raise InputError("arrival dimension mismatch")
-        self.arrivals += 1
+        self.arrivals += weight
         cells = self._cells
         key = None if cells is None else self._cell(point)
         if key is not None and self._isolated(key):
@@ -164,7 +168,7 @@ class InsertionStream:
                     self._cells = cells = None  # it costs more than it saves until r changes
         if i is not None:
             rep = self.pstar[i]
-            self.pstar[i] = _unchecked_point(rep.point, rep.weight + 1)
+            self.pstar[i] = _unchecked_point(rep.point, rep.weight + weight)
         else:
             self._append(point)
             self.pstar.append(new)
@@ -193,23 +197,6 @@ class InsertionStream:
 
         if self.r != r0:
             self._index()
-
-    def weighted_arrival(self, wp: WeightedPoint) -> None:
-        """``wp.weight`` arrivals of ``wp.point`` in one scan.
-
-        After one arrival of the point, some representative lies within
-        (eps/2)*r of it: the one that absorbed it, or the point itself, or,
-        if its arrival filled the set, its representative in the last net (an
-        arrival adds at most one representative, so only the last of the
-        recompressions it triggers merges any). Each later arrival joins the
-        first such representative without changing the set or r, so that
-        one takes the remaining weight at once."""
-        self.arrival(wp.point)
-        if wp.weight > 1:
-            i = self._first_within(wp.point, self._bound())
-            rep = self.pstar[i]
-            self.pstar[i] = _unchecked_point(rep.point, rep.weight + wp.weight - 1)
-            self.arrivals += wp.weight - 1
 
     def _bound(self) -> float:
         """The scan bound b: (eps/2)*r with its rounding slack."""

@@ -23,14 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import CapacityError, InputError
 from .metric import (
     CenterUniverse,
     Metric,
     REL_TOL,
+    _check_counts,
     as_weighted,
     coords_array,
     explicit_universe,
@@ -276,6 +275,11 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> Validati
         return ValidationReport(False, COVERING_DISTANCE,
                                 f"point {P[i].point} has no representative within {bound}")
 
+    # imported here, not at module level: no CLI command reaches this check,
+    # and scipy doubles the package's import time and memory
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     # node 0 is the source, 1..n the points, n+1..n+m the representatives,
     # n+m+1 the sink
     n, m = reachable.shape
@@ -309,8 +313,9 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
     """
     P = as_weighted(P)
     Pstar = as_weighted(Pstar)
-    if k < 1 or z < 0 or not (0 < epsilon < float("inf")):
-        raise InputError("need k >= 1, z >= 0, 0 < epsilon < inf")
+    _check_counts(k, z)
+    if not (0 < epsilon < float("inf")):
+        raise InputError("epsilon must be in (0, inf)")
     if not P or not Pstar:
         raise InputError("both point sets must be nonempty")
     if len({len(p.point) for p in P + Pstar}) != 1:

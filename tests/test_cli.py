@@ -113,8 +113,8 @@ def test_stream_on_shuffled_insertion_lb(tmp_path, capsys):
 
 
 def test_stream_takes_a_huge_weight_in_one_scan(tmp_path, capsys):
-    # a line of weight 2^63 - 1 is one arrival plus a weight added to the
-    # representative that covers it, not 2^63 - 1 arrivals
+    # a line of weight 2^63 - 1 is one arrival carrying that weight, not
+    # 2^63 - 1 arrivals
     src, out = tmp_path / "w.txt", tmp_path / "c.txt"
     src.write_text("1,w=9223372036854775807\n2\n")
     code, stats, _ = run_cli(capsys, "stream", str(src), "--k", "1", "--z", "0",

@@ -470,6 +470,31 @@ def test_sketch_bytes_count_only_built_tables_and_buffered_ids():
     assert built.sketch_bytes() >= table
 
 
+def _fed(**modes):
+    state = DynamicCoresetState(16, 1, 1, 0, 1.0, **modes)
+    state.update((3,), 1)
+    return state
+
+
+_SHADOW_ONLY = dict(with_sketches=False, with_shadow=True)
+DYNAMIC_REFUSALS = {
+    "Delta 0": (lambda: GridConfig(0, 1), "need Delta >= 1"),
+    "neither sketches nor shadow": (
+        lambda: DynamicCoresetState(16, 1, 1, 0, 1.0, with_sketches=False), "enable sketches"),
+    "exact report without the shadow": (lambda: _fed().report(exact=True), "requires the shadow"),
+    "sketch report without sketches": (lambda: _fed(**_SHADOW_ONLY).report(), "requires sketches"),
+    "digest without sketches": (lambda: _fed(**_SHADOW_ONLY).digest(), "requires sketches"),
+    "merge across modes": (lambda: _fed().merge(_fed(with_shadow=True)), "identical modes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DYNAMIC_REFUSALS))
+def test_dynamic_refusals(case):
+    make, message = DYNAMIC_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 def test_report_requires_live_points():
     st = DynamicCoresetState(16, 1, 1, 0, 1.0, with_shadow=True)
     with pytest.raises(InputError):

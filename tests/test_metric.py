@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoreset import (
-    CapacityError, DegenerateSetError, EXPLICIT, InputError, L2, LINF, Metric,
-    WeightedPoint, input_points_universe, materialize_universe,
+    Ball, CapacityError, CenterUniverse, DegenerateSetError, DynamicCoresetState, EXPLICIT,
+    InputError, InsertionStream, Instance, L2, LINF, Metric, WeightedPoint, check_coreset,
+    greedy, input_points_universe, materialize_universe, mbc_construction,
     midpoint_grid_universe, min_pairwise_distance,
 )
 from kcoreset import metric as metric_module
@@ -72,6 +73,55 @@ def test_explicit_matrix_metric():
            for i in range(20)]
     with pytest.raises(InputError, match="triangle"):
         Metric("matrix", matrix=mat)
+
+
+METRIC_REFUSALS = {
+    "unknown metric kind": (lambda: Metric("l1"), InputError, "unknown metric kind"),
+    "explicit kind without a matrix": (lambda: Metric(EXPLICIT), InputError, "requires a matrix"),
+    "matrix on L2": (lambda: Metric(L2, matrix=[[0, 1], [1, 0]]), InputError,
+                     "only allowed for explicit"),
+    "non-square matrix": (lambda: Metric(EXPLICIT, matrix=[[0, 1], [1, 0, 2]]), InputError,
+                          "must be square"),
+    "negative matrix": (lambda: Metric(EXPLICIT, matrix=[[0, -1], [-1, 0]]), InputError,
+                        "must be nonnegative"),
+    "negative ball radius": (lambda: Ball((0.0,), -1.0), InputError, "must be nonnegative"),
+    "unknown universe kind": (lambda: CenterUniverse("everywhere"), InputError,
+                              "unknown universe kind"),
+    "universe of no points": (lambda: materialize_universe([], input_points_universe()),
+                              InputError, "empty point set"),
+    "zero off-diagonal distance": (
+        lambda: min_pairwise_distance([(0,), (1,)], Metric(EXPLICIT, matrix=[[0, 0], [0, 0]])),
+        DegenerateSetError, "all pairwise distances are zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METRIC_REFUSALS))
+def test_metric_refusals(case):
+    make, error, message = METRIC_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        make()
+
+
+_PTS = [WeightedPoint((0.0,)), WeightedPoint((1.0,)), WeightedPoint((5.0,))]
+BAD_COUNTS = {
+    "Instance k=1.5, through mbc_construction":
+        lambda m: mbc_construction(Instance(_PTS, 1.5, 0, 0.5, m)),
+    "Instance z=0.5": lambda m: Instance(_PTS, 1, 0.5, 0.5, m),
+    "Instance k=2.0 as a numpy float": lambda m: Instance(_PTS, np.float64(2.0), 0, 0.5, m),
+    "greedy k=0": lambda m: greedy(_PTS, 0, 0, m),
+    "greedy k=1.5": lambda m: greedy(_PTS, 1.5, 0, m),
+    "check_coreset z=0.5": lambda m: check_coreset(_PTS, _PTS, 1, 0.5, 0.5, m),
+    "DynamicCoresetState z=0.5": lambda m: DynamicCoresetState(64, 1, 1, 0.5, 0.5),
+    "InsertionStream k=1.5": lambda m: InsertionStream(1.5, 0, 0.5, 1, m),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_counts_are_integers_at_every_model(case, linf):
+    # one check at every door: a fractional count once crashed deep inside a
+    # model (TypeError, AssertionError) or was accepted silently
+    with pytest.raises(InputError, match=r"need integers k >= 1 and z >= 0"):
+        BAD_COUNTS[case](linf)
 
 
 def test_min_pairwise_examples(linf, l2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kcoreset import (
-    L2, LINF, InputError, Instance, Metric, MpcConfig, WeightedPoint, adversarial,
+    Distribution, L2, LINF, InputError, Instance, Metric, MpcConfig, WeightedPoint, adversarial,
     brute_force_opt, check_coreset, check_mini_ball_covering, compute_r_hat,
     distribute, input_points_universe, outlier_vector, random_dist,
     round_robin, run_one_round_randomized, run_r_round, run_two_round,
@@ -13,7 +13,7 @@ from kcoreset import (
 from kcoreset import offline
 from kcoreset.metric import as_weighted
 from kcoreset.offline import _mbc
-from kcoreset.mpc import RANDOM, Message, MpcRun, point_words, vector_length
+from kcoreset.mpc import ADVERSARIAL, RANDOM, Message, MpcRun, point_words, vector_length
 from conftest import random_points
 
 W = WeightedPoint
@@ -393,7 +393,9 @@ PIPELINES = {
 FIVE = [W((float(x),)) for x in range(5)]
 BAD_INSTANCES = {
     "k=0": (FIVE, 0, 0, 0.5),
+    "k=1.5": (FIVE, 1.5, 0, 0.5),
     "z<0": (FIVE, 1, -1, 0.5),
+    "z=0.5": (FIVE, 1, 0.5, 0.5),
     "eps=0": (FIVE, 1, 0, 0.0),
     "eps=nan": (FIVE, 1, 0, float("nan")),
     "mixed-dimensions": ([W((0.0, 0.0)), W((1.0,))], 1, 0, 0.5),
@@ -417,3 +419,19 @@ def test_every_pipeline_records_the_distribution_seed(linf):
         assert run_two_round(pts, 2, 1, 0.5, cfg, linf).seed == seed
         assert run_r_round(pts, 2, 1, 0.5, 2, cfg, linf).seed == seed
     assert run_one_round_randomized(pts, 2, 1, 0.5, MpcConfig(3, random_dist(41)), linf).seed == 41
+
+
+MPC_REFUSALS = {
+    "unknown distribution kind": (lambda: Distribution("striped"), "unknown distribution kind"),
+    "adversarial without an assignment": (lambda: Distribution(ADVERSARIAL), "assignment list"),
+    "random without a seed": (lambda: Distribution(RANDOM), "needs a seed"),
+    "no rounds": (lambda: run_r_round(FIVE, 1, 0, 0.5, 0, MpcConfig(3), Metric(LINF)),
+                  "at least one round"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MPC_REFUSALS))
+def test_mpc_refusals(case):
+    make, message = MPC_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        make()

@@ -61,10 +61,12 @@ def test_evaluate_cost_examples(linf):
         evaluate_cost(pts1d(0), [], 0, linf)
     with pytest.raises(InputError):
         evaluate_cost(pts1d(0), [(0.0,)], -1, linf)
+    assert evaluate_cost([], [(0.0,)], 0, linf) == 0.0
 
 
 def test_uncovered_weight_needs_a_center(linf):
     assert uncovered_weight(pts1d(0, 1, 3), [(1.0,)], 1.0, linf) == 1
+    assert uncovered_weight([], [(1.0,)], 1.0, linf) == 0
     for points in (pts1d(0), []):
         with pytest.raises(InputError, match="at least one center"):
             uncovered_weight(points, [], 1.0, linf)

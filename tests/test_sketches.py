@@ -389,6 +389,23 @@ def test_merge_equals_sequential():
         a.merge(SparseRecoverySketch(8, 0.1, 256, seed=22))
 
 
+SKETCH_PARAMETERS = {
+    "sparse recovery s=0": (lambda: SparseRecoverySketch(0, 0.1, 16), "need s >= 1"),
+    "sparse recovery universe=0": (lambda: SparseRecoverySketch(4, 0.1, 0), "need s >= 1"),
+    "sparse recovery delta_fail=1": (lambda: SparseRecoverySketch(4, 1.0, 16), "need s >= 1"),
+    "F0 epsilon_est=1": (lambda: F0Sketch(1.0, 0.1, 16), "need 0 < epsilon_est < 1"),
+    "F0 delta_fail=0": (lambda: F0Sketch(0.5, 0.0, 16), "need 0 < epsilon_est < 1"),
+    "F0 universe=0": (lambda: F0Sketch(0.5, 0.1, 0), "need 0 < epsilon_est < 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKETCH_PARAMETERS))
+def test_constructor_parameters_are_checked(case):
+    make, message = SKETCH_PARAMETERS[case]
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 def test_update_validation():
     sk = SparseRecoverySketch(4, 0.1, 16, seed=0)
     with pytest.raises(InputError):

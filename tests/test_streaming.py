@@ -403,7 +403,7 @@ def test_weighted_arrival_matches_repeated_arrivals():
         fast, ref = (InsertionStream(k, z, 1.0, d, metric) for _ in range(2))
         for wp in lines:
             r = fast.r
-            fast.weighted_arrival(wp)
+            fast.arrival(wp.point, wp.weight)
             for _ in range(wp.weight):
                 ref.arrival(wp.point)
             assert fast.r == ref.r and fast.arrivals == ref.arrivals
@@ -412,6 +412,15 @@ def test_weighted_arrival_matches_repeated_arrivals():
             heavy_doubled += 0 < r < fast.r and wp.weight > 1
     # lines whose first arrival doubled r, and so joined a net representative
     assert doubled >= 500 and heavy_doubled >= 80
+
+
+def test_a_heavy_arrival_reaches_the_recompression_it_triggers(linf):
+    # the 16th representative fills the set; its weight is in the net, so a
+    # total past int64 is refused there and not at a later recompression
+    st_ = InsertionStream(1, 0, 1.0, 1, linf)
+    st_.extend([(float(x),) for x in range(15)])
+    with pytest.raises(InputError, match="int64"):
+        st_.arrival((100.0,), 2**63 - 15)
 
 
 class UnfilteredStream(InsertionStream):
@@ -539,6 +548,15 @@ def test_cell_filter_falls_back_to_the_scan_past_its_guard(kind):
     assert fast._cell((outside, 1.0)) is None
     assert filters == [False, False] + [True] * 3 + [False] * 4
     assert [wp.weight for wp in fast.pstar] == [2, 1, 1, 2, 2, 1]
+    # a representative past the guard when r is first set: 0, 2^40 and 1 set
+    # r = 0.5, and the rebuild leaves the filter off until r next changes
+    fast, plain = InsertionStream(2, 0, 1.0, 1, metric), UnfilteredStream(2, 0, 1.0, 1, metric)
+    for p in [(0.0,), (2.0**40,), (1.0,), (0.25,), (3.0,), (2.0**40 + 0.25,)]:
+        fast.arrival(p)
+        plain.arrival(p)
+        assert fast.r == plain.r and fast.report() == plain.report()
+    assert fast.r == 0.5 and fast._cells is None
+    assert [wp.weight for wp in fast.pstar] == [2, 2, 1, 1]
     # the filter stays off for explicit metrics and above three coordinates
     explicit, stream = growing_stream(EXPLICIT, np.random.default_rng(1), 100, 4)
     for metric, points in ((explicit, stream),

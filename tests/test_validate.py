@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from kcoreset import (
-    InputError, Instance, WeightedPoint, brute_force_opt, check_coreset,
-    check_mini_ball_covering, evaluate_cost, explicit_universe, input_points_universe,
-    materialize_universe, mbc_construction, midpoint_grid_universe,
+    CapacityError, InputError, Instance, ValidationReport, WeightedPoint, brute_force_opt,
+    check_coreset, check_mini_ball_covering, evaluate_cost, explicit_universe,
+    input_points_universe, materialize_universe, mbc_construction, midpoint_grid_universe,
 )
 from kcoreset import validate
 from kcoreset.validate import _center_set_costs, _lex_combinations, uncovered_weight
@@ -32,6 +32,29 @@ def test_mini_ball_examples(linf):
     assert not failed.passed and failed.violated_condition == COVERING_DISTANCE
     ok = check_mini_ball_covering(P, [W((0.0,), 2)], 1.0, linf)
     assert ok.passed
+    assert check_mini_ball_covering([], [], 0.0, linf).passed  # nothing to cover
+
+
+VALIDATE_REFUSALS = {
+    "a pass that names a condition": (lambda m: ValidationReport(True, "x"), InputError,
+                                      "passed must hold"),
+    "negative covering bound": (
+        lambda m: check_mini_ball_covering([W((0.0,))], [W((0.0,))], -1.0, m),
+        InputError, "bound must be nonnegative"),
+    "covering weight past the cap": (
+        lambda m: check_mini_ball_covering([W((0.0,), validate._WEIGHT_CAP + 1)],
+                                           [W((0.0,), validate._WEIGHT_CAP + 1)], 0.0, m),
+        CapacityError, "exceeds validation cap"),
+    "coreset check on an empty set": (lambda m: check_coreset([], [W((0.0,))], 1, 0, 0.5, m),
+                                      InputError, "must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_REFUSALS))
+def test_validate_refusals(case, linf):
+    make, error, message = VALIDATE_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        make(linf)
 
 
 def test_mini_ball_weight_mismatch(linf):
@@ -115,11 +138,21 @@ def test_flow_finds_no_saturating_assignment_when_every_point_reaches(linf):
     assert rejected >= 10
 
 
-def test_import_does_not_load_networkx():
+def _import_leaves_out(module):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    subprocess.run([sys.executable, "-c", "import kcoreset, sys; assert 'networkx' not in sys.modules"],
-                   check=True, env=env, timeout=60)
+    code = f"import kcoreset, sys; assert {module!r} not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_import_does_not_load_networkx():
+    _import_leaves_out("networkx")
+
+
+def test_import_does_not_load_scipy():
+    # only the maximum flow of check_mini_ball_covering needs scipy, and no
+    # CLI command calls it
+    _import_leaves_out("scipy")
 
 
 def test_check_coreset_identity(linf):
