@@ -14,8 +14,12 @@ three forms:
 - ``check_coreset`` scales its radius-band slack by the larger of opt(P)
   and opt(coreset).
 
-Every distance the package computes comes from ``Metric.pairwise``; the
-scalar formula it matches bit for bit is the test reference in
+Every distance the package computes comes from the one kernel
+``Metric._accumulate``, in one of two layouts: ``Metric.pairwise``, the
+matrix between two row sets, and ``Metric.paired``, the distances of paired
+rows (entry i between a[i] and b[i]), with which ``_net``'s grid path reads
+only the pairs its cells leave. An entry has the same bits in either layout,
+and the scalar formula it matches bit for bit is the test reference in
 ``tests/conftest.py``.
 """
 
@@ -104,10 +108,14 @@ def weights_array(wps) -> np.ndarray:
     """The weights of a sequence of ``WeightedPoint``s as int64; their total
     must fit, so no sum over them wraps."""
     weights = [wp.weight for wp in wps]
-    total = sum(weights)
+    _check_total(sum(weights))
+    return np.asarray(weights, dtype=np.int64)
+
+
+def _check_total(total: int) -> None:
+    """Refuse a total weight past int64, which ``weights_array`` sums in."""
     if total > _INT64_MAX:
         raise InputError(f"total weight {total} exceeds the int64 range")
-    return np.asarray(weights, dtype=np.int64)
 
 
 L2 = "l2"
@@ -125,9 +133,10 @@ class Metric:
     The matrix is validated for symmetry, nonnegativity and zero diagonal;
     the triangle inequality is spot-checked on sampled triples.
 
-    ``pairwise`` is the package's only distance kernel; ``distance`` reads
-    one entry of it. The scalar formula it must match bit for bit is kept
-    as a test reference, ``scalar_distance`` in ``tests/conftest.py``.
+    ``pairwise`` and ``paired`` share the package's only distance kernel,
+    ``_accumulate``; ``distance`` reads one entry of ``pairwise``. The
+    scalar formula they must match bit for bit is kept as a test reference,
+    ``scalar_distance`` in ``tests/conftest.py``.
     """
 
     kind: str
@@ -185,19 +194,8 @@ class Metric:
         Callers that need finite distances refuse an inf entry themselves.
         """
         if self.kind == EXPLICIT:
-            for x in (a, b):
-                if x.ndim != 2 or x.shape[1] != 1 or not np.array_equal(x, np.trunc(x)):
-                    raise InputError(_EXPLICIT_POINTS)
-            ia = a.astype(int).ravel()
-            ib = b.astype(int).ravel()
-            n = len(self._array)
-            for idx in (ia, ib):
-                if idx.size and not (0 <= idx.min() and idx.max() < n):
-                    raise InputError(f"matrix index out of range: {idx.min()}..{idx.max()}")
-            return self._array[np.ix_(ia, ib)]
-        d = a.shape[1]
-        if d != b.shape[1]:
-            raise InputError(f"dimension mismatch: {d} vs {b.shape[1]}")
+            return self._array[np.ix_(self._indices(a), self._indices(b))]
+        d = self._dim(a, b)
         # with no coordinates every distance is 0, and nothing is accumulated
         out = (np.empty if d else np.zeros)((a.shape[0], b.shape[0]))
         with np.errstate(over="ignore"):
@@ -213,11 +211,43 @@ class Metric:
                                      out[lo:lo + step], buf[:min(step, n - lo)])
         return out if self.kind == LINF else np.sqrt(out, out=out)
 
+    def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The distances between paired rows of a and b (both n x d): entry
+        i is ``pairwise(a[i:i+1], b[i:i+1])[0, 0]``, bit for bit, since it
+        gets the same operations in the same order. No n x n matrix is
+        made: the n terms of a coordinate are one elementwise operation."""
+        if len(a) != len(b):
+            raise InputError(f"paired rows need equal counts: {len(a)} vs {len(b)}")
+        if self.kind == EXPLICIT:
+            return self._array[self._indices(a), self._indices(b)]
+        d = self._dim(a, b)
+        out = (np.empty if d else np.zeros)(len(a))
+        with np.errstate(over="ignore"):
+            self._accumulate(a.T, b.T, out, np.empty_like(out) if d > 1 else None)
+        return out if self.kind == LINF else np.sqrt(out, out=out)
+
+    def _indices(self, x: np.ndarray) -> np.ndarray:
+        """The matrix indices that the rows of x (n x 1) name."""
+        if x.ndim != 2 or x.shape[1] != 1 or not np.array_equal(x, np.trunc(x)):
+            raise InputError(_EXPLICIT_POINTS)
+        idx = x.astype(int).ravel()
+        if idx.size and not (0 <= idx.min() and idx.max() < len(self._array)):
+            raise InputError(f"matrix index out of range: {idx.min()}..{idx.max()}")
+        return idx
+
+    @staticmethod
+    def _dim(a: np.ndarray, b: np.ndarray) -> int:
+        """The coordinate count that a and b share."""
+        if a.shape[1] != b.shape[1]:
+            raise InputError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+        return a.shape[1]
+
     def _accumulate(self, lhs, rhs, acc, diff):
         """Fill ``acc`` with the squared L2 or the L-inf distances between
         ``lhs`` and ``rhs``, one coordinate at a time: ``lhs[j] - rhs[j]``
         broadcasts to ``acc``'s shape, and ``diff``, of that shape too, takes
-        the terms of the coordinates after the first."""
+        the terms of the coordinates after the first. ``pairwise`` passes
+        operands that broadcast to a matrix, ``paired`` aligned rows."""
         for j in range(len(lhs)):
             term = acc if j == 0 else diff
             np.subtract(lhs[j], rhs[j], out=term)

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .metric import Metric, WeightedPoint, as_weighted, leq
+from .metric import Metric, WeightedPoint, _check_counts, as_weighted, leq
 from .offline import Instance, _PointSet, _mbc, _point_set, greedy
 
 ROUND_ROBIN = "roundrobin"
@@ -135,6 +135,7 @@ def outlier_vector(part, k: int, z: int, metric: Metric) -> list[float]:
     """V[j] = greedy radius on the part with 2^j - 1 outliers, j = 0..ceil(log2(z+1)).
     Every search runs on one ``_PointSet`` (``part`` itself when it is one),
     so a radius is probed once on the part."""
+    _check_counts(k, z)
     part = _point_set(part, metric)
     return [greedy(part, k, (1 << j) - 1, metric).radius for j in range(vector_length(z))]
 

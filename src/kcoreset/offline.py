@@ -1,6 +1,7 @@
 """Offline constructions: the greedy 3-approximation for k-center with
 outliers, the delta-net recompression and the mini-ball covering with its
-size bound. The exhaustive oracles that check them are in ``validate.py``.
+size bound, and the cell index that the net and the stream's arrival filter
+share. The exhaustive oracles that check them are in ``validate.py``.
 
 Everything here is a pure function of immutable inputs. "Arbitrary point"
 choices are pinned to first-in-input-order so every run is reproducible.
@@ -8,6 +9,7 @@ choices are pinned to first-in-input-order so every run is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .metric import (
+    EXPLICIT,
     Ball,
     Metric,
     REL_TOL,
@@ -31,7 +34,7 @@ from .metric import (
 
 _EXACT_FLOAT32 = 2 ** 24  # float32 holds every integer below this exactly
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
-_NET_BLOCK = 1 << 16  # most distances in one row block of _net
+_NET_BLOCK = 1 << 16  # most distances in one row block, or one chunk of pairs, of _net
 _SLAB = 255  # most mask rows summed at once: a uint8 count of 255 fits
 
 
@@ -304,6 +307,107 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     return GreedyResult(radius, balls, r_f)
 
 
+# The cell index: the stream's arrival filter and the grid path of _net both
+# sort points into cubes whose 3^D neighbours hold every point within a bound.
+
+_CELL_MARGIN = 1.0 + 2.0**-20  # a cell's width over the bound
+_CELL_GUARD = 2.0**30          # cells are kept only while every |c / width| is below it
+_CELL_BASE = 1 << 32           # key digit base: above 2 * (guard + 1)
+_CELL_MAX_DIM = 3              # above it the 3^D cells around a point cost more than they save
+
+
+def _pack(digits) -> int:
+    """The key of a cell given by its integer digits: base ``_CELL_BASE``,
+    first coordinate most significant. A Python int, since three digits
+    overflow int64."""
+    key = 0
+    for digit in digits:
+        key = key * _CELL_BASE + digit
+    return key
+
+
+# the key offsets of a cell's 3^D neighbours, the cell itself first
+_OFFSETS = {
+    dim: tuple(_pack(step) for step in itertools.product((0, -1, 1), repeat=dim))
+    for dim in range(_CELL_MAX_DIM + 1)
+}
+
+
+def _pack_rows(digits: np.ndarray) -> np.ndarray:
+    """``_pack`` of each row of an n x D digit array: int64 up to two
+    digits, where every key fits, and Python ints (an object array) above."""
+    keys = np.zeros(len(digits), dtype=np.int64 if digits.shape[1] <= 2 else object)
+    for column in digits.T:
+        keys = keys * _CELL_BASE + column
+    return keys
+
+
+def _gridded(metric: Metric, dim: int, bound: float) -> bool:
+    """Whether points of ``dim`` coordinates under ``metric`` can be put in
+    cells for ``bound``: coordinates, not matrix indices, 1 to
+    ``_CELL_MAX_DIM`` of them, and a finite bound of at least ``REL_TOL``
+    (every ``_net_bound`` of a delta >= 0), as the proof needs."""
+    return (metric.kind != EXPLICIT and 1 <= dim <= _CELL_MAX_DIM
+            and REL_TOL <= bound and math.isfinite(bound * _CELL_MARGIN))
+
+
+def _cell_digits(coords: np.ndarray, width: float) -> np.ndarray | None:
+    """The cells of the rows of ``coords`` in a grid of cubes of width
+    w = b*(1 + 2^-20) (``_CELL_MARGIN``) for a bound b: floor(fl(c_j / w))
+    for each coordinate, as an int64 array, or None if a quotient is past
+    the guard, |fl(c_j / w)| < 2^30. ``_cell_key`` computes the same digits
+    for one point.
+
+    Every point q with ``pairwise(p, q) <= b`` lies in one of the 3^D cells
+    around p's (D is the coordinate count, not a declared dimension). With
+    u = 2^-53:
+
+    1. |p_j - q_j| <= b*(1 + 4u) for every j. Under L-inf the entry is
+       max_j |fl(p_j - q_j)|. Under L2 it is fl(sqrt(s)), where s is a float
+       sum of the nonnegative squares fl(fl(p_j - q_j)^2) and so at least
+       each of them; an L2 ball lies inside the L-inf ball of the same
+       radius. A rounded result x' of x has |x| <= |x'| / (1 - u), so the
+       difference, square and root roundings give at most the factor
+       (1 - u)^(-5/2) < 1 + 4u. b >= 1e-9, so an underflowing square, off
+       by at most 2^-1074, changes nothing at this precision, and an
+       overflowing difference or square gives inf, which is never <= b.
+    2. So the exact quotients x = p_j/w and y = q_j/w differ by at most
+       (1 + 4u) / ((1 + 2^-20)*(1 - u)) < 1 - 2^-21, and by the guard each
+       computed quotient is within u*2^30*(1 + u) < 2^-22 of the exact one:
+       X = fl(x) and Y = fl(y) satisfy |X - Y| < 1.
+    3. floor(X) - floor(Y) >= 2 would need X - Y > 1, so the cells differ by
+       at most 1 in each coordinate.
+
+    ``_pack`` packs a cell in base 2^32 (Horner over the coordinates). Each
+    digit, and each neighbour's, has magnitude at most 2^30 + 1 < 2^31, so
+    the balanced representation is unique, and a neighbour's key is the
+    cell's key plus a fixed offset, ``_OFFSETS[D]``. The cell arithmetic
+    computes no distance: ``Metric._accumulate`` stays the one distance
+    kernel."""
+    quotients = coords / width
+    if not (np.abs(quotients) < _CELL_GUARD).all():
+        return None
+    return np.floor(quotients).astype(np.int64)
+
+
+def _cell_key(point, width: float):
+    """The key of one point's cell: ``_pack`` of its ``_cell_digits``,
+    packed as they are found, or None if a quotient is past the guard."""
+    key = 0
+    for c in point:
+        q = c / width
+        if not -_CELL_GUARD < q < _CELL_GUARD:
+            return None
+        key = key * _CELL_BASE + math.floor(q)
+    return key
+
+
+def _net_bound(delta: float) -> float:
+    """The bound a delta-net compares its distances with: delta and its
+    rounding slack."""
+    return delta + REL_TOL * max(1.0, abs(delta))
+
+
 def _net(points, delta: float, metric: Metric):
     """Greedy delta-net in input order.
 
@@ -312,10 +416,166 @@ def _net(points, delta: float, metric: Metric):
     Returns (representatives, assignment) where assignment[i] is the
     representative index of input point i. A representative whose net holds
     only itself is its input ``WeightedPoint``, not a copy. ``points`` is a
-    point list or a ``_PointSet``, whose rows (``_PointSet.rows``) are read.
+    point list or a ``_PointSet``.
+
+    Equivalently, a point is owned by the first earlier representative
+    within the bound b = ``_net_bound(delta)``, and is one itself if there is
+    none. Two paths find that owner, each from the entries (earlier point,
+    point) that the full ``pairwise`` matrix holds, so both give its result:
+
+    - The grid path (``_grid_leaders``) serves L-inf and L2 sets of at most
+      ``_CELL_MAX_DIM`` coordinates whose matrix is not built, at a delta
+      >= 0, while every coordinate is within the guard of the cells of
+      width b*(1 + 2^-20): the stream's recompressions and
+      ``update_coreset``. It compares a point only with the earlier points
+      in the 3^D cells around its own, which hold every point within b
+      (``_cell_digits``), so on a spread set it computes a few distances
+      per point, not one per representative.
+    - The blocked path (``_blocked_leaders``) serves every other set:
+      explicit metrics, more coordinates, coordinates past the guard, and
+      ``_mbc``'s net, which reads the matrix that ``greedy`` has built
+      (a vacuous set builds none). It also serves sets whose cells are
+      crowded: a representative's ball meets at most 3^D cells, so the
+      blocked path compares each point with at least (nonempty cells) /
+      3^D representatives, and where the grid's candidates (``_cell_runs``)
+      outnumber that per point, as in a set inside a few cells, the blocked
+      path is the cheaper.
+    """
+    reps, _, assignment, _ = _net_cells(points, delta, metric)
+    return reps, assignment.tolist()
+
+
+def _net_cells(points, delta: float, metric: Metric):
+    """``_net`` as (representatives, input index of each, assignment), the
+    last two as int arrays, and the packed cells of the representatives
+    (``_pack_rows``) when it took the grid path, else None. The cells' width
+    is that of ``_net_bound(delta)``, so the stream's filter reads them as
+    they are."""
+    ps = _point_set(points, metric)
+    n = len(ps)
+    if n == 0:
+        return [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), None
+    bound = _net_bound(delta)
+    cells = digits = runs = None
+    if "dmat" not in ps.__dict__ and _gridded(metric, len(ps.wps[0].point), bound):
+        digits = _cell_digits(ps.coords, bound * _CELL_MARGIN)
+    if digits is not None:
+        runs = _cell_runs(digits)
+        order, first, sizes, occupied = runs
+        if sizes.sum() * 3 ** digits.shape[1] > n * occupied:
+            runs = None  # crowded cells: the blocked path compares fewer pairs (see above)
+    if runs is not None:
+        leader, owner = _grid_leaders(ps, bound, order, first, sizes)
+        firsts = np.flatnonzero(leader)
+        assignment = (np.cumsum(leader) - 1)[owner]
+        cells = _pack_rows(digits[firsts])
+    else:
+        firsts, assignment = _blocked_leaders(ps, bound)
+    weights = np.zeros(len(firsts), dtype=np.int64)
+    np.add.at(weights, assignment, ps.weights)
+    wps = ps.wps
+    reps = [wps[i] for i in firsts.tolist()]
+    merged = np.flatnonzero(weights != ps.weights[firsts])
+    for t, wt in zip(merged.tolist(), weights[merged].tolist()):
+        reps[t] = _unchecked_point(reps[t].point, wt)
+    return reps, firsts, assignment, cells
+
+
+def _cell_runs(digits: np.ndarray):
+    """The points sorted by cell, and where each one's candidates lie:
+    (order, first, sizes, cells). ``order`` sorts the points by cell key.
+    Sorted by key, the three cells (..., last - 1 .. last + 1) of each of
+    the 3^(D-1) rows of cells around a cell are consecutive, so one
+    ``searchsorted`` pair per row finds them, with needles in key order:
+    ``first[t, p]`` and ``sizes[t, p]`` give the run of sorted positions in
+    row t around the point at sorted position p. (At D = 3 the leading two
+    digits are ranked first, so a key fits int64.) ``cells`` counts the
+    nonempty cells."""
+    dim = digits.shape[1]
+    steps = np.asarray(_OFFSETS[dim - 1], dtype=np.int64)[:, None]  # the rows' leading digits
+    if dim <= 2:
+        keys = _pack_rows(digits)
+        order = np.argsort(keys)
+        skeys = keys[order]
+        middles = skeys + steps * _CELL_BASE  # the key of each row's middle cell
+    else:
+        lead = _pack_rows(digits[:, :-1])
+        heads, rank = np.unique(lead, return_inverse=True)
+        keys = rank * _CELL_BASE + digits[:, -1]
+        order = np.argsort(keys)
+        skeys = keys[order]
+        needles = lead[order] + steps
+        at = np.searchsorted(heads, needles)
+        middles = at * _CELL_BASE + digits[order, -1]
+        middles[heads.take(at, mode="clip") != needles] = -2 * _CELL_BASE  # no such row
+    first = np.searchsorted(skeys, middles - 1)
+    sizes = np.searchsorted(skeys, middles + 1, "right") - first
+    cells = 1 + int(np.count_nonzero(skeys[1:] != skeys[:-1]))
+    return order, first, sizes, cells
+
+
+def _grid_leaders(ps: _PointSet, bound: float, order, first, sizes):
+    """The grid path of ``_net``: (leader mask, owner), where ``owner[i]`` is
+    the index of the leader that owns point i (i itself for a leader).
+
+    A point's candidates are the points in the 3^D cells around its own,
+    found by ``_cell_runs``. The points are taken in index order, in chunks
+    of about ``_NET_BLOCK`` candidates. A chunk keeps the candidates that
+    come earlier in the input, less the points an earlier chunk found are
+    not leaders, and reads their distances with one ``Metric.paired`` call,
+    (earlier point, point) as in the matrix. A point whose first earlier
+    point within b is a leader for sure (of an earlier chunk, or with no
+    earlier point within b of its own) is owned by it. The chunk's other
+    points run the leader rule in index order over their pairs."""
+    coords, n = ps.coords, len(ps)
+    counts = np.empty(n, dtype=np.int64)
+    counts[order] = sizes.sum(axis=0)
+    ends = np.cumsum(counts)
+    leader = np.ones(n, dtype=bool)
+    owner = np.arange(n)
+    s = 0
+    while s < n:
+        start = int(ends[s - 1]) if s else 0
+        e = max(s + 1, int(np.searchsorted(ends, start + _NET_BLOCK, "right")))
+        at = slice(None) if e - s == n else np.flatnonzero((s <= order) & (order < e))
+        f, z = first[:, at].ravel(), sizes[:, at].ravel()
+        i = np.repeat(np.tile(order[at], len(first)), z)
+        j = order[np.repeat(f - (np.cumsum(z) - z), z) + np.arange(len(i))]
+        keep = (j < i) & leader[j]  # the chunk's points are all still marked leaders
+        i, j = i[keep], j[keep]
+        near = ps.metric.paired(coords[j], coords[i]) <= bound
+        i, j = i[near] - s, j[near] - s  # chunk-relative: j < 0 is a leader of an earlier chunk
+        m = e - s
+        nearest = np.full(m, m)
+        np.minimum.at(nearest, i, j)  # each point's first earlier point within b
+        alone = nearest == m  # none: a leader
+        # owned for sure: the first such point is a leader, of an earlier
+        # chunk or with no earlier point within b of its own
+        settled = nearest < 0
+        inside = ~settled & ~alone
+        settled[inside] = alone[nearest[inside]]
+        owner[s:e][settled] = nearest[settled] + s
+        rest = (inside & ~settled)[i]  # the others run the leader rule in index order
+        i, j = i[rest], j[rest]
+        pairs = np.argsort(i * m + j)  # by point, then by earlier point
+        flags = (~settled).tolist()
+        done = -1
+        for a, b in zip(i[pairs].tolist(), j[pairs].tolist()):
+            if a != done and flags[b]:  # b's flag is final: its own pairs came first
+                flags[a] = False
+                owner[s + a] = s + b
+                done = a
+        leader[s:e] = flags
+        s = e
+    return leader, owner
+
+
+def _blocked_leaders(ps: _PointSet, bound: float):
+    """The blocked path of ``_net``: (input index of each representative,
+    assignment), as int arrays.
 
     The input is walked in blocks. A point belongs to the first
-    representative within delta of it, and every representative before a
+    representative within the bound, and every representative before a
     block lies in an earlier block. So one row block, the representatives so
     far against the block, assigns each point it covers to its first hit.
     The block's other points then run the leader loop over their own
@@ -323,14 +583,9 @@ def _net(points, delta: float, metric: Metric):
     takes the free points it covers. A block has at most sqrt(_NET_BLOCK)
     points, and at most _NET_BLOCK / r of them once there are r
     representatives, so no row block holds more than about ``_NET_BLOCK``
-    distances. Every comparison reads the entry (representative, point) of
-    the full matrix, so the result is the one the full matrix gives.
-    """
-    ps = _point_set(points, metric)
+    distances. The rows are ``_PointSet.rows``: read from the matrix once
+    it is built, else computed one row block at a time."""
     n = len(ps)
-    if n == 0:
-        return [], []
-    bound = delta + REL_TOL * max(1.0, abs(delta))
     assignment = np.full(n, -1, dtype=np.intp)
     firsts = []  # input index of each representative
     side = max(1, math.isqrt(_NET_BLOCK))
@@ -363,12 +618,7 @@ def _net(points, delta: float, metric: Metric):
                     if owner[b] < 0:
                         owner[b] = rep
         assignment[free] = owner
-    weights = np.zeros(len(firsts), dtype=np.int64)
-    np.add.at(weights, assignment, ps.weights)
-    wps = ps.wps
-    reps = [wps[i] if wps[i].weight == wt else _unchecked_point(wps[i].point, wt)
-            for i, wt in zip(firsts, weights.tolist())]
-    return reps, assignment.tolist()
+    return np.asarray(firsts, dtype=np.intp), assignment
 
 
 def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:
@@ -414,4 +664,5 @@ def mbc_construction(inst: Instance) -> MiniBallCovering:
 
 
 def mbc_size_bound(k: int, z: int, epsilon: float, d: int) -> float:
+    _check_counts(k, z)
     return _size_bound(k, 12.0, epsilon, d, "size bound k*(12/eps)^d") + z

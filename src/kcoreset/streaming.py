@@ -18,42 +18,16 @@ b = (eps/2)*r + slack is found with a mask and ``argmax``, so the
 first-in-insertion-order rule is kept exactly. While the points' spread
 grows, most arrivals cannot join one, and a cell-occupancy filter appends
 those without the scan. The filter is a set ``_cells`` holding the cell of
-each representative, in a grid of cubes of width w = b*(1 + 2^-20) along
-each of the points' D coordinates (D is the coordinate count, not the
-declared d). An arrival whose 3^D neighbouring cells are all empty is
-appended at once; any other arrival is scanned as before. The set is
-rebuilt whenever r changes (the first estimate, and once after the
-recompressions an arrival triggers), and each new representative adds its
-cell. It holds one entry per representative, so at most threshold entries.
-
-The filter is exact. A point's cell is (floor(fl(c_j / w)))_j, computed
-only while every quotient satisfies |fl(c_j / w)| < 2^30 (the guard); with
-u = 2^-53, a representative q with ``pairwise(p, q) <= b`` lies in one of
-the 3^D cells around p:
-
-1. |p_j - q_j| <= b*(1 + 4u) for every j. Under L-inf the entry is
-   max_j |fl(p_j - q_j)|. Under L2 it is fl(sqrt(s)), where s is a float sum
-   of the nonnegative squares fl(fl(p_j - q_j)^2) and so at least each of
-   them; an L2 ball lies inside the L-inf ball of the same radius. A
-   rounded result x' of x has |x| <= |x'| / (1 - u), so the difference,
-   square and root roundings give at most the factor (1 - u)^(-5/2) <
-   1 + 4u. b >= 1e-9, so an underflowing square, off by at most 2^-1074,
-   changes nothing at this precision, and an overflowing difference or
-   square gives inf, which is never <= b.
-2. So the exact quotients x = p_j/w and y = q_j/w differ by at most
-   (1 + 4u) / ((1 + 2^-20)*(1 - u)) < 1 - 2^-21, and by the guard each
-   computed quotient is within u*2^30*(1 + u) < 2^-22 of the exact one:
-   X = fl(x) and Y = fl(y) satisfy |X - Y| < 1.
-3. floor(X) - floor(Y) >= 2 would need X - Y > 1, so the cells differ by at
-   most 1 in each coordinate.
-
-``_pack`` packs a cell in base 2^32 (Horner over the coordinates). Each
-digit, and each neighbour's, has magnitude at most 2^30 + 1 < 2^31, so the
-balanced representation is unique, and a neighbour's key is the point's key
-plus a fixed offset, ``_OFFSETS[D]``. The point's own cell is looked up
-first: an arrival that joins a representative most often finds it there,
-and then pays one lookup. The cell arithmetic computes no distance:
-``pairwise`` stays the one distance kernel.
+each representative in the cell index of ``offline.py`` (cubes of width
+b*(1 + 2^-20) along each of the points' D coordinates; ``_cell_digits``
+there proves that the 3^D cells around a point hold every point within b).
+An arrival whose 3^D neighbouring cells are all empty is appended at once;
+any other arrival is scanned as before. The set is rebuilt whenever r
+changes (the first estimate, and once after the recompressions an arrival
+triggers), and each new representative adds its cell. It holds one entry
+per representative, so at most threshold entries. The point's own cell is
+looked up first: an arrival that joins a representative most often finds
+it there, and then pays one lookup.
 
 The full scan of every arrival stays for explicit metrics (points are
 matrix indices), for r = 0, for D above ``_CELL_MAX_DIM`` (where, as
@@ -71,58 +45,48 @@ off until r next changes.
 
 No distance matrix is kept. A recompression hands ``_net`` a ``_PointSet``
 of ``pstar`` whose coordinates are ``_coords[:m]`` itself, read in place
-rather than copied from the representatives. The set computes the distances
-it reads one row block at a time (at most about 2^16 of them at once). The
-stream then gathers ``_coords`` down to the kept rows.
+rather than copied from the representatives. Where the filter could run,
+``_net`` takes its grid path over the same cells: it compares each
+representative only with the earlier ones in the cells around it, one
+chunk of about 2^16 pairs at a time, and returns the cells of the
+representatives it keeps, which are the filter's next ``_cells`` (the net's
+bound is the scan bound at the new r). Elsewhere it computes the distances
+it reads one row block of about 2^16 at a time. The stream then gathers
+``_coords`` down to the kept rows.
+
+An arrival that would trigger a recompression whose total weight is past
+int64 is refused before it changes any state.
 
 Single-writer: one arrival at a time; reports may be taken between arrivals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import InputError
 from .metric import (
-    EXPLICIT, Metric, REL_TOL, WeightedPoint, _check_counts, _size_bound, _unchecked_point,
+    Metric, WeightedPoint, _check_counts, _check_total, _size_bound, _unchecked_point,
     min_pairwise_distance,
 )
-from .offline import _PointSet, _net
+from .offline import (
+    _CELL_GUARD, _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded,
+    _net_bound, _net_cells, _pack_rows,
+)
 
-_CELL_MARGIN = 1.0 + 2.0**-20  # a cell's width over the scan bound
-_CELL_GUARD = 2.0**30          # cells are kept only while every |c / width| is below it
-_CELL_BASE = 1 << 32           # key digit base: above 2 * (guard + 1)
-_CELL_MAX_DIM = 3              # above it the 3^D lookups cost more than the scans they save
 _CELL_TRIAL = 64               # scans of arrivals with a key before the filter is judged
 _CELL_PAYBACK = 8              # the filter stays on while it skips one arrival per this many scans
 
 
 def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
+    _check_counts(k, z)
     what = "size threshold k*(16/eps)^d"
     t = _size_bound(k, 16.0, epsilon, d, what)
     if t > 2**53:
         raise InputError(f"{what} overflows; use a larger epsilon")
     return int(math.floor(t)) + z
-
-
-def _pack(digits) -> int:
-    """The key of a cell given by its integer digits: base ``_CELL_BASE``,
-    first coordinate most significant. A Python int, since three digits
-    overflow int64."""
-    key = 0
-    for digit in digits:
-        key = key * _CELL_BASE + digit
-    return key
-
-
-# the key offsets of a cell's 3^D neighbours, the cell itself first
-_OFFSETS = {
-    dim: tuple(_pack(step) for step in itertools.product((0, -1, 1), repeat=dim))
-    for dim in range(1, _CELL_MAX_DIM + 1)
-}
 
 
 class InsertionStream:
@@ -143,29 +107,31 @@ class InsertionStream:
         self._cells = None  # the representatives' cell keys, or None when the filter is off
         self._width = self._offsets = None  # the cells' width; _OFFSETS[D]
         self._skips = self._scans = 0  # filtered arrivals skipped and scanned since the rebuild
+        self._kept_cells = None  # the cells of the last net's representatives, for _index
         self.arrivals = 0
 
     def arrival(self, point, weight: int = 1) -> None:
         """One arrival of ``point`` carrying ``weight``. It equals ``weight``
         unit arrivals: after the first, the point is in (or is) the
         representative that the rest of the weight joins, so neither the set
-        nor r moves."""
+        nor r moves. An arrival that is refused changes no state."""
         new = WeightedPoint(point, weight)
         point = new.point
         if self.pstar and len(point) != len(self.pstar[0].point):
             raise InputError("arrival dimension mismatch")
-        self.arrivals += weight
         cells = self._cells
         key = None if cells is None else self._cell(point)
-        if key is not None and self._isolated(key):
-            i = None  # no representative's cell neighbours the point's
+        skip = key is not None and self._isolated(key)  # no representative's cell neighbours it
+        i = None if skip else self._first_within(point, self._bound())
+        if i is None and len(self.pstar) + 1 >= self.threshold:
+            _check_total(self.arrivals + weight)  # the recompression sums every weight in int64
+        self.arrivals += weight
+        if skip:
             self._skips += 1
-        else:
-            i = self._first_within(point, self._bound())
-            if key is not None:
-                self._scans += 1
-                if self._scans >= _CELL_TRIAL and self._skips * _CELL_PAYBACK < self._scans:
-                    self._cells = cells = None  # it costs more than it saves until r changes
+        elif key is not None:
+            self._scans += 1
+            if self._scans >= _CELL_TRIAL and self._skips * _CELL_PAYBACK < self._scans:
+                self._cells = cells = None  # it costs more than it saves until r changes
         if i is not None:
             rep = self.pstar[i]
             self.pstar[i] = _unchecked_point(rep.point, rep.weight + weight)
@@ -184,49 +150,51 @@ class InsertionStream:
 
         while len(self.pstar) >= self.threshold:
             self.r *= 2.0
-            delta = (self.epsilon / 2.0) * self.r
             # the set reads the representatives' rows in place; the stream
-            # writes them only once _net has returned
+            # writes them only once the net has returned
             ps = _PointSet(self.pstar, self.metric)
             ps.coords = self._coords[:len(self.pstar)]
             assert ps.coords.shape == (len(self.pstar), len(self.pstar[0].point))
-            reps, assignment = _net(ps, delta, self.metric)
-            _, keep = np.unique(assignment, return_index=True)  # each rep is its net's first point
+            reps, keep, _, self._kept_cells = _net_cells(ps, self._limit(), self.metric)
             self._coords[:len(keep)] = self._coords[keep]
             self.pstar = reps
 
         if self.r != r0:
             self._index()
 
+    def _limit(self) -> float:
+        """The join radius (eps/2)*r."""
+        return (self.epsilon / 2.0) * self.r
+
     def _bound(self) -> float:
-        """The scan bound b: (eps/2)*r with its rounding slack."""
-        limit = (self.epsilon / 2.0) * self.r
-        return limit + REL_TOL * max(1.0, limit)
+        """The scan bound b: the join radius with its rounding slack, the
+        bound of a net at that radius."""
+        return _net_bound(self._limit())
 
     def _index(self) -> None:
         """Rebuild ``_cells`` for the current r, or leave the filter off
-        where the module docstring says the full scan stays."""
+        where the module docstring says the full scan stays. After a
+        recompression whose net took the grid path, the cells are the ones
+        it returned; else they are computed from ``_coords``."""
+        cells, self._kept_cells = self._kept_cells, None
         self._cells = None
         self._skips = self._scans = 0
         m, dim = len(self.pstar), len(self.pstar[0].point)
-        if self.r == 0.0 or self.metric.kind == EXPLICIT or dim > _CELL_MAX_DIM:
+        bound = self._bound()
+        if self.r == 0.0 or not _gridded(self.metric, dim, bound):
             return
-        width = self._bound() * _CELL_MARGIN
-        quotients = self._coords[:m] / width
-        if not (np.abs(quotients) < _CELL_GUARD).all():
-            return
+        width = bound * _CELL_MARGIN
+        if cells is None:
+            digits = _cell_digits(self._coords[:m], width)
+            if digits is None:
+                return
+            cells = _pack_rows(digits)
         self._width, self._offsets = width, _OFFSETS[dim]
-        self._cells = {_pack(row) for row in np.floor(quotients).astype(np.int64).tolist()}
+        self._cells = set(cells.tolist())
 
     def _cell(self, point):
         """The key of point's cell, or None if a quotient is past the guard."""
-        width, digits = self._width, []
-        for c in point:
-            q = c / width
-            if not -_CELL_GUARD < q < _CELL_GUARD:
-                return None
-            digits.append(math.floor(q))
-        return _pack(digits)
+        return _cell_key(point, self._width)
 
     def _isolated(self, key: int) -> bool:
         """Whether the 3^D cells around the cell of ``key`` are all empty."""

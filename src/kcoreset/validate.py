@@ -203,8 +203,7 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
     """k-center-with-outliers cost of a fixed center set: the enumeration
     over the universe of its own centers, which has one center set."""
     universe = explicit_universe(centers)  # refuses an empty or non-finite set
-    if z < 0:
-        raise InputError("z must be >= 0")
+    _check_counts(len(universe.points), z)
     wps = as_weighted(points)
     if not wps:
         return 0.0

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from kcoreset import (
     Ball, CapacityError, CenterUniverse, DegenerateSetError, DynamicCoresetState, EXPLICIT,
     InputError, InsertionStream, Instance, L2, LINF, Metric, WeightedPoint, check_coreset,
-    greedy, input_points_universe, materialize_universe, mbc_construction,
-    midpoint_grid_universe, min_pairwise_distance,
+    evaluate_cost, greedy, input_points_universe, materialize_universe, mbc_construction,
+    mbc_size_bound, midpoint_grid_universe, min_pairwise_distance, outlier_vector,
+    size_threshold,
 )
 from kcoreset import metric as metric_module
 
@@ -122,6 +123,23 @@ def test_counts_are_integers_at_every_model(case, linf):
     # model (TypeError, AssertionError) or was accepted silently
     with pytest.raises(InputError, match=r"need integers k >= 1 and z >= 0"):
         BAD_COUNTS[case](linf)
+
+
+BAD_COUNTS_OUTSIDE = {
+    "evaluate_cost z=0.5": lambda m: evaluate_cost(_PTS, [(0.0,)], 0.5, m),
+    "evaluate_cost z=-1": lambda m: evaluate_cost(_PTS, [(0.0,)], -1, m),
+    "outlier_vector z=0.5": lambda m: outlier_vector(_PTS, 1, 0.5, m),
+    "size_threshold k=1.5": lambda m: size_threshold(1.5, 0, 1.0, 1),
+    "mbc_size_bound k=1.5": lambda m: mbc_size_bound(1.5, 0, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS_OUTSIDE))
+def test_counts_are_integers_outside_the_models(case, linf):
+    # the public helpers around the models check their counts with the same
+    # rule; before, a fractional count raised TypeError or returned a number
+    with pytest.raises(InputError, match=r"need integers k >= 1 and z >= 0"):
+        BAD_COUNTS_OUTSIDE[case](linf)
 
 
 def test_min_pairwise_examples(linf, l2):
@@ -237,6 +255,44 @@ def _check_one_row_calls(rng):
                 for i in range(len(a)):
                     row = metric.pairwise(a[i:i + 1], b32).view(np.uint64)
                     assert np.array_equal(row, full32[i:i + 1]), (dim, scale, i)
+
+
+def test_paired_rows_equal_the_pairwise_diagonal_bit_for_bit():
+    # the elementwise layout of the kernel: entry i of paired(a, b) has the
+    # bits of pairwise(a, b)[i, i] and of the scalar formula, also where a
+    # difference or square overflows to inf or a square is subnormal, and it
+    # warns nothing
+    rng = np.random.default_rng(47)
+    for dim in range(1, 5):
+        for scale in (1.0, 1e-160, 1e-300, 1e154, 1e308):
+            a = rng.uniform(-1.0, 1.0, size=(40, dim)) * scale
+            b = rng.uniform(-1.0, 1.0, size=(40, dim)) * scale
+            a[0], b[0] = 1.7e308, -1.7e308  # every difference overflows
+            a[1], b[1] = -0.0, 0.0
+            a[2] = b[2]
+            a[3], b[3] = 5e-324, 0.0  # a subnormal difference, whose square is 0
+            for metric in (Metric(L2), Metric(LINF)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = metric.paired(a, b)
+                    diagonal = np.diagonal(metric.pairwise(a, b))
+                assert np.array_equal(got.view(np.uint64), diagonal.view(np.uint64))
+                with np.errstate(over="ignore"):  # the reference's numpy scalars would warn
+                    want = [scalar_distance(metric, tuple(p), tuple(q)) for p, q in zip(a, b)]
+                assert [_bits(x) for x in got] == [_bits(x) for x in want], (dim, scale)
+                assert np.isinf(got[0])
+    for metric in (Metric(L2), Metric(LINF)):
+        assert metric.paired(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [0.0] * 3
+        assert metric.paired(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+        with pytest.raises(InputError, match="paired rows need equal counts"):
+            metric.paired(np.zeros((2, 1)), np.zeros((3, 1)))
+        with pytest.raises(InputError, match="dimension mismatch"):
+            metric.paired(np.zeros((2, 1)), np.zeros((2, 2)))
+    explicit = Metric(EXPLICIT, matrix=[[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    idx = np.asarray([[0.0], [2.0], [1.0]])
+    assert explicit.paired(idx, idx[::-1]).tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(InputError, match="matrix index out of range"):
+        explicit.paired(idx, idx + 1)
 
 
 def test_overflowing_pairwise_warns_nothing():

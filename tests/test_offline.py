@@ -19,7 +19,10 @@ from kcoreset.metric import (
     REL_TOL, Ball, as_weighted, coords_array, materialize_universe, weights_array,
 )
 from kcoreset.mpc import vector_length
-from kcoreset.offline import GreedyResult, _PointSet, _mbc, _net
+from kcoreset.offline import (
+    _CELL_GUARD, _CELL_MARGIN, GreedyResult, _PointSet, _cell_digits, _cell_runs, _grid_leaders,
+    _mbc, _net, _net_bound, _net_cells, _pack_rows,
+)
 from kcoreset.validate import (
     EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION, _cost_batch,
     uncovered_weight,
@@ -880,6 +883,142 @@ def test_net_matches_scalar_oracle(monkeypatch):
                 assert _net(ps, delta, metric) == expect, (rows, built)
                 assert ("dmat" in ps.__dict__) == built
         monkeypatch.undo()
+
+
+def _blocked_net(pts, delta, metric):
+    """``_net`` on a set whose matrix is built, so it takes the blocked path."""
+    ps = _PointSet(pts, metric)
+    ps.dmat
+    return _net(ps, delta, metric)
+
+
+def _grid_net(pts, delta, metric):
+    """The grid path alone, whatever its density check would say:
+    (representatives' input indices, assignment), or None past the guard."""
+    ps = _PointSet(pts, metric)
+    bound = _net_bound(delta)
+    digits = _cell_digits(ps.coords, bound * _CELL_MARGIN)
+    if digits is None:
+        return None
+    order, first, sizes, _ = _cell_runs(digits)
+    leader, owner = _grid_leaders(ps, bound, order, first, sizes)
+    return np.flatnonzero(leader).tolist(), (np.cumsum(leader) - 1)[owner].tolist()
+
+
+def _spread_cases(rng):
+    """L-inf and L2 sets of 1-3 coordinates on a grid of step 0.5, some of
+    them clustered, with repeated points and weights 1-3, and deltas from 0
+    to a few grid steps. At delta = 0 the bound is 1e-9, so the cells are
+    within the guard only near the origin: the set is also scaled by 2^-6."""
+    for trial in range(60):
+        metric, dim = Metric((LINF, L2)[trial % 2]), 1 + trial % 3
+        n = int(rng.integers(1, 300))
+        pts = random_points(rng, n, dim, lo=-30 * dim, hi=30 * dim,
+                            cluster_frac=0.3 * (trial % 4 == 0), weights=trial % 3 != 0)
+        pts = [W(tuple(0.5 * c for c in p.point), p.weight) for p in pts]
+        pts += [pts[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, 8)))]
+        for delta in (0.0, 0.5, float(rng.uniform(0.1, 3.0)), 2.0):
+            yield pts, delta, metric
+        yield [W(tuple(c / 64 for c in p.point), p.weight) for p in pts], 0.0, metric
+
+
+def test_grid_net_matches_the_blocked_net(monkeypatch):
+    # the grid path against the blocked one, one chunk or many; it returns
+    # the packed cells of its representatives at the width of its bound
+    rng = np.random.default_rng(71)
+    gridded = 0
+    for pts, delta, metric in _spread_cases(rng):
+        expect = _blocked_net(pts, delta, metric)
+        for block in (None, 30):
+            if block:
+                monkeypatch.setattr(offline, "_NET_BLOCK", block)
+            reps, firsts, assignment, cells = _net_cells(pts, delta, metric)
+            monkeypatch.undo()
+            assert (reps, assignment.tolist()) == expect, (len(pts), delta, block)
+            if cells is not None:
+                gridded += block is None
+                width = _net_bound(delta) * _CELL_MARGIN
+                digits = _cell_digits(coords_array([pts[i] for i in firsts]), width)
+                assert cells.tolist() == _pack_rows(digits).tolist()
+        grid = _grid_net(pts, delta, metric)
+        assert grid is None or grid[1] == expect[1]
+    assert gridded >= 150  # of 300 nets; crowded and tiny sets take the blocked path
+
+
+@pytest.mark.parametrize("kind", [L2, LINF])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_net_matches_the_blocked_net_on_cell_edges(kind, dim, monkeypatch):
+    # points exactly b apart across cell edges: -tiny and b (pairwise puts
+    # them b apart, so they join; b + tiny apart exactly, so cells as wide
+    # as b, or one ulp narrower, would put them two cells apart), the same
+    # mirrored, and shuffled b-lattices with the neighbouring floats of each
+    # lattice value, repeats and weights
+    metric, rng = Metric(kind), np.random.default_rng(3 + dim)
+    delta = 0.75
+    b = _net_bound(delta)
+    zero = (0.0,) * (dim - 1)
+    values = sorted({float(np.nextafter(j * b, s)) for j in range(-3, 4)
+                     for s in (-np.inf, 0.0, np.inf)} | {j * b for j in range(-3, 4)})
+    grid = np.stack(np.meshgrid(*[values] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    cases = [[W((-5e-324,) + zero), W((b,) + zero)], [W((5e-324,) + zero), W((-b,) + zero)],
+             [W((b,) + zero), W((-5e-324,) + zero), W((2 * b,) + zero)]]
+    for _ in range(4):
+        lattice = rng.permutation(grid)[:300]
+        pts = [W(tuple(row), int(w)) for row, w in zip(lattice.tolist(), rng.integers(1, 4, 300))]
+        cases.append(pts + pts[:20])
+    for pts in cases:
+        expect = _blocked_net(pts, delta, metric)
+        firsts = np.unique(expect[1], return_index=True)[1].tolist()
+        for block in (None, 1, 40):
+            if block:
+                monkeypatch.setattr(offline, "_NET_BLOCK", block)
+            assert _grid_net(pts, delta, metric) == (firsts, expect[1]), (len(pts), block)
+            assert _net(pts, delta, metric) == expect
+            monkeypatch.undo()
+    assert _blocked_net(cases[0], delta, metric)[1] == [0, 0]
+    # points without coordinates coincide, and take the blocked path
+    assert _net([W(()), W((), 2)], delta, metric) == ([W((), 3)], [0, 0])
+
+
+@pytest.mark.parametrize("kind", [L2, LINF])
+def test_grid_net_falls_back_past_its_guard(kind):
+    # a quotient past the guard sends the whole set to the blocked path,
+    # which gives the same net
+    metric = Metric(kind)
+    delta = 1.0
+    edge = _CELL_GUARD * _net_bound(delta) * _CELL_MARGIN
+    pts = [W((float(x), 0.0)) for x in range(0, 40, 3)] + [W((edge, 1.0)), W((edge + 0.5, 1.0))]
+    reps, _, assignment, cells = _net_cells(pts, delta, metric)
+    assert cells is None and (reps, assignment.tolist()) == _blocked_net(pts, delta, metric)
+    assert assignment.tolist()[-2:] == [len(reps) - 1] * 2
+    reps, _, _, cells = _net_cells(pts[:-2], delta, metric)  # inside the guard: the grid
+    assert cells is not None and len(reps) == len(pts) - 2
+
+
+def test_grid_net_computes_a_few_distances_per_point(monkeypatch, linf):
+    # 4000 spread 2-D points: the grid path computes at most about 20 n
+    # distances, all through Metric.paired, where the blocked path computes
+    # about n^2 / 2 through Metric.pairwise
+    rng = np.random.default_rng(5)
+    pts = [W(tuple(row)) for row in rng.uniform(0, 1000, size=(4000, 2)).tolist()]
+    counted = Counter()
+
+    def counter(name, real):
+        def wrapper(self, a, b):
+            out = real(self, a, b)
+            counted[name] += out.size
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Metric, "paired", counter("paired", Metric.paired))
+    monkeypatch.setattr(Metric, "pairwise", counter("pairwise", Metric.pairwise))
+    reps, _, assignment, cells = _net_cells(pts, 4.0, linf)
+    grid = dict(counted)
+    counted.clear()
+    blocked = offline._blocked_leaders(_PointSet(pts, linf), _net_bound(4.0))
+    assert cells is not None and assignment.tolist() == blocked[1].tolist()
+    assert grid == {"paired": grid["paired"]} and grid["paired"] <= 20 * len(pts)
+    assert counted["pairwise"] >= len(pts) ** 2 / 4 and len(reps) > 3000
 
 
 def test_update_coreset_examples(linf):

@@ -295,15 +295,15 @@ def test_recompression_reads_the_stream_coordinates_in_place(monkeypatch):
     def net(ps, delta, metric):
         assert np.shares_memory(ps.coords, st_._coords)
         assert np.array_equal(ps.coords, coords_array(ps.wps))
-        reps, assignment = real_net(ps, delta, metric)
-        firsts = np.unique(assignment, return_index=True)[1]
+        reps, firsts, assignment, cells = real_net(ps, delta, metric)
+        assert np.array_equal(firsts, np.unique(assignment, return_index=True)[1])
         alone = np.bincount(assignment) == 1
         assert [rep is ps.wps[i] for rep, i in zip(reps, firsts)] == alone.tolist()
         seen.append((len(ps), alone.sum(), (~alone).sum()))
-        return reps, assignment
+        return reps, firsts, assignment, cells
 
-    real_net = streaming._net
-    monkeypatch.setattr(streaming, "_net", net)
+    real_net = streaming._net_cells
+    monkeypatch.setattr(streaming, "_net_cells", net)
     metric, stream = growing_stream(LINF, np.random.default_rng(5), 400, 64)
     st_ = InsertionStream(2, 1, 1.0, 1, metric)
     st_.extend(stream)
@@ -421,6 +421,30 @@ def test_a_heavy_arrival_reaches_the_recompression_it_triggers(linf):
     st_.extend([(float(x),) for x in range(15)])
     with pytest.raises(InputError, match="int64"):
         st_.arrival((100.0,), 2**63 - 15)
+
+
+def test_a_refused_arrival_changes_no_state(linf):
+    # 15 unit arrivals, then one that would fill the set with a total weight
+    # past int64: it is refused before the count, the set, r, the
+    # coordinates or the cells move, and the stream goes on as one that
+    # never saw it
+    def state(st_):
+        m = len(st_.pstar)
+        return (st_.arrivals, list(st_.pstar), st_.r, st_._coords[:m].tolist(),
+                None if st_._cells is None else set(st_._cells), st_._skips, st_._scans)
+
+    points = [(float(x),) for x in range(15)]
+    st_, ref = InsertionStream(1, 0, 1.0, 1, linf), InsertionStream(1, 0, 1.0, 1, linf)
+    st_.extend(points)
+    ref.extend(points)
+    before = state(st_)
+    assert before[0] == 15 and before[2] == 0.5 and len(before[1]) == 15 and before[4]
+    with pytest.raises(InputError, match="int64"):
+        st_.arrival((100.0,), 2**63 - 15)
+    assert state(st_) == before
+    st_.arrival((100.0,), 2**63 - 16)  # the largest total that fits
+    ref.arrival((100.0,), 2**63 - 16)
+    assert state(st_) == state(ref) and st_.r == 2.0 and st_.arrivals == 2**63 - 1
 
 
 class UnfilteredStream(InsertionStream):
