@@ -53,7 +53,9 @@ from dataclasses import dataclass, field
 from operator import index as _index
 
 from .errors import InputError, SketchFailureError
-from .metric import WeightedPoint, _check_counts, _new_object, _set_attribute, _size_bound
+from .metric import (
+    WeightedPoint, _check_counts, _integer, _new_object, _set_attribute, _size_bound,
+)
 from .sketches import _BUFFERED_ID_BYTES, SparseRecoverySketch, _mix64
 
 
@@ -66,9 +68,9 @@ class GridConfig:
     top_level: int = field(init=False, repr=False, compare=False)  # log2 of Delta
 
     def __post_init__(self):
-        if self.delta < 1 or self.d < 1:
-            raise InputError("need Delta >= 1 and d >= 1")
-        top = (self.delta - 1).bit_length()
+        refusal = f"need Delta >= 1 and d >= 1, as integers, got {self.delta!r} and {self.d!r}"
+        top = (_integer(self.delta, 1, refusal) - 1).bit_length()
+        object.__setattr__(self, "d", _integer(self.d, 1, refusal))
         object.__setattr__(self, "delta", 1 << top)
         object.__setattr__(self, "top_level", top)
 
@@ -184,7 +186,10 @@ class DynamicCoresetState:
         self.grid = GridConfig(delta, d)
         self.k, self.z, self.epsilon = k, z, epsilon
         self.delta_fail = delta_fail
-        self.seed = seed
+        try:
+            self.seed = _index(seed)
+        except TypeError:
+            raise InputError(f"seed must be an integer, got {seed!r}") from None
         self.s = math.ceil(_size_bound(k, 4.0 * math.sqrt(d), epsilon, d,
                                        "sparsity k*(4*sqrt(d)/eps)^d") - 1e-9) + z
         self.live_count = 0
@@ -201,7 +206,7 @@ class DynamicCoresetState:
                 raise InputError(f"failure budget: levels * Delta^(3d) = {self.grid.levels}"
                                  f" * {self.grid.delta}^{3 * d} overflows a float") from None
             self.sr = [SparseRecoverySketch(self.s, per_query, self.grid.cell_count(lv),
-                                            seed=_mix64(seed + 7919 * lv + 1))
+                                            seed=_mix64(self.seed + 7919 * lv + 1))
                        for lv in range(self.grid.levels)]
 
     def update(self, point, sign: int) -> None:

@@ -261,16 +261,25 @@ class Metric:
                     acc += term
 
 
+def _integer(value, low: int, refusal: str) -> int:
+    """``value`` as a Python int if it is an integer of at least ``low``,
+    else ``InputError(refusal)``. ``operator.index`` takes Python and numpy
+    ints and refuses floats and strings, so no count or size is fractional."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(refusal) from None
+    if value < low:
+        raise InputError(refusal)
+    return value
+
+
 def _check_counts(k, z) -> None:
     """Refuse a center count k or an outlier budget z that is not an integer
-    with k >= 1 and z >= 0. ``operator.index`` takes Python and numpy ints
-    and refuses floats, so no model runs with a fractional count."""
-    try:
-        ok = operator.index(k) >= 1 and operator.index(z) >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InputError(f"need integers k >= 1 and z >= 0, got k={k!r}, z={z!r}")
+    with k >= 1 and z >= 0."""
+    refusal = f"need integers k >= 1 and z >= 0, got k={k!r}, z={z!r}"
+    _integer(k, 1, refusal)
+    _integer(z, 0, refusal)
 
 
 def _size_bound(k: int, c: float, epsilon: float, d: int, what: str) -> float:

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .metric import Metric, WeightedPoint, _check_counts, as_weighted, leq
+from .metric import Metric, WeightedPoint, _check_counts, _integer, as_weighted, leq
 from .offline import Instance, _PointSet, _mbc, _point_set, greedy
 
 ROUND_ROBIN = "roundrobin"
@@ -74,8 +74,7 @@ class MpcConfig:
     distribution: Distribution = field(default_factory=round_robin)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InputError("need at least one machine")
+        _integer(self.m, 1, f"need an integer count of at least one machine, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -257,8 +256,7 @@ def run_r_round(points, k: int, z: int, epsilon: float, rounds: int, cfg: MpcCon
                 metric: Metric) -> MpcRun:
     """Deterministic R-round fan-in: beta = ceil(m^(1/R)); each active machine
     compresses what it received and forwards to machine ceil(i/beta)."""
-    if rounds < 1:
-        raise InputError("need at least one round")
+    rounds = _integer(rounds, 1, f"need an integer count of at least one round, got {rounds!r}")
     eng = _Rounds(points, k, z, epsilon, cfg, metric)
     m = cfg.m
     beta = 1

@@ -413,10 +413,11 @@ def _net(points, delta: float, metric: Metric):
 
     Repeatedly takes the first remaining point q and merges every remaining
     point within distance delta of q (inclusive) into q, summing weights.
-    Returns (representatives, assignment) where assignment[i] is the
-    representative index of input point i. A representative whose net holds
-    only itself is its input ``WeightedPoint``, not a copy. ``points`` is a
-    point list or a ``_PointSet``.
+    Returns (representatives, input index of each, assignment), the last two
+    as int arrays, where assignment[i] is the representative index of input
+    point i. A representative whose net holds only itself is its input
+    ``WeightedPoint``, not a copy. ``points`` is a point list or a
+    ``_PointSet``.
 
     Equivalently, a point is owned by the first earlier representative
     within the bound b = ``_net_bound(delta)``, and is one itself if there is
@@ -441,22 +442,12 @@ def _net(points, delta: float, metric: Metric):
       outnumber that per point, as in a set inside a few cells, the blocked
       path is the cheaper.
     """
-    reps, _, assignment, _ = _net_cells(points, delta, metric)
-    return reps, assignment.tolist()
-
-
-def _net_cells(points, delta: float, metric: Metric):
-    """``_net`` as (representatives, input index of each, assignment), the
-    last two as int arrays, and the packed cells of the representatives
-    (``_pack_rows``) when it took the grid path, else None. The cells' width
-    is that of ``_net_bound(delta)``, so the stream's filter reads them as
-    they are."""
     ps = _point_set(points, metric)
     n = len(ps)
     if n == 0:
-        return [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), None
+        return [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     bound = _net_bound(delta)
-    cells = digits = runs = None
+    digits = runs = None
     if "dmat" not in ps.__dict__ and _gridded(metric, len(ps.wps[0].point), bound):
         digits = _cell_digits(ps.coords, bound * _CELL_MARGIN)
     if digits is not None:
@@ -468,7 +459,6 @@ def _net_cells(points, delta: float, metric: Metric):
         leader, owner = _grid_leaders(ps, bound, order, first, sizes)
         firsts = np.flatnonzero(leader)
         assignment = (np.cumsum(leader) - 1)[owner]
-        cells = _pack_rows(digits[firsts])
     else:
         firsts, assignment = _blocked_leaders(ps, bound)
     weights = np.zeros(len(firsts), dtype=np.int64)
@@ -478,36 +468,30 @@ def _net_cells(points, delta: float, metric: Metric):
     merged = np.flatnonzero(weights != ps.weights[firsts])
     for t, wt in zip(merged.tolist(), weights[merged].tolist()):
         reps[t] = _unchecked_point(reps[t].point, wt)
-    return reps, firsts, assignment, cells
+    return reps, firsts, assignment
 
 
 def _cell_runs(digits: np.ndarray):
     """The points sorted by cell, and where each one's candidates lie:
-    (order, first, sizes, cells). ``order`` sorts the points by cell key.
+    (order, first, sizes, cells). The leading D - 1 digits of a cell are
+    ranked, and a cell's key is its rank times ``_CELL_BASE`` plus its last
+    digit, so every key fits int64; ``order`` sorts the points by key.
     Sorted by key, the three cells (..., last - 1 .. last + 1) of each of
     the 3^(D-1) rows of cells around a cell are consecutive, so one
     ``searchsorted`` pair per row finds them, with needles in key order:
     ``first[t, p]`` and ``sizes[t, p]`` give the run of sorted positions in
-    row t around the point at sorted position p. (At D = 3 the leading two
-    digits are ranked first, so a key fits int64.) ``cells`` counts the
+    row t around the point at sorted position p. ``cells`` counts the
     nonempty cells."""
-    dim = digits.shape[1]
-    steps = np.asarray(_OFFSETS[dim - 1], dtype=np.int64)[:, None]  # the rows' leading digits
-    if dim <= 2:
-        keys = _pack_rows(digits)
-        order = np.argsort(keys)
-        skeys = keys[order]
-        middles = skeys + steps * _CELL_BASE  # the key of each row's middle cell
-    else:
-        lead = _pack_rows(digits[:, :-1])
-        heads, rank = np.unique(lead, return_inverse=True)
-        keys = rank * _CELL_BASE + digits[:, -1]
-        order = np.argsort(keys)
-        skeys = keys[order]
-        needles = lead[order] + steps
-        at = np.searchsorted(heads, needles)
-        middles = at * _CELL_BASE + digits[order, -1]
-        middles[heads.take(at, mode="clip") != needles] = -2 * _CELL_BASE  # no such row
+    steps = np.asarray(_OFFSETS[digits.shape[1] - 1], dtype=np.int64)[:, None]
+    lead = _pack_rows(digits[:, :-1])  # the leading digits of each point's row
+    heads, rank = np.unique(lead, return_inverse=True)
+    keys = rank * _CELL_BASE + digits[:, -1]
+    order = np.argsort(keys)
+    skeys = keys[order]
+    needles = lead[order] + steps  # the leading digits of the rows around each point
+    at = np.searchsorted(heads, needles)
+    middles = at * _CELL_BASE + digits[order, -1]  # the key of each row's middle cell
+    middles[heads.take(at, mode="clip") != needles] = -2 * _CELL_BASE  # no such row
     first = np.searchsorted(skeys, middles - 1)
     sizes = np.searchsorted(skeys, middles + 1, "right") - first
     cells = 1 + int(np.count_nonzero(skeys[1:] != skeys[:-1]))
@@ -625,8 +609,7 @@ def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:
     """Recompress a weighted set to a delta-net (first-in-input-order greedy)."""
     if delta < 0:
         raise InputError("delta must be nonnegative")
-    reps, _ = _net(points, delta, metric)
-    return reps
+    return _net(points, delta, metric)[0]
 
 
 def _mbc(points, k: int, z: int, epsilon: float, metric: Metric) -> MiniBallCovering:
@@ -647,10 +630,10 @@ def _mbc(points, k: int, z: int, epsilon: float, metric: Metric) -> MiniBallCove
     ps = _point_set(points, metric)
     result = greedy(ps, k, z, metric)
     delta = epsilon * result.radius / 3.0
-    reps, assignment = _net(ps, delta, metric)
+    reps, _, assignment = _net(ps, delta, metric)
     return MiniBallCovering(
         representatives=tuple(reps),
-        assignment=tuple(assignment),
+        assignment=tuple(assignment.tolist()),
         epsilon=epsilon,
         ball_radius=delta,
         greedy_radius=result.radius,

@@ -25,9 +25,7 @@ An arrival whose 3^D neighbouring cells are all empty is appended at once;
 any other arrival is scanned as before. The set is rebuilt whenever r
 changes (the first estimate, and once after the recompressions an arrival
 triggers), and each new representative adds its cell. It holds one entry
-per representative, so at most threshold entries. The point's own cell is
-looked up first: an arrival that joins a representative most often finds
-it there, and then pays one lookup.
+per representative, so at most threshold entries.
 
 The full scan of every arrival stays for explicit metrics (points are
 matrix indices), for r = 0, for D above ``_CELL_MAX_DIM`` (where, as
@@ -35,24 +33,22 @@ measured, the 3^D lookups cost more than the scans they save) and for an
 arrival with a quotient past the guard. A representative past the guard
 turns the filter off until r next changes.
 
-The filter pays only where arrivals skip the scan. A skipped arrival saves
-a scan, 10 to 15 us on a 2-vCPU machine; a scanned one pays about 1 us for
-its key and lookups. Once r settles, nearly every arrival joins a
-representative. So the stream counts the arrivals the filter skipped and
-scanned since the last rebuild. Once ``_CELL_TRIAL`` were scanned and fewer
-than one was skipped per ``_CELL_PAYBACK`` scanned, the filter is turned
-off until r next changes.
+A skipped arrival saves a scan, 10 to 15 us on a 2-vCPU machine. An
+arrival that joins a representative pays, on top of its scan, one key and
+most often one lookup: the point's own cell is looked up first, and most
+often holds the representative it joins. Once r settles nearly every
+arrival joins, so that is the filter's cost on a stream whose spread stops
+growing.
 
 No distance matrix is kept. A recompression hands ``_net`` a ``_PointSet``
 of ``pstar`` whose coordinates are ``_coords[:m]`` itself, read in place
 rather than copied from the representatives. Where the filter could run,
-``_net`` takes its grid path over the same cells: it compares each
-representative only with the earlier ones in the cells around it, one
-chunk of about 2^16 pairs at a time, and returns the cells of the
-representatives it keeps, which are the filter's next ``_cells`` (the net's
-bound is the scan bound at the new r). Elsewhere it computes the distances
-it reads one row block of about 2^16 at a time. The stream then gathers
-``_coords`` down to the kept rows.
+``_net`` takes its grid path over cells of the same width (the net's bound
+is the scan bound at the new r): it compares each representative only with
+the earlier ones in the cells around it, one chunk of about 2^16 pairs at a
+time. Elsewhere it computes the distances it reads one row block of about
+2^16 at a time. The stream then gathers ``_coords`` down to the kept rows
+and puts them in cells.
 
 An arrival that would trigger a recompression whose total weight is past
 int64 is refused before it changes any state.
@@ -72,12 +68,9 @@ from .metric import (
     min_pairwise_distance,
 )
 from .offline import (
-    _CELL_GUARD, _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded,
-    _net_bound, _net_cells, _pack_rows,
+    _CELL_GUARD, _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded, _net,
+    _net_bound, _pack_rows,
 )
-
-_CELL_TRIAL = 64               # scans of arrivals with a key before the filter is judged
-_CELL_PAYBACK = 8              # the filter stays on while it skips one arrival per this many scans
 
 
 def size_threshold(k: int, z: int, epsilon: float, d: int) -> int:
@@ -106,8 +99,6 @@ class InsertionStream:
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
         self._cells = None  # the representatives' cell keys, or None when the filter is off
         self._width = self._offsets = None  # the cells' width; _OFFSETS[D]
-        self._skips = self._scans = 0  # filtered arrivals skipped and scanned since the rebuild
-        self._kept_cells = None  # the cells of the last net's representatives, for _index
         self.arrivals = 0
 
     def arrival(self, point, weight: int = 1) -> None:
@@ -120,18 +111,12 @@ class InsertionStream:
         if self.pstar and len(point) != len(self.pstar[0].point):
             raise InputError("arrival dimension mismatch")
         cells = self._cells
-        key = None if cells is None else self._cell(point)
+        key = None if cells is None else _cell_key(point, self._width)
         skip = key is not None and self._isolated(key)  # no representative's cell neighbours it
         i = None if skip else self._first_within(point, self._bound())
         if i is None and len(self.pstar) + 1 >= self.threshold:
             _check_total(self.arrivals + weight)  # the recompression sums every weight in int64
         self.arrivals += weight
-        if skip:
-            self._skips += 1
-        elif key is not None:
-            self._scans += 1
-            if self._scans >= _CELL_TRIAL and self._skips * _CELL_PAYBACK < self._scans:
-                self._cells = cells = None  # it costs more than it saves until r changes
         if i is not None:
             rep = self.pstar[i]
             self.pstar[i] = _unchecked_point(rep.point, rep.weight + weight)
@@ -155,7 +140,7 @@ class InsertionStream:
             ps = _PointSet(self.pstar, self.metric)
             ps.coords = self._coords[:len(self.pstar)]
             assert ps.coords.shape == (len(self.pstar), len(self.pstar[0].point))
-            reps, keep, _, self._kept_cells = _net_cells(ps, self._limit(), self.metric)
+            reps, keep, _ = _net(ps, self._limit(), self.metric)
             self._coords[:len(keep)] = self._coords[keep]
             self.pstar = reps
 
@@ -172,29 +157,19 @@ class InsertionStream:
         return _net_bound(self._limit())
 
     def _index(self) -> None:
-        """Rebuild ``_cells`` for the current r, or leave the filter off
-        where the module docstring says the full scan stays. After a
-        recompression whose net took the grid path, the cells are the ones
-        it returned; else they are computed from ``_coords``."""
-        cells, self._kept_cells = self._kept_cells, None
+        """Rebuild ``_cells`` from ``_coords`` for the current r, or leave
+        the filter off where the module docstring says the full scan
+        stays."""
         self._cells = None
-        self._skips = self._scans = 0
         m, dim = len(self.pstar), len(self.pstar[0].point)
         bound = self._bound()
-        if self.r == 0.0 or not _gridded(self.metric, dim, bound):
+        if not _gridded(self.metric, dim, bound):
             return
         width = bound * _CELL_MARGIN
-        if cells is None:
-            digits = _cell_digits(self._coords[:m], width)
-            if digits is None:
-                return
-            cells = _pack_rows(digits)
-        self._width, self._offsets = width, _OFFSETS[dim]
-        self._cells = set(cells.tolist())
-
-    def _cell(self, point):
-        """The key of point's cell, or None if a quotient is past the guard."""
-        return _cell_key(point, self._width)
+        digits = _cell_digits(self._coords[:m], width)
+        if digits is not None:
+            self._width, self._offsets = width, _OFFSETS[dim]
+            self._cells = set(_pack_rows(digits).tolist())
 
     def _isolated(self, key: int) -> bool:
         """Whether the 3^D cells around the cell of ``key`` are all empty."""

@@ -427,6 +427,10 @@ MPC_REFUSALS = {
     "random without a seed": (lambda: Distribution(RANDOM), "needs a seed"),
     "no rounds": (lambda: run_r_round(FIVE, 1, 0, 0.5, 0, MpcConfig(3), Metric(LINF)),
                   "at least one round"),
+    "fractional rounds": (lambda: run_r_round(FIVE, 1, 0, 0.5, 1.5, MpcConfig(4), Metric(LINF)),
+                          "integer count of at least one round"),
+    "fractional machines": (lambda: MpcConfig(2.5), "integer count of at least one machine"),
+    "machines as a string": (lambda: MpcConfig("3"), "integer count of at least one machine"),
 }
 
 

@@ -21,7 +21,7 @@ from kcoreset.metric import (
 from kcoreset.mpc import vector_length
 from kcoreset.offline import (
     _CELL_GUARD, _CELL_MARGIN, GreedyResult, _PointSet, _cell_digits, _cell_runs, _grid_leaders,
-    _mbc, _net, _net_bound, _net_cells, _pack_rows,
+    _mbc, _net, _net_bound,
 )
 from kcoreset.validate import (
     EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION, _cost_batch,
@@ -764,7 +764,7 @@ def test_net_and_mbc_on_a_point_set_equal_list_calls():
         pts, k, z, metric = greedy_case(rng, trial)
         ps = _PointSet(pts, metric)
         for delta in (0.0, 1.0, 2.5):
-            assert _net(ps, delta, metric) == _net(pts, delta, metric), (trial, delta)
+            assert _net_pair(ps, delta, metric) == _net_pair(pts, delta, metric), (trial, delta)
         for budget in (z, z + 2):
             got, expect = _mbc(ps, k, budget, 0.5, metric), _mbc(pts, k, budget, 0.5, metric)
             assert got == expect and repr(got) == repr(expect), (trial, budget)
@@ -811,7 +811,7 @@ def test_mbc_builds_one_distance_matrix(monkeypatch, linf):
     pts = random_points(rng, 40, 2, hi=60, weights=True)
     inst = Instance(tuple(pts), 2, 1, 0.5, linf)
     expect_greedy = greedy(pts, 2, 1, linf)
-    expect_net = offline._net(pts, 0.5 * expect_greedy.radius / 3.0, linf)
+    expect_reps, _, expect_assignment = offline._net(pts, 0.5 * expect_greedy.radius / 3.0, linf)
     calls = []
     orig = Metric.pairwise
     monkeypatch.setattr(Metric, "pairwise", lambda self, a, b: calls.append(1) or orig(self, a, b))
@@ -819,7 +819,13 @@ def test_mbc_builds_one_distance_matrix(monkeypatch, linf):
     assert len(calls) == 1
     assert cov.greedy_radius == expect_greedy.radius
     assert (list(cov.representatives), list(cov.assignment)) == \
-        (expect_net[0], expect_net[1])
+        (expect_reps, expect_assignment.tolist())
+
+
+def _net_pair(points, delta, metric):
+    """``_net`` as (representatives, assignment as a list)."""
+    reps, _, assignment = _net(points, delta, metric)
+    return reps, assignment.tolist()
 
 
 def scalar_net(points, delta, metric):
@@ -865,9 +871,9 @@ def test_net_matches_scalar_oracle(monkeypatch):
             cases.append((pts, delta, metric))
     for pts, delta, metric in cases:
         expect = scalar_net(pts, delta, metric)
-        reps, assignment = _net(pts, delta, metric)
-        assert (reps, assignment) == expect
-        assert all(type(a) is int for a in assignment)
+        reps, _, assignment = _net(pts, delta, metric)
+        assert (reps, assignment.tolist()) == expect
+        assert assignment.dtype.kind == "i"
         assert all(type(r.weight) is int for r in reps)
         # every case fits one block; then blocks of at most 1, 2 and 3 rows.
         # Each runs on a set whose matrix is built first (the rows are read
@@ -880,7 +886,7 @@ def test_net_matches_scalar_oracle(monkeypatch):
                 ps = _PointSet(pts, metric)
                 if built:
                     ps.dmat
-                assert _net(ps, delta, metric) == expect, (rows, built)
+                assert _net_pair(ps, delta, metric) == expect, (rows, built)
                 assert ("dmat" in ps.__dict__) == built
         monkeypatch.undo()
 
@@ -889,7 +895,7 @@ def _blocked_net(pts, delta, metric):
     """``_net`` on a set whose matrix is built, so it takes the blocked path."""
     ps = _PointSet(pts, metric)
     ps.dmat
-    return _net(ps, delta, metric)
+    return _net_pair(ps, delta, metric)
 
 
 def _grid_net(pts, delta, metric):
@@ -922,27 +928,37 @@ def _spread_cases(rng):
         yield [W(tuple(c / 64 for c in p.point), p.weight) for p in pts], 0.0, metric
 
 
+def _grid_calls(monkeypatch):
+    """A list that gains an entry each time ``_net`` takes its grid path."""
+    calls = []
+    real = offline._grid_leaders
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(offline, "_grid_leaders", counted)
+    return calls
+
+
 def test_grid_net_matches_the_blocked_net(monkeypatch):
     # the grid path against the blocked one, one chunk or many; it returns
-    # the packed cells of its representatives at the width of its bound
+    # each representative's input index
     rng = np.random.default_rng(71)
-    gridded = 0
+    gridded = _grid_calls(monkeypatch)
+    default = offline._NET_BLOCK
     for pts, delta, metric in _spread_cases(rng):
         expect = _blocked_net(pts, delta, metric)
-        for block in (None, 30):
-            if block:
-                monkeypatch.setattr(offline, "_NET_BLOCK", block)
-            reps, firsts, assignment, cells = _net_cells(pts, delta, metric)
-            monkeypatch.undo()
+        for block in (30, default):  # the next blocked net runs at the default
+            monkeypatch.setattr(offline, "_NET_BLOCK", block)
+            reps, firsts, assignment = _net(pts, delta, metric)
             assert (reps, assignment.tolist()) == expect, (len(pts), delta, block)
-            if cells is not None:
-                gridded += block is None
-                width = _net_bound(delta) * _CELL_MARGIN
-                digits = _cell_digits(coords_array([pts[i] for i in firsts]), width)
-                assert cells.tolist() == _pack_rows(digits).tolist()
+            assert firsts.tolist() == np.unique(expect[1], return_index=True)[1].tolist()
         grid = _grid_net(pts, delta, metric)
         assert grid is None or grid[1] == expect[1]
-    assert gridded >= 150  # of 300 nets; crowded and tiny sets take the blocked path
+    # each of at least 150 of 300 sets, in both chunkings; crowded and tiny
+    # sets take the blocked path
+    assert len(gridded) >= 2 * 150
 
 
 @pytest.mark.parametrize("kind", [L2, LINF])
@@ -973,26 +989,27 @@ def test_grid_net_matches_the_blocked_net_on_cell_edges(kind, dim, monkeypatch):
             if block:
                 monkeypatch.setattr(offline, "_NET_BLOCK", block)
             assert _grid_net(pts, delta, metric) == (firsts, expect[1]), (len(pts), block)
-            assert _net(pts, delta, metric) == expect
+            assert _net_pair(pts, delta, metric) == expect
             monkeypatch.undo()
     assert _blocked_net(cases[0], delta, metric)[1] == [0, 0]
     # points without coordinates coincide, and take the blocked path
-    assert _net([W(()), W((), 2)], delta, metric) == ([W((), 3)], [0, 0])
+    assert _net_pair([W(()), W((), 2)], delta, metric) == ([W((), 3)], [0, 0])
 
 
 @pytest.mark.parametrize("kind", [L2, LINF])
-def test_grid_net_falls_back_past_its_guard(kind):
+def test_grid_net_falls_back_past_its_guard(kind, monkeypatch):
     # a quotient past the guard sends the whole set to the blocked path,
     # which gives the same net
     metric = Metric(kind)
     delta = 1.0
     edge = _CELL_GUARD * _net_bound(delta) * _CELL_MARGIN
     pts = [W((float(x), 0.0)) for x in range(0, 40, 3)] + [W((edge, 1.0)), W((edge + 0.5, 1.0))]
-    reps, _, assignment, cells = _net_cells(pts, delta, metric)
-    assert cells is None and (reps, assignment.tolist()) == _blocked_net(pts, delta, metric)
+    gridded = _grid_calls(monkeypatch)
+    reps, _, assignment = _net(pts, delta, metric)
+    assert not gridded and (reps, assignment.tolist()) == _blocked_net(pts, delta, metric)
     assert assignment.tolist()[-2:] == [len(reps) - 1] * 2
-    reps, _, _, cells = _net_cells(pts[:-2], delta, metric)  # inside the guard: the grid
-    assert cells is not None and len(reps) == len(pts) - 2
+    reps, _, _ = _net(pts[:-2], delta, metric)  # inside the guard: the grid
+    assert gridded and len(reps) == len(pts) - 2
 
 
 def test_grid_net_computes_a_few_distances_per_point(monkeypatch, linf):
@@ -1012,11 +1029,11 @@ def test_grid_net_computes_a_few_distances_per_point(monkeypatch, linf):
 
     monkeypatch.setattr(Metric, "paired", counter("paired", Metric.paired))
     monkeypatch.setattr(Metric, "pairwise", counter("pairwise", Metric.pairwise))
-    reps, _, assignment, cells = _net_cells(pts, 4.0, linf)
+    reps, _, assignment = _net(pts, 4.0, linf)
     grid = dict(counted)
     counted.clear()
     blocked = offline._blocked_leaders(_PointSet(pts, linf), _net_bound(4.0))
-    assert cells is not None and assignment.tolist() == blocked[1].tolist()
+    assert assignment.tolist() == blocked[1].tolist()
     assert grid == {"paired": grid["paired"]} and grid["paired"] <= 20 * len(pts)
     assert counted["pairwise"] >= len(pts) ** 2 / 4 and len(reps) > 3000
 

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,7 @@ from kcoreset import (
 )
 from kcoreset import metric as metric_module, offline, streaming
 from kcoreset.metric import REL_TOL, coords_array
-from kcoreset.offline import _PointSet
+from kcoreset.offline import _PointSet, _cell_key
 from kcoreset.pointio import read_points
 from conftest import random_points, scalar_distance
 from test_offline import scalar_net
@@ -295,15 +294,15 @@ def test_recompression_reads_the_stream_coordinates_in_place(monkeypatch):
     def net(ps, delta, metric):
         assert np.shares_memory(ps.coords, st_._coords)
         assert np.array_equal(ps.coords, coords_array(ps.wps))
-        reps, firsts, assignment, cells = real_net(ps, delta, metric)
+        reps, firsts, assignment = real_net(ps, delta, metric)
         assert np.array_equal(firsts, np.unique(assignment, return_index=True)[1])
         alone = np.bincount(assignment) == 1
         assert [rep is ps.wps[i] for rep, i in zip(reps, firsts)] == alone.tolist()
         seen.append((len(ps), alone.sum(), (~alone).sum()))
-        return reps, firsts, assignment, cells
+        return reps, firsts, assignment
 
-    real_net = streaming._net_cells
-    monkeypatch.setattr(streaming, "_net_cells", net)
+    real_net = streaming._net
+    monkeypatch.setattr(streaming, "_net", net)
     metric, stream = growing_stream(LINF, np.random.default_rng(5), 400, 64)
     st_ = InsertionStream(2, 1, 1.0, 1, metric)
     st_.extend(stream)
@@ -431,7 +430,7 @@ def test_a_refused_arrival_changes_no_state(linf):
     def state(st_):
         m = len(st_.pstar)
         return (st_.arrivals, list(st_.pstar), st_.r, st_._coords[:m].tolist(),
-                None if st_._cells is None else set(st_._cells), st_._skips, st_._scans)
+                None if st_._cells is None else set(st_._cells))
 
     points = [(float(x),) for x in range(15)]
     st_, ref = InsertionStream(1, 0, 1.0, 1, linf), InsertionStream(1, 0, 1.0, 1, linf)
@@ -463,7 +462,7 @@ def _filtered_matches_scan(metric, stream, k, d):
     fast, plain = InsertionStream(k, 0, 1.0, d, metric), UnfilteredStream(k, 0, 1.0, d, metric)
     skipped = across = 0
     for p in stream:
-        key = None if fast._cells is None else fast._cell(p)
+        key = None if fast._cells is None else _cell_key(p, fast._width)
         bound = fast._bound()
         i = fast._first_within(p, bound)
         if key is not None and fast._isolated(key):
@@ -471,7 +470,7 @@ def _filtered_matches_scan(metric, stream, k, d):
             skipped += 1
         elif i is not None and key is not None:
             q = fast.pstar[i].point
-            across += fast._cell(q) != key and metric.distance(p, q) == bound
+            across += _cell_key(q, fast._width) != key and metric.distance(p, q) == bound
         fast.arrival(p)
         plain.arrival(p)
         assert fast.r == plain.r and fast.report() == plain.report()
@@ -480,7 +479,7 @@ def _filtered_matches_scan(metric, stream, k, d):
 
 @pytest.mark.parametrize("kind", [L2, LINF])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim, monkeypatch):
+def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim):
     # declared d != D: 2 for 1-D points, 1 otherwise. The first k + 1
     # arrivals lie far out on axis 0 and fix r. Then come -tiny and b (or
     # tiny and -b) on axis 0: pairwise puts them b apart, so b joins -tiny,
@@ -489,9 +488,6 @@ def test_cell_filter_matches_the_scan_on_every_arrival(kind, dim, monkeypatch):
     # The rest are a shuffled lattice of spacing b around the origin, with
     # the neighbouring floats of each lattice value: negative coordinates,
     # and more points exactly b apart across cell edges.
-    # most lattice points join a representative, which would turn the
-    # filter off; it is kept on, so every arrival meets it
-    monkeypatch.setattr(streaming, "_CELL_TRIAL", math.inf)
     metric, k, d = Metric(kind), 40, 2 if dim == 1 else 1
     rng = np.random.default_rng(7 + dim)
     seeds = [(1000.0 + 6.6 * i,) + (0.0,) * (dim - 1) for i in range(k + 1)]
@@ -524,28 +520,23 @@ def test_cell_filter_matches_the_scan_on_growing_streams(kind):
 
 
 @pytest.mark.parametrize("kind", [L2, LINF])
-def test_cell_filter_turns_itself_off_where_arrivals_join(kind):
+def test_cell_filter_stays_on_where_arrivals_join(kind):
     # three tight clusters: once r settles nearly every arrival joins a
-    # representative, so the filter skips too few scans and turns itself
-    # off until r next changes; the output stays the scan's
+    # representative and the filter skips almost no scan; it stays on from
+    # the first r to the end, and the output stays the scan's
     rng = np.random.default_rng(5)
     centers = rng.uniform(-100, 100, size=(3, 2))
     points = centers[rng.integers(0, 3, 1500)] + rng.normal(0, 1, size=(1500, 2))
     metric = Metric(kind)
     fast, plain = InsertionStream(3, 0, 1.0, 1, metric), UnfilteredStream(3, 0, 1.0, 1, metric)
-    filters = []
+    radii = set()
     for p in map(tuple, points.tolist()):
-        r = fast.r
         fast.arrival(p)
         plain.arrival(p)
         assert fast.r == plain.r and fast.report() == plain.report()
-        if fast.r != r:  # rebuilt: on again, with fresh counts
-            assert fast._cells is not None and fast._skips == fast._scans == 0
-        filters.append(fast._cells is not None)
-    # off, on, off and on again after an r change; off for the settled rest
-    flips = [i for i in range(1, len(filters)) if filters[i] != filters[i - 1]]
-    assert not filters[0] and len(flips) >= 3 and not any(filters[-800:])
-    assert fast._skips * streaming._CELL_PAYBACK < fast._scans == streaming._CELL_TRIAL
+        assert (fast._cells is None) == (fast.r == 0.0)
+        radii.add(fast.r)
+    assert len(radii) >= 4  # the cells were rebuilt at three r or more
 
 
 @pytest.mark.parametrize("kind", [L2, LINF])
@@ -569,7 +560,7 @@ def test_cell_filter_falls_back_to_the_scan_past_its_guard(kind):
         plain.arrival(p)
         assert fast.r == plain.r and fast.report() == plain.report()
         filters.append(fast._cells is not None)
-    assert fast._cell((outside, 1.0)) is None
+    assert _cell_key((outside, 1.0), fast._width) is None
     assert filters == [False, False] + [True] * 3 + [False] * 4
     assert [wp.weight for wp in fast.pstar] == [2, 1, 1, 2, 2, 1]
     # a representative past the guard when r is first set: 0, 2^40 and 1 set
