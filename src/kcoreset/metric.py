@@ -53,7 +53,7 @@ class WeightedPoint:
     weight: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
             raise InputError(f"weight must be a positive integer, got {self.weight!r}")
         point = tuple(map(float, self.point))
         if not _finite(point):
@@ -264,7 +264,10 @@ class Metric:
 def _integer(value, low: int, refusal: str) -> int:
     """``value`` as a Python int if it is an integer of at least ``low``,
     else ``InputError(refusal)``. ``operator.index`` takes Python and numpy
-    ints and refuses floats and strings, so no count or size is fractional."""
+    ints and refuses floats, strings and numpy bools, so no count or size is
+    fractional; a Python bool is an int to it, so it is refused first."""
+    if isinstance(value, bool):
+        raise InputError(refusal)
     try:
         value = operator.index(value)
     except TypeError:

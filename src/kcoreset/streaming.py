@@ -68,8 +68,8 @@ from .metric import (
     min_pairwise_distance,
 )
 from .offline import (
-    _CELL_GUARD, _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded, _net,
-    _net_bound, _pack_rows,
+    _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded, _net, _net_bound,
+    _pack_rows,
 )
 
 

@@ -8,13 +8,19 @@ universe, ``_center_set_costs``, which refuses a distance past the float
 range; for each center set the uncovered-weight function of the radius is a
 step function, so checking at its feasibility threshold is exact.
 
-The enumeration takes the center sets in lexicographic order, in blocks of
-about ``_BLOCK_DISTANCES`` distances per point set, and decodes each block of
-ranks in numpy (``_lex_combinations``). For c_0 < ... < c_{k-1} in range(m)
-the lexicographic rank is C(m, k) - 1 - sum_j C(m-1-c_j, k-j), so a rank is
-read back greedily, one ``searchsorted`` per position over a table of
-binomials (the last position is what is left); the same decoder names a
-witness from its rank.
+The enumeration costs the center sets of m candidates in lexicographic
+order, one point set at a time. T_j, the table of minima at level j, holds the
+entrywise minimum of the distance rows of every j-combination of range(m) in
+lexicographic order; T_1 is the distance matrix, and T_j is built from T_{j-1}
+by one broadcast minimum per first entry. For c_0 < ... < c_{k-1}, the sets
+that share the prefix c_0 .. c_{k-j-1} are the tail of T_j from rank
+C(m, j) - C(m-1-c_{k-j-1}, j), so one broadcast minimum of the prefix's row
+with that tail writes the whole run into a block buffer, which is peeled when
+full. j is the deepest level up to k - 1 whose tables fit
+``_TABLE_DISTANCES`` and have no more rows than there are sets. Only a witness is decoded from its rank
+(``_lex_combinations``): the rank of c_0 < ... < c_{k-1} is
+C(m, k) - 1 - sum_j C(m-1-c_j, k-j), read back greedily, one ``searchsorted``
+per position over a table of binomials (the last position is what is left).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ WEIGHT_RESTRICTION = "WeightRestriction"
 SUBSET_CAP = 2_000_000  # most candidate center sets one enumeration takes
 _WEIGHT_CAP = 10**6  # largest total input weight check_mini_ball_covering accepts
 _BLOCK_DISTANCES = 1 << 16  # distances per point set in one block of _center_set_costs
+_TABLE_DISTANCES = 1 << 20  # most distances per point set in its tables of minima
 
 
 @dataclass(frozen=True)
@@ -87,24 +94,28 @@ def _cost_batch(nearest: np.ndarray, weights: np.ndarray, z: int) -> np.ndarray:
     answer is always one of the input distances, so its bits do not depend on
     the order either.
 
-    ``nearest`` is overwritten: pass a copy if it is read again. A round is
-    one argmax over the rows, so the cost is O((z+1) n) per row.
+    ``nearest`` is overwritten when it is C-contiguous: pass a copy if it is
+    read again. A round is one argmax over the rows, and the entries it takes
+    are read and overwritten by their flat index, so the cost is O((z+1) n)
+    per row.
     """
+    nearest = np.ascontiguousarray(nearest)  # so ``flat`` is a view of it
     rows, n = nearest.shape
     cost = np.zeros(rows)
     if int(weights.sum()) <= z:
         return cost
-    at = np.arange(rows)
+    flat = nearest.reshape(-1)
+    starts = np.arange(0, rows * n, n)
     dropped = np.zeros(rows, dtype=np.int64)
     for _ in range(min(z + 1, n)):
         open_ = dropped <= z  # rows that have not crossed yet
         if not open_.any():
             break
         col = nearest.argmax(axis=1)
-        top = nearest[at, col]
-        cost[open_] = top[open_]
+        at = starts + col
+        np.copyto(cost, flat[at], where=open_)
         dropped += weights[col]
-        nearest[at, col] = -np.inf
+        flat[at] = -np.inf
     return cost
 
 
@@ -156,19 +167,118 @@ def _lex_combinations(m: int, k: int):
     return block
 
 
+def _tail(m: int, j: int, last: int) -> int:
+    """The rank of the first j-combination of range(m) whose entries all
+    exceed ``last``: those combinations are the last C(m-last-1, j) in
+    lexicographic order."""
+    return math.comb(m, j) - math.comb(m - last - 1, j)
+
+
+def _table_level(m: int, k: int, n: int) -> int:
+    """The level j of the table of minima that the enumeration of the
+    k-subsets of m candidates reads over a point set of n points: the
+    largest j <= max(1, k-1) whose tables T_2..T_j hold at most
+    ``_TABLE_DISTANCES`` distances in all and no more rows each than there
+    are k-subsets. T_1 is the distance matrix itself, so level 1 builds
+    nothing. A table with more rows than the enumeration it serves saves no
+    work: past k = m/2 the levels stop at m - k, and a single set (k = m)
+    is costed from d itself."""
+    level, held = 1, 0
+    while level + 1 < k and math.comb(m, level + 1) <= math.comb(m, k):
+        held += math.comb(m, level + 1) * n
+        if held > _TABLE_DISTANCES:
+            break
+        level += 1
+    return level
+
+
+def _minima_table(d: np.ndarray, level: int) -> np.ndarray:
+    """T_level over the (m, n) distance matrix d: row r is the entrywise
+    minimum of the rows of d that the level-combination of rank r names.
+
+    T_1 is d. The j-combinations that start at a are a followed by every
+    (j-1)-combination of range(a+1, m), the tail of T_{j-1} from rank
+    ``_tail(m, j-1, a)``, so one broadcast minimum of d[a] with that tail
+    writes them all. Only T_{j-1} and T_j are held at once."""
+    m = len(d)
+    table = d
+    for j in range(2, level + 1):
+        prev, table = table, np.empty((math.comb(m, j), d.shape[1]))
+        row = 0
+        for a in range(m - j + 1):
+            tail = prev[_tail(m, j - 1, a):]
+            np.minimum(d[a], tail, out=table[row:row + len(tail)])
+            row += len(tail)
+    return table
+
+
+def _prefix_minima(d: np.ndarray, length: int, level: int):
+    """Every ``length``-combination of range(m - level), the prefixes of the
+    k-combinations of range(m) whose last ``level`` entries T_level holds, in
+    lexicographic order, as (the entrywise minimum of its rows of d, its last
+    entry). Each prefix costs one minimum of its parent's row and one row of
+    d. The empty prefix (length 0) is a row of inf with last entry -1."""
+    m = len(d)
+
+    def walk(row, first, left):
+        if not left:
+            yield row, first - 1
+            return
+        for c in range(first, m - level - left + 1):
+            yield from walk(np.minimum(row, d[c]), c + 1, left - 1)
+
+    yield from walk(np.full(d.shape[1], np.inf), 0, length)
+
+
+def _enumerate_costs(d: np.ndarray, w: np.ndarray, k: int, z: int) -> np.ndarray:
+    """The cost of every k-subset of the rows of the (m, n) distance matrix
+    d, in lexicographic order. With j = ``_table_level(m, k, n)``, a prefix
+    of k - j entries has for its run the tail of T_j after its last entry:
+    one broadcast minimum writes it into a block buffer of max(1,
+    ``_BLOCK_DISTANCES`` // n) rows, which ``_cost_batch`` peels each time
+    it is full."""
+    m, n = d.shape
+    level = _table_level(m, k, n)
+    per_block = max(1, _BLOCK_DISTANCES // n)
+    table = _minima_table(d, level)
+    out = np.empty(math.comb(m, k))
+    block = np.empty((per_block, n))
+    filled = done = 0
+    for row, last in _prefix_minima(d, k - level, level):
+        run = table[_tail(m, level, last):]
+        while len(run):
+            take = min(len(run), per_block - filled)
+            np.minimum(row, run[:take], out=block[filled:filled + take])
+            run = run[take:]
+            filled += take
+            if filled == per_block:
+                out[done:done + filled] = _cost_batch(block, w, z)
+                done, filled = done + filled, 0
+    if filled:
+        out[done:] = _cost_batch(block[:filled], w, z)
+    return out
+
+
 def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: CenterUniverse):
     """The cost of every k-subset of the universe (input points by default,
     materialized over the first point set; k is capped at its size), one
-    array per point set, costed in one pass; and a function naming subset i
-    as a tuple of centers. Entry i is the i-th k-combination of the
-    candidates in lexicographic order, so np.argmin and np.argmax name the
+    array per point set; and a function naming subset i as a tuple of
+    centers. Entry i is the i-th k-combination of the candidates in
+    lexicographic order, so np.argmin and np.argmax name the
     lexicographically first minimizer and maximizer. Raises CapacityError
     past ``SUBSET_CAP`` subsets.
 
-    The subsets come in blocks decoded by ``_lex_combinations``. A block
-    holds max(1, ``_BLOCK_DISTANCES`` // n) subsets, where n is the size of
-    the largest point set, so each gather of a block stays near 512 KB. A
-    subset's cost reads only its own row, so the block size changes no cost.
+    Each point set is costed on its own (``_enumerate_costs``), from its
+    (m, n) distance matrix and one table of minima T_j, j =
+    ``_table_level(m, k, n)``: the k-subsets that share their first k - j
+    entries are a run, the prefix's minimum row against the tail of T_j
+    after its last entry. The runs fill a block buffer of max(1,
+    ``_BLOCK_DISTANCES`` // n) rows, which is peeled when full. The tables
+    hold at most ``_TABLE_DISTANCES`` distances, so the memory is the
+    distance matrix, the tables and the buffer of one point set. A subset's
+    cost reads only its own row, and a minimum is exact in any order, so
+    neither the block size nor the level changes a cost.
+    ``_lex_combinations`` decodes only the witness.
     """
     cands = materialize_universe(point_sets[0], universe or input_points_universe())
     k = min(k, len(cands))
@@ -180,21 +290,11 @@ def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: Cent
     # row; the bits equal the points x candidates matrix transposed, since
     # L2 and L-inf are symmetric in their arguments and an explicit matrix is
     # validated as symmetric
-    dists = [_finite_distances(metric, carr, coords_array(wps)) for wps in point_sets]
-    weights = [weights_array(wps) for wps in point_sets]
-    costs = [np.empty(n_sets) for _ in point_sets]
-    subsets = _lex_combinations(len(cands), k)
-    per_block = max(1, _BLOCK_DISTANCES // max(len(w) for w in weights))
-    for start in range(0, n_sets, per_block):
-        combos = subsets(start, min(start + per_block, n_sets))
-        for d, w, out in zip(dists, weights, costs):
-            nearest = d[combos[:, 0]]  # (block, n), a copy
-            for col in combos.T[1:]:
-                np.minimum(nearest, d[col], out=nearest)
-            out[start:start + len(combos)] = _cost_batch(nearest, w, z)
+    costs = [_enumerate_costs(_finite_distances(metric, carr, coords_array(wps)),
+                              weights_array(wps), k, z) for wps in point_sets]
 
     def centers(i: int) -> tuple:
-        return tuple(cands[c] for c in subsets(i, i + 1)[0])
+        return tuple(cands[c] for c in _lex_combinations(len(cands), k)(i, i + 1)[0])
 
     return costs, centers
 

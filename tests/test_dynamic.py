@@ -481,6 +481,8 @@ DYNAMIC_REFUSALS = {
     "Delta 0": (lambda: GridConfig(0, 1), "need Delta >= 1"),
     "fractional Delta": (lambda: GridConfig(1024.0, 2), "need Delta >= 1 and d >= 1, as integers"),
     "fractional d": (lambda: GridConfig(64, 2.0), "need Delta >= 1 and d >= 1, as integers"),
+    "Delta and d as bools": (lambda: GridConfig(True, True),
+                             "need Delta >= 1 and d >= 1, as integers"),
     "fractional seed": (lambda: DynamicCoresetState(64, 1, 1, 0, 0.5, seed=1.5),
                         "seed must be an integer"),
     "neither sketches nor shadow": (

@@ -114,6 +114,7 @@ BAD_COUNTS = {
     "check_coreset z=0.5": lambda m: check_coreset(_PTS, _PTS, 1, 0.5, 0.5, m),
     "DynamicCoresetState z=0.5": lambda m: DynamicCoresetState(64, 1, 1, 0.5, 0.5),
     "InsertionStream k=1.5": lambda m: InsertionStream(1.5, 0, 0.5, 1, m),
+    "InsertionStream k=True, z=False": lambda m: InsertionStream(True, False, 1.0, 1, m),
 }
 
 
@@ -412,6 +413,13 @@ def test_explicit_points_must_be_one_integral_index():
     # 2-D points used to reach _probe and fail with numpy's broadcast error
     with pytest.raises(InputError):
         mbc_construction(Instance(((0.0, 1.0), (1.0, 2.0)), 1, 0, 0.5, m))
+
+
+@pytest.mark.parametrize("weight", [True, 0, 1.5, "2"])
+def test_weighted_point_rejects_bad_weights(weight):
+    # a bool is an int to isinstance, but True is no weight
+    with pytest.raises(InputError, match="weight must be a positive integer"):
+        WeightedPoint((1.0,), weight)
 
 
 def test_weighted_point_rejects_non_finite():

@@ -431,6 +431,7 @@ MPC_REFUSALS = {
                           "integer count of at least one round"),
     "fractional machines": (lambda: MpcConfig(2.5), "integer count of at least one machine"),
     "machines as a string": (lambda: MpcConfig("3"), "integer count of at least one machine"),
+    "machines as a bool": (lambda: MpcConfig(True), "integer count of at least one machine"),
 }
 
 

@@ -546,7 +546,7 @@ def test_cell_filter_falls_back_to_the_scan_past_its_guard(kind):
     probe = InsertionStream(2, 0, 1.0, 1, metric)
     probe.extend(seeds)
     b, width = probe._bound(), probe._width
-    edge = streaming._CELL_GUARD * width
+    edge = offline._CELL_GUARD * width
     inside, outside = edge - b / 2, edge + b / 4  # 0.75 b apart, across the guard
     stream = seeds + [
         (inside, 1.0), (outside, 1.0),     # scanned past the guard, joins its neighbour
@@ -584,7 +584,8 @@ def test_cell_filter_falls_back_to_the_scan_past_its_guard(kind):
 def test_cell_filter_skips_most_benchmark_arrivals(tmp_path, monkeypatch):
     # the seed-1 insertion-stream input: every one of the 3000 arrivals was
     # scanned before the filter (3049 pairwise calls with the nets); 867
-    # reach the scan with it, 916 pairwise calls in all
+    # reach the scan with it, and they are the 867 pairwise calls in all,
+    # since the grid nets compute through Metric.paired
     spec = _load_gen().generate("insertion-stream", 1, str(tmp_path))
     p = spec["params"]
     points = [wp.point for wp in read_points(str(tmp_path / "points.txt"))]

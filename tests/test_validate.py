@@ -15,6 +15,7 @@ from kcoreset import (
     input_points_universe, materialize_universe, mbc_construction, midpoint_grid_universe,
 )
 from kcoreset import validate
+from kcoreset.metric import L2, LINF, Metric, coords_array, weights_array
 from kcoreset.validate import _center_set_costs, _lex_combinations, uncovered_weight
 from kcoreset.validate import (
     COVERING_DISTANCE, RADIUS_BAND_LOW, WEIGHT_MISMATCH, WEIGHT_RESTRICTION,
@@ -298,6 +299,88 @@ def test_block_size_changes_no_cost(linf, monkeypatch):
             for got, want in zip(costs, default):
                 assert got.tobytes() == want.tobytes(), (n, k, sets_per_block)
         monkeypatch.undo()
+
+
+def gathered_center_set_costs(point_sets, k, z, metric, universe):
+    """The enumeration before the tables of minima, kept as the reference:
+    each block of ranks is decoded by ``_lex_combinations``, and the k rows
+    of the distance matrix that a set names are gathered and their minimum
+    peeled."""
+    cands = materialize_universe(point_sets[0], universe or input_points_universe())
+    k = min(k, len(cands))
+    n_sets = math.comb(len(cands), k)
+    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
+    dists = [validate._finite_distances(metric, carr, coords_array(wps)) for wps in point_sets]
+    weights = [weights_array(wps) for wps in point_sets]
+    costs = [np.empty(n_sets) for _ in point_sets]
+    subsets = _lex_combinations(len(cands), k)
+    per_block = max(1, (1 << 16) // max(len(w) for w in weights))
+    for start in range(0, n_sets, per_block):
+        combos = subsets(start, min(start + per_block, n_sets))
+        for d, w, out in zip(dists, weights, costs):
+            nearest = d[combos[:, 0]]  # (block, n), a copy
+            for col in combos.T[1:]:
+                np.minimum(nearest, d[col], out=nearest)
+            out[start:start + len(combos)] = validate._cost_batch(nearest, w, z)
+    return costs
+
+
+@pytest.mark.parametrize("kind", [LINF, L2])
+def test_tables_of_minima_match_the_gather_loop(kind, monkeypatch):
+    # every 1 <= k <= m <= 12 over an explicit universe of m centers; P and
+    # P* are weighted and of one size n, so a block of 1 set, of 7 sets and
+    # the default block apply to both. Each level j = 1..k-1 is used in
+    # turn: forced by the table budget where a table of C(m, j) rows is no
+    # larger than the C(m, k) sets, and set directly past that, where the
+    # budget never picks it
+    metric = Metric(kind)
+    rng = np.random.default_rng(47)
+    n = 9
+    default_block = validate._BLOCK_DISTANCES
+    for m in range(1, 13):
+        cells = rng.choice(400, size=m, replace=False)
+        universe = explicit_universe([(float(c // 20), float(c % 20)) for c in cells])
+        P = random_points(rng, n, 2, hi=20, cluster_frac=0.5, weights=True)
+        Ps = random_points(rng, n, 2, hi=20, weights=True)
+        for k in range(1, m + 1):
+            z = k % 4
+            want = gathered_center_set_costs([P, Ps], k, z, metric, universe)
+            for level in range(1, max(1, k - 1) + 1):
+                budget = sum(math.comb(m, j) * n for j in range(2, level + 1))
+                monkeypatch.setattr(validate, "_TABLE_DISTANCES", budget)
+                if math.comb(m, level) <= math.comb(m, k) or level == 1:
+                    assert validate._table_level(m, k, n) == level, (m, k, level)
+                else:
+                    assert validate._table_level(m, k, n) == max(1, m - k), (m, k, level)
+                    monkeypatch.setattr(validate, "_table_level", lambda *_, j=level: j)
+                for block in (n, 7 * n, default_block):
+                    monkeypatch.setattr(validate, "_BLOCK_DISTANCES", block)
+                    costs, _ = _center_set_costs([P, Ps], k, z, metric, universe)
+                    for got, ref in zip(costs, want):
+                        assert got.tobytes() == ref.tobytes(), (m, k, level, block)
+                monkeypatch.undo()
+
+
+def test_tables_of_minima_stay_within_their_budget(linf):
+    # 40 centers over 5000 points at k = 3: T_2 would hold C(40, 2) * 5000 =
+    # 3.9M distances (31 MB), past the budget, so the sets are costed from
+    # the distance matrix itself and the peak is that matrix and the buffers
+    rng = np.random.default_rng(53)
+    P = [W(tuple(map(float, p)), int(w))
+         for p, w in zip(rng.integers(0, 1000, size=(5000, 2)), rng.integers(1, 3, size=5000))]
+    centers = [tuple(map(float, c)) for c in rng.choice(1000, size=(40, 2), replace=False)]
+    universe = explicit_universe(centers)
+    tracemalloc.start()
+    try:
+        (costs,), centers_of = _center_set_costs([P], 3, 1, linf, universe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix, block = 40 * 5000 * 8, validate._BLOCK_DISTANCES * 8
+    assert peak < 1.5 * (matrix + block), peak
+    assert validate._table_level(40, 3, 5000) == 1
+    for i in (0, 4321, len(costs) - 1):
+        assert costs[i] == evaluate_cost(P, centers_of(i), 1, linf)
 
 
 def test_witness_is_decoded_from_its_rank(linf):
