@@ -186,10 +186,8 @@ class DynamicCoresetState:
         self.grid = GridConfig(delta, d)
         self.k, self.z, self.epsilon = k, z, epsilon
         self.delta_fail = delta_fail
-        try:
-            self.seed = _index(seed)
-        except TypeError:
-            raise InputError(f"seed must be an integer, got {seed!r}") from None
+        # any integer seeds the hashes, a negative one too; a bool is refused
+        self.seed = _integer(seed, -math.inf, f"seed must be an integer, got {seed!r}")
         self.s = math.ceil(_size_bound(k, 4.0 * math.sqrt(d), epsilon, d,
                                        "sparsity k*(4*sqrt(d)/eps)^d") - 1e-9) + z
         self.live_count = 0

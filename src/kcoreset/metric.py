@@ -5,8 +5,9 @@ threads. Coordinates are 64-bit floats. Radius comparisons absorb rounding
 with a slack of ``REL_TOL`` (1e-9) times a scale of at least 1, in one of
 three forms:
 
-- ``leq(a, b)`` scales by the larger of |a| and |b|. ``compute_r_hat`` calls
-  it, and ``validate.uncovered_weight`` applies it to each distance.
+- ``leq(a, b)`` scales by the larger of |a| and |b|. ``compute_r_hat``
+  applies its formula elementwise to float64 arrays, and
+  ``validate.uncovered_weight`` applies it to each distance.
 - A comparison of many distances with one bound scales by the bound alone,
   ``dist <= bound + REL_TOL * max(1, |bound|)``, so one slack serves a whole
   matrix or row: ``_probe``, ``_net``, the streaming scan,
@@ -15,12 +16,17 @@ three forms:
   and opt(coreset).
 
 Every distance the package computes comes from the one kernel
-``Metric._accumulate``, in one of two layouts: ``Metric.pairwise``, the
-matrix between two row sets, and ``Metric.paired``, the distances of paired
+``Metric._accumulate``, in one of three layouts: ``Metric.pairwise``, the
+matrix between two row sets; ``Metric.paired``, the distances of paired
 rows (entry i between a[i] and b[i]), with which ``_net``'s grid path reads
-only the pairs its cells leave. An entry has the same bits in either layout,
-and the scalar formula it matches bit for bit is the test reference in
-``tests/conftest.py``.
+only the pairs its cells leave; and ``Metric.row``, the distances from one
+point, given as its tuple of floats, to a row set, written into buffers
+that the caller owns (the insertion stream's scan, its only caller). An
+entry has the same bits in every layout, and the scalar formula it matches
+bit for bit is the test reference in ``tests/conftest.py``. Overflow makes
+an entry inf; ``pairwise`` and ``paired`` silence it with ``np.errstate``
+on every call, and ``row`` only when its caller cannot rule it out with
+``quiet_bound``.
 """
 
 from __future__ import annotations
@@ -55,10 +61,18 @@ class WeightedPoint:
     def __post_init__(self):
         if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
             raise InputError(f"weight must be a positive integer, got {self.weight!r}")
-        point = tuple(map(float, self.point))
+        try:
+            point = tuple(map(float, self.point))
+        except (TypeError, ValueError):  # not a sequence, or a coordinate that is not a number
+            raise _not_numbers(self.point) from None
         if not _finite(point):
             raise InputError(f"coordinates must be finite, got {point!r}")
         object.__setattr__(self, "point", point)
+
+
+def _not_numbers(point) -> InputError:
+    """The refusal of a point whose coordinates do not convert to floats."""
+    return InputError(f"coordinates must be numbers, got {point!r}")
 
 
 def _finite(point: tuple) -> bool:
@@ -76,13 +90,29 @@ def _unchecked_point(point: tuple, weight: int) -> WeightedPoint:
     """A ``WeightedPoint`` built without ``__post_init__``. Only for callers
     whose ``point`` is already a tuple of finite floats and whose ``weight``
     is already a positive int: a representative's point with a sum of
-    validated weights, or a point-file line whose weight is at least 1 and
-    whose coordinates ``_finite`` passed. A dynamic report builds its cell
-    centers the same way, inline, in its one loop over the cells."""
+    validated weights. ``_point``, for a point-file line or a stream
+    arrival whose checks pass, and a dynamic report, for its cell centers
+    in its one loop over the cells, build their points the same way,
+    inline."""
     wp = _new_object(WeightedPoint)
     _set_attribute(wp, "point", point)
     _set_attribute(wp, "weight", weight)
     return wp
+
+
+def _point(coords: tuple, weight) -> WeightedPoint:
+    """``WeightedPoint(coords, weight)`` for ``coords`` a tuple of floats,
+    checked once: a point whose weight is an int (not a bool) of at least 1
+    and whose coordinates are finite is built with no second check, as
+    ``_unchecked_point`` builds it but inline, which saves a call per point;
+    any other goes through ``WeightedPoint``, which refuses it with its own
+    ``InputError``. A point-file line and a stream arrival are built here."""
+    if type(weight) is int and weight >= 1 and _finite(coords):
+        wp = _new_object(WeightedPoint)
+        _set_attribute(wp, "point", coords)
+        _set_attribute(wp, "weight", weight)
+        return wp
+    return WeightedPoint(coords, weight)
 
 
 def as_weighted(points) -> list[WeightedPoint]:
@@ -133,10 +163,11 @@ class Metric:
     The matrix is validated for symmetry, nonnegativity and zero diagonal;
     the triangle inequality is spot-checked on sampled triples.
 
-    ``pairwise`` and ``paired`` share the package's only distance kernel,
-    ``_accumulate``; ``distance`` reads one entry of ``pairwise``. The
-    scalar formula they must match bit for bit is kept as a test reference,
-    ``scalar_distance`` in ``tests/conftest.py``.
+    ``pairwise``, ``paired`` and ``row`` share the package's only distance
+    kernel, ``_accumulate``; ``distance`` reads one entry of ``pairwise``.
+    ``row`` serves L2 and L-inf alone. The scalar formula they must match
+    bit for bit is kept as a test reference, ``scalar_distance`` in
+    ``tests/conftest.py``.
     """
 
     kind: str
@@ -173,20 +204,13 @@ class Metric:
         it to a zero, or taking its maximum with a zero, would give the
         same bits, since a square or an absolute value is never -0.0.
 
-        The general path fills the output in row blocks of at most
-        ``_PAIRWISE_BLOCK`` entries (at least one row), through one
-        block-sized buffer for the later coordinates' terms, so no n x m
-        temporary is made and a block stays in cache. Every entry still
-        gets the same operations in the same order, so it keeps its bits
-        whatever the block size.
-
-        A one-row ``a`` against a float64 ``b`` is one block. It takes its
-        coordinates as Python floats, scalar operands of the same
-        subtractions, so no (1, 1) operand is broadcast per coordinate. A
-        Python float is converted to float64 exactly, and the loop runs in
-        float64 either way, so each entry keeps its bits. (Against a float32
-        ``b`` a Python float would not promote the loop to float64, so such
-        a ``b`` takes the general path.)
+        The output is filled in row blocks of at most ``_PAIRWISE_BLOCK``
+        entries (at least one row), through one block-sized buffer for the
+        later coordinates' terms, so no n x m temporary is made and a block
+        stays in cache. Every entry still gets the same operations in the
+        same order, so it keeps its bits whatever the block size. (The
+        scan of one point against many rows, without an array for the
+        point, is ``row``.)
 
         A difference, square or sum past the float range makes its entry
         inf, which is past every finite bound; the blocks run under one
@@ -198,17 +222,13 @@ class Metric:
         d = self._dim(a, b)
         # with no coordinates every distance is 0, and nothing is accumulated
         out = (np.empty if d else np.zeros)((a.shape[0], b.shape[0]))
+        n, m = out.shape
+        step = max(1, _PAIRWISE_BLOCK // max(1, m))
+        buf = np.empty((min(step, n), m))
         with np.errstate(over="ignore"):
-            if a.shape[0] == 1 and b.dtype == np.float64:
-                acc = out[0]
-                self._accumulate(a[0].tolist(), b.T, acc, np.empty_like(acc) if d > 1 else None)
-            else:
-                n, m = out.shape
-                step = max(1, _PAIRWISE_BLOCK // max(1, m))
-                buf = np.empty((min(step, n), m))
-                for lo in range(0, n, step):
-                    self._accumulate(a.T[:, lo:lo + step, None], b.T[:, None, :],
-                                     out[lo:lo + step], buf[:min(step, n - lo)])
+            for lo in range(0, n, step):
+                self._accumulate(a.T[:, lo:lo + step, None], b.T[:, None, :],
+                                 out[lo:lo + step], buf[:min(step, n - lo)])
         return out if self.kind == LINF else np.sqrt(out, out=out)
 
     def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,6 +244,28 @@ class Metric:
         out = (np.empty if d else np.zeros)(len(a))
         with np.errstate(over="ignore"):
             self._accumulate(a.T, b.T, out, np.empty_like(out) if d > 1 else None)
+        return out if self.kind == LINF else np.sqrt(out, out=out)
+
+    def row(self, point: tuple, b: np.ndarray, out: np.ndarray, diff, quiet: bool) -> np.ndarray:
+        """The L2 or L-inf distances from ``point``, a tuple of d floats, to
+        the rows of the float64 array b (m x d), written into ``out`` (m
+        floats) and returned; ``diff`` (m floats, or None when d = 1) takes
+        the later coordinates' terms. The caller owns both buffers, so a
+        call allocates nothing. Entry i is ``pairwise(np.asarray([point]),
+        b[i:i+1])[0, 0]`` bit for bit: each coordinate is a Python float, a
+        scalar operand of the same float64 subtractions, and a Python float
+        converts to float64 exactly.
+
+        ``quiet`` is the caller's word that every coordinate of ``point``
+        and of b is below ``quiet_bound(d)`` in absolute value, so that no
+        term overflows and no ``np.errstate`` needs entering; without it
+        the kernel runs under ``np.errstate(over="ignore")`` as in
+        ``pairwise``, and an overflowing entry is inf."""
+        if quiet:
+            self._accumulate(point, b.T, out, diff)
+        else:
+            with np.errstate(over="ignore"):
+                self._accumulate(point, b.T, out, diff)
         return out if self.kind == LINF else np.sqrt(out, out=out)
 
     def _indices(self, x: np.ndarray) -> np.ndarray:
@@ -247,7 +289,8 @@ class Metric:
         ``lhs`` and ``rhs``, one coordinate at a time: ``lhs[j] - rhs[j]``
         broadcasts to ``acc``'s shape, and ``diff``, of that shape too, takes
         the terms of the coordinates after the first. ``pairwise`` passes
-        operands that broadcast to a matrix, ``paired`` aligned rows."""
+        operands that broadcast to a matrix, ``paired`` aligned rows, and
+        ``row`` a tuple of Python floats against the columns of its rows."""
         for j in range(len(lhs)):
             term = acc if j == 0 else diff
             np.subtract(lhs[j], rhs[j], out=term)
@@ -259,6 +302,24 @@ class Metric:
                 np.multiply(term, term, out=term)
                 if j:
                     acc += term
+
+
+def quiet_bound(d: int) -> float:
+    """B = 2^e with e = floor((1021 - ceil(log2 d)) / 2): if every
+    coordinate of two points of d coordinates is below B in absolute value,
+    no operation of ``_accumulate`` between them overflows, under L2 or
+    L-inf. B is 2^510 for d <= 2 (about 3.4e153) and halves as d
+    quadruples.
+
+    Proof. The difference x - y of two coordinates is below 2B in absolute
+    value. 2B is a float and rounding is monotone, so the rounded difference
+    is at most 2B, and its rounded square at most 4B^2, a float too. By
+    induction the rounded sum of j such squares is at most 4jB^2, which is
+    a float for j <= 2^53, so the squared distance is at most 4dB^2 = d *
+    2^(2e+2) <= 2^(ceil(log2 d) + 2e + 2) <= 2^1023, below the largest
+    float. L-inf takes the absolute differences and their maximum, at most
+    2B."""
+    return 2.0 ** ((1021 - (d - 1).bit_length()) // 2)
 
 
 def _integer(value, low: int, refusal: str) -> int:

@@ -32,8 +32,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError
-from .metric import Metric, WeightedPoint, _check_counts, _integer, as_weighted, leq
+from .metric import REL_TOL, Metric, WeightedPoint, _check_counts, _integer, as_weighted
 from .offline import Instance, _PointSet, _mbc, _point_set, greedy
 
 ROUND_ROBIN = "roundrobin"
@@ -148,12 +150,56 @@ def compute_r_hat(vectors, z: int):
 
     A machine with no entry <= r makes r infeasible. Returns (r_hat, j_hats).
     The largest V_i[0] is always feasible, so the minimum exists.
+
+    The candidates are the sorted distinct entries, and "<=" is ``leq``,
+    which is monotone in r: its right side is r plus a slack that grows with
+    |r|, rounded monotonically. So every entry has a first candidate it is
+    ``leq`` (``_first_leq``, one bisection for all entries), and machine i's
+    least j at candidate t is the number of its j whose prefix minimum of
+    first candidates is past t. That count falls as t grows, and so does the
+    sum, so a bisection over t finds r_hat: O(N log N) work for N entries,
+    not the O(N^2) ``leq`` calls of a walk over the candidates.
     """
-    for r in sorted({v for vec in vectors for v in vec}):
-        j_hats = [next((j for j, v in enumerate(vec) if leq(v, r)), None) for vec in vectors]
-        if None not in j_hats and sum((1 << j) - 1 for j in j_hats) <= 2 * z:
-            return r, tuple(j_hats)
-    raise AssertionError("no feasible radius found; max V_i[0] should always qualify")
+    radii = sorted({v for vec in vectors for v in vec})
+    lengths = [len(vec) for vec in vectors]
+    if not radii or not all(lengths):
+        raise AssertionError("no feasible radius found; max V_i[0] should always qualify")
+    flat = np.asarray([v for vec in vectors for v in vec], dtype=float)
+    at = np.split(_first_leq(flat, np.asarray(radii, dtype=float)), np.cumsum(lengths)[:-1])
+    first = np.full((len(vectors), max(lengths)), len(radii))  # past a short vector: never
+    for row, part in zip(first, at):
+        row[:len(part)] = part
+    np.minimum.accumulate(first, axis=1, out=first)  # machine i's j <= j from first[i, j] on
+
+    def j_hats(t: int) -> np.ndarray:
+        return np.count_nonzero(first > t, axis=1)
+
+    def feasible(t: int) -> bool:  # summed in Python ints, exact however large z is
+        return sum(((1 << j) - 1) * int(c) for j, c in enumerate(np.bincount(j_hats(t)))) <= 2 * z
+
+    lo, hi = int(first[:, -1].max()), len(radii) - 1  # from lo on, every machine has a j
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if feasible(mid) else (mid + 1, hi)
+    if not feasible(lo):
+        raise AssertionError("no feasible radius found; max V_i[0] should always qualify")
+    return radii[lo], tuple(j_hats(lo).tolist())
+
+
+def _first_leq(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """For each value v, the index of the first of the sorted ``radii`` r
+    with ``leq(v, r)``; every v is one of the radii, so one exists. ``leq``
+    is applied elementwise with the same float64 operations, and a slack
+    past the float range is inf, as it is for ``leq``."""
+    lo = np.zeros(len(values), dtype=np.intp)
+    hi = np.searchsorted(radii, values)  # v itself, which leq(v, v) accepts
+    with np.errstate(over="ignore"):
+        while (lo < hi).any():  # leq(v, radii[hi]) holds, so a settled entry stays put
+            mid = (lo + hi) // 2
+            r = radii[mid]
+            ok = values <= r + REL_TOL * np.maximum(np.maximum(np.abs(values), np.abs(r)), 1.0)
+            lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    return lo
 
 
 class _Rounds:

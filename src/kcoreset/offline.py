@@ -211,15 +211,27 @@ class _PointSet:
     searched makes no probe.
 
     The input is normalized by one ``as_weighted`` pass, and the weights and
-    coordinates are read from that list. (``InsertionStream`` alone sets
-    ``coords`` to rows of its own array before the set's only use, a
-    ``_net`` call; see ``streaming.py``.)"""
+    coordinates are read from that list, except in a set built by
+    ``of_rows``."""
 
     def __init__(self, points, metric: Metric):
         self.wps = as_weighted(points)
         self.weights = weights_array(self.wps)
         self.metric = metric
         self._memo = {}
+
+    @classmethod
+    def of_rows(cls, wps: list, coords: np.ndarray, metric: Metric) -> "_PointSet":
+        """The set of ``wps``, a list of ``WeightedPoint``s whose total
+        weight fits int64, whose coordinates are the rows of ``coords``,
+        read in place: nothing is normalized, copied or checked again.
+        ``InsertionStream``'s recompression builds its sets so, over its
+        own coordinate buffer (see ``streaming.py``)."""
+        ps = cls.__new__(cls)
+        ps.wps, ps.metric, ps._memo = wps, metric, {}
+        ps.weights = np.array([wp.weight for wp in wps], dtype=np.int64)
+        ps.coords = coords
+        return ps
 
     def __len__(self) -> int:
         return len(self.wps)

@@ -15,7 +15,7 @@ Update stream: header ``delta=<int> d=<int>``, then one op per line,
 from __future__ import annotations
 
 from .errors import InputError
-from .metric import WeightedPoint, _finite, _unchecked_point, as_weighted
+from .metric import WeightedPoint, _point, as_weighted
 
 
 def parse_point_line(line: str, lineno: int) -> WeightedPoint:
@@ -28,7 +28,8 @@ def parse_point_line(line: str, lineno: int) -> WeightedPoint:
     fails to convert strips its fields and converts them again, to tell an
     empty field from a bad one. Faults are named in this order: a bad
     weight field, an empty field, a bad coordinate, a weight below 1, a
-    coordinate that is not finite."""
+    coordinate that is not finite. The point is built by ``metric._point``,
+    as a stream arrival is."""
     fields = line.split(",")
     weight = 1
     if "w=" in fields[-1]:  # a cheap screen; the field must start with it
@@ -51,10 +52,8 @@ def parse_point_line(line: str, lineno: int) -> WeightedPoint:
                 raise InputError(f"line {lineno}: bad coordinate in {line!r}")
     if not coords:  # an empty field, or a weight field alone
         raise InputError(f"line {lineno}: expected comma-separated coordinates")
-    if weight >= 1 and _finite(coords):
-        return _unchecked_point(coords, weight)
     try:
-        return WeightedPoint(coords, weight)  # raises, naming the weight or a coordinate
+        return _point(coords, weight)  # refuses a weight below 1 or a coordinate not finite
     except InputError as exc:
         raise InputError(f"line {lineno}: {exc}")
 

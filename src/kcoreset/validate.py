@@ -17,10 +17,10 @@ that share the prefix c_0 .. c_{k-j-1} are the tail of T_j from rank
 C(m, j) - C(m-1-c_{k-j-1}, j), so one broadcast minimum of the prefix's row
 with that tail writes the whole run into a block buffer, which is peeled when
 full. j is the deepest level up to k - 1 whose tables fit
-``_TABLE_DISTANCES`` and have no more rows than there are sets. Only a witness is decoded from its rank
-(``_lex_combinations``): the rank of c_0 < ... < c_{k-1} is
-C(m, k) - 1 - sum_j C(m-1-c_j, k-j), read back greedily, one ``searchsorted``
-per position over a table of binomials (the last position is what is left).
+``_TABLE_DISTANCES`` and have no more rows than there are sets. Only a
+witness is decoded from its rank (``_lex_combination``): the rank of
+c_0 < ... < c_{k-1} is C(m, k) - 1 - sum_j C(m-1-c_j, k-j), read back
+greedily, one position at a time.
 """
 
 from __future__ import annotations
@@ -128,43 +128,23 @@ def _finite_distances(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return d
 
 
-def _lex_combinations(m: int, k: int):
-    """The k-combinations of range(m) in lexicographic order, by rank:
-    returns ``block(start, stop)``, the combinations of ranks start..stop-1
-    as a (stop - start, k) index array.
+def _lex_combination(m: int, k: int, rank: int) -> tuple:
+    """The k-combination of range(m) of lexicographic rank ``rank``.
 
-    Rank i is decoded as N = C(m, k) - 1 - i written greedily as
-    sum_j C(x_j, k-j) with x_0 > x_1 > ...: x_j is the largest x with
-    C(x, k-j) <= N (one ``searchsorted`` over the whole block), N loses
-    C(x_j, k-j), and c_j = m - 1 - x_j. The last position needs no search:
-    C(x, 1) = x, so x_{k-1} is what is left of N. Table r (r = k..2) holds
-    C(x, r) for x = r-1, r, ..., each capped at C(m, k), and stops at x = m
-    or at its first entry >= C(m, k), whichever comes first: N stays below
-    both, so the search never runs off a table. The cap keeps the tables
-    small when C(m, k) is: at k = m - 1 they hold O(m) entries in all, not
-    O(k m).
-    """
-    total = math.comb(m, k)
-    tables = []
-    for r in range(k, 1, -1):
-        row = []
-        for x in range(r - 1, m + 1):
-            row.append(min(math.comb(x, r), total))
-            if row[-1] >= total:
-                break
-        tables.append(np.array(row, dtype=np.int64))
-
-    def block(start: int, stop: int) -> np.ndarray:
-        left = (total - 1) - np.arange(start, stop, dtype=np.int64)
-        combos = np.empty((len(left), k), dtype=np.intp)
-        for j, table in enumerate(tables):
-            t = np.searchsorted(table, left, side="right") - 1  # x_j = k-j-1 + t
-            left -= table[t]
-            combos[:, j] = (m - k + j) - t
-        combos[:, k - 1] = (m - 1) - left  # x_{k-1} = N
-        return combos
-
-    return block
+    N = C(m, k) - 1 - rank is written greedily as sum_j C(x_j, k-j) with
+    x_0 > x_1 > ...: x_j is the largest x with C(x, k-j) <= N, N loses
+    C(x_j, k-j), and c_j = m - 1 - x_j. Each x_j is found by walking down
+    from x_{j-1} - 1 (from m - 1 for j = 0), so the walk takes at most m + k
+    steps in all."""
+    left = math.comb(m, k) - 1 - rank
+    combo, x = [], m
+    for r in range(k, 0, -1):
+        x -= 1
+        while math.comb(x, r) > left:
+            x -= 1
+        left -= math.comb(x, r)
+        combo.append(m - 1 - x)
+    return tuple(combo)
 
 
 def _tail(m: int, j: int, last: int) -> int:
@@ -278,7 +258,7 @@ def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: Cent
     distance matrix, the tables and the buffer of one point set. A subset's
     cost reads only its own row, and a minimum is exact in any order, so
     neither the block size nor the level changes a cost.
-    ``_lex_combinations`` decodes only the witness.
+    ``_lex_combination`` decodes only the witness.
     """
     cands = materialize_universe(point_sets[0], universe or input_points_universe())
     k = min(k, len(cands))
@@ -294,7 +274,7 @@ def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: Cent
                               weights_array(wps), k, z) for wps in point_sets]
 
     def centers(i: int) -> tuple:
-        return tuple(cands[c] for c in _lex_combinations(len(cands), k)(i, i + 1)[0])
+        return tuple(cands[c] for c in _lex_combination(len(cands), k, i))
 
     return costs, centers
 

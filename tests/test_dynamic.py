@@ -485,6 +485,8 @@ DYNAMIC_REFUSALS = {
                              "need Delta >= 1 and d >= 1, as integers"),
     "fractional seed": (lambda: DynamicCoresetState(64, 1, 1, 0, 0.5, seed=1.5),
                         "seed must be an integer"),
+    "bool seed": (lambda: DynamicCoresetState(64, 1, 1, 0, 0.5, seed=True),
+                  "seed must be an integer"),
     "neither sketches nor shadow": (
         lambda: DynamicCoresetState(16, 1, 1, 0, 1.0, with_sketches=False), "enable sketches"),
     "exact report without the shadow": (lambda: _fed().report(exact=True), "requires the shadow"),

@@ -11,7 +11,7 @@ from kcoreset import (
     round_robin, run_one_round_randomized, run_r_round, run_two_round,
 )
 from kcoreset import offline
-from kcoreset.metric import as_weighted
+from kcoreset.metric import REL_TOL, as_weighted, leq
 from kcoreset.offline import _mbc
 from kcoreset.mpc import ADVERSARIAL, RANDOM, Message, MpcRun, point_words, vector_length
 from conftest import random_points
@@ -225,6 +225,68 @@ def test_compute_r_hat_hand_example():
 def test_compute_r_hat_z_zero():
     r_hat, j_hats = compute_r_hat([[3.0], [7.0]], z=0)
     assert r_hat == 7.0 and j_hats == (0, 0)
+
+
+def walked_r_hat(vectors, z):
+    """``compute_r_hat`` as a walk over the sorted candidates, one ``leq``
+    call per entry and candidate, kept as the reference."""
+    for r in sorted({v for vec in vectors for v in vec}):
+        j_hats = [next((j for j, v in enumerate(vec) if leq(v, r)), None) for vec in vectors]
+        if None not in j_hats and sum((1 << j) - 1 for j in j_hats) <= 2 * z:
+            return r, tuple(j_hats)
+    raise AssertionError("no feasible radius found")
+
+
+def _r_hat_or_none(vectors, z, solve):
+    try:
+        return solve(vectors, z)
+    except AssertionError:
+        return None
+
+
+def test_compute_r_hat_matches_the_walk():
+    # random vectors over a pool of values with ties at the REL_TOL edge
+    # (v and its neighbours at v * (1 -+ 1e-9), around 1 where the slack's
+    # floor sets in), inf, 0, a scale whose slack overflows the float range,
+    # vectors out of order and of unequal lengths, and z from 0 to 19, so
+    # the least candidates are infeasible (a machine with no entry, or a sum
+    # past 2z), and some instances have no feasible radius at all (z < 0)
+    rng = np.random.default_rng(71)
+    outcomes = set()  # what the instances exercised
+    for trial in range(1500):
+        scale = float(rng.choice([1.0, 1e-12, 1e300, 1.7e308]))
+        pool = (rng.uniform(0, 1, size=6) * scale).tolist()
+        v = pool[0]
+        edge = v * (1 + REL_TOL)
+        pool += [edge, v * (1 - REL_TOL), float(np.nextafter(edge, math.inf)),
+                 float(np.nextafter(edge, 0.0)), 1.0, 1.0 + REL_TOL, math.inf, 0.0]
+        m, length = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        vectors = [[pool[i] for i in rng.integers(0, len(pool), size=length
+                                                  if rng.random() < 0.8 else int(rng.integers(1, 6)))]
+                   for _ in range(m)]
+        if trial % 2:
+            vectors = [sorted(vec, reverse=True) for vec in vectors]
+        z = int(rng.integers(-1, 20))
+        want = _r_hat_or_none(vectors, z, walked_r_hat)
+        assert _r_hat_or_none(vectors, z, compute_r_hat) == want, (vectors, z)
+        least = min(x for vec in vectors for x in vec)
+        outcomes.add("none" if want is None else "past the least" if want[0] > least else "least")
+        if want and math.inf in (x for vec in vectors for x in vec):
+            outcomes.add("inf entry")
+    assert outcomes == {"none", "past the least", "least", "inf entry"}
+    # leq(inf, r) holds for every r (its slack is inf), so an inf entry is
+    # no obstacle; a machine whose only entry is inf has j = 0 at once
+    assert compute_r_hat([[math.inf], [1.0]], 0) == walked_r_hat([[math.inf], [1.0]], 0) \
+        == (1.0, (0, 0))
+
+
+def test_compute_r_hat_at_a_hundred_machines():
+    # m = 100 outlier vectors of 8 entries: the walk makes about 320 000
+    # leq calls; the bisection matches it
+    rng = np.random.default_rng(73)
+    vectors = [sorted(rng.uniform(0, 100, size=8).tolist(), reverse=True) for _ in range(100)]
+    for z in (0, 10, 100, 127):
+        assert compute_r_hat(vectors, z) == walked_r_hat(vectors, z)
 
 
 def test_outlier_vector_monotone(linf):

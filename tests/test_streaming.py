@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from kcoreset import (
     brute_force_opt, input_points_universe, min_pairwise_distance, size_threshold,
 )
 from kcoreset import metric as metric_module, offline, streaming
-from kcoreset.metric import REL_TOL, coords_array
+from kcoreset.metric import REL_TOL, coords_array, quiet_bound
 from kcoreset.offline import _PointSet, _cell_key
 from kcoreset.pointio import read_points
 from conftest import random_points, scalar_distance
@@ -604,3 +605,133 @@ def test_cell_filter_skips_most_benchmark_arrivals(tmp_path, monkeypatch):
     st_.extend(points)
     assert len(points) == 3000 and len(st_.pstar) == 503
     assert calls["scan"] < len(points) / 3 and calls["pairwise"] < 1500
+
+
+def _scan_stream(rng, dim, big, n=240):
+    """n weighted arrivals of ``dim`` coordinates. Below B = quiet_bound(dim)
+    they take B's largest float below it, its half and uniform draws, each
+    of either sign, so the rows hold the largest differences and sums below
+    B. With ``big``, from the 60th arrival on, a fifth of the coordinates
+    are at or past B, so some differences, squares or sums overflow: half
+    with a uniform exponent up to the largest float's, half within a factor
+    2 of the largest float."""
+    b = quiet_bound(dim)
+    edge = float(np.nextafter(b, 0.0))
+    stream = []
+    for t in range(n):
+        coords = []
+        for _ in range(dim):
+            pick = rng.random()
+            if big and t >= 60 and pick < 0.1:
+                v = b * 2.0 ** float(rng.uniform(0, 1023 - math.log2(b)))
+            elif big and t >= 60 and pick < 0.2:
+                v = float(rng.uniform(0.5, 1.0)) * float(np.finfo(float).max)
+            elif pick < 0.5:
+                v = edge
+            elif pick < 0.6:
+                v = b / 2
+            else:
+                v = float(rng.uniform(0, 1)) * edge
+            coords.append(v if rng.random() < 0.5 else -v)
+        stream.append((tuple(coords), int(rng.integers(1, 4))))
+    return stream
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [L2, LINF])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_scan_rows_match_pairwise_and_the_scalar_formula(kind, dim, monkeypatch):
+    # before each arrival, the scan's row (in the stream's own buffer) has
+    # the bits of pairwise and of scalar_distance against every held
+    # representative, and _first_within names the first entry within the
+    # bound. Below B every scan runs without np.errstate and nothing warns;
+    # past B the stream enters it from its first big coordinate on
+    modes = []
+
+    def row(self, point, b, out, diff, quiet):
+        modes.append(quiet)
+        return real(self, point, b, out, diff, quiet)
+
+    real = Metric.row
+    monkeypatch.setattr(Metric, "row", row)
+    metric = Metric(kind)
+    rng = np.random.default_rng(83 + dim)
+    for big in (False, True):
+        st_ = InsertionStream(2, 1, 1.0, 1, metric)
+        modes.clear()
+        loud_from, overflows = None, 0
+        for p, w in _scan_stream(rng, dim, big):
+            m, bound, scans = len(st_.pstar), st_._bound(), len(modes)
+            i = st_._first_within(p, bound)
+            if m:
+                row = st_._row[:m]
+                want = metric.pairwise(np.asarray([p]), st_._coords[:m])[0]
+                assert row.tobytes() == want.tobytes()
+                scalar = np.array([scalar_distance(metric, p, q.point) for q in st_.pstar])
+                assert row.tobytes() == scalar.tobytes()
+                within = np.flatnonzero(row <= bound)
+                assert i == (int(within[0]) if len(within) else None)
+                overflows += math.inf in row
+            if loud_from is None and max(map(abs, p)) >= quiet_bound(dim):
+                loud_from = scans  # this scan and every later one
+            st_.arrival(p, w)
+        assert len(modes) > 100
+        if big:
+            assert 0 < loud_from < len(modes)
+            assert modes == [True] * loud_from + [False] * (len(modes) - loud_from)
+            assert st_._loud and overflows > 10
+        else:
+            assert all(modes) and not st_._loud and not overflows
+        assert st_.r > 0 and st_.arrivals > len(st_.pstar)
+
+
+_POINT_REFUSALS = [
+    ((1.0, 2.0), 0), ((1.0, 2.0), True), ((1.0, 2.0), 1.5), ((1.0, 2.0), np.int64(2)),
+    ((math.nan, 2.0), 1), ((1.0, math.inf), 1), (("x", 2.0), 1), ((1.0, None), 1),
+    (("x", 2.0), 0), ((math.nan, 2.0), True), (5.0, 1),
+]
+
+
+@pytest.mark.parametrize("point, weight", _POINT_REFUSALS)
+def test_an_arrival_is_refused_as_weighted_point_refuses_it(point, weight, linf):
+    # the arrival's fast path refuses what WeightedPoint refuses, with its
+    # text (a bad weight named before a bad coordinate), and changes no state
+    with pytest.raises(InputError) as want:
+        WeightedPoint(point, weight)
+    st_ = InsertionStream(1, 0, 1.0, 2, linf)
+    st_.extend([(0.0, 0.0), (9.0, 1.0)])
+
+    def state():
+        m = len(st_.pstar)
+        return st_.arrivals, st_.r, list(st_.pstar), st_._coords[:m].tolist(), st_._loud
+
+    before = state()
+    with pytest.raises(InputError) as got:
+        st_.arrival(point, weight)
+    assert str(got.value) == str(want.value)
+    assert state() == before
+
+
+def test_an_arrival_reads_its_coordinates_once(linf):
+    # a one-shot iterator with a bad second coordinate is refused, not read
+    # again as an empty point
+    st_ = InsertionStream(1, 0, 1.0, 2, linf)
+    with pytest.raises(InputError, match="coordinates must be numbers"):
+        st_.arrival(iter([1.0, "x"]))
+    assert st_.pstar == [] and st_.arrivals == 0
+
+
+def test_an_arrival_builds_the_point_weighted_point_builds(linf):
+    # ints, numpy floats, numeric strings and an int subclass of weight are
+    # taken as WeightedPoint takes them
+    class Count(int):
+        pass
+
+    for point, weight in (((1, 2), 1), (np.array([1.5, -2.0]), 3), (("3", " 4 "), 2),
+                          ((np.float32(0.1), 7), Count(2)), ([5e-324, -0.0], 1)):
+        st_ = InsertionStream(1, 0, 1.0, 2, linf)
+        st_.arrival(point, weight)
+        want = WeightedPoint(point, weight)
+        assert st_.pstar == [want] and st_.arrivals == weight
+        assert [type(c) for c in st_.pstar[0].point] == [float, float]
+        assert st_._coords[0].tolist() == list(want.point)

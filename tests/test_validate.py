@@ -16,7 +16,7 @@ from kcoreset import (
 )
 from kcoreset import validate
 from kcoreset.metric import L2, LINF, Metric, coords_array, weights_array
-from kcoreset.validate import _center_set_costs, _lex_combinations, uncovered_weight
+from kcoreset.validate import _center_set_costs, _lex_combination, uncovered_weight
 from kcoreset.validate import (
     COVERING_DISTANCE, RADIUS_BAND_LOW, WEIGHT_MISMATCH, WEIGHT_RESTRICTION,
 )
@@ -265,6 +265,48 @@ def test_union_property(linf):
         assert check_mini_ball_covering(pts, union, eps * sol.radius, linf).passed
 
 
+def lex_combinations(m: int, k: int):
+    """The k-combinations of range(m) in lexicographic order, by rank,
+    decoded a block at a time: returns ``block(start, stop)``, the
+    combinations of ranks start..stop-1 as a (stop - start, k) index array.
+    The enumeration decoded every block of ranks so before it costed its
+    sets from tables of minima; kept as the reference of the one-rank
+    decoder ``validate._lex_combination`` and of that enumeration.
+
+    Rank i is decoded as N = C(m, k) - 1 - i written greedily as
+    sum_j C(x_j, k-j) with x_0 > x_1 > ...: x_j is the largest x with
+    C(x, k-j) <= N (one ``searchsorted`` over the whole block), N loses
+    C(x_j, k-j), and c_j = m - 1 - x_j. The last position needs no search:
+    C(x, 1) = x, so x_{k-1} is what is left of N. Table r (r = k..2) holds
+    C(x, r) for x = r-1, r, ..., each capped at C(m, k), and stops at x = m
+    or at its first entry >= C(m, k), whichever comes first: N stays below
+    both, so the search never runs off a table. The cap keeps the tables
+    small when C(m, k) is: at k = m - 1 they hold O(m) entries in all, not
+    O(k m).
+    """
+    total = math.comb(m, k)
+    tables = []
+    for r in range(k, 1, -1):
+        row = []
+        for x in range(r - 1, m + 1):
+            row.append(min(math.comb(x, r), total))
+            if row[-1] >= total:
+                break
+        tables.append(np.array(row, dtype=np.int64))
+
+    def block(start: int, stop: int) -> np.ndarray:
+        left = (total - 1) - np.arange(start, stop, dtype=np.int64)
+        combos = np.empty((len(left), k), dtype=np.intp)
+        for j, table in enumerate(tables):
+            t = np.searchsorted(table, left, side="right") - 1  # x_j = k-j-1 + t
+            left -= table[t]
+            combos[:, j] = (m - k + j) - t
+        combos[:, k - 1] = (m - 1) - left  # x_{k-1} = N
+        return combos
+
+    return block
+
+
 def _itertools_block(m, k, start, stop):
     combos = list(itertools.islice(itertools.combinations(range(m), k), start, stop))
     return np.array(combos, dtype=np.intp).reshape(len(combos), k)
@@ -272,10 +314,10 @@ def _itertools_block(m, k, start, stop):
 
 def test_lex_combinations_match_itertools():
     # every rank, in blocks of 1, 7 and all sets, so blocks start and stop
-    # at every offset of the enumeration
+    # at every offset of the enumeration; the one-rank decoder at every rank
     for m in range(1, 13):
         for k in range(1, m + 1):
-            block = _lex_combinations(m, k)
+            block = lex_combinations(m, k)
             n_sets = math.comb(m, k)
             for size in (1, 7, n_sets):
                 for start in range(0, n_sets, size):
@@ -283,6 +325,8 @@ def test_lex_combinations_match_itertools():
                     got = block(start, stop)
                     assert got.dtype == np.intp
                     assert np.array_equal(got, _itertools_block(m, k, start, stop)), (m, k, start)
+            walk = list(itertools.combinations(range(m), k))
+            assert [_lex_combination(m, k, i) for i in range(n_sets)] == walk, (m, k)
 
 
 def test_block_size_changes_no_cost(linf, monkeypatch):
@@ -303,7 +347,7 @@ def test_block_size_changes_no_cost(linf, monkeypatch):
 
 def gathered_center_set_costs(point_sets, k, z, metric, universe):
     """The enumeration before the tables of minima, kept as the reference:
-    each block of ranks is decoded by ``_lex_combinations``, and the k rows
+    each block of ranks is decoded by ``lex_combinations``, and the k rows
     of the distance matrix that a set names are gathered and their minimum
     peeled."""
     cands = materialize_universe(point_sets[0], universe or input_points_universe())
@@ -313,7 +357,7 @@ def gathered_center_set_costs(point_sets, k, z, metric, universe):
     dists = [validate._finite_distances(metric, carr, coords_array(wps)) for wps in point_sets]
     weights = [weights_array(wps) for wps in point_sets]
     costs = [np.empty(n_sets) for _ in point_sets]
-    subsets = _lex_combinations(len(cands), k)
+    subsets = lex_combinations(len(cands), k)
     per_block = max(1, (1 << 16) // max(len(w) for w in weights))
     for start in range(0, n_sets, per_block):
         combos = subsets(start, min(start + per_block, n_sets))
@@ -392,8 +436,9 @@ def test_witness_is_decoded_from_its_rank(linf):
         ranks = [0, n_sets - 1] + [int(i) for i in rng.integers(0, n_sets, size=4)]
         walks = [next(itertools.islice(itertools.combinations(range(m), k), i, None))
                  for i in ranks]
-        block = _lex_combinations(m, k)
+        block = lex_combinations(m, k)
         assert [tuple(block(i, i + 1)[0]) for i in ranks] == walks
+        assert [_lex_combination(m, k, i) for i in ranks] == walks
         if n_sets <= validate.SUBSET_CAP:
             P = [W((float(x),)) for x in range(m)]
             _, centers = _center_set_costs([P], k, 0, linf, None)
@@ -402,11 +447,12 @@ def test_witness_is_decoded_from_its_rank(linf):
 
 
 def test_decoder_tables_stay_linear_at_k_one_below_m():
-    # k = m - 1 = 1999: a table of k^2 binomials would be 32 MB of int64
+    # k = m - 1 = 1999: a table of k^2 binomials would be 32 MB of int64.
+    # The one-rank decoder keeps no table; its walk takes at most m + k steps
     m, k = 2000, 1999
     tracemalloc.start()
     try:
-        block = _lex_combinations(m, k)
+        block = lex_combinations(m, k)
         first, last = block(0, 16), block(m - 16, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -414,3 +460,5 @@ def test_decoder_tables_stay_linear_at_k_one_below_m():
     assert peak < 4 * 2**20, peak
     assert np.array_equal(first, _itertools_block(m, k, 0, 16))
     assert np.array_equal(last, [np.delete(np.arange(m), m - 1 - i) for i in range(m - 16, m)])
+    for i in (0, 1, 7, m // 2, m - 2, m - 1):
+        assert _lex_combination(m, k, i) == tuple(np.delete(np.arange(m), m - 1 - i).tolist())
