@@ -5,9 +5,10 @@ threads. Coordinates are 64-bit floats. Radius comparisons absorb rounding
 with a slack of ``REL_TOL`` (1e-9) times a scale of at least 1, in one of
 three forms:
 
-- ``leq(a, b)`` scales by the larger of |a| and |b|. ``compute_r_hat``
-  applies its formula elementwise to float64 arrays, and
-  ``validate.uncovered_weight`` applies it to each distance.
+- ``leq(a, b)`` scales by the larger of |a| and |b|, and holds for an
+  infinite a only at b = inf. ``compute_r_hat`` applies it elementwise to
+  float64 arrays, and ``validate.uncovered_weight`` applies its formula to
+  each distance, all finite.
 - A comparison of many distances with one bound scales by the bound alone,
   ``dist <= bound + REL_TOL * max(1, |bound|)``, so one slack serves a whole
   matrix or row: ``_probe``, ``_net``, the streaming scan,
@@ -49,8 +50,9 @@ Point = tuple  # tuple of floats (or a single index for explicit-matrix metrics)
 
 
 def leq(a: float, b: float) -> bool:
-    """a <= b up to relative tolerance (unit floor for values near zero)."""
-    return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
+    """a <= b up to relative tolerance (unit floor for values near zero). An
+    infinite a is within no finite b, though its slack is inf."""
+    return a <= b or (math.isfinite(a) and a <= b + REL_TOL * max(1.0, abs(a), abs(b)))
 
 
 @dataclass(frozen=True)

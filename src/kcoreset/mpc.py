@@ -17,8 +17,11 @@ points, plus words resident from earlier rounds (the two-round m outlier
 vectors), plus the covering it builds; a part already compressed is dropped.
 Metering describes what a machine stores, not what the simulator reuses
 between rounds: a two-round machine keeps its part as one ``_PointSet``, so
-its round-2 covering reuses the distance matrix, candidate radii and probe
-verdicts of its round-1 outlier vector, which no figure counts.
+its round-2 covering reuses the distance matrix, candidate radii, probe
+verdicts and mask buffer of its round-1 outlier vector, which no figure
+counts; on a part large enough for a ``_Mask``, the buffer also carries the
+last probe's mask and coverage, and any band it holds, from search to
+search.
 Machine 1's collection stage, where it compresses the union of the coverings
 it received once more, is metered apart in ``coordinator_words``. In the
 R-round pipeline the last round's union is the result and also counts in
@@ -189,15 +192,18 @@ def compute_r_hat(vectors, z: int):
 def _first_leq(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """For each value v, the index of the first of the sorted ``radii`` r
     with ``leq(v, r)``; every v is one of the radii, so one exists. ``leq``
-    is applied elementwise with the same float64 operations, and a slack
-    past the float range is inf, as it is for ``leq``."""
+    is applied elementwise with the same float64 operations: a slack past
+    the float range is inf, as it is for ``leq``, and an inf v is within no
+    finite r."""
     lo = np.zeros(len(values), dtype=np.intp)
     hi = np.searchsorted(radii, values)  # v itself, which leq(v, v) accepts
+    finite = np.isfinite(values)
     with np.errstate(over="ignore"):
         while (lo < hi).any():  # leq(v, radii[hi]) holds, so a settled entry stays put
             mid = (lo + hi) // 2
             r = radii[mid]
             ok = values <= r + REL_TOL * np.maximum(np.maximum(np.abs(values), np.abs(r)), 1.0)
+            ok &= finite | (values <= r)
             lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
     return lo
 

@@ -36,6 +36,8 @@ _EXACT_FLOAT32 = 2 ** 24  # float32 holds every integer below this exactly
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
 _NET_BLOCK = 1 << 16  # most distances in one row block, or one chunk of pairs, of _net
 _SLAB = 255  # most mask rows summed at once: a uint8 count of 255 fits
+_BAND_CUT = 450 ** 2  # fewest matrix entries of a set whose probes flip a band (measured)
+_BAND_SHARE = 64  # a band waits for 1/64 of the candidates and holds at most 1/64 of the entries
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,7 @@ def _column_sums(mask: np.ndarray, rows: np.ndarray | None = None,
     return sums
 
 
-def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
-           mask: np.ndarray | None = None):
+def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask=None):
     """One round-robin of the greedy disk heuristic at guess radius r.
 
     Picks, k times, the input point whose radius-r ball covers maximum
@@ -118,36 +119,43 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
     Neither depends on an outlier budget: only the verdict ``remaining <= z``
     does, so one probe serves every z (``_PointSet.probe``).
 
-    One n x n mask, ``within_r``, is written per probe, into ``mask`` when
-    it is given (an n x n bool buffer; ``_PointSet`` keeps one per set), else
-    into a new array. Coverage (uncovered weight in each point's r-ball; a
-    count when every weight is 1) is computed once, then kept up to date:
-    after center c, the newly covered points are the uncovered ones in c's
-    3r-row, and each drops out of every r-ball that holds it. After the last
-    center, or once nothing is left uncovered, coverage is not updated. The
-    first coverage and the updates are column sums of ``within_r``
-    (``_column_sums``), which read its columns as rows, so ``dmat`` must be
-    symmetric bit for bit: ``Metric.pairwise(X, X)`` is, for L2 and L-inf,
-    and an explicit matrix is validated as symmetric.
+    One n x n mask, ``within_r``, holds the entries within r + slack. It is
+    written into ``mask`` when that is an n x n bool buffer, else into a new
+    array, and its starting coverage (uncovered weight in each point's
+    r-ball; a count when every weight is 1) is the column sums of the whole
+    mask. When ``mask`` is a ``_Mask``, the buffer of a large
+    ``_PointSet``, it holds the previous probe's mask and coverage, and
+    turns them into this probe's (``_Mask.write``). Either way the coverage
+    is then kept up to date: after center c, the newly covered points are
+    the uncovered ones in c's 3r-row, and each drops out of every r-ball
+    that holds it. After the last center, or once nothing is left
+    uncovered, coverage is not updated. The first coverage and the updates
+    are column sums of ``within_r`` (``_column_sums``), which read its
+    columns as rows, so ``dmat`` must be symmetric bit for bit:
+    ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit matrix
+    is validated as symmetric.
 
     Coverage is exact in one of four types, the narrowest that holds it. A
-    count is at most n: uint8 slab counts added into int32. Integer weights
-    are summed in slabs cast to float32 while their total is below 2^24, to
-    float64 while it is below 2^53, and to int64 from 2^53 on. Below each
-    cut every partial sum is an integer the type holds exactly, so the sums,
-    and so the argmax and its ties, are those of any exact arithmetic.
+    count is at most n: uint8 slab counts added into int32.
+    Integer weights are summed in slabs cast to float32 while their total is
+    below 2^24, to float64 while it is below 2^53, and to int64 from 2^53
+    on. Below each cut every partial sum is an integer the type holds
+    exactly, so the sums, and so the argmax and its ties, are those of any
+    exact arithmetic.
     """
     slack = REL_TOL * max(1.0, abs(r))
-    within_r = np.less_equal(dmat, r + slack, out=mask)
     remaining = int(weights.sum())
     unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
+    uncovered = None if unit else weights.astype(
+        np.float32 if remaining < _EXACT_FLOAT32 else np.float64 if remaining < _EXACT_FLOAT
+        else np.int64)
+    if isinstance(mask, _Mask):
+        within_r, coverage = mask.write(dmat, uncovered, r + slack)
+    else:
+        within_r = np.less_equal(dmat, r + slack, out=mask)
+        coverage = _column_sums(within_r, weights=uncovered)
     if unit:
         uncovered = np.ones(len(weights), dtype=bool)
-        coverage = _column_sums(within_r)
-    else:
-        uncovered = weights.astype(np.float32 if remaining < _EXACT_FLOAT32 else
-                                   np.float64 if remaining < _EXACT_FLOAT else np.int64)
-        coverage = _column_sums(within_r, weights=uncovered)
     centers = []
     for i in range(k):
         c = int(coverage.argmax())
@@ -160,6 +168,122 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float,
         coverage -= _column_sums(within_r, newly, gone)
         uncovered[newly] = 0
     return remaining, centers
+
+
+class _Mask:
+    """The mask buffer of a ``_PointSet`` of at least ``_BAND_CUT`` matrix
+    entries, and the state its last probe left in it: the threshold ``t``
+    (r + slack) of the mask held in ``within``, None before the first probe,
+    and that mask's starting coverage, ``start``.
+
+    Late in a search, the radii left to probe are close, and so are their
+    masks. ``_PointSet.probe`` passes each probe's search interval to
+    ``narrow`` first. Once the interval holds at most 1/``_BAND_SHARE`` of
+    the candidates, that asks for a band: the flat index and distance of
+    every entry in (lo, hi], where hi is the threshold of the interval's top
+    candidate and lo that of the candidate below its bottom, so the
+    interval's radii and the held mask (the last verdict's) lie in [lo, hi].
+    The probe builds it with one pass over the matrix, or refuses it when it
+    would hold more than n^2/``_BAND_SHARE`` entries: many equal distances,
+    or the top of the candidates, where pair distances outnumber halves.
+    Inside a refused span no band is asked for again: the intervals of one
+    search are nested, so only a search whose interval leaves the span asks
+    anew, and a crowded search pays for one count.
+
+    While both the held threshold and a probe's lie in [lo, hi], the probe
+    flips only the band entries between the two and moves the coverage by
+    their weights (``_flip``). Any other probe writes and sums the whole
+    mask, and drops a band it lies outside. A band only shrinks: each span
+    ``narrow`` is given is intersected with the band's, since its entries
+    cover no more than the span it was built over; this matters when a band
+    outlives its search. A memo hit calls neither. So the mask and its
+    coverage are always those of a full pass, bit for bit."""
+
+    def __init__(self, n: int):
+        self.within = np.empty((n, n), dtype=bool)
+        self.t = self.start = None
+        self.band = None  # (flat indices, distances) of the entries in span
+        self.span = None  # (lo, hi) of the band, or of the next one
+        self.refused = None  # the last span whose band held too many entries
+
+    def narrow(self, lo: float, hi: float, share: float):
+        """Tell the mask the thresholds (lo, hi] of the search interval and
+        the share of the candidates it holds."""
+        if self.band is not None:
+            lo, hi = max(lo, self.span[0]), min(hi, self.span[1])
+            if lo <= hi:
+                index, dist = self.band
+                keep = (dist > lo) & (dist <= hi)
+                self.band, self.span = (index[keep], dist[keep]), (lo, hi)
+                return
+            self.band = None
+        if self.refused is not None and not self.refused[0] <= lo <= hi <= self.refused[1]:
+            self.refused = None  # another search
+        few = share * _BAND_SHARE <= 1 and self.refused is None
+        self.span = (lo, hi) if few else None
+
+    def write(self, dmat: np.ndarray, typed: np.ndarray | None, t: float):
+        """This probe's mask at threshold t, in ``within``, and a copy of its
+        starting coverage: column sums weighted by ``typed``, the weights in
+        the type coverage is summed in, or counts when it is None."""
+        if self.band is None and self.span is not None:
+            self._build(dmat)
+        held = self.t
+        if (self.band is not None and held is not None
+                and self.span[0] <= min(t, held) and max(t, held) <= self.span[1]):
+            self._flip(typed, held, t)
+        else:
+            np.less_equal(dmat, t, out=self.within)
+            self.start = _column_sums(self.within, weights=typed)
+            if self.band is not None and not self.span[0] <= t <= self.span[1]:
+                self.band = self.span = None
+        self.t = t
+        return self.within, self.start.copy()
+
+    def _build(self, dmat: np.ndarray):
+        """The band of ``span``, found one slab of rows at a time, or none
+        when it holds more than n^2/``_BAND_SHARE`` entries."""
+        lo, hi = self.span
+        n = len(dmat)
+        cap = n * n // _BAND_SHARE
+        found, count = [], 0
+        for a in range(0, n, _SLAB):
+            slab = dmat[a:a + _SLAB]
+            sel = np.greater(slab, lo)
+            sel &= slab <= hi
+            at = np.flatnonzero(sel)
+            count += len(at)
+            if count > cap:
+                self.refused, self.span = self.span, None
+                return
+            found.append(at + a * n)
+        index = np.concatenate(found)
+        self.band = (index, dmat.take(index))
+
+    def _flip(self, typed: np.ndarray | None, held: float, t: float):
+        """Turn the held mask at threshold ``held`` into the mask at t: the
+        band entries between the two flip, and each one's row weight moves
+        its column's coverage. The moves are counts, float64 sums of
+        integers below 2^53 (exact, and so exact in float32 below 2^24) or
+        int64 sums, so ``start`` stays exact in its type."""
+        index, dist = self.band
+        n = len(self.within)
+        flat = index[(dist > min(t, held)) & (dist <= max(t, held))]
+        if not len(flat):
+            return
+        self.within.reshape(-1)[flat] = t > held
+        rows, cols = np.divmod(flat, n)
+        if typed is None:
+            moved = np.bincount(cols, minlength=n)
+        elif typed.dtype == np.int64:
+            moved = np.zeros(n, dtype=np.int64)
+            np.add.at(moved, cols, typed[rows])
+        else:
+            moved = np.bincount(cols, typed[rows], minlength=n)
+        if t > held:
+            self.start += moved
+        else:
+            self.start -= moved
 
 
 def _starts(values: np.ndarray) -> np.ndarray:
@@ -208,7 +332,11 @@ class _PointSet:
     by (k, candidate index).
     A probe does not depend on an outlier budget, so searches on one set at
     several z probe a radius once, and a later search at a z already
-    searched makes no probe.
+    searched makes no probe. On a set of at least ``_BAND_CUT`` matrix
+    entries the mask buffer is a ``_Mask``: it carries the last probe's mask
+    and coverage over to the next probe, which late in a search flips only
+    the band of entries between the two radii. A set built by ``of_rows``
+    starts, like any other, with no buffer and so no held state.
 
     The input is normalized by one ``as_weighted`` pass, and the weights and
     coordinates are read from that list, except in a set built by
@@ -262,15 +390,23 @@ class _PointSet:
         return _candidate_radii(self.dmat)
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """The n x n bool buffer that every probe on this set writes its
-        mask into."""
-        return np.empty((len(self), len(self)), dtype=bool)
+    def mask(self):
+        """What every probe on this set writes its mask into: an n x n bool
+        buffer, or a ``_Mask`` around one on a set of at least
+        ``_BAND_CUT`` matrix entries."""
+        n = len(self)
+        return _Mask(n) if n * n >= _BAND_CUT else np.empty((n, n), dtype=bool)
 
-    def probe(self, k: int, i: int):
-        """``_probe`` with k centers at candidate radius i, memoized."""
+    def probe(self, k: int, i: int, lo: int = 0, hi: int | None = None):
+        """``_probe`` with k centers at candidate radius i, memoized. A
+        search passes its interval [lo, hi] of candidate indices, which a
+        ``_Mask`` narrows its band to; a memo hit touches nothing."""
         if (k, i) not in self._memo:
-            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(self.cands[i]), self.mask)
+            cands, mask = self.cands, self.mask
+            if hi is not None and isinstance(mask, _Mask):
+                below = _net_bound(float(cands[lo - 1])) if lo else -math.inf
+                mask.narrow(below, _net_bound(float(cands[hi])), (hi - lo + 1) / len(cands))
+            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(cands[i]), mask)
         return self._memo[k, i]
 
 
@@ -291,9 +427,12 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     everything is an outlier).
 
     ``points`` is a point list or a ``_PointSet``. Searches on one
-    ``_PointSet`` share its matrix, candidate radii and probe memo. A search
-    still visits the same candidate indices and reads the same verdicts, so
-    the result is the one a fresh point list gives.
+    ``_PointSet`` share its matrix, candidate radii, probe memo and mask
+    buffer. Each probe is passed the search interval, so a large set's
+    ``_Mask`` can turn the previous probe's mask into the next one's by the
+    band between their radii. A search still visits the same candidate
+    indices and reads the same verdicts, so the result is the one a fresh
+    point list gives.
     """
     _check_counts(k, z)
     ps = _point_set(points, metric)
@@ -304,7 +443,7 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     centers = None  # the centers of the probe at cands[hi], once hi has moved
     while lo < hi:
         mid = (lo + hi) // 2
-        remaining, probed = ps.probe(k, mid)
+        remaining, probed = ps.probe(k, mid, lo, hi)
         if remaining <= z:
             hi, centers = mid, probed
         else:
@@ -416,7 +555,7 @@ def _cell_key(point, width: float):
 
 def _net_bound(delta: float) -> float:
     """The bound a delta-net compares its distances with: delta and its
-    rounding slack."""
+    rounding slack. It is also the threshold of a probe at radius delta."""
     return delta + REL_TOL * max(1.0, abs(delta))
 
 

@@ -227,11 +227,11 @@ def test_compute_r_hat_z_zero():
     assert r_hat == 7.0 and j_hats == (0, 0)
 
 
-def walked_r_hat(vectors, z):
+def walked_r_hat(vectors, z, within=leq):
     """``compute_r_hat`` as a walk over the sorted candidates, one ``leq``
-    call per entry and candidate, kept as the reference."""
+    call (or ``within``) per entry and candidate, kept as the reference."""
     for r in sorted({v for vec in vectors for v in vec}):
-        j_hats = [next((j for j, v in enumerate(vec) if leq(v, r)), None) for vec in vectors]
+        j_hats = [next((j for j, v in enumerate(vec) if within(v, r)), None) for vec in vectors]
         if None not in j_hats and sum((1 << j) - 1 for j in j_hats) <= 2 * z:
             return r, tuple(j_hats)
     raise AssertionError("no feasible radius found")
@@ -274,10 +274,28 @@ def test_compute_r_hat_matches_the_walk():
         if want and math.inf in (x for vec in vectors for x in vec):
             outcomes.add("inf entry")
     assert outcomes == {"none", "past the least", "least", "inf entry"}
-    # leq(inf, r) holds for every r (its slack is inf), so an inf entry is
-    # no obstacle; a machine whose only entry is inf has j = 0 at once
+    # an inf entry is within no finite radius, though leq's slack for it is
+    # inf: a machine whose only entry is inf has a j only at r = inf
     assert compute_r_hat([[math.inf], [1.0]], 0) == walked_r_hat([[math.inf], [1.0]], 0) \
-        == (1.0, (0, 0))
+        == (math.inf, (0, 0))
+
+
+def test_two_round_budgets_a_part_whose_outlier_vector_overflows(linf):
+    # part 1's greedy radius with no outlier is 3 * 8e307, past the float
+    # range, though every distance is finite. Its inf entry is within no
+    # finite radius, so part 1 takes the outlier it needs for a finite one;
+    # an inf that was within every radius gave it none. The coreset holds
+    # at 3 eps.
+    pts = [W((x,)) for x in (-8e307, 8e307, 0.0, 0.0, 1.0, 2.0)]
+    k, z, eps = 1, 1, 0.5
+    run = run_two_round(pts, k, z, eps, MpcConfig(2, adversarial([1, 1, 1, 2, 2, 2])), linf)
+    vectors = [outlier_vector(list(part), k, z, linf) for part in run.parts]
+    assert vectors == [[math.inf, 1.2e308], [3.0, 1.5]]
+    assert (run.r_hat, run.j_hats) == (1.2e308, (1, 0))
+    overflowing = walked_r_hat(vectors, z, lambda a, b: a <= b + REL_TOL * max(1.0, abs(a), abs(b)))
+    assert overflowing == (1.5, (0, 1))
+    assert check_coreset(pts, list(run.final), k=k, z=z, epsilon=3 * eps, metric=linf,
+                         universe=input_points_universe()).passed
 
 
 def test_compute_r_hat_at_a_hundred_machines():
@@ -303,26 +321,32 @@ def test_two_round_analyses_each_part_once(monkeypatch, linf):
     # arrays, not 2m + 1, and the run is the reference's. Round 2 reads every
     # verdict from the parts' memos, so the run probes exactly as often as
     # the parts' outlier vectors and the coordinator's covering do alone.
+    # The second run's parts of 450 points are above the band cut, and flip
+    # bands in both rounds' searches.
     rng = np.random.default_rng(61)
-    pts = random_points(rng, 90, 2, hi=50, cluster_frac=0.5, weights=True)
-    m, cfg = 5, MpcConfig(5, round_robin())
-    expect = dataclasses.replace(ref_two_round(pts, 2, 6, 0.5, cfg, linf), seed=None)
-    matrices, cands, probes = [], [], []
+    matrices, cands, probes, flips = [], [], [], []
     orig_pairwise, orig_cands = Metric.pairwise, offline._candidate_radii
     monkeypatch.setattr(Metric, "pairwise",
                         lambda self, a, b: matrices.append(1) or orig_pairwise(self, a, b))
     counting = lambda dmat: cands.append(1) or orig_cands(dmat)  # noqa: E731
     monkeypatch.setattr(offline, "_candidate_radii", counting)
-    orig_probe = offline._probe
+    orig_probe, orig_flip = offline._probe, offline._Mask._flip
     monkeypatch.setattr(offline, "_probe", lambda *a: probes.append(1) or orig_probe(*a))
-    run = run_two_round(pts, 2, 6, 0.5, cfg, linf)
-    assert run == expect
-    assert (len(matrices), len(cands)) == (m + 1, m + 1)
-    in_run, probes[:] = len(probes), []
-    for part in run.parts:
-        outlier_vector(list(part), 2, 6, linf)
-    _mbc(list(run.union_received), 2, 6, 0.5, linf)
-    assert len(probes) == in_run > 0
+    monkeypatch.setattr(offline._Mask, "_flip", lambda *a: flips.append(1) or orig_flip(*a))
+    for n, m, hi in ((90, 5, 50), (900, 2, 500)):
+        pts = random_points(rng, n, 2, hi=hi, cluster_frac=0.5, weights=True)
+        cfg = MpcConfig(m, round_robin())
+        expect = dataclasses.replace(ref_two_round(pts, 2, 6, 0.5, cfg, linf), seed=None)
+        matrices[:], cands[:], probes[:], flips[:] = [], [], [], []
+        run = run_two_round(pts, 2, 6, 0.5, cfg, linf)
+        assert run == expect
+        assert (len(matrices), len(cands)) == (m + 1, m + 1)
+        assert bool(flips) == ((n // m) ** 2 >= offline._BAND_CUT), n
+        in_run, probes[:] = len(probes), []
+        for part in run.parts:
+            outlier_vector(list(part), 2, 6, linf)
+        _mbc(list(run.union_received), 2, 6, 0.5, linf)
+        assert len(probes) == in_run > 0
 
 
 def test_two_round_single_point(linf):

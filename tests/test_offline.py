@@ -668,22 +668,177 @@ def test_weighted_probe_allocates_one_slab_at_a_time():
 
 def test_outlier_vector_probes_each_radius_once(monkeypatch, linf):
     # the searches of every budget share one probe memo: each candidate index
-    # is probed once, and exactly the indices the unshared searches probe
+    # is probed once, and exactly the indices the unshared searches probe;
+    # also on a set above the band cut, whose float coordinates give many
+    # distinct radii, with most of the shared probes flipping a band
     rng = np.random.default_rng(23)
-    pts = random_points(rng, 60, 2, hi=30, cluster_frac=0.5, weights=True)
     z = 10
-    expect = ref_outlier_vector(pts, 2, z, linf)
-    radii = []
-    orig = offline._probe
+    radii, flips = [], []
+    orig, orig_flip = offline._probe, offline._Mask._flip
     monkeypatch.setattr(offline, "_probe",
                         lambda *a: radii.append(a[3]) or orig(*a))
-    for j in range(vector_length(z)):
-        greedy(pts, 2, (1 << j) - 1, linf)
-    unshared, radii[:] = list(radii), []
-    got = outlier_vector(pts, 2, z, linf)
-    assert repr(got) == repr(expect)
-    assert len(radii) == len(set(radii)) and set(radii) == set(unshared)
-    assert len(radii) < len(unshared)
+    monkeypatch.setattr(offline._Mask, "_flip", lambda *a: flips.append(1) or orig_flip(*a))
+    small = random_points(rng, 60, 2, hi=30, cluster_frac=0.5, weights=True)
+    for pts in (small, _band_case(rng, LINF, 500, 4, 20, False)[0]):
+        n = len(pts)
+        expect = ref_outlier_vector(pts, 2, z, linf)
+        radii[:] = []
+        for j in range(vector_length(z)):
+            greedy(pts, 2, (1 << j) - 1, linf)
+        unshared, radii[:], flips[:] = list(radii), [], []
+        got = outlier_vector(pts, 2, z, linf)
+        assert repr(got) == repr(expect)
+        assert len(radii) == len(set(radii)) and set(radii) == set(unshared)
+        assert len(radii) < len(unshared)
+        assert 2 * len(flips) > len(radii) if n * n >= offline._BAND_CUT else not flips, n
+
+
+def _band_case(rng, kind, n, top, dup, huge):
+    """A set of n points above the band cut: clustered floats with many
+    distinct distances, weights drawn below ``top`` (None for unit
+    weights), ``dup`` repeated points, and, when ``huge``, three points near
+    -1.7e308, whose distances to all the others overflow to inf, so one
+    center covers both groups only at the inf candidate. Under L-inf the
+    others lie from 1.56e308 to 1.7e308; under L2, where any two distinct
+    points that far out are at inf, they stay where they are."""
+    centers = rng.uniform(0, 400, size=(3, 2))
+    x = centers[rng.integers(0, 3, size=n - dup)] + rng.normal(scale=15.0, size=(n - dup, 2))
+    x[:12] = rng.uniform(1000, 1400, size=(12, 2))  # far outliers
+    if huge:
+        if kind == LINF:
+            x = 1.7e308 - x * 1e304
+        x[-3:] = -1.7e308 + rng.uniform(0, 1e300, size=(3, 2))
+    x = np.vstack([x, x[rng.integers(0, n - dup, size=dup)]])
+    w = [1] * n if top is None else rng.integers(1, top, size=n).tolist()
+    if top is not None and top > 2 ** 52:
+        w[0] = 2 ** 53 + 3  # an int64 total
+    if kind == EXPLICIT:
+        metric = Metric(EXPLICIT, matrix=Metric(L2).pairwise(x, x).tolist())
+        pts = [W((float(i),), wt) for i, wt in enumerate(w)]
+    else:
+        metric = Metric(kind)
+        pts = [W(tuple(row), wt) for row, wt in zip(x.tolist(), w)]
+    return pts, metric
+
+
+def _band_searches(ps, k, metric):
+    """Several searches on one set: outlier vectors at z up to 15, then a
+    covering at each of their budgets and at budgets between them, then
+    searches at other k."""
+    out = [outlier_vector(ps, k, 15, metric), outlier_vector(ps, k, 5, metric)]
+    out += [_mbc(ps, k, b, 0.5, metric) for b in (0, 1, 2, 3, 5, 7, 10, 15)]
+    out += [greedy(ps, 1, 0, metric), greedy(ps, 1, 2, metric), greedy(ps, k + 1, 4, metric)]
+    return repr(out)
+
+
+BAND_CASES = [  # (kind, n, weights below, duplicates, near 1e308)
+    (LINF, 450, None, 0, False), (L2, 520, None, 40, False), (EXPLICIT, 460, None, 0, False),
+    (LINF, 480, 4, 30, False), (L2, 450, 2 ** 30, 0, False), (LINF, 500, 2 ** 40, 20, False),
+    (EXPLICIT, 470, 4, 25, False), (LINF, 700, None, 0, False),
+    (LINF, 480, None, 10, True), (L2, 460, 4, 0, True),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BAND_CASES)))
+def test_band_probes_match_full_passes(case, monkeypatch):
+    # Sets above the band cut, searched several times on one _PointSet, give
+    # what the same calls give with full passes only (the cut at infinity),
+    # by repr; sampled probes of the banded run match the reference probe.
+    # On the sets near 1e308, a band of the inf entries flips them exactly.
+    kind, n, top, dup, huge = BAND_CASES[case]
+    rng = np.random.default_rng(500 + case)
+    pts, metric = _band_case(rng, kind, n, top, dup, huge)
+    assert len(pts) ** 2 >= offline._BAND_CUT
+    k = 2 + case % 2
+    probes, flips = [], []
+    orig_probe, orig_flip = offline._probe, offline._Mask._flip
+    monkeypatch.setattr(offline, "_probe", lambda *a: probes.append(a[2:4]) or orig_probe(*a))
+    monkeypatch.setattr(offline._Mask, "_flip", lambda self, *a: flips.append(
+        bool(np.isinf(self.band[1]).any())) or orig_flip(self, *a))
+    ps = _PointSet(pts, metric)
+    banded = _band_searches(ps, k, metric)
+    monkeypatch.setattr(offline, "_BAND_CUT", math.inf)
+    flipped, flips[:] = list(flips), []
+    assert banded == _band_searches(_PointSet(pts, metric), k, metric)
+    assert len(flipped) > 20 and not flips, flipped
+    if huge:
+        # the searches refuse a band that reaches the inf candidate: it holds
+        # the pair radii near the top as well, more than n^2/64 entries. A
+        # mask narrowed to the inf entries alone flips them, as a full pass
+        assert np.isinf(ps.cands[-1])
+        below = offline._net_bound(float(ps.cands[-2]))
+        mask, flips[:] = offline._Mask(len(ps)), []
+        for r in (ps.cands[-2], math.inf, ps.cands[-2], math.inf):
+            mask.narrow(below, math.inf, 1 / len(ps.cands))
+            got = orig_probe(ps.dmat, ps.weights, 1, float(r), mask)
+            assert got == orig_probe(ps.dmat, ps.weights, 1, float(r))
+            assert (mask.within == (ps.dmat <= offline._net_bound(float(r)))).all()
+        assert flips == [True] * 3
+    w = ps.weights
+    for kk, r in probes[::7]:
+        _, centers = ref_feasible(ps.dmat, w, kk, 0, r)
+        assert orig_probe(ps.dmat, w, kk, r) == (ref_remaining(ps.dmat, w, r, centers), centers)
+    # a set built by of_rows over the searched set's rows holds no state
+    rows = _PointSet.of_rows(ps.wps, ps.coords, metric)
+    assert "mask" not in vars(rows)
+    assert repr(greedy(rows, k, 6, metric)) == repr(greedy(ps, k, 6, metric))
+
+
+def test_crowded_band_is_refused(monkeypatch, linf):
+    # 450 points of a 15 x 30 integer lattice and 150 float points: each of
+    # 16 distances holds more than n^2/64 entries, so a band whose span holds
+    # one is refused, and the searches give what full passes give
+    rng = np.random.default_rng(7)
+    lattice = np.stack(np.meshgrid(np.arange(15.0), np.arange(30.0)), -1).reshape(-1, 2)
+    x = np.vstack([lattice, rng.uniform(0, 29, size=(150, 2)).round(3)])
+    pts = [W(tuple(row)) for row in x.tolist()]
+    cap = len(pts) ** 2 // offline._BAND_SHARE
+    refused = []
+    orig_build = offline._Mask._build
+
+    def build(mask, dmat):
+        span = mask.span
+        orig_build(mask, dmat)
+        if mask.band is None:
+            refused.append(span)
+    monkeypatch.setattr(offline._Mask, "_build", build)
+
+    def searches(ps):
+        return repr([(outlier_vector(ps, k, 15, linf),
+                      [_mbc(ps, k, b, 0.5, linf) for b in (0, 3, 10)]) for k in (1, 2, 3)])
+    ps = _PointSet(pts, linf)
+    banded = searches(ps)
+    values, counts = np.unique(ps.dmat, return_counts=True)
+    crowded = values[counts > cap]
+    assert len(crowded) == 16
+    assert any(((lo < crowded) & (crowded <= hi)).any() for lo, hi in refused), refused
+    monkeypatch.setattr(offline, "_BAND_CUT", math.inf)
+    assert banded == searches(_PointSet(pts, linf))
+
+
+def test_band_search_peaks_below_the_candidate_radii(tmp_path, monkeypatch, linf):
+    # At n = 1500 (the offline-mpc benchmark set) a search's peak allocation,
+    # its mask buffer and band included, stays below that of building the
+    # candidate radii, the largest allocation beside the matrix
+    coords = np.asarray(_load_gen().generate("offline-mpc", 1, str(tmp_path))["coords"])
+    ps = _PointSet([W(tuple(row)) for row in coords.tolist()], linf)
+    ps.dmat
+    flips = []
+    orig_flip = offline._Mask._flip
+    monkeypatch.setattr(offline._Mask, "_flip", lambda *a: flips.append(1) or orig_flip(*a))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ps.cands
+        cands_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        greedy(ps, 3, 10, linf)
+        search_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(flips) > 10
+    assert search_peak < cands_peak, (search_peak, cands_peak)
 
 
 def test_candidate_radii_match_unique_formula():
