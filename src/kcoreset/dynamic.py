@@ -16,18 +16,21 @@ cannot fail and builds no tables.
 
 An update takes its sign as an int (``operator.index``; a float sign is
 refused) and checks its point in one pass over the coordinates
-(``GridConfig.base_cell``), which also forms the zero-based level-0 cell and
-its id. The cell at level i is that cell's index shifted right by i, and
-every structure names it by one integer id: the shifted coordinates read
-row-major in base Delta >> i (``GridConfig.level_ids``), so no per-level cell
-tuple is built. The ids of levels 1 and up are formed only when a fed level
-or the shadow needs them. The optional exact shadow (per-level id -> count
-maps) sees the id of every level; it enforces strict-turnstile discipline
-and answers reports without randomness (test mode). A report takes
-{id: count} from the shadow or the sketch, sorts the ids once (row-major ids
-sort as their index tuples do) and turns them straight into centers: cells
-per axis are a power of two, so each coordinate of an id is a bit field,
-decoded with a shift and a mask (``GridConfig.cell_centers``).
+(``GridConfig.cell_id``), which also forms the zero-based level-0 cell and
+its id. The cell at level i is the level-0 cell's index shifted right by i,
+and every structure names it by one integer id: the shifted coordinates read
+row-major in base Delta >> i. Cells per axis are a power of two, so each
+coordinate of the level-0 id is a ``top_level``-bit field; a level's id
+shifts each field right by the level and repacks the fields
+(``GridConfig.level_ids``), so no per-level cell tuple is built. The ids of
+levels 1 and up are formed only when a fed level above 0 or the shadow needs
+them: while only level 0 is fed, an update passes the level-0 id straight
+to level 0's sketch. The optional exact shadow (per-level id -> count maps)
+sees the id of every level; it enforces strict-turnstile discipline and
+answers reports without randomness (test mode). A report takes {id: count}
+from the shadow or the sketch, sorts the ids once (row-major ids sort as
+their index tuples do) and turns them straight into centers, decoding each
+coordinate's bit field with a shift and a mask (``GridConfig.cell_centers``).
 
 The sketches are fed lazily. An update feeds only levels 0..``fed``-1, and
 ``fed`` starts at 1, so while level 0 is sparse an update makes one sketch
@@ -84,14 +87,18 @@ class GridConfig:
     def cell_count(self, level: int) -> int:
         return self.cells_per_axis(level) ** self.d
 
-    def base_cell(self, point) -> tuple:
-        """Check ``point`` and return its zero-based level-0 cell (a list)
-        with that cell's row-major id (``level_ids``' first entry), both
-        formed in the one pass that checks each coordinate. A coordinate
-        must be an integer in [1, Delta], checked in order, and then the
-        point must have d of them."""
+    def cell_id(self, point) -> int:
+        """Check ``point`` and return the row-major id of its level-0 cell.
+        The one pass that checks each coordinate forms the zero-based
+        level-0 cell and its id, and no cell tuple. A point must be a
+        sequence; each coordinate must be an integer in [1, Delta], checked
+        in order, and then the point must have d of them."""
+        try:
+            dim = len(point)
+        except TypeError:  # a number, None, a generator
+            raise InputError(f"a point must be a sequence of coordinates, got {point!r}") from None
         delta = self.delta
-        base, ident = [], 0
+        ident = 0
         for c in point:
             try:
                 ci = int(c)
@@ -99,29 +106,39 @@ class GridConfig:
                 ci = 0  # outside the range, so refused below
             if ci != c or not 1 <= ci <= delta:
                 raise InputError(f"coordinate {c!r} outside integer range [1, {delta}]")
-            base.append(ci - 1)
-            ident = ident * delta + (ci - 1)
-        if len(base) != self.d:
-            raise InputError(f"point dimension {len(base)} != {self.d}")
-        return base, ident
+            ident = ident * delta + ci - 1
+        if dim != self.d:
+            raise InputError(f"point dimension {dim} != {self.d}")
+        return ident
+
+    def _fields(self, ident: int) -> list:
+        """The coordinates of the level-0 cell with row-major id ``ident``,
+        first axis first: each is a ``top_level``-bit field of the id."""
+        width = self.top_level
+        low = (1 << width) - 1
+        return [(ident >> (j * width)) & low for j in range(self.d - 1, -1, -1)]
 
     def cell_of(self, point, level: int) -> tuple:
+        """The zero-based cell of ``point`` at ``level``, decoded from the
+        level-0 id that ``cell_id`` checks and forms."""
         if not (0 <= level <= self.top_level):
             raise InputError(f"level {level} outside 0..{self.top_level}")
-        return tuple([v >> level for v in self.base_cell(point)[0]])
+        return tuple([v >> level for v in self._fields(self.cell_id(point))])
 
-    def level_ids(self, base: tuple, count: int = None) -> list:
-        """The row-major id at levels 0..``count``-1 (every level by default)
-        of the cells holding level-0 cell ``base``: the coordinates shifted
-        right by the level, read in base ``cells_per_axis`` of that level."""
-        delta = self.delta
+    def level_ids(self, ident: int, count: int = None) -> list:
+        """The row-major ids at levels 0..``count``-1 (every level by
+        default) of the cells holding the level-0 cell ``ident``: each
+        coordinate's bit field shifted right by the level, and the fields
+        repacked at the level's width. An update forms the ids of levels 1
+        and up only when a fed level above 0 or the shadow needs them."""
+        fields = self._fields(ident)
         ids = []
         for lv in range(self.levels if count is None else count):
-            per_axis = delta >> lv
-            ident = 0
-            for v in base:
-                ident = ident * per_axis + (v >> lv)
-            ids.append(ident)
+            width = self.top_level - lv
+            out = 0
+            for v in fields:
+                out = (out << width) | (v >> lv)
+            ids.append(out)
         return ids
 
     def coarsen(self, vector: dict, level: int) -> dict:
@@ -215,27 +232,27 @@ class DynamicCoresetState:
         if sign != 1 and sign != -1:
             raise InputError(f"sign must be +1 or -1, got {sign!r}")
         grid, shadow, sr = self.grid, self.shadow, self.sr
-        base, ident = grid.base_cell(point)  # the only check of the point
-        need = len(shadow) if shadow is not None else self.fed
-        ids = grid.level_ids(base, need) if need > 1 else [ident]
-        if shadow is not None and sign < 0 and shadow[0].get(ident, 0) <= 0:
-            raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
+        ident = grid.cell_id(point)  # the only check of the point
+        if shadow is not None:
+            if sign < 0 and shadow[0].get(ident, 0) <= 0:
+                raise InputError(f"deletion of absent point {tuple(point)} (strict turnstile)")
+            for m, cell in zip(shadow, grid.level_ids(ident)):
+                c = m.get(cell, 0) + sign
+                if c:
+                    m[cell] = c
+                else:
+                    del m[cell]
         self.ops += 1
         self.live_count += sign
-        if shadow is not None:
-            for m, ident in zip(shadow, ids):
-                c = m.get(ident, 0) + sign
-                if c:
-                    m[ident] = c
-                else:
-                    m.pop(ident, None)
         if sr is not None:
             fed = self.fed
             if fed < len(sr) and len(sr[0]._pending) >= sr[0].buckets - 1:
                 self._load(len(sr))  # this update could make level 0 build tables
-                fed, ids = len(sr), grid.level_ids(base)
-            for sk, ident in zip(sr[:fed], ids):
-                sk.update(ident, sign)
+                fed = len(sr)
+            sr[0].update(ident, sign)
+            if fed > 1:
+                for sk, cell in zip(sr[1:fed], grid.level_ids(ident, fed)[1:]):
+                    sk.update(cell, sign)
 
     def _load(self, upto: int) -> None:
         """Load levels ``fed``..``upto``-1, each from the buffer of the level

@@ -255,9 +255,12 @@ class F0Sketch:
         return min(tz, self.levels - 1)
 
     def update(self, ident: int, sign: int) -> None:
-        top = self._level_of(ident)
-        for lv in range(top + 1):
-            self._samplers[lv].update(ident, sign)
+        # every id feeds level 0, whose update checks the id and sign before
+        # anything changes, and so before the id is hashed
+        samplers = self._samplers
+        samplers[0].update(ident, sign)
+        for sk in samplers[1:self._level_of(_index(ident)) + 1]:
+            sk.update(ident, sign)
 
     def query(self) -> float:
         for lv, sk in enumerate(self._samplers):

@@ -57,16 +57,19 @@ def test_cell_id_roundtrip_and_center():
 
 
 def test_whole_level_helpers_match_the_per_cell_ones():
-    rng = np.random.default_rng(13)
-    for delta, d in [(9, 1), (37, 2), (100, 3), (1024, 2)]:
+    rng = random.Random(13)
+    # Delta = 1 has zero bits per axis; Delta = 2^40 at d = 2 has ids past 64 bits
+    for delta, d in [(1, 1), (1, 3), (9, 1), (37, 2), (100, 3), (1024, 2), (1 << 40, 2)]:
         g = GridConfig(delta, d)
         counts = {}  # signed counts per point, so that some cells sum to zero
         for _ in range(20):
-            point = tuple(int(v) for v in rng.integers(1, g.delta + 1, size=d))
-            counts[point] = counts.get(point, 0) + int(rng.choice([-1, 1, 2]))
-            base = g.cell_of(point, 0)
-            ids = g.level_ids(base)
+            point = tuple(rng.randint(1, g.delta) for _ in range(d))
+            counts[point] = counts.get(point, 0) + rng.choice([-1, 1, 2])
+            ids = g.level_ids(g.cell_id(point))
             assert ids == [_ref_cell_id(g, g.cell_of(point, lv), lv) for lv in range(g.levels)]
+            assert ids == [_ref_cell_id(g, _reference_cell_of(g, point, lv), lv)
+                           for lv in range(g.levels)]
+            assert g.level_ids(ids[0], 1) == ids[:1] and g.level_ids(ids[0], 0) == []
             for lv, ident in enumerate(ids):
                 cell = g.cell_of(point, lv)
                 assert _ref_cell_index(g, ident, lv) == cell
@@ -83,8 +86,10 @@ def test_whole_level_helpers_match_the_per_cell_ones():
             expect = {i: c for i, c in expect.items() if c}
             vector = expect if lv == 0 else g.coarsen(vector, lv - 1)
             assert vector == expect
+        if g.levels == 1:
+            continue
         # row-major ids sort as their index tuples, and so as their centers, do
-        level1 = [int(i) for i in rng.integers(0, g.cell_count(1), size=30)]
+        level1 = [rng.randrange(g.cell_count(1)) for _ in range(30)]
         assert [_ref_cell_index(g, i, 1) for i in sorted(level1)] == \
             sorted(_ref_cell_index(g, i, 1) for i in level1)
         assert g.cell_centers(sorted(level1), 1) == sorted(g.cell_centers(level1, 1))
@@ -476,6 +481,18 @@ def _fed(**modes):
     return state
 
 
+def _refused_update(point, sign=1):
+    """Update a fed state with both modes; the refusal must change nothing."""
+    state = _fed(with_shadow=True)
+    before = copy.deepcopy(state)
+    try:
+        state.update(point, sign)
+    finally:
+        assert (state.ops, state.live_count, state.fed, state.shadow) == \
+            (before.ops, before.live_count, before.fed, before.shadow)
+        assert [sk._pending for sk in state.sr] == [sk._pending for sk in before.sr]
+
+
 _SHADOW_ONLY = dict(with_sketches=False, with_shadow=True)
 DYNAMIC_REFUSALS = {
     "Delta 0": (lambda: GridConfig(0, 1), "need Delta >= 1"),
@@ -493,6 +510,14 @@ DYNAMIC_REFUSALS = {
     "sketch report without sketches": (lambda: _fed(**_SHADOW_ONLY).report(), "requires sketches"),
     "digest without sketches": (lambda: _fed(**_SHADOW_ONLY).digest(), "requires sketches"),
     "merge across modes": (lambda: _fed().merge(_fed(with_shadow=True)), "identical modes"),
+    "a number as a point": (lambda: _refused_update(5), "a point must be a sequence"),
+    "None as a point": (lambda: _refused_update(None), "a point must be a sequence"),
+    "a generator as a point": (lambda: _refused_update(c for c in (3,)),
+                               "a point must be a sequence"),
+    "a number as a point of cell_of": (lambda: GridConfig(16, 1).cell_of(5, 0),
+                                       "a point must be a sequence"),
+    "a number as a point of cell_id": (lambda: GridConfig(16, 1).cell_id(5),
+                                       "a point must be a sequence"),
 }
 
 
@@ -655,14 +680,29 @@ def test_the_point_check_equals_the_reference_cell_of():
                 _outcome_of(lambda: _reference_cell_of(g, point, level)), (point, level)
         want = _outcome_of(lambda: _reference_cell_of(g, point, 0))
         if want[0] == "InputError":
-            assert _outcome_of(lambda: g.base_cell(point)) == want
+            assert _outcome_of(lambda: g.cell_id(point)) == want
             assert _outcome_of(lambda: st.update(point, 1)) == want, point
         else:
-            base, ident = g.base_cell(point)
-            assert tuple(base) == want and ident == g.level_ids(want, 1)[0]
+            assert g.cell_id(point) == _ref_cell_id(g, want, 0)
     for level in (-1, g.levels):
         assert _outcome_of(lambda: g.cell_of((5, 5), level)) == \
             _outcome_of(lambda: _reference_cell_of(g, (5, 5), level))
+    # zero bits per axis (Delta = 1), and ids past 64 bits (Delta = 2^40, d = 2)
+    big = 1 << 40
+    for g, corpus in [(GridConfig(1, 2), [(1, 1), (2, 1), (1, 0), (1,), (1, 1, 1), (1.0, 1)]),
+                      (GridConfig(big, 2), [(big, big), (1, big), (big, 1), (big - 1, 3),
+                                            (big + 1, 1), (1, big + 1), (float(big), big)])]:
+        for point in corpus:
+            want = _outcome_of(lambda: _reference_cell_of(g, point, 0))
+            assert _outcome_of(lambda: g.cell_id(point)) == \
+                (want if want[0] == "InputError" else _ref_cell_id(g, want, 0)), point
+            if want[0] != "InputError":
+                assert g.level_ids(g.cell_id(point)) == \
+                    [_ref_cell_id(g, _reference_cell_of(g, point, lv), lv)
+                     for lv in range(g.levels)]
+                assert [g.cell_of(point, lv) for lv in range(g.levels)] == \
+                    [_reference_cell_of(g, point, lv) for lv in range(g.levels)]
+    assert GridConfig(big, 2).cell_id((big, big)) == (1 << 80) - 1
 
 
 # Reference copy of the per-level update and report loops as they were
@@ -811,3 +851,42 @@ def test_a_coordinate_without_an_int_value_is_an_input_error(coord, shown):
     with pytest.raises(InputError, match=f"^coordinate {re.escape(shown)} outside integer range"):
         st.update((coord, 5), 1)
     assert st.ops == 0
+
+
+def test_a_benchmark_shaped_stream_makes_one_sketch_update_per_update(monkeypatch):
+    # 600 updates over [1024]^2 around two centers, 200 of them deletes of
+    # live points from the 50th update on, and a report every 100: level 0
+    # stays sparse, so each update feeds level 0 alone
+    rng = random.Random(41)
+    centers = [(rng.randint(61, 963), rng.randint(61, 963)) for _ in range(2)]
+    deletes = set(rng.sample(range(50, 600), 200))
+    ops, live = [], []
+    for t in range(600):
+        if t in deletes and live:
+            ops.append((-1, live.pop(rng.randrange(len(live)))))
+        else:
+            cx, cy = rng.choice(centers)
+            live.append((cx + rng.randint(-60, 60), cy + rng.randint(-60, 60)))
+            ops.append((1, live[-1]))
+    assert sum(sign < 0 for sign, _ in ops) == 200
+
+    calls = []
+    orig = SparseRecoverySketch.update
+    monkeypatch.setattr(SparseRecoverySketch, "update",
+                        lambda sk, ident, sign: calls.append(ident) or orig(sk, ident, sign))
+    new = DynamicCoresetState(1024, 2, 2, 1, 0.5, seed=1)
+    reports = []
+    for start in range(0, 600, 100):
+        for sign, point in ops[start:start + 100]:
+            new.update(point, sign)
+        reports.append(_outcome(new.report))
+    assert len(calls) == 600 and new.fed == 1
+    assert [rep[0] for rep in reports] == [0] * 6
+
+    ref = DynamicCoresetState(1024, 2, 2, 1, 0.5, seed=1)
+    ref.fed = ref.grid.levels  # _ref_update feeds every level itself
+    for start in range(0, 600, 100):
+        for sign, point in ops[start:start + 100]:
+            _ref_update(ref, point, sign)
+        assert reports[start // 100] == _outcome(lambda: _ref_report(ref))
+    assert new.digest() == ref.digest()

@@ -434,6 +434,25 @@ def test_non_integer_ids_and_signs_are_refused():
     assert sk._pending == {7: 1} and type(sk._pending[7]) is int
 
 
+def test_f0_checks_the_id_and_sign_before_hashing():
+    f0 = F0Sketch(0.5, 0.1, 100, seed=1)
+    f0.update(7, 1)
+    before = f0.digest()
+    # refused before the hash, which a float id fails in and which repeats a
+    # string id by its multiplier
+    for ident, sign in [(1.5, 1), ("3", 1), (None, 1), (3, 1.0)]:
+        with pytest.raises(InputError, match="integers"):
+            f0.update(ident, sign)
+    for ident, sign, message in [(100, 1, "outside universe"), (-1, 1, "outside universe"),
+                                 (3, 0, "sign must be"), (3, 2, "sign must be")]:
+        with pytest.raises(InputError, match=message):
+            f0.update(ident, sign)
+    assert f0.digest() == before
+    f0.update(np.int64(9), np.int64(1))  # integers of other types are read as ints
+    f0.update(9, -1)
+    assert f0.digest() == before
+
+
 def test_f0_empty_and_cancellation():
     f0 = F0Sketch(0.2, 0.1, 1 << 20, seed=2)
     assert f0.query() == 0.0
