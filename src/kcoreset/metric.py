@@ -262,8 +262,11 @@ class Metric:
         and of b is below ``quiet_bound(d)`` in absolute value, so that no
         term overflows and no ``np.errstate`` needs entering; without it
         the kernel runs under ``np.errstate(over="ignore")`` as in
-        ``pairwise``, and an overflowing entry is inf."""
-        if quiet:
+        ``pairwise``, and an overflowing entry is inf. With no coordinates
+        every distance is 0, as in ``pairwise``."""
+        if not point:
+            out.fill(0.0)
+        elif quiet:
             self._accumulate(point, b.T, out, diff)
         else:
             with np.errstate(over="ignore"):

@@ -19,9 +19,7 @@ Metering describes what a machine stores, not what the simulator reuses
 between rounds: a two-round machine keeps its part as one ``_PointSet``, so
 its round-2 covering reuses the distance matrix, candidate radii, probe
 verdicts and mask buffer of its round-1 outlier vector, which no figure
-counts; on a part large enough for a ``_Mask``, the buffer also carries the
-last probe's mask and coverage, and any band it holds, from search to
-search.
+counts. No band of entries outlives the search that built it (``greedy``).
 Machine 1's collection stage, where it compresses the union of the coverings
 it received once more, is metered apart in ``coordinator_words``. In the
 R-round pipeline the last round's union is the result and also counts in

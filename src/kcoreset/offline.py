@@ -36,7 +36,7 @@ _EXACT_FLOAT32 = 2 ** 24  # float32 holds every integer below this exactly
 _EXACT_FLOAT = 2 ** 53  # float64 holds every integer below this exactly
 _NET_BLOCK = 1 << 16  # most distances in one row block, or one chunk of pairs, of _net
 _SLAB = 255  # most mask rows summed at once: a uint8 count of 255 fits
-_BAND_CUT = 450 ** 2  # fewest matrix entries of a set whose probes flip a band (measured)
+_BAND_CUT = 450 ** 2  # fewest matrix entries of a set whose searches ask for a band (measured)
 _BAND_SHARE = 64  # a band waits for 1/64 of the candidates and holds at most 1/64 of the entries
 
 
@@ -110,7 +110,7 @@ def _column_sums(mask: np.ndarray, rows: np.ndarray | None = None,
     return sums
 
 
-def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask=None):
+def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask: _Mask):
     """One round-robin of the greedy disk heuristic at guess radius r.
 
     Picks, k times, the input point whose radius-r ball covers maximum
@@ -119,21 +119,18 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask=None):
     Neither depends on an outlier budget: only the verdict ``remaining <= z``
     does, so one probe serves every z (``_PointSet.probe``).
 
-    One n x n mask, ``within_r``, holds the entries within r + slack. It is
-    written into ``mask`` when that is an n x n bool buffer, else into a new
-    array, and its starting coverage (uncovered weight in each point's
-    r-ball; a count when every weight is 1) is the column sums of the whole
-    mask. When ``mask`` is a ``_Mask``, the buffer of a large
-    ``_PointSet``, it holds the previous probe's mask and coverage, and
-    turns them into this probe's (``_Mask.write``). Either way the coverage
-    is then kept up to date: after center c, the newly covered points are
-    the uncovered ones in c's 3r-row, and each drops out of every r-ball
-    that holds it. After the last center, or once nothing is left
-    uncovered, coverage is not updated. The first coverage and the updates
-    are column sums of ``within_r`` (``_column_sums``), which read its
-    columns as rows, so ``dmat`` must be symmetric bit for bit:
-    ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit matrix
-    is validated as symmetric.
+    One n x n mask, ``within_r``, holds the entries within r + slack, and
+    its starting coverage is the uncovered weight in each point's r-ball (a
+    count when every weight is 1). ``mask.write`` makes both in ``mask``'s
+    buffer: by a full pass, or by flipping a band from the previous probe's
+    (``_Mask``). The coverage is then kept up to date: after center c, the
+    newly covered points are the uncovered ones in c's 3r-row, and each
+    drops out of every r-ball that holds it. After the last center, or once
+    nothing is left uncovered, coverage is not updated. The first coverage
+    and the updates are column sums of ``within_r`` (``_column_sums``),
+    which read its columns as rows, so ``dmat`` must be symmetric bit for
+    bit: ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit
+    matrix is validated as symmetric.
 
     Coverage is exact in one of four types, the narrowest that holds it. A
     count is at most n: uint8 slab counts added into int32.
@@ -149,11 +146,7 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask=None):
     uncovered = None if unit else weights.astype(
         np.float32 if remaining < _EXACT_FLOAT32 else np.float64 if remaining < _EXACT_FLOAT
         else np.int64)
-    if isinstance(mask, _Mask):
-        within_r, coverage = mask.write(dmat, uncovered, r + slack)
-    else:
-        within_r = np.less_equal(dmat, r + slack, out=mask)
-        coverage = _column_sums(within_r, weights=uncovered)
+    within_r, coverage = mask.write(dmat, uncovered, r + slack)
     if unit:
         uncovered = np.ones(len(weights), dtype=bool)
     centers = []
@@ -171,79 +164,35 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask=None):
 
 
 class _Mask:
-    """The mask buffer of a ``_PointSet`` of at least ``_BAND_CUT`` matrix
-    entries, and the state its last probe left in it: the threshold ``t``
-    (r + slack) of the mask held in ``within``, None before the first probe,
-    and that mask's starting coverage, ``start``.
+    """The mask buffer of a ``_PointSet``, ``within``, and the state its
+    last probe left in it: the threshold ``t`` (r + slack) of the mask it
+    holds, None before the first probe, and that mask's starting coverage,
+    ``start``.
 
     Late in a search, the radii left to probe are close, and so are their
-    masks. ``_PointSet.probe`` passes each probe's search interval to
-    ``narrow`` first. Once the interval holds at most 1/``_BAND_SHARE`` of
-    the candidates, that asks for a band: the flat index and distance of
-    every entry in (lo, hi], where hi is the threshold of the interval's top
-    candidate and lo that of the candidate below its bottom, so the
-    interval's radii and the held mask (the last verdict's) lie in [lo, hi].
-    The probe builds it with one pass over the matrix, or refuses it when it
-    would hold more than n^2/``_BAND_SHARE`` entries: many equal distances,
-    or the top of the candidates, where pair distances outnumber halves.
-    Inside a refused span no band is asked for again: the intervals of one
-    search are nested, so only a search whose interval leaves the span asks
-    anew, and a crowded search pays for one count.
-
-    While both the held threshold and a probe's lie in [lo, hi], the probe
-    flips only the band entries between the two and moves the coverage by
-    their weights (``_flip``). Any other probe writes and sums the whole
-    mask, and drops a band it lies outside. A band only shrinks: each span
-    ``narrow`` is given is intersected with the band's, since its entries
-    cover no more than the span it was built over; this matters when a band
-    outlives its search. A memo hit calls neither. So the mask and its
-    coverage are always those of a full pass, bit for bit."""
+    masks. ``greedy`` on a set of at least ``_BAND_CUT`` entries asks at
+    most once for a band (``banded``): the flat index and distance of every
+    entry in (lo, hi], the thresholds around the search interval once it
+    holds at most 1/``_BAND_SHARE`` of the candidates. While both the held
+    threshold and a probe's lie in [lo, hi], the probe flips only the band
+    entries between the two and moves the coverage by their weights
+    (``_flip``). Any other probe writes and sums the whole mask. The search
+    drops its band when its binary search ends, so no band outlives the
+    search that asked for it. Either way the mask and its coverage are
+    those of a full pass, bit for bit."""
 
     def __init__(self, n: int):
         self.within = np.empty((n, n), dtype=bool)
         self.t = self.start = None
-        self.band = None  # (flat indices, distances) of the entries in span
-        self.span = None  # (lo, hi) of the band, or of the next one
-        self.refused = None  # the last span whose band held too many entries
+        self.band = None  # (flat indices, distances, lo, hi) of the entries in (lo, hi]
 
-    def narrow(self, lo: float, hi: float, share: float):
-        """Tell the mask the thresholds (lo, hi] of the search interval and
-        the share of the candidates it holds."""
-        if self.band is not None:
-            lo, hi = max(lo, self.span[0]), min(hi, self.span[1])
-            if lo <= hi:
-                index, dist = self.band
-                keep = (dist > lo) & (dist <= hi)
-                self.band, self.span = (index[keep], dist[keep]), (lo, hi)
-                return
-            self.band = None
-        if self.refused is not None and not self.refused[0] <= lo <= hi <= self.refused[1]:
-            self.refused = None  # another search
-        few = share * _BAND_SHARE <= 1 and self.refused is None
-        self.span = (lo, hi) if few else None
-
-    def write(self, dmat: np.ndarray, typed: np.ndarray | None, t: float):
-        """This probe's mask at threshold t, in ``within``, and a copy of its
-        starting coverage: column sums weighted by ``typed``, the weights in
-        the type coverage is summed in, or counts when it is None."""
-        if self.band is None and self.span is not None:
-            self._build(dmat)
-        held = self.t
-        if (self.band is not None and held is not None
-                and self.span[0] <= min(t, held) and max(t, held) <= self.span[1]):
-            self._flip(typed, held, t)
-        else:
-            np.less_equal(dmat, t, out=self.within)
-            self.start = _column_sums(self.within, weights=typed)
-            if self.band is not None and not self.span[0] <= t <= self.span[1]:
-                self.band = self.span = None
-        self.t = t
-        return self.within, self.start.copy()
-
-    def _build(self, dmat: np.ndarray):
-        """The band of ``span``, found one slab of rows at a time, or none
-        when it holds more than n^2/``_BAND_SHARE`` entries."""
-        lo, hi = self.span
+    def banded(self, dmat: np.ndarray, lo: float, hi: float):
+        """Hold the band of the entries of ``dmat`` in (lo, hi], found one
+        slab of rows at a time, or stay without one when it would hold more
+        than n^2/``_BAND_SHARE`` entries: many equal distances, or the top
+        of the candidates, where pair distances outnumber halves. A refused
+        band costs the part of a pass that counted past the cap. ``greedy``
+        asks only while no band is held."""
         n = len(dmat)
         cap = n * n // _BAND_SHARE
         found, count = [], 0
@@ -254,11 +203,24 @@ class _Mask:
             at = np.flatnonzero(sel)
             count += len(at)
             if count > cap:
-                self.refused, self.span = self.span, None
                 return
             found.append(at + a * n)
         index = np.concatenate(found)
-        self.band = (index, dmat.take(index))
+        self.band = (index, dmat.take(index), lo, hi)
+
+    def write(self, dmat: np.ndarray, typed: np.ndarray | None, t: float):
+        """This probe's mask at threshold t, in ``within``, and a copy of its
+        starting coverage: column sums weighted by ``typed``, the weights in
+        the type coverage is summed in, or counts when it is None."""
+        held = self.t
+        if (self.band is not None and held is not None
+                and self.band[2] <= min(t, held) and max(t, held) <= self.band[3]):
+            self._flip(typed, held, t)
+        else:
+            np.less_equal(dmat, t, out=self.within)
+            self.start = _column_sums(self.within, weights=typed)
+        self.t = t
+        return self.within, self.start.copy()
 
     def _flip(self, typed: np.ndarray | None, held: float, t: float):
         """Turn the held mask at threshold ``held`` into the mask at t: the
@@ -266,7 +228,7 @@ class _Mask:
         its column's coverage. The moves are counts, float64 sums of
         integers below 2^53 (exact, and so exact in float32 below 2^24) or
         int64 sums, so ``start`` stays exact in its type."""
-        index, dist = self.band
+        index, dist = self.band[:2]
         n = len(self.within)
         flat = index[(dist > min(t, held)) & (dist <= max(t, held))]
         if not len(flat):
@@ -328,15 +290,14 @@ def _candidate_radii(dmat: np.ndarray) -> np.ndarray:
 class _PointSet:
     """A weighted point set and what the greedy search and the net read of
     it: the coordinates, the distance matrix, the candidate radii and the
-    probes' mask buffer, each built on first use, and a memo of probes keyed
-    by (k, candidate index).
+    probes' mask buffer (a ``_Mask``), each built on first use, and a memo
+    of probes keyed by (k, candidate index).
     A probe does not depend on an outlier budget, so searches on one set at
     several z probe a radius once, and a later search at a z already
-    searched makes no probe. On a set of at least ``_BAND_CUT`` matrix
-    entries the mask buffer is a ``_Mask``: it carries the last probe's mask
-    and coverage over to the next probe, which late in a search flips only
-    the band of entries between the two radii. A set built by ``of_rows``
-    starts, like any other, with no buffer and so no held state.
+    searched makes no probe. The buffer holds the last probe's mask and
+    coverage, which the next probe rewrites, or flips by the band of a
+    ``greedy`` search in progress. A set built by ``of_rows`` starts, like
+    any other, with no buffer.
 
     The input is normalized by one ``as_weighted`` pass, and the weights and
     coordinates are read from that list, except in a set built by
@@ -390,23 +351,14 @@ class _PointSet:
         return _candidate_radii(self.dmat)
 
     @cached_property
-    def mask(self):
-        """What every probe on this set writes its mask into: an n x n bool
-        buffer, or a ``_Mask`` around one on a set of at least
-        ``_BAND_CUT`` matrix entries."""
-        n = len(self)
-        return _Mask(n) if n * n >= _BAND_CUT else np.empty((n, n), dtype=bool)
+    def mask(self) -> _Mask:
+        """The buffer every probe on this set writes its mask into."""
+        return _Mask(len(self))
 
-    def probe(self, k: int, i: int, lo: int = 0, hi: int | None = None):
-        """``_probe`` with k centers at candidate radius i, memoized. A
-        search passes its interval [lo, hi] of candidate indices, which a
-        ``_Mask`` narrows its band to; a memo hit touches nothing."""
+    def probe(self, k: int, i: int):
+        """``_probe`` with k centers at candidate radius i, memoized."""
         if (k, i) not in self._memo:
-            cands, mask = self.cands, self.mask
-            if hi is not None and isinstance(mask, _Mask):
-                below = _net_bound(float(cands[lo - 1])) if lo else -math.inf
-                mask.narrow(below, _net_bound(float(cands[hi])), (hi - lo + 1) / len(cands))
-            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(cands[i]), mask)
+            self._memo[k, i] = _probe(self.dmat, self.weights, k, float(self.cands[i]), self.mask)
         return self._memo[k, i]
 
 
@@ -428,9 +380,14 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
 
     ``points`` is a point list or a ``_PointSet``. Searches on one
     ``_PointSet`` share its matrix, candidate radii, probe memo and mask
-    buffer. Each probe is passed the search interval, so a large set's
-    ``_Mask`` can turn the previous probe's mask into the next one's by the
-    band between their radii. A search still visits the same candidate
+    buffer. On a set of at least ``_BAND_CUT`` matrix entries, the search
+    asks its mask once for a band (``_Mask.banded``): before its first probe
+    that is not memoized once the interval holds at most 1/``_BAND_SHARE``
+    of the candidates, over the thresholds of the candidate below the
+    interval and of its top. The later probes then flip the band entries
+    between the previous probe's radius and their own. The band is dropped
+    when the binary search ends, before the probe of the top candidate that
+    a search which never moved its top makes. A search still visits the same candidate
     indices and reads the same verdicts, so the result is the one a fresh
     point list gives.
     """
@@ -438,16 +395,22 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     ps = _point_set(points, metric)
     if int(ps.weights.sum()) <= z:
         return GreedyResult(0.0, (), 0.0, vacuous=True)
-    cands = ps.cands
+    cands, mask = ps.cands, ps.mask
     lo, hi = 0, len(cands) - 1
+    ask = len(ps) ** 2 >= _BAND_CUT  # until the search has asked for its band
     centers = None  # the centers of the probe at cands[hi], once hi has moved
     while lo < hi:
         mid = (lo + hi) // 2
-        remaining, probed = ps.probe(k, mid, lo, hi)
+        if ask and (hi - lo + 1) * _BAND_SHARE <= len(cands) and (k, mid) not in ps._memo:
+            below = _net_bound(float(cands[lo - 1])) if lo else -math.inf
+            mask.banded(ps.dmat, below, _net_bound(float(cands[hi])))
+            ask = False
+        remaining, probed = ps.probe(k, mid)
         if remaining <= z:
             hi, centers = mid, probed
         else:
             lo = mid + 1
+    mask.band = None
     r_f = float(cands[lo])
     if centers is None:
         remaining, centers = ps.probe(k, lo)
@@ -758,7 +721,7 @@ def _blocked_leaders(ps: _PointSet, bound: float):
 
 def update_coreset(points, delta: float, metric: Metric) -> list[WeightedPoint]:
     """Recompress a weighted set to a delta-net (first-in-input-order greedy)."""
-    if delta < 0:
+    if not delta >= 0:  # NaN too
         raise InputError("delta must be nonnegative")
     return _net(points, delta, metric)[0]
 

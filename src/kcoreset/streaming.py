@@ -117,7 +117,9 @@ class InsertionStream:
         # the scan's buffers, as long as _coords: distances, terms, verdicts
         self._row = self._diff = self._hit = None
         self._quiet_below = None  # quiet_bound(D), set by the first arrival
-        self._loud = False  # whether the stream has held a coordinate at or past it
+        # whether the scan skips the screen: the stream has held a coordinate
+        # at or past it, or its points have none, which min() cannot take
+        self._loud = False
         self._cells = None  # the representatives' cell keys, or None when the filter is off
         self._width = self._offsets = None  # the cells' width; _OFFSETS[D]
         self.arrivals = 0
@@ -236,7 +238,7 @@ class InsertionStream:
             self._row, self._diff = np.empty(size), np.empty(size)
             self._hit = np.empty(size, dtype=bool)
         big = self._quiet_below
-        if not (-big < min(point) and max(point) < big):
+        if not (point and -big < min(point) and max(point) < big):
             self._loud = True
         self._coords[m] = point
 

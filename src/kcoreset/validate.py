@@ -327,7 +327,7 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> Validati
     """
     P = as_weighted(P)
     Pstar = as_weighted(Pstar)
-    if bound < 0:
+    if not bound >= 0:  # NaN too
         raise InputError("bound must be nonnegative")
     if len({len(p.point) for p in P + Pstar}) > 1:
         raise InputError("points have mixed dimensions")

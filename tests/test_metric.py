@@ -231,6 +231,10 @@ def test_one_row_pairwise_equals_its_row_bit_for_bit():
     for metric in (Metric(L2), Metric(LINF)):  # no coordinates: every distance is 0
         for n in (1, 2):
             assert metric.pairwise(np.zeros((n, 0)), np.zeros((3, 0))).tolist() == [[0.0] * 3] * n
+        for quiet in (True, False):  # row fills its buffer, which held 7s, with zeros
+            out = np.full(3, 7.0)
+            assert metric.row((), np.zeros((3, 0)), out, None, quiet) is out
+            assert out.tolist() == [0.0] * 3
 
 
 def _check_one_row_calls(rng):

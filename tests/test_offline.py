@@ -14,7 +14,7 @@ from kcoreset import (
     check_mini_ball_covering, evaluate_cost, greedy, input_points_universe,
     mbc_construction, mbc_size_bound, midpoint_grid_universe, update_coreset,
 )
-from kcoreset import offline, outlier_vector, validate
+from kcoreset import mpc, offline, outlier_vector, validate
 from kcoreset.metric import (
     REL_TOL, Ball, as_weighted, coords_array, materialize_universe, weights_array,
 )
@@ -460,7 +460,7 @@ def test_greedy_three_approx_small(linf, l2):
 def _feasible(dmat, weights, k, z, r):
     """The verdict of one _probe at radius r with z outliers: (feasible,
     chosen center indices)."""
-    remaining, centers = offline._probe(dmat, weights, k, r)
+    remaining, centers = offline._probe(dmat, weights, k, r, offline._Mask(len(dmat)))
     return remaining <= z, centers
 
 
@@ -624,13 +624,13 @@ def test_probe_counts_past_a_uint8_slab(n):
     # before the blob, count only themselves, so a count that wrapped would
     # move the argmax; a second blob of 300 makes the per-center decrement
     # count more than 255 rows too. Every probe on a set writes into one
-    # reused buffer, and returns what a probe without one returns.
+    # reused buffer, and returns what a probe into a fresh buffer returns.
     rng = np.random.default_rng(n)
     blob = rng.integers(0, 2, size=(n, 2)).astype(float)
     far = np.asarray([[40.0, 40.0], [80.0, 0.0]])
     for x in (blob, np.vstack([blob, far]), np.vstack([far, blob]),
               np.vstack([blob, blob[:300] + 20.0])):
-        mask = np.empty((len(x), len(x)), dtype=bool)
+        mask = offline._Mask(len(x))
         for metric in (Metric(LINF), Metric(L2)):
             dmat = metric.pairwise(x, x)
             diameter = float(dmat.max())
@@ -641,7 +641,7 @@ def test_probe_counts_past_a_uint8_slab(n):
                         got = offline._probe(dmat, w, k, r, mask)
                         _, centers = ref_feasible(dmat, w, k, 0, r)
                         assert got == (ref_remaining(dmat, w, r, centers), centers), (n, r, k)
-                        assert got == offline._probe(dmat, w, k, r)
+                        assert got == offline._probe(dmat, w, k, r, offline._Mask(len(x)))
 
 
 def test_weighted_probe_allocates_one_slab_at_a_time():
@@ -651,7 +651,7 @@ def test_weighted_probe_allocates_one_slab_at_a_time():
     rng = np.random.default_rng(41)
     x = rng.normal(scale=30.0, size=(1500, 2))
     dmat = Metric(LINF).pairwise(x, x)
-    mask = np.empty(dmat.shape, dtype=bool)
+    mask = offline._Mask(len(x))
     radii = [float(np.quantile(dmat, q)) for q in (0.01, 0.2, 0.6)]
     for top in (4, 2 ** 30, 2 ** 52):  # float32, float64 and int64 totals
         w = rng.integers(1, top, size=len(x))
@@ -721,14 +721,21 @@ def _band_case(rng, kind, n, top, dup, huge):
     return pts, metric
 
 
+def _band_calls(ps, k, metric):
+    """Several searches on one set, as calls to make in order: outlier
+    vectors at z up to 15, then a covering at each of their budgets and at
+    budgets between them, then searches at other k. ``greedy`` is looked up
+    when a call is made, so a test can wrap it."""
+    calls = [lambda: outlier_vector(ps, k, 15, metric), lambda: outlier_vector(ps, k, 5, metric)]
+    calls += [lambda b=b: _mbc(ps, k, b, 0.5, metric) for b in (0, 1, 2, 3, 5, 7, 10, 15)]
+    calls += [lambda kk=kk, z=z: offline.greedy(ps, kk, z, metric)
+              for kk, z in ((1, 0), (1, 2), (k + 1, 4))]
+    return calls
+
+
 def _band_searches(ps, k, metric):
-    """Several searches on one set: outlier vectors at z up to 15, then a
-    covering at each of their budgets and at budgets between them, then
-    searches at other k."""
-    out = [outlier_vector(ps, k, 15, metric), outlier_vector(ps, k, 5, metric)]
-    out += [_mbc(ps, k, b, 0.5, metric) for b in (0, 1, 2, 3, 5, 7, 10, 15)]
-    out += [greedy(ps, 1, 0, metric), greedy(ps, 1, 2, metric), greedy(ps, k + 1, 4, metric)]
-    return repr(out)
+    """The results of ``_band_calls``, by repr."""
+    return repr([call() for call in _band_calls(ps, k, metric)])
 
 
 BAND_CASES = [  # (kind, n, weights below, duplicates, near 1e308)
@@ -764,24 +771,60 @@ def test_band_probes_match_full_passes(case, monkeypatch):
     if huge:
         # the searches refuse a band that reaches the inf candidate: it holds
         # the pair radii near the top as well, more than n^2/64 entries. A
-        # mask narrowed to the inf entries alone flips them, as a full pass
+        # band of the inf entries alone flips them, as a full pass
         assert np.isinf(ps.cands[-1])
         below = offline._net_bound(float(ps.cands[-2]))
         mask, flips[:] = offline._Mask(len(ps)), []
+        mask.banded(ps.dmat, below, math.inf)
         for r in (ps.cands[-2], math.inf, ps.cands[-2], math.inf):
-            mask.narrow(below, math.inf, 1 / len(ps.cands))
             got = orig_probe(ps.dmat, ps.weights, 1, float(r), mask)
-            assert got == orig_probe(ps.dmat, ps.weights, 1, float(r))
+            assert got == orig_probe(ps.dmat, ps.weights, 1, float(r), offline._Mask(len(ps)))
             assert (mask.within == (ps.dmat <= offline._net_bound(float(r)))).all()
         assert flips == [True] * 3
     w = ps.weights
     for kk, r in probes[::7]:
         _, centers = ref_feasible(ps.dmat, w, kk, 0, r)
-        assert orig_probe(ps.dmat, w, kk, r) == (ref_remaining(ps.dmat, w, r, centers), centers)
+        assert orig_probe(ps.dmat, w, kk, r, offline._Mask(len(ps))) == \
+            (ref_remaining(ps.dmat, w, r, centers), centers)
     # a set built by of_rows over the searched set's rows holds no state
     rows = _PointSet.of_rows(ps.wps, ps.coords, metric)
     assert "mask" not in vars(rows)
     assert repr(greedy(rows, k, 6, metric)) == repr(greedy(ps, k, 6, metric))
+
+
+@pytest.mark.parametrize("case", [0, 5, 8])
+def test_a_band_lives_for_one_search(case, monkeypatch):
+    # Every greedy search on a set above the band cut asks for a band at
+    # most once, and no band is held once a greedy, _mbc or outlier_vector
+    # call returns, so a refused band costs at most one partial pass per
+    # search. Case 8 lies near 1e308, where the searches refuse bands.
+    kind, n, top, dup, huge = BAND_CASES[case]
+    pts, metric = _band_case(np.random.default_rng(500 + case), kind, n, top, dup, huge)
+    asks, per_search = [], []
+    orig_greedy, orig_banded = offline.greedy, offline._Mask.banded
+
+    def search(*a):
+        before = len(asks)
+        result = orig_greedy(*a)
+        per_search.append(len(asks) - before)
+        return result
+
+    def banded(mask, *a):
+        assert mask.band is None
+        orig_banded(mask, *a)
+        asks.append(mask.band is not None)
+    monkeypatch.setattr(offline, "greedy", search)
+    monkeypatch.setattr(mpc, "greedy", search)
+    monkeypatch.setattr(offline._Mask, "banded", banded)
+    ps = _PointSet(pts, metric)
+    for call in _band_calls(ps, 2 + case % 2, metric):
+        call()
+        assert ps.mask.band is None
+    assert len(per_search) == 5 + 4 + 8 + 3  # two outlier vectors, 8 coverings, 3 greedy
+    assert max(per_search) == 1 and sum(per_search) == len(asks)
+    assert any(asks)
+    if huge:
+        assert not all(asks)
 
 
 def test_crowded_band_is_refused(monkeypatch, linf):
@@ -794,14 +837,13 @@ def test_crowded_band_is_refused(monkeypatch, linf):
     pts = [W(tuple(row)) for row in x.tolist()]
     cap = len(pts) ** 2 // offline._BAND_SHARE
     refused = []
-    orig_build = offline._Mask._build
+    orig_banded = offline._Mask.banded
 
-    def build(mask, dmat):
-        span = mask.span
-        orig_build(mask, dmat)
+    def banded(mask, dmat, lo, hi):
+        orig_banded(mask, dmat, lo, hi)
         if mask.band is None:
-            refused.append(span)
-    monkeypatch.setattr(offline._Mask, "_build", build)
+            refused.append((lo, hi))
+    monkeypatch.setattr(offline._Mask, "banded", banded)
 
     def searches(ps):
         return repr([(outlier_vector(ps, k, 15, linf),
@@ -1198,8 +1240,9 @@ def test_update_coreset_examples(linf):
     assert [(p.point, p.weight) for p in out] == [((0.0,), 3), ((1.0,), 3)]
     dup = update_coreset([W((1.0,)), W((1.0,)), W((2.0,))], 0.0, linf)
     assert [(p.point, p.weight) for p in dup] == [((1.0,), 2), ((2.0,), 1)]
-    with pytest.raises(InputError):
-        update_coreset([W((0.0,))], -1.0, linf)
+    for delta in (-1.0, math.nan):
+        with pytest.raises(InputError, match="delta must be nonnegative"):
+            update_coreset([W((0.0,))], delta, linf)
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 3)), min_size=1, max_size=12),

@@ -423,6 +423,23 @@ def test_a_heavy_arrival_reaches_the_recompression_it_triggers(linf):
         st_.arrival((100.0,), 2**63 - 15)
 
 
+@pytest.mark.parametrize("kind", [LINF, L2])
+def test_arrivals_without_coordinates_join_as_offline_does(kind):
+    # every distance between points of no coordinates is 0, in the stream's
+    # scan as in pairwise: each arrival after the first joins it, and the
+    # report is the offline covering's one representative
+    metric = Metric(kind)
+    weights = [1, 3, 1, 2] + [1] * 30
+    for k, z in ((1, 0), (1, 2), (2, 1)):
+        st_ = InsertionStream(k, z, 0.5, 1, metric)
+        for wt in weights:
+            st_.arrival((), wt)
+        covering = offline.mbc_construction(
+            Instance(tuple(WeightedPoint((), wt) for wt in weights), k, z, 0.5, metric))
+        assert st_.report() == list(covering.representatives) == [WeightedPoint((), 37)]
+        assert (st_.r, st_.arrivals) == (0.0, 37)
+
+
 def test_a_refused_arrival_changes_no_state(linf):
     # 15 unit arrivals, then one that would fill the set with a total weight
     # past int64: it is refused before the count, the set, r, the

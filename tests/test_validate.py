@@ -42,6 +42,9 @@ VALIDATE_REFUSALS = {
     "negative covering bound": (
         lambda m: check_mini_ball_covering([W((0.0,))], [W((0.0,))], -1.0, m),
         InputError, "bound must be nonnegative"),
+    "NaN covering bound": (
+        lambda m: check_mini_ball_covering([W((0.0,))], [W((0.0,))], math.nan, m),
+        InputError, "bound must be nonnegative"),
     "covering weight past the cap": (
         lambda m: check_mini_ball_covering([W((0.0,), validate._WEIGHT_CAP + 1)],
                                            [W((0.0,), validate._WEIGHT_CAP + 1)], 0.0, m),
