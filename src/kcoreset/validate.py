@@ -4,9 +4,20 @@ The mini-ball check does not trust any assignment produced by a construction:
 it decides existence of a valid partition independently, as a transportation
 feasibility problem solved by max-flow. ``brute_force_opt`` and
 ``check_coreset`` share one enumeration of the center sets of a finite
-universe, ``_center_set_costs``, which refuses a distance past the float
-range; for each center set the uncovered-weight function of the radius is a
-step function, so checking at its feasibility threshold is exact.
+universe: ``_universe`` materializes the candidates and refuses past
+``SUBSET_CAP`` sets, and ``_set_costs`` costs every set over one point set,
+refusing a distance past the float range. For each center set the
+uncovered-weight function of the radius is a step function, so checking at
+its feasibility threshold is exact.
+
+A coreset is checked against a fixed input P, and callers check several
+coresets of one P, so P is costed once for consecutive calls on it: both
+validators take P's costs from a one-entry memo (``_input_costs``), and a
+coreset is costed by its own pass every time. The memo's key is all that the
+costing reads (the candidates, P's coordinates and weights, k after capping,
+z and the metric), so a hit returns the bits of a fresh enumeration; the
+held array is read-only. The key is built after the universe step, so a cap
+refuses on a hit as on a miss.
 
 The enumeration costs the center sets of m candidates in lexicographic
 order, one point set at a time. T_j, the table of minima at level j, holds the
@@ -239,14 +250,41 @@ def _enumerate_costs(d: np.ndarray, w: np.ndarray, k: int, z: int) -> np.ndarray
     return out
 
 
+def _universe(points, k: int, universe: CenterUniverse):
+    """The universe step of an enumeration: the candidate centers
+    (``universe``, input points by default, materialized over ``points``) as
+    an (m, d) array, k capped at m, and a function naming center set i as a
+    tuple of centers. Entry i of a cost array is the i-th k-combination of
+    the candidates in lexicographic order, so np.argmin and np.argmax name
+    the lexicographically first minimizer and maximizer; ``_lex_combination``
+    decodes only the witness. Raises CapacityError past ``SUBSET_CAP``
+    sets."""
+    cands = materialize_universe(points, universe or input_points_universe())
+    k = min(k, len(cands))
+    n_sets = math.comb(len(cands), k)
+    if n_sets > SUBSET_CAP:
+        raise CapacityError(f"{n_sets} candidate center sets exceed cap {SUBSET_CAP}")
+
+    def centers(i: int) -> tuple:
+        return tuple(cands[c] for c in _lex_combination(len(cands), k, i))
+
+    return np.asarray(cands, dtype=float).reshape(len(cands), -1), k, centers
+
+
+def _set_costs(carr: np.ndarray, wps, k: int, z: int, metric: Metric) -> np.ndarray:
+    """The cost of every k-subset of the candidates ``carr`` over one point
+    set, from its (m, n) distance matrix: candidates x points, so each
+    candidate's distances are one contiguous row. The bits equal the points
+    x candidates matrix transposed, since L2 and L-inf are symmetric in their
+    arguments and an explicit matrix is validated as symmetric."""
+    return _enumerate_costs(_finite_distances(metric, carr, coords_array(wps)),
+                            weights_array(wps), k, z)
+
+
 def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: CenterUniverse):
-    """The cost of every k-subset of the universe (input points by default,
-    materialized over the first point set; k is capped at its size), one
-    array per point set; and a function naming subset i as a tuple of
-    centers. Entry i is the i-th k-combination of the candidates in
-    lexicographic order, so np.argmin and np.argmax name the
-    lexicographically first minimizer and maximizer. Raises CapacityError
-    past ``SUBSET_CAP`` subsets.
+    """The cost of every k-subset of the universe (``_universe``, over the
+    first point set), one array per point set; and a function naming subset
+    i as a tuple of centers.
 
     Each point set is costed on its own (``_enumerate_costs``), from its
     (m, n) distance matrix and one table of minima T_j, j =
@@ -258,25 +296,30 @@ def _center_set_costs(point_sets, k: int, z: int, metric: Metric, universe: Cent
     distance matrix, the tables and the buffer of one point set. A subset's
     cost reads only its own row, and a minimum is exact in any order, so
     neither the block size nor the level changes a cost.
-    ``_lex_combination`` decodes only the witness.
     """
-    cands = materialize_universe(point_sets[0], universe or input_points_universe())
-    k = min(k, len(cands))
-    n_sets = math.comb(len(cands), k)
-    if n_sets > SUBSET_CAP:
-        raise CapacityError(f"{n_sets} candidate center sets exceed cap {SUBSET_CAP}")
-    carr = np.asarray(cands, dtype=float).reshape(len(cands), -1)
-    # candidates x points, so each candidate's distances are one contiguous
-    # row; the bits equal the points x candidates matrix transposed, since
-    # L2 and L-inf are symmetric in their arguments and an explicit matrix is
-    # validated as symmetric
-    costs = [_enumerate_costs(_finite_distances(metric, carr, coords_array(wps)),
-                              weights_array(wps), k, z) for wps in point_sets]
+    carr, k, centers = _universe(point_sets[0], k, universe)
+    return [_set_costs(carr, wps, k, z, metric) for wps in point_sets], centers
 
-    def centers(i: int) -> tuple:
-        return tuple(cands[c] for c in _lex_combination(len(cands), k, i))
 
-    return costs, centers
+_input_memo = None  # (key, read-only costs) of the last input point set
+
+
+def _input_costs(carr: np.ndarray, P, k: int, z: int, metric: Metric) -> np.ndarray:
+    """``_set_costs`` of the input point set P, through the one-entry memo
+    whose key is all that ``_set_costs`` reads. Called after the universe
+    step, so every refusal before it runs on a hit as on a miss; a P whose
+    enumeration raises is not stored."""
+    global _input_memo
+    coords = coords_array(P)
+    key = (carr.shape, carr.tobytes(), coords.shape, coords.tobytes(),
+           weights_array(P).tobytes(), k, z, metric)
+    held = _input_memo
+    if held is not None and held[0] == key:
+        return held[1]
+    costs = _set_costs(carr, P, k, z, metric)
+    costs.setflags(write=False)
+    _input_memo = (key, costs)
+    return costs
 
 
 def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
@@ -293,6 +336,8 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
 
 def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
     """Total weight at nearest-center distance beyond ``radius`` (with tolerance)."""
+    if not radius >= 0:  # NaN too, which would count every point as covered
+        raise InputError("radius must be nonnegative")
     centers = explicit_universe(centers).points  # refuses an empty or non-finite set
     wps = as_weighted(points)
     if not wps:
@@ -309,7 +354,8 @@ def brute_force_opt(inst: Instance, universe: CenterUniverse = None) -> Solution
     Deterministic: the witness is the lexicographically first minimizer in the
     canonical universe order.
     """
-    (costs,), centers_of = _center_set_costs([inst.points], inst.k, inst.z, inst.metric, universe)
+    carr, k, centers_of = _universe(inst.points, inst.k, universe)
+    costs = _input_costs(carr, inst.points, k, inst.z, inst.metric)
     i = int(np.argmin(costs))
     best = float(costs[i])
     centers = centers_of(i)
@@ -403,7 +449,9 @@ def check_coreset(P, Pstar, k: int, z: int, epsilon: float, metric: Metric,
     if wS > wP:
         return ValidationReport(False, WEIGHT_RESTRICTION,
                                 f"coreset weight {wS} exceeds input weight {wP}")
-    (rp, rs), centers_of = _center_set_costs([P, Pstar], k, z, metric, universe)
+    carr, k, centers_of = _universe(P, k, universe)
+    rp = _input_costs(carr, P, k, z, metric)
+    rs = _set_costs(carr, Pstar, k, z, metric)
     opt_p, opt_s = float(rp.min()), float(rs.min())
     gaps = rp - rs
     i = int(np.argmax(gaps))

@@ -5,22 +5,26 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from kcoreset import (
-    CapacityError, InputError, Instance, ValidationReport, WeightedPoint, brute_force_opt,
-    check_coreset, check_mini_ball_covering, evaluate_cost, explicit_universe,
+    CapacityError, InputError, Instance, MpcConfig, ValidationReport, WeightedPoint,
+    brute_force_opt, check_coreset, check_mini_ball_covering, evaluate_cost, explicit_universe,
     input_points_universe, materialize_universe, mbc_construction, midpoint_grid_universe,
+    run_two_round,
 )
-from kcoreset import validate
+from kcoreset import metric as metric_module, validate
 from kcoreset.metric import L2, LINF, Metric, coords_array, weights_array
+from kcoreset.pointio import read_points
 from kcoreset.validate import _center_set_costs, _lex_combination, uncovered_weight
 from kcoreset.validate import (
     COVERING_DISTANCE, RADIUS_BAND_LOW, WEIGHT_MISMATCH, WEIGHT_RESTRICTION,
 )
 from conftest import random_points, scalar_distance, unit_assignment_exists
+from test_output_pins import _corrupted, _load_gen
 
 W = WeightedPoint
 
@@ -51,6 +55,12 @@ VALIDATE_REFUSALS = {
         CapacityError, "exceeds validation cap"),
     "coreset check on an empty set": (lambda m: check_coreset([], [W((0.0,))], 1, 0, 0.5, m),
                                       InputError, "must be nonempty"),
+    "negative uncovered-weight radius": (
+        lambda m: uncovered_weight([W((0.0,))], [(0.0,)], -1.0, m),
+        InputError, "radius must be nonnegative"),
+    "NaN uncovered-weight radius": (
+        lambda m: uncovered_weight([W((0.0,))], [(5.0,)], math.nan, m),
+        InputError, "radius must be nonnegative"),
 }
 
 
@@ -465,3 +475,138 @@ def test_decoder_tables_stay_linear_at_k_one_below_m():
     assert np.array_equal(last, [np.delete(np.arange(m), m - 1 - i) for i in range(m - 16, m)])
     for i in (0, 1, 7, m // 2, m - 2, m - 1):
         assert _lex_combination(m, k, i) == tuple(np.delete(np.arange(m), m - 1 - i).tolist())
+
+
+@pytest.fixture(scope="module")
+def validate_small(tmp_path_factory):
+    """The benchmark's three validate-small instances at seed 1, each as
+    (points, k, z, eps, [(coreset, quality)]): its mbc coreset at eps, its
+    two-round coreset at 3*eps and a corrupted mbc coreset at eps."""
+    workdir = tmp_path_factory.mktemp("validate-small")
+    spec = _load_gen().generate("validate-small", 1, str(workdir))
+    out, linf = [], Metric(LINF)
+    for inst in spec["instances"]:
+        pts = read_points(str(workdir / inst["file"]))
+        k, z, eps = inst["k"], inst["z"], inst["eps"]
+        mbc = list(mbc_construction(Instance(tuple(pts), k, z, eps, linf)).representatives)
+        two = run_two_round(pts, k, z, eps, MpcConfig(spec["params"]["machines"]), linf)
+        out.append((pts, k, z, eps, [(mbc, eps), (list(two.final), 3 * eps),
+                                     (_corrupted(inst, mbc), eps)]))
+    return out
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Counts ``_enumerate_costs`` calls, starting from an empty input memo."""
+    monkeypatch.setattr(validate, "_input_memo", None)
+    calls = []
+
+    def counted(d, w, k, z, real=validate._enumerate_costs):
+        calls.append(d.shape)
+        return real(d, w, k, z)
+
+    monkeypatch.setattr(validate, "_enumerate_costs", counted)
+    return calls
+
+
+def _fresh(call):
+    validate._input_memo = None
+    return call()
+
+
+def test_a_memo_hit_is_a_fresh_call(validate_small, linf, enumerations):
+    # every report (verdict, condition, witness) and every optimum equals a
+    # call on an empty memo, in either order of the oracle and the checks
+    for pts, k, z, eps, cores in validate_small:
+        opt = lambda: brute_force_opt(Instance(tuple(pts), k, z, eps, linf))
+        checks = [lambda core=core, q=q: check_coreset(pts, core, k, z, q, linf)
+                  for core, q in cores]
+        want = [_fresh(call) for call in [opt, *checks]]
+        assert [r.passed for r in want[1:]] == [True, True, False]
+        for order in ([opt, *checks], [*checks, opt]):
+            validate._input_memo = None
+            got = [order[0]()]
+            held = validate._input_memo[1]
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+            got += [call() for call in order[1:]]
+            assert validate._input_memo[1] is held  # the first call's P costs served all four
+            assert got == (want if order[0] is opt else [*want[1:], want[0]])
+    assert len(enumerations) == 3 * (7 + 2 * 4)  # fresh: 1 + 3*2; each order: 1 + 3
+
+
+def test_a_changed_input_misses(linf, l2, enumerations):
+    # each change to what the costing reads takes a new enumeration of P,
+    # and the result is that of a call on an empty memo. Over the input
+    # points a nudged coordinate also moves a candidate, so it is changed
+    # once more over a fixed explicit universe, where only P's bits move
+    P = [W((x,), w) for x, w in ((0.0, 1), (1.5, 2), (3.0, 1), (7.25, 1), (9.0, 3), (12.0, 1))]
+    Ps = [W((1.5,), 3), W((7.25,), 2), W((12.0,), 4)]
+    nudged = [W((math.nextafter(0.0, 1.0),))] + P[1:]
+    reweighted = P[:-1] + [W((12.0,), 2)]
+    inputs = dict(P=P, k=2, z=1, metric=linf, universe=None)
+    fixed = dict(inputs, universe=explicit_universe([(0.0,), (4.0,), (8.0,), (12.0,)]))
+    cases = [(inputs, dict(P=nudged)), (fixed, dict(P=nudged)), (inputs, dict(P=reweighted)),
+             (inputs, dict(k=3)), (inputs, dict(z=2)), (inputs, dict(metric=l2)),
+             (inputs, dict(universe=midpoint_grid_universe()))]
+
+    def calls(a):
+        return (lambda: check_coreset(a["P"], Ps, a["k"], a["z"], 0.5, a["metric"], a["universe"]),
+                lambda: brute_force_opt(Instance(tuple(a["P"]), a["k"], a["z"], 0.5, a["metric"]),
+                                        a["universe"]))
+
+    for base, change in cases:
+        for hold, call, per_call in zip(calls(base), calls({**base, **change}), (2, 1)):
+            want = _fresh(call)
+            validate._input_memo = None
+            hold()
+            held = validate._input_memo[1]
+            before = len(enumerations)
+            assert call() == want, change
+            assert validate._input_memo[1] is not held, change
+            assert len(enumerations) == before + per_call, change
+
+
+def test_a_memo_hit_refuses_as_a_miss_does(validate_small, linf, monkeypatch, enumerations):
+    pts, k, z, eps, cores = validate_small[0]
+    check_coreset(pts, cores[0][0], k, z, eps, linf)
+    n_sets = math.comb(len({p.point for p in pts}), k)
+    monkeypatch.setattr(validate, "SUBSET_CAP", n_sets - 1)
+    with pytest.raises(CapacityError, match="candidate center sets"):
+        check_coreset(pts, cores[0][0], k, z, eps, linf)
+    with pytest.raises(CapacityError, match="candidate center sets"):
+        brute_force_opt(Instance(tuple(pts), k, z, eps, linf))
+    monkeypatch.setattr(validate, "SUBSET_CAP", n_sets)
+    monkeypatch.setattr(metric_module, "UNIVERSE_CAP", len(pts) // 2)
+    with pytest.raises(CapacityError, match="universe has"):
+        check_coreset(pts, cores[0][0], k, z, eps, linf)
+    monkeypatch.undo()
+
+    # a coreset past the float range from P is refused with P's costs held,
+    # and a P past the float range leaves the held costs as they were
+    P = [W((-1e308,)), W((0.0,)), W((1.0,))]
+    check_coreset(P, P, 1, 0, 0.5, linf)
+    held = validate._input_memo
+    with pytest.raises(InputError, match="overflows"):
+        check_coreset(P, [W((1.7e308,))], 1, 0, 0.5, linf)
+    with pytest.raises(InputError, match="overflows"):
+        brute_force_opt(Instance((W((1.7e308,)), *P), 1, 0, 0.5, linf))
+    assert validate._input_memo is held
+    with pytest.raises(InputError, match="epsilon"):
+        check_coreset(P, P, 1, 0, math.nan, linf)
+
+
+def test_input_costs_are_enumerated_once_per_p(validate_small, linf, enumerations):
+    # the oracle and three checks of one P: P once and each coreset once,
+    # 4 enumerations where costing P per call took 7
+    pts, k, z, eps, cores = validate_small[0]
+    brute_force_opt(Instance(tuple(pts), k, z, eps, linf))
+    for core, quality in cores:
+        check_coreset(pts, core, k, z, quality, linf)
+    assert len(enumerations) == 4
+    # the memo holds one P: a second P frees the first one's costs
+    first = weakref.ref(validate._input_memo[1])
+    other, k2, z2, eps2, cores2 = validate_small[1]
+    check_coreset(other, cores2[0][0], k2, z2, eps2, linf)
+    assert first() is None and validate._input_memo is not None
