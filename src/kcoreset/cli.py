@@ -132,7 +132,7 @@ def _parse_dist(spec: str):
             return random_dist(int(arg))
         if kind == "adversarial" and arg:
             with open(arg, "r", encoding="utf-8") as fh:
-                return adversarial(fh.read().split())
+                return adversarial([int(token) for token in fh.read().split()])
     except ValueError as exc:  # a token that is not an integer, or a file that is not UTF-8
         raise InputError(f"distribution {spec!r}: {exc}") from None
     raise InputError(f"unknown distribution {spec!r}")

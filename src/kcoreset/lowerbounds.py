@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import Metric, L2, REL_TOL, _check_counts
+from .metric import Metric, L2, _check_counts, _integer, slack_bound
 
 _INT_TOL = 1e-9
 
@@ -38,8 +38,8 @@ class LbGeometry:
     r: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InputError("d must be >= 1")
+        d = _integer(self.d, 1, f"d must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", d)
         if not (0 < self.epsilon <= 1.0 / (8 * self.d)):
             raise InputError(f"epsilon must be in (0, 1/(8d)] = (0, {1.0 / (8 * self.d)}]")
         raw = 1.0 / (4 * self.d * self.epsilon)
@@ -68,8 +68,6 @@ def lb_geometry(epsilon: float, d: int) -> LbGeometry:
 def _outliers(z: int, gap, d: int) -> list[tuple]:
     """z points ``gap`` apart on the negative first axis, nearest first; the
     coordinates have the type of ``gap``."""
-    if z < 0:
-        raise InputError("need z >= 0")
     return [(-gap * i,) + (gap * 0,) * (d - 1) for i in range(1, z + 1)]
 
 
@@ -107,6 +105,7 @@ def gen_insertion_lb(k: int, z: int, epsilon: float, d: int, probe=None) -> list
     ``probe`` is (cluster_index, point_index), both 0-based; the point index
     addresses the cluster's lexicographically sorted grid.
     """
+    _check_counts(k, z)
     geom = lb_geometry(epsilon, d)
     if k < 2 * d:
         raise InputError("the construction needs k >= 2d")
@@ -132,9 +131,8 @@ def probe_cover_ok(geom: LbGeometry, k: int, probe, metric: Metric = None) -> bo
     p_star = cluster[pi]
     centers = _probe_cross(p_star, geom.h)[::2]
     targets = [q for q in cluster if q != p_star] + stream[-4 * d:]
-    tol = REL_TOL * max(1.0, geom.r)
     nearest = metric.pairwise(np.asarray(targets, dtype=float), np.asarray(centers, dtype=float))
-    return bool((nearest.min(axis=1) <= geom.r + tol).all())
+    return bool((nearest.min(axis=1) <= slack_bound(geom.r)).all())
 
 
 def gen_one_dim_lb(k: int, z: int, include_extra: bool = False) -> list[tuple]:
@@ -166,6 +164,8 @@ def gen_dynamic_lb(k: int, z: int, epsilon: float, d: int, delta: int,
     point, 1-based group level m*. Irrational spacings are rounded up to keep
     all coordinates integral; the construction asserts it fits in [1, Delta].
     """
+    _check_counts(k, z)
+    delta = _integer(delta, 1, f"Delta must be an integer >= 1, got {delta!r}")
     geom = lb_geometry(epsilon, d)
     if k < 2 * d:
         raise InputError("the construction needs k >= 2d")

@@ -5,14 +5,14 @@ threads. Coordinates are 64-bit floats. Radius comparisons absorb rounding
 with a slack of ``REL_TOL`` (1e-9) times a scale of at least 1, in one of
 three forms:
 
-- ``leq(a, b)`` scales by the larger of |a| and |b|, and holds for an
-  infinite a only at b = inf. ``compute_r_hat`` applies it elementwise to
-  float64 arrays, and ``validate.uncovered_weight`` applies its formula to
-  each distance, all finite.
-- A comparison of many distances with one bound scales by the bound alone,
-  ``dist <= bound + REL_TOL * max(1, |bound|)``, so one slack serves a whole
-  matrix or row: ``_probe``, ``_net``, the streaming scan,
-  ``check_mini_ball_covering`` and ``probe_cover_ok``.
+- ``leq(a, b)`` scales by the larger of |a| and |b|, holds for an infinite
+  a only at b = inf, and never holds for NaN. It takes two floats or float64
+  arrays alike: ``compute_r_hat`` applies it to the table of outlier-vector
+  entries, and ``validate.uncovered_weight`` to the nearest distances.
+- ``slack_bound(b)`` scales by the bound alone, so a comparison of many
+  distances with ``dist <= slack_bound(b)`` has one slack for a whole
+  matrix or row: ``_probe`` and the greedy's bands, ``_net``, the streaming
+  scan, ``check_mini_ball_covering`` and ``probe_cover_ok``.
 - ``check_coreset`` scales its radius-band slack by the larger of opt(P)
   and opt(coreset).
 
@@ -49,10 +49,23 @@ _PAIRWISE_BLOCK = 1 << 15  # most entries in one row block of ``pairwise``
 Point = tuple  # tuple of floats (or a single index for explicit-matrix metrics)
 
 
-def leq(a: float, b: float) -> bool:
-    """a <= b up to relative tolerance (unit floor for values near zero). An
-    infinite a is within no finite b, though its slack is inf."""
-    return a <= b or (math.isfinite(a) and a <= b + REL_TOL * max(1.0, abs(a), abs(b)))
+def leq(a, b):
+    """a <= b up to relative tolerance (unit floor for values near zero), for
+    two floats or elementwise over float64 arrays that broadcast. An
+    infinite a is within no finite b, though its slack is inf, and NaN is
+    within nothing and holds nothing. A slack past the float range is inf,
+    and inf - inf is NaN, so no input warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a <= b) | (np.isfinite(a) & (a <= b + REL_TOL * np.maximum(
+            np.maximum(np.abs(a), np.abs(b)), 1.0)))
+
+
+def slack_bound(b: float) -> float:
+    """b and its rounding slack: the bound that many distances are compared
+    with at once, so one slack serves a whole matrix or row. It is the
+    threshold of a greedy probe at radius b, of a band between two radii and
+    of a delta-net at delta = b."""
+    return b + REL_TOL * max(1.0, abs(b))
 
 
 @dataclass(frozen=True)
@@ -352,8 +365,11 @@ def _check_counts(k, z) -> None:
 
 
 def _size_bound(k: int, c: float, epsilon: float, d: int, what: str) -> float:
-    """k*(c/eps)^d, the packing bound behind every coreset size; ``what``
-    names it in the ``InputError`` raised when it is past the float range."""
+    """k*(c/eps)^d, the packing bound behind every coreset size, for an
+    epsilon in (0, 1]; ``what`` names it in the ``InputError`` raised when
+    it is past the float range."""
+    if not 0 < epsilon <= 1:  # NaN too
+        raise InputError("epsilon must be in (0, 1]")
     try:
         bound = k * (c / epsilon) ** d
     except OverflowError:  # the power overflows; c/eps alone may be inf
@@ -393,9 +409,12 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN too
             raise InputError("ball radius must be nonnegative")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = tuple(float(c) for c in self.center)
+        if not _finite(center):
+            raise InputError(f"ball center must be finite, got {center!r}")
+        object.__setattr__(self, "center", center)
 
 
 INPUT_POINTS = "input-points"

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metric import REL_TOL, Metric, WeightedPoint, _check_counts, _integer, as_weighted
+from .metric import Metric, WeightedPoint, _check_counts, _integer, as_weighted, leq
 from .offline import Instance, _PointSet, _mbc, _point_set, greedy
 
 ROUND_ROBIN = "roundrobin"
@@ -57,6 +57,13 @@ class Distribution:
             raise InputError("adversarial distribution needs an assignment list")
         if self.kind == RANDOM and self.seed is None:
             raise InputError("random distribution needs a seed")
+        if self.assignment is not None:
+            object.__setattr__(self, "assignment", tuple(
+                _integer(a, 1, f"adversarial machine ids must be integers >= 1, got {a!r}")
+                for a in self.assignment))
+        if self.seed is not None:  # any integer seeds the generator, a negative one too
+            seed = _integer(self.seed, -math.inf, f"seed must be an integer, got {self.seed!r}")
+            object.__setattr__(self, "seed", seed)
 
 
 def round_robin() -> Distribution:
@@ -64,11 +71,11 @@ def round_robin() -> Distribution:
 
 
 def adversarial(assignment) -> Distribution:
-    return Distribution(ADVERSARIAL, assignment=tuple(int(a) for a in assignment))
+    return Distribution(ADVERSARIAL, assignment=tuple(assignment))
 
 
 def random_dist(seed: int) -> Distribution:
-    return Distribution(RANDOM, seed=int(seed))
+    return Distribution(RANDOM, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,7 @@ def distribute(points, cfg: MpcConfig) -> list[list[WeightedPoint]]:
         if len(dist.assignment) != len(wps):
             raise InputError("adversarial assignment length differs from point count")
         for wp, machine in zip(wps, dist.assignment):
-            if not (1 <= machine <= cfg.m):
+            if machine > cfg.m:
                 raise InputError(f"adversarial assignment targets machine {machine} of {cfg.m}")
             parts[machine - 1].append(wp)
     else:
@@ -150,60 +157,40 @@ def compute_r_hat(vectors, z: int):
     """Smallest broadcast radius r with sum_i (2^{min j: V_i[j] <= r} - 1) <= 2z.
 
     A machine with no entry <= r makes r infeasible. Returns (r_hat, j_hats).
-    The largest V_i[0] is always feasible, so the minimum exists.
+    The largest V_i[0] is always feasible, so the minimum exists. A NaN
+    entry is an ``InputError``.
 
     The candidates are the sorted distinct entries, and "<=" is ``leq``,
     which is monotone in r: its right side is r plus a slack that grows with
-    |r|, rounded monotonically. So every entry has a first candidate it is
-    ``leq`` (``_first_leq``, one bisection for all entries), and machine i's
-    least j at candidate t is the number of its j whose prefix minimum of
-    first candidates is past t. That count falls as t grows, and so does the
-    sum, so a bisection over t finds r_hat: O(N log N) work for N entries,
-    not the O(N^2) ``leq`` calls of a walk over the candidates.
+    |r|, rounded monotonically. So the sum falls as r grows, and a bisection
+    over the candidates finds r_hat. A probe applies ``leq`` once to the
+    machines x entries table, padded with NaN, which is within no radius;
+    machine i's j is the first entry of its row that holds, and the sum is
+    taken in Python ints, exact however large z is.
     """
-    radii = sorted({v for vec in vectors for v in vec})
     lengths = [len(vec) for vec in vectors]
-    if not radii or not all(lengths):
+    if not (lengths and all(lengths)):
         raise AssertionError("no feasible radius found; max V_i[0] should always qualify")
-    flat = np.asarray([v for vec in vectors for v in vec], dtype=float)
-    at = np.split(_first_leq(flat, np.asarray(radii, dtype=float)), np.cumsum(lengths)[:-1])
-    first = np.full((len(vectors), max(lengths)), len(radii))  # past a short vector: never
-    for row, part in zip(first, at):
-        row[:len(part)] = part
-    np.minimum.accumulate(first, axis=1, out=first)  # machine i's j <= j from first[i, j] on
+    radii = sorted({v for vec in vectors for v in vec})
+    if any(map(math.isnan, radii)):
+        raise InputError("an outlier-vector entry is NaN")
+    table = np.full((len(vectors), max(lengths)), math.nan)
+    for row, vec in zip(table, vectors):
+        row[:len(vec)] = vec
 
-    def j_hats(t: int) -> np.ndarray:
-        return np.count_nonzero(first > t, axis=1)
+    def j_hats(t: int):  # the machines' least j at radii[t], or None if t is infeasible
+        within = leq(table, radii[t])
+        js = within.argmax(axis=1).tolist()
+        return js if within.any(axis=1).all() and sum((1 << j) - 1 for j in js) <= 2 * z else None
 
-    def feasible(t: int) -> bool:  # summed in Python ints, exact however large z is
-        return sum(((1 << j) - 1) * int(c) for j, c in enumerate(np.bincount(j_hats(t)))) <= 2 * z
-
-    lo, hi = int(first[:, -1].max()), len(radii) - 1  # from lo on, every machine has a j
+    lo, hi = 0, len(radii) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if feasible(mid) else (mid + 1, hi)
-    if not feasible(lo):
+        lo, hi = (lo, mid) if j_hats(mid) is not None else (mid + 1, hi)
+    js = j_hats(lo)
+    if js is None:
         raise AssertionError("no feasible radius found; max V_i[0] should always qualify")
-    return radii[lo], tuple(j_hats(lo).tolist())
-
-
-def _first_leq(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """For each value v, the index of the first of the sorted ``radii`` r
-    with ``leq(v, r)``; every v is one of the radii, so one exists. ``leq``
-    is applied elementwise with the same float64 operations: a slack past
-    the float range is inf, as it is for ``leq``, and an inf v is within no
-    finite r."""
-    lo = np.zeros(len(values), dtype=np.intp)
-    hi = np.searchsorted(radii, values)  # v itself, which leq(v, v) accepts
-    finite = np.isfinite(values)
-    with np.errstate(over="ignore"):
-        while (lo < hi).any():  # leq(v, radii[hi]) holds, so a settled entry stays put
-            mid = (lo + hi) // 2
-            r = radii[mid]
-            ok = values <= r + REL_TOL * np.maximum(np.maximum(np.abs(values), np.abs(r)), 1.0)
-            ok &= finite | (values <= r)
-            lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
-    return lo
+    return radii[lo], tuple(js)
 
 
 class _Rounds:

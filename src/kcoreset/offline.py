@@ -29,6 +29,7 @@ from .metric import (
     _unchecked_point,
     as_weighted,
     coords_array,
+    slack_bound,
     weights_array,
 )
 
@@ -119,18 +120,18 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask: _Mask)
     Neither depends on an outlier budget: only the verdict ``remaining <= z``
     does, so one probe serves every z (``_PointSet.probe``).
 
-    One n x n mask, ``within_r``, holds the entries within r + slack, and
-    its starting coverage is the uncovered weight in each point's r-ball (a
-    count when every weight is 1). ``mask.write`` makes both in ``mask``'s
-    buffer: by a full pass, or by flipping a band from the previous probe's
-    (``_Mask``). The coverage is then kept up to date: after center c, the
-    newly covered points are the uncovered ones in c's 3r-row, and each
-    drops out of every r-ball that holds it. After the last center, or once
-    nothing is left uncovered, coverage is not updated. The first coverage
-    and the updates are column sums of ``within_r`` (``_column_sums``),
-    which read its columns as rows, so ``dmat`` must be symmetric bit for
-    bit: ``Metric.pairwise(X, X)`` is, for L2 and L-inf, and an explicit
-    matrix is validated as symmetric.
+    One n x n mask, ``within_r``, holds the entries within
+    ``slack_bound(r)``, and its starting coverage is the uncovered weight in
+    each point's r-ball (a count when every weight is 1). ``mask.write``
+    makes both in ``mask``'s buffer: by a full pass, or by flipping a band
+    from the previous probe's (``_Mask``). The coverage is then kept up to
+    date: after center c, the newly covered points are the uncovered ones in
+    c's 3r-row, and each drops out of every r-ball that holds it. After the
+    last center, or once nothing is left uncovered, coverage is not updated.
+    The first coverage and the updates are column sums of ``within_r``
+    (``_column_sums``), which read its columns as rows, so ``dmat`` must be
+    symmetric bit for bit: ``Metric.pairwise(X, X)`` is, for L2 and L-inf,
+    and an explicit matrix is validated as symmetric.
 
     Coverage is exact in one of four types, the narrowest that holds it. A
     count is at most n: uint8 slab counts added into int32.
@@ -140,13 +141,13 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask: _Mask)
     exactly, so the sums, and so the argmax and its ties, are those of any
     exact arithmetic.
     """
-    slack = REL_TOL * max(1.0, abs(r))
+    slack = REL_TOL * max(1.0, abs(r))  # 3r's row is within 3r + 3 slack, not slack_bound(3r)
     remaining = int(weights.sum())
     unit = remaining == len(weights)  # weights are integers >= 1, so all are 1
     uncovered = None if unit else weights.astype(
         np.float32 if remaining < _EXACT_FLOAT32 else np.float64 if remaining < _EXACT_FLOAT
         else np.int64)
-    within_r, coverage = mask.write(dmat, uncovered, r + slack)
+    within_r, coverage = mask.write(dmat, uncovered, slack_bound(r))
     if unit:
         uncovered = np.ones(len(weights), dtype=bool)
     centers = []
@@ -165,9 +166,9 @@ def _probe(dmat: np.ndarray, weights: np.ndarray, k: int, r: float, mask: _Mask)
 
 class _Mask:
     """The mask buffer of a ``_PointSet``, ``within``, and the state its
-    last probe left in it: the threshold ``t`` (r + slack) of the mask it
-    holds, None before the first probe, and that mask's starting coverage,
-    ``start``.
+    last probe left in it: the threshold ``t`` (``slack_bound(r)``) of the
+    mask it holds, None before the first probe, and that mask's starting
+    coverage, ``start``.
 
     Late in a search, the radii left to probe are close, and so are their
     masks. ``greedy`` on a set of at least ``_BAND_CUT`` entries asks at
@@ -402,8 +403,8 @@ def greedy(points, k: int, z: int, metric: Metric) -> GreedyResult:
     while lo < hi:
         mid = (lo + hi) // 2
         if ask and (hi - lo + 1) * _BAND_SHARE <= len(cands) and (k, mid) not in ps._memo:
-            below = _net_bound(float(cands[lo - 1])) if lo else -math.inf
-            mask.banded(ps.dmat, below, _net_bound(float(cands[hi])))
+            below = slack_bound(float(cands[lo - 1])) if lo else -math.inf
+            mask.banded(ps.dmat, below, slack_bound(float(cands[hi])))
             ask = False
         remaining, probed = ps.probe(k, mid)
         if remaining <= z:
@@ -460,7 +461,7 @@ def _gridded(metric: Metric, dim: int, bound: float) -> bool:
     """Whether points of ``dim`` coordinates under ``metric`` can be put in
     cells for ``bound``: coordinates, not matrix indices, 1 to
     ``_CELL_MAX_DIM`` of them, and a finite bound of at least ``REL_TOL``
-    (every ``_net_bound`` of a delta >= 0), as the proof needs."""
+    (every ``slack_bound`` of a delta >= 0), as the proof needs."""
     return (metric.kind != EXPLICIT and 1 <= dim <= _CELL_MAX_DIM
             and REL_TOL <= bound and math.isfinite(bound * _CELL_MARGIN))
 
@@ -516,12 +517,6 @@ def _cell_key(point, width: float):
     return key
 
 
-def _net_bound(delta: float) -> float:
-    """The bound a delta-net compares its distances with: delta and its
-    rounding slack. It is also the threshold of a probe at radius delta."""
-    return delta + REL_TOL * max(1.0, abs(delta))
-
-
 def _net(points, delta: float, metric: Metric):
     """Greedy delta-net in input order.
 
@@ -534,7 +529,7 @@ def _net(points, delta: float, metric: Metric):
     ``_PointSet``.
 
     Equivalently, a point is owned by the first earlier representative
-    within the bound b = ``_net_bound(delta)``, and is one itself if there is
+    within the bound b = ``slack_bound(delta)``, and is one itself if there is
     none. Two paths find that owner, each from the entries (earlier point,
     point) that the full ``pairwise`` matrix holds, so both give its result:
 
@@ -560,7 +555,7 @@ def _net(points, delta: float, metric: Metric):
     n = len(ps)
     if n == 0:
         return [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    bound = _net_bound(delta)
+    bound = slack_bound(delta)
     digits = runs = None
     if "dmat" not in ps.__dict__ and _gridded(metric, len(ps.wps[0].point), bound):
         digits = _cell_digits(ps.coords, bound * _CELL_MARGIN)

@@ -82,11 +82,10 @@ import numpy as np
 from .errors import InputError
 from .metric import (
     EXPLICIT, Metric, WeightedPoint, _check_counts, _check_total, _not_numbers, _point,
-    _size_bound, _unchecked_point, min_pairwise_distance, quiet_bound,
+    _size_bound, _unchecked_point, min_pairwise_distance, quiet_bound, slack_bound,
 )
 from .offline import (
-    _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded, _net, _net_bound,
-    _pack_rows,
+    _CELL_MARGIN, _OFFSETS, _PointSet, _cell_digits, _cell_key, _gridded, _net, _pack_rows,
 )
 
 
@@ -103,14 +102,11 @@ class InsertionStream:
     """Streaming (eps,k,z)-coreset over a metric of declared doubling dimension d."""
 
     def __init__(self, k: int, z: int, epsilon: float, d: int, metric: Metric):
-        _check_counts(k, z)
-        if not (0 < epsilon <= 1):
-            raise InputError("epsilon must be in (0, 1]")
+        self.threshold = size_threshold(k, z, epsilon, d)  # checks k, z and epsilon
         if d < 1:
             raise InputError("declared doubling dimension must be >= 1")
         self.k, self.z, self.epsilon, self.d = k, z, epsilon, d
         self.metric = metric
-        self.threshold = size_threshold(k, z, epsilon, d)
         self.r = 0.0
         self.pstar: list[WeightedPoint] = []
         self._coords = None  # rows [:len(pstar)] hold the representatives' coordinates
@@ -182,7 +178,7 @@ class InsertionStream:
     def _bound(self) -> float:
         """The scan bound b: the join radius with its rounding slack, the
         bound of a net at that radius."""
-        return _net_bound(self._limit())
+        return slack_bound(self._limit())
 
     def _index(self) -> None:
         """Rebuild ``_cells`` from ``_coords`` for the current r, or leave

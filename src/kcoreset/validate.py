@@ -51,7 +51,9 @@ from .metric import (
     coords_array,
     explicit_universe,
     input_points_universe,
+    leq,
     materialize_universe,
+    slack_bound,
     weights_array,
 )
 from .offline import Instance
@@ -335,7 +337,7 @@ def evaluate_cost(points, centers, z: int, metric: Metric) -> float:
 
 
 def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
-    """Total weight at nearest-center distance beyond ``radius`` (with tolerance)."""
+    """Total weight whose nearest-center distance is not ``leq`` ``radius``."""
     if not radius >= 0:  # NaN too, which would count every point as covered
         raise InputError("radius must be nonnegative")
     centers = explicit_universe(centers).points  # refuses an empty or non-finite set
@@ -344,8 +346,7 @@ def uncovered_weight(points, centers, radius: float, metric: Metric) -> int:
         return 0
     carr = np.asarray(centers).reshape(len(centers), -1)
     nearest = _finite_distances(metric, coords_array(wps), carr).min(axis=1)
-    slack = REL_TOL * np.maximum(1.0, np.maximum(np.abs(nearest), abs(radius)))
-    return int(weights_array(wps)[nearest > radius + slack].sum())
+    return int(weights_array(wps)[~leq(nearest, radius)].sum())
 
 
 def brute_force_opt(inst: Instance, universe: CenterUniverse = None) -> Solution:
@@ -392,8 +393,7 @@ def check_mini_ball_covering(P, Pstar, bound: float, metric: Metric) -> Validati
         return ValidationReport(True)
 
     d = metric.pairwise(coords_array(P), coords_array(Pstar))  # an inf entry is past every bound
-    slack = REL_TOL * max(1.0, abs(bound))
-    reachable = d <= bound + slack
+    reachable = d <= slack_bound(bound)
     stranded = np.flatnonzero(~reachable.any(axis=1))
     if stranded.size:
         i = int(stranded[0])

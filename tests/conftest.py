@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kcoreset import EXPLICIT, L2, LINF, InputError, Metric, WeightedPoint
-from kcoreset.metric import _EXPLICIT_POINTS
+from kcoreset.metric import _EXPLICIT_POINTS, REL_TOL
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,13 @@ def scalar_distance(metric, p, q):
     if metric.kind == LINF:
         return max(diff) if diff else 0.0
     return math.sqrt(sum(d * d for d in diff))
+
+
+def scalar_leq(a, b):
+    """Reference tolerance rule: the scalar formula, one pair of floats at a
+    time. ``metric.leq`` gives the same verdicts, for floats and
+    elementwise over arrays."""
+    return a <= b or (math.isfinite(a) and a <= b + REL_TOL * max(1.0, abs(a), abs(b)))
 
 
 def reference_parse_point_line(line, lineno):

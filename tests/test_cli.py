@@ -212,10 +212,12 @@ def _mpc_argv(pts, out, *extra):
 
 
 def test_bad_distribution_specs_are_input_errors(tmp_path, capsys):
-    pts, adv = tmp_path / "p.txt", tmp_path / "adv.txt"
+    pts, adv, frac = tmp_path / "p.txt", tmp_path / "adv.txt", tmp_path / "frac.txt"
     write_pts(pts, range(4))
     adv.write_text("1 2 x 1\n")
-    for spec in ("random:abc", "random:", f"adversarial:{adv}", "adversarial:", "mystery"):
+    frac.write_text("1 2 1.5 1\n")  # a fractional machine id is not truncated
+    for spec in ("random:abc", "random:", "random:2.9", f"adversarial:{adv}",
+                 f"adversarial:{frac}", "adversarial:", "mystery"):
         code, _, err = run_cli(capsys, *_mpc_argv(pts, tmp_path / "c.txt", "--dist", spec))
         assert code == 3 and "distribution" in err, spec
 

@@ -144,3 +144,27 @@ def test_dynamic_lb_scenario_replays_cleanly():
     assert deletes, "scenario should delete the groups above m*"
     probes = [p for s, p in stream.ops[-4 * stream.d:]]
     assert probes[0] == probes[1]
+
+
+LB_REFUSALS = {
+    "insertion z=1.5": (lambda: gen_insertion_lb(2, 1.5, 1 / 8, 1), "need integers k >= 1"),
+    "insertion z=True": (lambda: gen_insertion_lb(2, True, 1 / 8, 1), "need integers k >= 1"),
+    "dynamic k=2.0": (lambda: gen_dynamic_lb(2.0, 0, 1 / 16, 1, 4096), "need integers k >= 1"),
+    "dynamic Delta=4096.0": (lambda: gen_dynamic_lb(2, 0, 1 / 16, 1, 4096.0),
+                             "Delta must be an integer"),
+    "dynamic Delta=0": (lambda: gen_dynamic_lb(2, 0, 1 / 16, 1, 0), "Delta must be an integer"),
+    "probe cover k=2.0": (lambda: probe_cover_ok(lb_geometry(1 / 8, 1), 2.0, (0, 0)),
+                          "need integers k >= 1"),
+    "geometry d=2.5": (lambda: lb_geometry(0.05, 2.5), "d must be an integer"),
+    "geometry d=0": (lambda: lb_geometry(0.05, 0), "d must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LB_REFUSALS))
+def test_generator_refusals(case):
+    # each generator checks its counts, Delta and d at its door; before, a
+    # fractional count or Delta raised TypeError or AttributeError deep in
+    # the construction, z=True was taken as 1 and a fractional d was kept
+    make, message = LB_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        make()

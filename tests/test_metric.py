@@ -15,8 +15,9 @@ from kcoreset import (
     size_threshold,
 )
 from kcoreset import metric as metric_module
+from kcoreset.metric import REL_TOL, leq
 
-from conftest import scalar_distance
+from conftest import scalar_distance, scalar_leq
 
 coords = st.lists(st.integers(-50, 50).map(float), min_size=1, max_size=3)
 
@@ -86,6 +87,18 @@ METRIC_REFUSALS = {
     "negative matrix": (lambda: Metric(EXPLICIT, matrix=[[0, -1], [-1, 0]]), InputError,
                         "must be nonnegative"),
     "negative ball radius": (lambda: Ball((0.0,), -1.0), InputError, "must be nonnegative"),
+    "NaN ball radius": (lambda: Ball((0.0,), math.nan), InputError, "must be nonnegative"),
+    "NaN ball center": (lambda: Ball((math.nan,), 1.0), InputError, "center must be finite"),
+    "infinite ball center": (lambda: Ball((0.0, math.inf), 1.0), InputError,
+                             "center must be finite"),
+    "size bound at eps = 0": (lambda: mbc_size_bound(1, 0, 0.0, 1), InputError,
+                              r"epsilon must be in \(0, 1\]"),
+    "size bound at eps < 0": (lambda: mbc_size_bound(1, 0, -1.0, 1), InputError,
+                              r"epsilon must be in \(0, 1\]"),
+    "size threshold at eps = 0": (lambda: size_threshold(1, 0, 0.0, 1), InputError,
+                                  r"epsilon must be in \(0, 1\]"),
+    "size threshold at eps = nan": (lambda: size_threshold(1, 0, math.nan, 1), InputError,
+                                    r"epsilon must be in \(0, 1\]"),
     "unknown universe kind": (lambda: CenterUniverse("everywhere"), InputError,
                               "unknown universe kind"),
     "universe of no points": (lambda: materialize_universe([], input_points_universe()),
@@ -101,6 +114,33 @@ def test_metric_refusals(case):
     make, error, message = METRIC_REFUSALS[case]
     with pytest.raises(error, match=message):
         make()
+
+
+def test_leq_over_arrays_is_the_scalar_rule():
+    # every ordered pair of values at the tolerance edge (v * (1 -+ 1e-9),
+    # the bound v + 1e-9 * v and their neighbours), near the unit floor, at
+    # 0, subnormal, past the float range's slack and not a number: leq over
+    # arrays (and over two floats) gives the scalar rule's verdict, and warns
+    # nothing. At v = 1.431455953023024 the float above the bound is within
+    # v only because the slack scales by |a| too, not by |b| alone.
+    values = [0.0, 5e-324, 1.0, 1.0 + REL_TOL, math.inf, 1.7e308, math.nan]
+    for v in (3.0, 0.5, 1e-12, 1e300, 1.7e308, 1.431455953023024):
+        for edge in (v * (1 + REL_TOL), v * (1 - REL_TOL), v + REL_TOL * max(1.0, v)):
+            values += [v, edge, float(np.nextafter(edge, math.inf)),
+                       float(np.nextafter(edge, 0.0))]
+    a, b = (np.asarray(x) for x in zip(*itertools.product(values, repeat=2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = leq(a, b)
+        assert got.dtype == bool and got.shape == a.shape
+        assert got.tolist() == [scalar_leq(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert [leq(x, y) for x, y in zip(a.tolist(), b.tolist())] == got.tolist()
+        # a row against one radius, as the callers pass it
+        assert leq(a, 1.0).tolist() == [scalar_leq(x, 1.0) for x in a.tolist()]
+    assert got.any() and not got.all()
+    # NaN is within nothing, on either side; an inf is within inf alone
+    assert not leq(math.nan, math.inf) and not leq(0.0, math.nan)
+    assert not leq(math.inf, 1.7e308) and leq(math.inf, math.inf)
 
 
 _PTS = [WeightedPoint((0.0,)), WeightedPoint((1.0,)), WeightedPoint((5.0,))]

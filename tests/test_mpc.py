@@ -11,10 +11,10 @@ from kcoreset import (
     round_robin, run_one_round_randomized, run_r_round, run_two_round,
 )
 from kcoreset import offline
-from kcoreset.metric import REL_TOL, as_weighted, leq
+from kcoreset.metric import REL_TOL, as_weighted
 from kcoreset.offline import _mbc
 from kcoreset.mpc import ADVERSARIAL, RANDOM, Message, MpcRun, point_words, vector_length
-from conftest import random_points
+from conftest import random_points, scalar_leq
 
 W = WeightedPoint
 
@@ -227,9 +227,17 @@ def test_compute_r_hat_z_zero():
     assert r_hat == 7.0 and j_hats == (0, 0)
 
 
-def walked_r_hat(vectors, z, within=leq):
-    """``compute_r_hat`` as a walk over the sorted candidates, one ``leq``
-    call (or ``within``) per entry and candidate, kept as the reference."""
+def test_compute_r_hat_without_entries_asserts():
+    # no machine, or a machine with an empty vector: no radius qualifies
+    for vectors in ([], [[]], [[], [1.0]]):
+        with pytest.raises(AssertionError, match="no feasible radius"):
+            compute_r_hat(vectors, 0)
+
+
+def walked_r_hat(vectors, z, within=scalar_leq):
+    """``compute_r_hat`` as a walk over the sorted candidates, one
+    ``scalar_leq`` call (or ``within``) per entry and candidate, kept as the
+    reference."""
     for r in sorted({v for vec in vectors for v in vec}):
         j_hats = [next((j for j, v in enumerate(vec) if within(v, r)), None) for vec in vectors]
         if None not in j_hats and sum((1 << j) - 1 for j in j_hats) <= 2 * z:
@@ -511,6 +519,13 @@ MPC_REFUSALS = {
     "unknown distribution kind": (lambda: Distribution("striped"), "unknown distribution kind"),
     "adversarial without an assignment": (lambda: Distribution(ADVERSARIAL), "assignment list"),
     "random without a seed": (lambda: Distribution(RANDOM), "needs a seed"),
+    "fractional adversarial machine": (lambda: adversarial([1.5, 2.7]), "machine ids"),
+    "adversarial machine as a bool": (lambda: adversarial([True, 2]), "machine ids"),
+    "adversarial machine 0": (lambda: adversarial([0, 1]), "machine ids"),
+    "fractional random seed": (lambda: random_dist(2.9), "seed must be an integer"),
+    "fractional seed on a Distribution": (lambda: Distribution(RANDOM, seed=1.5),
+                                          "seed must be an integer"),
+    "NaN outlier-vector entry": (lambda: compute_r_hat([[math.nan], [1.0]], 0), "NaN"),
     "no rounds": (lambda: run_r_round(FIVE, 1, 0, 0.5, 0, MpcConfig(3), Metric(LINF)),
                   "at least one round"),
     "fractional rounds": (lambda: run_r_round(FIVE, 1, 0, 0.5, 1.5, MpcConfig(4), Metric(LINF)),

@@ -16,12 +16,12 @@ from kcoreset import (
 )
 from kcoreset import mpc, offline, outlier_vector, validate
 from kcoreset.metric import (
-    REL_TOL, Ball, as_weighted, coords_array, materialize_universe, weights_array,
+    REL_TOL, Ball, as_weighted, coords_array, materialize_universe, slack_bound, weights_array,
 )
 from kcoreset.mpc import vector_length
 from kcoreset.offline import (
     _CELL_GUARD, _CELL_MARGIN, GreedyResult, _PointSet, _cell_digits, _cell_runs, _grid_leaders,
-    _mbc, _net, _net_bound,
+    _mbc, _net,
 )
 from kcoreset.validate import (
     EXPANDED_COVER_FAILS, RADIUS_BAND_HIGH, RADIUS_BAND_LOW, WEIGHT_RESTRICTION, _cost_batch,
@@ -773,13 +773,13 @@ def test_band_probes_match_full_passes(case, monkeypatch):
         # the pair radii near the top as well, more than n^2/64 entries. A
         # band of the inf entries alone flips them, as a full pass
         assert np.isinf(ps.cands[-1])
-        below = offline._net_bound(float(ps.cands[-2]))
+        below = slack_bound(float(ps.cands[-2]))
         mask, flips[:] = offline._Mask(len(ps)), []
         mask.banded(ps.dmat, below, math.inf)
         for r in (ps.cands[-2], math.inf, ps.cands[-2], math.inf):
             got = orig_probe(ps.dmat, ps.weights, 1, float(r), mask)
             assert got == orig_probe(ps.dmat, ps.weights, 1, float(r), offline._Mask(len(ps)))
-            assert (mask.within == (ps.dmat <= offline._net_bound(float(r)))).all()
+            assert (mask.within == (ps.dmat <= slack_bound(float(r)))).all()
         assert flips == [True] * 3
     w = ps.weights
     for kk, r in probes[::7]:
@@ -1099,7 +1099,7 @@ def _grid_net(pts, delta, metric):
     """The grid path alone, whatever its density check would say:
     (representatives' input indices, assignment), or None past the guard."""
     ps = _PointSet(pts, metric)
-    bound = _net_bound(delta)
+    bound = slack_bound(delta)
     digits = _cell_digits(ps.coords, bound * _CELL_MARGIN)
     if digits is None:
         return None
@@ -1168,7 +1168,7 @@ def test_grid_net_matches_the_blocked_net_on_cell_edges(kind, dim, monkeypatch):
     # lattice value, repeats and weights
     metric, rng = Metric(kind), np.random.default_rng(3 + dim)
     delta = 0.75
-    b = _net_bound(delta)
+    b = slack_bound(delta)
     zero = (0.0,) * (dim - 1)
     values = sorted({float(np.nextafter(j * b, s)) for j in range(-3, 4)
                      for s in (-np.inf, 0.0, np.inf)} | {j * b for j in range(-3, 4)})
@@ -1199,7 +1199,7 @@ def test_grid_net_falls_back_past_its_guard(kind, monkeypatch):
     # which gives the same net
     metric = Metric(kind)
     delta = 1.0
-    edge = _CELL_GUARD * _net_bound(delta) * _CELL_MARGIN
+    edge = _CELL_GUARD * slack_bound(delta) * _CELL_MARGIN
     pts = [W((float(x), 0.0)) for x in range(0, 40, 3)] + [W((edge, 1.0)), W((edge + 0.5, 1.0))]
     gridded = _grid_calls(monkeypatch)
     reps, _, assignment = _net(pts, delta, metric)
@@ -1229,7 +1229,7 @@ def test_grid_net_computes_a_few_distances_per_point(monkeypatch, linf):
     reps, _, assignment = _net(pts, 4.0, linf)
     grid = dict(counted)
     counted.clear()
-    blocked = offline._blocked_leaders(_PointSet(pts, linf), _net_bound(4.0))
+    blocked = offline._blocked_leaders(_PointSet(pts, linf), slack_bound(4.0))
     assert assignment.tolist() == blocked[1].tolist()
     assert grid == {"paired": grid["paired"]} and grid["paired"] <= 20 * len(pts)
     assert counted["pairwise"] >= len(pts) ** 2 / 4 and len(reps) > 3000
