@@ -17,8 +17,11 @@ cannot fail and builds no tables.
 An update takes its sign as an int (``operator.index``; a float sign is
 refused) and checks its point in one pass over the coordinates
 (``GridConfig.cell_id``), which also forms the zero-based level-0 cell and
-its id. The cell at level i is the level-0 cell's index shifted right by i,
-and every structure names it by one integer id: the shifted coordinates read
+its id. A plain int coordinate, what an update file holds, is taken as it
+is; any other goes through ``int()`` and must equal its value, so a bool, a
+numpy integer or an integral float such as 3.0 is read as the int it
+equals. The cell at level i is the level-0 cell's index shifted right by i, and every
+structure names it by one integer id: the shifted coordinates read
 row-major in base Delta >> i. Cells per axis are a power of two, so each
 coordinate of the level-0 id is a ``top_level``-bit field; a level's id
 shifts each field right by the level and repacks the fields
@@ -31,6 +34,15 @@ answers reports without randomness (test mode). A report takes {id: count}
 from the shadow or the sketch, sorts the ids once (row-major ids sort as
 their index tuples do) and turns them straight into centers, decoding each
 coordinate's bit field with a shift and a mask (``GridConfig.cell_centers``).
+
+A state keeps one report memo: the level of its last report and that
+report's id -> point map, so at most s points. A report at the same level
+reuses the point of every id whose count is unchanged, and decodes centers
+and builds points only for the other ids; a report at another level starts
+the memo afresh. A center depends only on the id and the level, and points
+are immutable, so a reused point is the point the report would build, and
+the memo cannot change a report. It holds report output, not sketch state,
+so ``sketch_bytes`` does not count it.
 
 The sketches are fed lazily. An update feeds only levels 0..``fed``-1, and
 ``fed`` starts at 1, so while level 0 is sparse an update makes one sketch
@@ -100,10 +112,13 @@ class GridConfig:
         delta = self.delta
         ident = 0
         for c in point:
-            try:
-                ci = int(c)
-            except (OverflowError, ValueError, TypeError):  # inf, NaN, None, 1+0j
-                ci = 0  # outside the range, so refused below
+            if type(c) is int:  # what an update file holds: no conversion
+                ci = c
+            else:  # a bool, a numpy integer, a float: converted, then compared
+                try:
+                    ci = int(c)
+                except (OverflowError, ValueError, TypeError):  # inf, NaN, None, 1+0j
+                    ci = 0  # outside the range, so refused below
             if ci != c or not 1 <= ci <= delta:
                 raise InputError(f"coordinate {c!r} outside integer range [1, {delta}]")
             ident = ident * delta + ci - 1
@@ -212,6 +227,7 @@ class DynamicCoresetState:
         self.shadow = [dict() for _ in range(self.grid.levels)] if with_shadow else None
         self.sr = None
         self.fed = 1
+        self._memo = (None, {})  # the last report's level and its id -> point map
         if with_sketches:
             # per-query failure budget: delta / (levels * assumed stream length Delta^(3d))
             queries = self.grid.levels * self.grid.delta ** (3 * d)
@@ -272,17 +288,23 @@ class DynamicCoresetState:
             self.update(point, sign)
 
     def _report_from_cells(self, cells: dict, level: int, from_exact: bool) -> DynReport:
-        # the centers are tuples of finite floats and the counts positive
-        # ints (signs are ints, and a decode refuses negative counts), so
-        # each point is built as _unchecked_point builds it, in one loop
+        # a point is reused from the memo when its id's count is unchanged,
+        # and the others are decoded and built as _unchecked_point builds
+        # them: the centers are tuples of finite floats and the counts
+        # positive ints (signs are ints, and a decode refuses negative counts)
+        memo_level, last = self._memo
+        if memo_level != level:
+            last = {}
         ids = sorted(cells)
-        points = []
-        for center, ident in zip(self.grid.cell_centers(ids, level), ids):
+        fresh = [i for i in ids if (wp := last.get(i)) is None or wp.weight != cells[i]]
+        for center, ident in zip(self.grid.cell_centers(fresh, level), fresh):
             wp = _new_object(WeightedPoint)
             _set_attribute(wp, "point", center)
             _set_attribute(wp, "weight", cells[ident])
-            points.append(wp)
-        return DynReport(points=tuple(points), level=level, from_exact=from_exact)
+            last[ident] = wp
+        memo = {ident: last[ident] for ident in ids}  # the reported ids alone, sorted
+        self._memo = (level, memo)
+        return DynReport(points=tuple(memo.values()), level=level, from_exact=from_exact)
 
     def report(self, exact: bool = False) -> DynReport:
         """Weighted cell centers of the finest level with at most s cells.

@@ -8,7 +8,8 @@ three forms:
 - ``leq(a, b)`` scales by the larger of |a| and |b|, holds for an infinite
   a only at b = inf, and never holds for NaN. It takes two floats or float64
   arrays alike: ``compute_r_hat`` applies it to the table of outlier-vector
-  entries, and ``validate.uncovered_weight`` to the nearest distances.
+  entries, ``validate.uncovered_weight`` to the nearest distances and
+  ``_validate_matrix`` to the two sides of every triangle it checks.
 - ``slack_bound(b)`` scales by the bound alone, so a comparison of many
   distances with ``dist <= slack_bound(b)`` has one slack for a whole
   matrix or row: ``_probe`` and the greedy's bands, ``_net``, the streaming
@@ -395,12 +396,19 @@ def _validate_matrix(m):
             if m[i][j] != m[j][i]:
                 raise InputError("explicit metric matrix must be symmetric")
     rng = random.Random(0)  # one generator for every sample, so the samples differ
-    triples = itertools.permutations(range(n), 3) if n <= 12 else (
+    triples = list(itertools.permutations(range(n), 3)) if n <= 12 else [
         rng.sample(range(n), 3) for _ in range(_TRIANGLE_SAMPLES)
-    )
-    for i, j, k in triples:
-        if m[i][k] > m[i][j] + m[j][k] + REL_TOL * max(1.0, m[i][k]):
-            raise InputError(f"triangle inequality violated on sampled triple ({i},{j},{k})")
+    ]
+    if not triples:
+        return
+    arr = np.asarray(m, dtype=float)
+    i, j, k = np.asarray(triples).T
+    with np.errstate(over="ignore"):  # a two-hop sum past the float range is inf
+        held = leq(arr[i, k], arr[i, j] + arr[j, k])
+    if not held.all():
+        first = int(np.argmin(held))
+        raise InputError("triangle inequality violated on sampled triple"
+                         f" ({i[first]},{j[first]},{k[first]})")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,12 @@ class Distribution:
             raise InputError("adversarial distribution needs an assignment list")
         if self.kind == RANDOM and self.seed is None:
             raise InputError("random distribution needs a seed")
+        # a run records its distribution's seed, so a kind that draws nothing takes none
+        if self.kind != ADVERSARIAL and self.assignment is not None:
+            raise InputError("an assignment is for the adversarial distribution only,"
+                             f" not {self.kind!r}")
+        if self.kind != RANDOM and self.seed is not None:
+            raise InputError(f"a seed is for the random distribution only, not {self.kind!r}")
         if self.assignment is not None:
             object.__setattr__(self, "assignment", tuple(
                 _integer(a, 1, f"adversarial machine ids must be integers >= 1, got {a!r}")

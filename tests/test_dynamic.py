@@ -1,5 +1,7 @@
 import copy
 import hashlib
+import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -890,3 +892,185 @@ def test_a_benchmark_shaped_stream_makes_one_sketch_update_per_update(monkeypatc
             _ref_update(ref, point, sign)
         assert reports[start // 100] == _outcome(lambda: _ref_report(ref))
     assert new.digest() == ref.digest()
+
+
+# Reference copy of GridConfig.cell_id as it was before a plain int skipped
+# the int() conversion: every coordinate is converted, and the messages are
+# the ones the fast path keeps.
+
+def _reference_cell_id(grid, point):
+    try:
+        dim = len(point)
+    except TypeError:
+        raise InputError(f"a point must be a sequence of coordinates, got {point!r}") from None
+    ident = 0
+    for c in point:
+        try:
+            ci = int(c)
+        except (OverflowError, ValueError, TypeError):
+            ci = 0
+        if ci != c or not 1 <= ci <= grid.delta:
+            raise InputError(f"coordinate {c!r} outside integer range [1, {grid.delta}]")
+        ident = ident * grid.delta + ci - 1
+    if dim != grid.d:
+        raise InputError(f"point dimension {dim} != {grid.d}")
+    return ident
+
+
+class _Int(int):
+    """An int subclass: not a plain int, so it takes the int() conversion."""
+
+
+_COORDINATES = [
+    5, 1, 1024, 0, 1025, -3, 1 << 70, True, False, np.int64(5), np.int64(1024), np.int64(0),
+    np.int64(2000), np.int32(7), _Int(5), _Int(0), 5.0, 1024.0, 0.0, 1025.0, 2.5, -2.5,
+    np.float64(5.0), np.float64(2.5), math.inf, -math.inf, math.nan, None, "5", "x",
+    1 + 0j, 5 + 0j, 2j,
+]
+
+
+def test_cell_id_accepts_and_refuses_every_coordinate_as_before():
+    # the verdict, the id and the InputError message equal the reference's
+    # for each coordinate in either place of a 2-D point, and an update with
+    # a refused point changes nothing in a fed sketch-and-shadow state
+    g = GridConfig(1024, 2)
+    st = DynamicCoresetState(1024, 2, 1, 0, 1.0, seed=4, with_shadow=True)
+    for x in range(1, 40):
+        st.update((x, x), 1)
+    refused = 0
+    for c in _COORDINATES:
+        for point in ((c, 5), (5, c), (c,), (c, 5, 5)):
+            want = _outcome_of(lambda: _reference_cell_id(g, point))
+            assert _outcome_of(lambda: g.cell_id(point)) == want, point
+            if not isinstance(want, tuple):  # an id
+                continue
+            refused += 1
+            before = copy.deepcopy(st)
+            assert _outcome_of(lambda: st.update(point, 1)) == want, point
+            assert (st.ops, st.live_count, st.fed, st.shadow) == \
+                (before.ops, before.live_count, before.fed, before.shadow)
+            assert [sk._pending for sk in st.sr] == [sk._pending for sk in before.sr]
+            assert [sk._count for sk in st.sr] == [sk._count for sk in before.sr]
+    assert refused > 3 * len(_COORDINATES)
+    # the accepted non-int coordinates give the ids of the ints they equal
+    for c, v in ((True, 1), (np.int64(5), 5), (_Int(5), 5), (5.0, 5), (np.float64(5.0), 5)):
+        assert g.cell_id((c, 7)) == g.cell_id((v, 7)) == (v - 1) * 1024 + 6
+
+
+def _report_key(rep):
+    """A report as its level, its source and each point's coordinate bits and
+    weight."""
+    return rep.level, rep.from_exact, [([v.hex() for v in p.point], type(p.weight), p.weight)
+                                       for p in rep.points]
+
+
+def _memo_events(rng, delta, d, s):
+    """A seeded stream of ("op", sign, point), ("merge", ops of the other
+    shard) and ("report", exact) events: random inserts and deletes of live
+    points from a small pool, with a report every 1-20 updates, exact and
+    sketch reports alternating; a cell deleted to zero and inserted again; a
+    merge midway; and a burst of more than s distinct cells that moves the
+    reported level up, deleted again so the level comes back down."""
+    pool = [tuple(rng.randint(1, min(delta, 3)) for _ in range(d)) for _ in range(3)]
+    pool = sorted(set(pool))
+    spare = [p for p in itertools.product(range(1, delta + 1), repeat=d)
+             if p not in pool] if delta ** d <= 4096 else None
+    if spare is None:
+        spare = sorted({tuple(rng.randint(4, delta) for _ in range(d)) for _ in range(3 * s)})
+    rng.shuffle(spare)
+    lone, burst = spare[0], spare[1:]
+    events, live, due, exact = [], [], rng.randint(1, 20), False
+
+    def op(sign, point):
+        nonlocal due
+        events.append(("op", sign, point))
+        if sign > 0:
+            live.append(point)
+        else:
+            live.remove(point)
+        due -= 1
+        if due == 0:
+            report()
+
+    def report():
+        nonlocal due, exact
+        events.append(("report", exact))
+        exact, due = not exact, rng.randint(1, 20)
+
+    def churn(count):
+        for _ in range(count):
+            if len(live) > 1 and rng.random() < 0.4:
+                op(-1, rng.choice(live))
+            else:
+                op(1, rng.choice(pool))
+
+    churn(60)
+    op(1, lone)
+    report()
+    op(-1, lone)  # its level-0 cell goes to zero
+    report()
+    op(1, lone)  # and comes back
+    report()
+    churn(30)
+    other = [(1, rng.choice(pool)) for _ in range(rng.randint(1, 12))]
+    events.append(("merge", other))
+    live.extend(p for _, p in other)
+    report()
+    churn(30)
+    grown = burst[:s + 2 - len(set(live))]  # s + 2 distinct level-0 cells in all
+    for p in grown:
+        op(1, p)
+    report()
+    for _ in range(3):  # more reports at the coarse level, some of its cells changed
+        op(1, rng.choice(pool))
+        report()
+    for p in grown:
+        op(-1, p)
+    report()
+    churn(30)
+    return events
+
+
+def _apply_event(st, params, ev):
+    if ev[0] == "op":
+        st.update(ev[2], ev[1])
+    elif ev[0] == "merge":  # a shard of the same configuration, fed its inserts
+        other = DynamicCoresetState(**params)
+        other.apply(ev[1])
+        st.merge(other)
+
+
+def _replay(params, events):
+    st = DynamicCoresetState(**params)
+    for ev in events:
+        _apply_event(st, params, ev)
+    return st
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("delta", [8, 64, 1024])
+def test_memoised_reports_equal_fresh_replays(d, delta):
+    # each report of one long-lived state, which reuses the points of its
+    # last report, equals the first report of a fresh state replayed to the
+    # same position; the memo holds exactly the last report's points
+    rng = random.Random(delta * 10 + d)
+    params = dict(delta=delta, d=d, k=1, z=0, epsilon=1.0, seed=3, with_shadow=True)
+    st = DynamicCoresetState(**params)
+    events = _memo_events(rng, delta, d, st.s)
+    levels, reused, last = set(), 0, ()
+    for t, ev in enumerate(events):
+        if ev[0] != "report":
+            _apply_event(st, params, ev)
+            continue
+        rep = st.report(exact=ev[1])
+        assert _report_key(rep) == _report_key(_replay(params, events[:t]).report(exact=ev[1])), t
+        assert rep.from_exact == ev[1]
+        memo_level, memo = st._memo
+        assert memo_level == rep.level and len(memo) == len(rep.points)
+        assert all(a is b for a, b in zip(memo.values(), rep.points))
+        previous = {id(p) for p in last}
+        reused += sum(id(p) in previous for p in rep.points)
+        levels.add(rep.level)
+        last = rep.points
+    assert reused > 0 and len(levels) > 1
+    assert sum(ev[0] == "report" for ev in events) > 10

@@ -77,6 +77,33 @@ def test_explicit_matrix_metric():
         Metric("matrix", matrix=mat)
 
 
+def _triangle(long_side, short_side=1.0):
+    """Points 0 and 2 at ``long_side``, each at ``short_side`` from point 1."""
+    return [[0.0, short_side, long_side], [short_side, 0.0, short_side],
+            [long_side, short_side, 0.0]]
+
+
+def test_triangle_check_is_leq_over_both_sides():
+    # the longest side within leq of the two-hop sum 2 is accepted and the
+    # next float up is refused, naming the first failing triple; an infinite
+    # side with a finite two-hop path is refused; a two-hop sum past the
+    # float range is inf, which holds every side, and warns nothing
+    edge = 2.0 + REL_TOL * 2.0
+    while scalar_leq(float(np.nextafter(edge, math.inf)), 2.0):
+        edge = float(np.nextafter(edge, math.inf))
+    while not scalar_leq(edge, 2.0):
+        edge = float(np.nextafter(edge, 0.0))
+    Metric(EXPLICIT, matrix=_triangle(edge))
+    for long_side in (float(np.nextafter(edge, math.inf)), math.inf):
+        with pytest.raises(InputError, match=r"^triangle inequality violated on sampled "
+                                             r"triple \(0,1,2\)$"):
+            Metric(EXPLICIT, matrix=_triangle(long_side))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Metric(EXPLICIT, matrix=_triangle(math.inf, math.inf))
+        Metric(EXPLICIT, matrix=_triangle(1.7e308, 1.7e308))
+
+
 METRIC_REFUSALS = {
     "unknown metric kind": (lambda: Metric("l1"), InputError, "unknown metric kind"),
     "explicit kind without a matrix": (lambda: Metric(EXPLICIT), InputError, "requires a matrix"),

@@ -13,7 +13,9 @@ from kcoreset import (
 from kcoreset import offline
 from kcoreset.metric import REL_TOL, as_weighted
 from kcoreset.offline import _mbc
-from kcoreset.mpc import ADVERSARIAL, RANDOM, Message, MpcRun, point_words, vector_length
+from kcoreset.mpc import (
+    ADVERSARIAL, RANDOM, ROUND_ROBIN, Message, MpcRun, point_words, vector_length,
+)
 from conftest import random_points, scalar_leq
 
 W = WeightedPoint
@@ -519,6 +521,14 @@ MPC_REFUSALS = {
     "unknown distribution kind": (lambda: Distribution("striped"), "unknown distribution kind"),
     "adversarial without an assignment": (lambda: Distribution(ADVERSARIAL), "assignment list"),
     "random without a seed": (lambda: Distribution(RANDOM), "needs a seed"),
+    "seed on round robin": (lambda: Distribution(ROUND_ROBIN, seed=5),
+                            "seed is for the random distribution only"),
+    "seed on adversarial": (lambda: Distribution(ADVERSARIAL, assignment=(1, 2), seed=5),
+                            "seed is for the random distribution only"),
+    "assignment on random": (lambda: Distribution(RANDOM, assignment=(1, 2), seed=5),
+                             "assignment is for the adversarial distribution only"),
+    "assignment on round robin": (lambda: Distribution(ROUND_ROBIN, assignment=(1, 2)),
+                                  "assignment is for the adversarial distribution only"),
     "fractional adversarial machine": (lambda: adversarial([1.5, 2.7]), "machine ids"),
     "adversarial machine as a bool": (lambda: adversarial([True, 2]), "machine ids"),
     "adversarial machine 0": (lambda: adversarial([0, 1]), "machine ids"),
